@@ -33,7 +33,7 @@ from .dsl import parse_algebra_element, parse_problem, print_problem
 from .envelope import delta, diagonal_homology_dim
 from .errors import ConstructionError, DGLiftError, ParseError
 from .obstruction import check_lift, obstruction_values
-from .selfcheck import ALL_SUITES
+from .selfcheck import run_all
 
 
 @dataclass
@@ -156,8 +156,7 @@ def run_command(command, problem, *, module=None, bidegree=None,
         dim = diagonal_homology_dim(problem.algebra, n, w)
         results.append({"bidegree": [n, w], "dimension": dim})
     elif command == "selftest":
-        for name, fn in ALL_SUITES:
-            count = fn() if trials is None else fn(trials=trials)
+        for name, count in run_all(trials):
             results.append({"suite": name, "trials": count, "status": "pass"})
     else:
         raise ParseError("unknown command %r" % command)

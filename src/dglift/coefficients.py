@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ConstructionError
+from .lincomb import LinComb, merge
 
 
 class ModP:
@@ -277,47 +278,19 @@ class BaseRing:
         return found
 
 
-class RingElement:
+class RingElement(LinComb):
     """A normal-form element: monomial exponent tuple -> nonzero scalar."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ()
+    ring = LinComb.parent
 
     def __init__(self, ring, coeffs):
-        self.ring = ring
-        clean = {}
-        for exps, c in coeffs.items():
-            if c and ring.mono_reduced(exps):
-                clean[exps] = c
-        self.coeffs = clean
+        # the ideal reduction: monomials divisible by a relation are zero
+        self.parent = ring
+        self.coeffs = {e: c for e, c in coeffs.items() if c and ring.mono_reduced(e)}
 
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise ConstructionError("elements of different base rings")
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            s = out.get(exps, self.ring.field.zero) + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return RingElement(self.ring, out)
-
-    def __neg__(self):
-        return RingElement(self.ring, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _key_bidegree(self, exps):
+        return 0, self.parent.mono_weight(exps)
 
     def __mul__(self, other):
         if isinstance(other, RingElement):
@@ -325,19 +298,14 @@ class RingElement:
             out = {}
             for e1, c1 in self.coeffs.items():
                 for e2, c2 in other.coeffs.items():
-                    prod = self.ring.mono_mul(e1, e2)
-                    if prod is None:
-                        continue
-                    s = out.get(prod, self.ring.field.zero) + c1 * c2
-                    if s:
-                        out[prod] = s
-                    else:
-                        out.pop(prod, None)
-            return RingElement(self.ring, out)
+                    prod = self.parent.mono_mul(e1, e2)
+                    if prod is not None:
+                        merge(out, prod, c1 * c2)
+            return self._raw(self.parent, out)
         if isinstance(other, int):
-            other = self.ring.field.of(other)
+            other = self.parent.field.of(other)
         if isinstance(other, (Fraction, ModP)):
-            return RingElement(self.ring, {e: c * other for e, c in self.coeffs.items()})
+            return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -345,30 +313,13 @@ class RingElement:
             return self.__mul__(other)
         return NotImplemented
 
-    def scale(self, scalar):
-        return RingElement(self.ring, {e: c * scalar for e, c in self.coeffs.items()})
-
-    def is_homogeneous(self):
-        return len({self.ring.mono_weight(e) for e in self.coeffs}) <= 1
-
     def weight(self):
         """Internal degree of a homogeneous element (0 for the zero element)."""
-        weights = {self.ring.mono_weight(e) for e in self.coeffs}
-        if not weights:
-            return 0
-        if len(weights) > 1:
-            raise ConstructionError("element is not internally homogeneous")
-        return weights.pop()
-
-    def weight_components(self):
-        parts = {}
-        for e, c in self.coeffs.items():
-            parts.setdefault(self.ring.mono_weight(e), {})[e] = c
-        return {w: RingElement(self.ring, d) for w, d in sorted(parts.items())}
+        return self.bidegree()[1]
 
     def sorted_terms(self):
         return sorted(self.coeffs.items(),
-                      key=lambda item: (self.ring.mono_weight(item[0]),
+                      key=lambda item: (self.parent.mono_weight(item[0]),
                                         ring_mono_key(item[0])))
 
     def __repr__(self):
@@ -376,7 +327,7 @@ class RingElement:
             return "0"
         parts = []
         for exps, c in self.sorted_terms():
-            mono = self.ring.render_mono(exps)
+            mono = self.parent.render_mono(exps)
             parts.append(render_scalar_mono(c, mono))
         return join_signed(parts)
 
@@ -406,17 +357,12 @@ def join_signed(parts):
 
 def multiplication_block(ring, a, w_src):
     """The block of multiplication by the homogeneous element a on R_{w_src}."""
-    wa = a.weight()
-    src = ring.graded_basis(w_src)
-    dst = ring.graded_basis(w_src + wa)
-    pos = {m: i for i, m in enumerate(dst)}
-    rows = [[ring.field.zero] * len(src) for _ in dst]
-    for j, m in enumerate(src):
-        image = RingElement(ring, {m: ring.field.one}) * a
-        for e, c in image.coeffs.items():
-            rows[pos[e]][j] = c
-    return linalg.BlockMatrix(rows, [ring.render_mono(m) for m in src],
-                              [ring.render_mono(m) for m in dst], ring.field)
+    one = ring.field.one
+    return linalg.block_matrix(
+        [(m,) for m in ring.graded_basis(w_src)],
+        [(m,) for m in ring.graded_basis(w_src + a.weight())],
+        lambda key: (RingElement.from_terms(ring, [(key, one)]) * a).terms(),
+        lambda key: ring.render_mono(key[0]), ring.field)
 
 
 def principal_intersection_dim(ring, a, b, w):

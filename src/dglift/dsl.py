@@ -533,11 +533,10 @@ def _infer_module_weights(specs, diffs, ts):
 def default_module_weights(module):
     """The weights inference would produce with no annotations."""
     weights = [None] * module.rank
-    for i in range(module.rank):
+    for i, column in enumerate(module.columns):
         forced = None
-        for (mu, lam), entry in module.structure.items():
-            if lam == i:
-                forced = weights[mu] + entry.bidegree()[1]
+        for mu, entry in column:
+            forced = weights[mu] + entry.bidegree()[1]
         weights[i] = forced if forced is not None else 0
     return weights
 
@@ -626,11 +625,8 @@ def _module_text(name, algebra_name, module):
             basis_txt.append("%s:%d:%d" % (lab, module.degrees[i],
                                            module.weights[i]))
     diff_txt = []
-    for j, lam in enumerate(module.labels):
-        value = module.zero()
-        for (i, jj), entry in module.structure.items():
-            if jj == j:
-                value = value + ModuleElement(module, {module.labels[i]: entry})
+    for lam, column in zip(module.labels, module.columns):
+        value = ModuleElement(module, {module.labels[i]: entry for i, entry in column})
         diff_txt.append("d%s = %s" % (lam, value))
     return "module %s over %s = <%s | %s>" % (
         name, algebra_name, ", ".join(basis_txt), ", ".join(diff_txt))

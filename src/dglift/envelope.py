@@ -28,15 +28,7 @@ from . import linalg
 from .coefficients import ModP, RingElement, join_signed, ring_mono_key
 from .errors import ConstructionError
 from .free_dga import AlgebraElement
-
-
-def _merge(out, key, add):
-    s = out.get(key)
-    s = add if s is None else s + add
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
+from .lincomb import LinComb, merge
 
 
 def render_pair_terms(algebra, coeffs):
@@ -65,42 +57,36 @@ def render_pair_terms(algebra, coeffs):
     return join_signed(parts)
 
 
-class EnvelopeElement:
+class _PairIndexed(LinComb):
+    """Pair-indexed maps (m1, m2) -> ring coefficient, read as m1^o (x) m2 . r."""
+
+    __slots__ = ()
+    algebra = LinComb.parent
+    coeff_class = RingElement
+    key_width = 2
+
+    def _key_bidegree(self, pair):
+        B = self.parent
+        m1, m2 = pair
+        return (B.mono_degree(m1) + B.mono_degree(m2),
+                B.mono_weight(m1) + B.mono_weight(m2))
+
+    def _scalar_mul(self, other):
+        """Scaling by a central ring element or scalar; NotImplemented otherwise."""
+        if isinstance(other, int):
+            other = self.parent.ring.scalar(other)
+        if isinstance(other, (RingElement, Fraction, ModP)):
+            return self.scale(other)
+        return NotImplemented
+
+
+class EnvelopeElement(_PairIndexed):
     """An element of B^e as a pair-indexed coefficient map."""
 
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra, coeffs):
-        self.algebra = algebra
-        self.coeffs = {k: c for k, c in coeffs.items() if c}
-
-    def _check(self, other):
-        if self.algebra != other.algebra:
-            raise ConstructionError("envelope elements over different algebras")
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, EnvelopeElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            _merge(out, k, c)
-        return EnvelopeElement(self.algebra, out)
-
-    def __neg__(self):
-        return EnvelopeElement(self.algebra, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    __slots__ = ()
 
     def __mul__(self, other):
-        B = self.algebra
+        B = self.parent
         if isinstance(other, EnvelopeElement):
             self._check(other)
             out = {}
@@ -117,177 +103,90 @@ class EnvelopeElement:
                     if right is None:
                         continue
                     s_r, mr = right
-                    add = (c * c2).scale(s_l * s_r * B.field.of(twist))
-                    if add:
-                        _merge(out, (ml, mr), add)
+                    merge(out, (ml, mr), (c * c2).scale(s_l * s_r * B.field.of(twist)))
             return EnvelopeElement(B, out)
         if isinstance(other, AlgebraElement):
             return self * rho(other)  # right action: b1^o(x)b2 . b = b1^o(x)b2 b
-        if isinstance(other, (RingElement, int, Fraction, ModP)):
-            if isinstance(other, int):
-                other = B.ring.scalar(other)
-            return EnvelopeElement(B, {k: c * other for k, c in self.coeffs.items()})
-        return NotImplemented
+        return self._scalar_mul(other)
 
     def __rmul__(self, other):
         # left action b . (b1^o (x) b2) = (b b1)^o (x) b2
-        B = self.algebra
+        B = self.parent
         if isinstance(other, AlgebraElement):
             out = {}
             for (m1, m2), c in self.coeffs.items():
                 for m, cb in other.coeffs.items():
                     hit = B.mono_mul(m, m1)
-                    if hit is None:
-                        continue
-                    scalar, mono = hit
-                    add = (cb * c).scale(scalar)
-                    if add:
-                        _merge(out, (mono, m2), add)
+                    if hit is not None:
+                        scalar, mono = hit
+                        merge(out, (mono, m2), (cb * c).scale(scalar))
             return EnvelopeElement(B, out)
-        if isinstance(other, (RingElement, int, Fraction, ModP)):
-            return self.__mul__(other)
-        return NotImplemented
+        return self._scalar_mul(other)
 
     def diff(self):
-        B = self.algebra
+        B = self.parent
         out = {}
         for (m1, m2), c in self.coeffs.items():
             for mu, cu in B.mono_diff(m1).coeffs.items():
-                _merge(out, (mu, m2), cu * c)
-            sign = -1 if B.mono_degree(m1) % 2 else 1
+                merge(out, (mu, m2), cu * c)
+            sign = B.field.of(-1 if B.mono_degree(m1) % 2 else 1)
             for nu, cv in B.mono_diff(m2).coeffs.items():
-                add = (cv * c).scale(B.field.of(sign))
-                if add:
-                    _merge(out, (m1, nu), add)
+                merge(out, (m1, nu), (cv * c).scale(sign))
         return EnvelopeElement(B, out)
 
-    def is_homogeneous(self):
-        degrees = set()
-        for (m1, m2), c in self.coeffs.items():
-            if not c.is_homogeneous():
-                return False
-            degrees.add((self.algebra.mono_degree(m1) + self.algebra.mono_degree(m2),
-                         self.algebra.mono_weight(m1) + self.algebra.mono_weight(m2)
-                         + c.weight()))
-        return len(degrees) <= 1
-
-    def bidegree(self):
-        degrees = set()
-        for (m1, m2), c in self.coeffs.items():
-            for w in c.weight_components():
-                degrees.add((self.algebra.mono_degree(m1) + self.algebra.mono_degree(m2),
-                             self.algebra.mono_weight(m1)
-                             + self.algebra.mono_weight(m2) + w))
-        if not degrees:
-            return (0, 0)
-        if len(degrees) > 1:
-            raise ConstructionError("element is not bihomogeneous")
-        return degrees.pop()
-
     def __repr__(self):
-        return render_pair_terms(self.algebra, self.coeffs)
+        return render_pair_terms(self.parent, self.coeffs)
 
 
-class DiagonalElement:
+class DiagonalElement(_PairIndexed):
     """An element of the diagonal ideal J in sigma coordinates.
 
     ``coeffs`` maps pairs (m1, m2) with m1 != 1 to ring coefficients; the
     element is sum coeffs[(m1,m2)] . (m1^o (x) m2 - 1^o (x) m1 m2).
     """
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ()
 
     def __init__(self, algebra, coeffs):
-        self.algebra = algebra
-        clean = {}
-        for (m1, m2), c in coeffs.items():
-            if c:
-                if m1 == algebra.unit_mono:
-                    raise ConstructionError("sigma coordinates require m1 != 1")
-                clean[(m1, m2)] = c
-        self.coeffs = clean
-
-    def _check(self, other):
-        if self.algebra != other.algebra:
-            raise ConstructionError("diagonal elements over different algebras")
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiagonalElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            _merge(out, k, c)
-        return DiagonalElement(self.algebra, out)
-
-    def __neg__(self):
-        return DiagonalElement(self.algebra, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        super().__init__(algebra, coeffs)
+        if any(m1 == algebra.unit_mono for m1, _ in self.coeffs):
+            raise ConstructionError("sigma coordinates require m1 != 1")
 
     def to_envelope(self):
-        B = self.algebra
+        B = self.parent
         out = {}
         for (m1, m2), c in self.coeffs.items():
-            _merge(out, (m1, m2), c)
+            merge(out, (m1, m2), c)
             hit = B.mono_mul(m1, m2)
             if hit is not None:
                 scalar, mono = hit
-                add = c.scale(-scalar)
-                if add:
-                    _merge(out, (B.unit_mono, mono), add)
+                merge(out, (B.unit_mono, mono), c.scale(-scalar))
         return EnvelopeElement(B, out)
 
     def diff(self):
         # sigma commutes with the differentials, so differentiate the raw
-        # pair and drop the components with m1 = 1 that sigma kills
-        B = self.algebra
-        out = {}
-        unit = B.unit_mono
-        for (m1, m2), c in self.coeffs.items():
-            for mu, cu in B.mono_diff(m1).coeffs.items():
-                if mu != unit:
-                    _merge(out, (mu, m2), cu * c)
-            sign = -1 if B.mono_degree(m1) % 2 else 1
-            for nu, cv in B.mono_diff(m2).coeffs.items():
-                add = (cv * c).scale(B.field.of(sign))
-                if add:
-                    _merge(out, (m1, nu), add)
-        return DiagonalElement(B, out)
+        # pairs and drop the components with m1 = 1 that sigma kills
+        return sigma(EnvelopeElement(self.parent, self.coeffs).diff())
 
     def __mul__(self, other):
-        B = self.algebra
+        B = self.parent
         if isinstance(other, AlgebraElement):
             # right action keeps sigma coordinates: second slot multiplies
             out = {}
             for (m1, m2), c in self.coeffs.items():
                 for m, cb in other.coeffs.items():
                     hit = B.mono_mul(m2, m)
-                    if hit is None:
-                        continue
-                    scalar, mono = hit
-                    add = (c * cb).scale(scalar)
-                    if add:
-                        _merge(out, (m1, mono), add)
+                    if hit is not None:
+                        scalar, mono = hit
+                        merge(out, (m1, mono), (c * cb).scale(scalar))
             return DiagonalElement(B, out)
         if isinstance(other, EnvelopeElement):
             # J is a right ideal; the product stays in J
             return sigma(self.to_envelope() * other)
-        if isinstance(other, (RingElement, int, Fraction, ModP)):
-            if isinstance(other, int):
-                other = B.ring.scalar(other)
-            return DiagonalElement(B, {k: c * other for k, c in self.coeffs.items()})
-        return NotImplemented
+        return self._scalar_mul(other)
 
     def __rmul__(self, other):
-        B = self.algebra
+        B = self.parent
         if isinstance(other, AlgebraElement):
             # b . sigma(m1^o(x)m2) = sigma((b m1)^o(x)m2) - sigma(b^o(x)m1 m2)
             out = {}
@@ -297,26 +196,14 @@ class DiagonalElement:
                     hit = B.mono_mul(m, m1)
                     if hit is not None:
                         scalar, mono = hit
-                        add = (cb * c).scale(scalar)
-                        if add:
-                            _merge(out, (mono, m2), add)
+                        merge(out, (mono, m2), (cb * c).scale(scalar))
                     if m != unit:
                         hit2 = B.mono_mul(m1, m2)
                         if hit2 is not None:
                             scalar2, mono2 = hit2
-                            add2 = (cb * c).scale(-scalar2)
-                            if add2:
-                                _merge(out, (m, mono2), add2)
+                            merge(out, (m, mono2), (cb * c).scale(-scalar2))
             return DiagonalElement(B, out)
-        if isinstance(other, (RingElement, int, Fraction, ModP)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def is_homogeneous(self):
-        return self.to_envelope().is_homogeneous()
-
-    def bidegree(self):
-        return self.to_envelope().bidegree()
+        return self._scalar_mul(other)
 
     def __repr__(self):
         return repr(self.to_envelope())
@@ -384,35 +271,20 @@ def envelope_basis(B, n, w):
     return out
 
 
-def diagonal_basis(B, n, w):
-    """Basis of J_(n, w): DiagonalElements sigma(m1^o (x) m2) . r, m1 != 1."""
-    out = []
-    for (m1, m2, rm) in envelope_basis(B, n, w):
-        if m1 == B.unit_mono:
-            continue
-        out.append(DiagonalElement(
-            B, {(m1, m2): RingElement(B.ring, {rm: B.field.one})}))
-    return out
-
-
 def diagonal_block_keys(B, n, w):
-    """(m1, m2, ring monomial) index keys matching diagonal_basis order."""
+    """(m1, m2, ring monomial) keys of J_(n, w): the pairs with m1 != 1."""
     return [(m1, m2, rm) for (m1, m2, rm) in envelope_basis(B, n, w)
             if m1 != B.unit_mono]
 
 
-def diagonal_vec(element, keys, pos=None):
-    field = element.algebra.field
-    if pos is None:
-        pos = {k: i for i, k in enumerate(keys)}
-    vec = [field.zero] * len(keys)
-    for (m1, m2), c in element.coeffs.items():
-        for rm, s in c.coeffs.items():
-            try:
-                vec[pos[(m1, m2, rm)]] = s
-            except KeyError:
-                raise ConstructionError("element does not lie in the chosen bidegree block")
-    return vec
+def diagonal_basis(B, n, w):
+    """Basis of J_(n, w): DiagonalElements sigma(m1^o (x) m2) . r, m1 != 1."""
+    return [DiagonalElement.from_terms(B, [(key, B.field.one)])
+            for key in diagonal_block_keys(B, n, w)]
+
+
+def diagonal_vec(element, keys):
+    return linalg.coordinates(element.terms(), keys, element.parent.field)
 
 
 def diagonal_label(B, key):
@@ -427,21 +299,11 @@ def diagonal_label(B, key):
 
 def diagonal_diff_block(B, n, w) -> linalg.BlockMatrix:
     """The differential of J as a matrix from the (n, w) block to (n-1, w)."""
-    src = diagonal_basis(B, n, w)
-    src_keys = diagonal_block_keys(B, n, w)
-    dst_keys = diagonal_block_keys(B, n - 1, w)
-    pos = {k: i for i, k in enumerate(dst_keys)}
-    rows = [[B.field.zero] * len(src) for _ in dst_keys]
-    for j, el in enumerate(src):
-        image = el.diff()
-        vec = diagonal_vec(image, dst_keys, pos)
-        for i, s in enumerate(vec):
-            if s:
-                rows[i][j] = s
-    return linalg.BlockMatrix(rows,
-                              [diagonal_label(B, k) for k in src_keys],
-                              [diagonal_label(B, k) for k in dst_keys],
-                              B.field)
+    one = B.field.one
+    return linalg.block_matrix(
+        diagonal_block_keys(B, n, w), diagonal_block_keys(B, n - 1, w),
+        lambda key: DiagonalElement.from_terms(B, [(key, one)]).diff().terms(),
+        lambda key: diagonal_label(B, key), B.field)
 
 
 def diagonal_homology_dim(B, n, w) -> int:

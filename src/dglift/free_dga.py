@@ -23,6 +23,7 @@ from math import comb
 
 from . import linalg
 from .coefficients import ModP, RingElement
+from .lincomb import LinComb, merge
 from .errors import (ConstructionError, CycleViolation, ForwardReference,
                      GradingViolation)
 
@@ -271,90 +272,40 @@ class FreeDGAlgebra:
 
     def diff_block(self, n, w):
         """The differential as a matrix from the (n, w) piece to (n-1, w)."""
-        src = self.bidegree_basis(n, w)
-        dst = self.bidegree_basis(n - 1, w)
-        pos = {k: i for i, k in enumerate(dst)}
-        rows = [[self.field.zero] * len(src) for _ in dst]
-        for j, (mono, rm) in enumerate(src):
-            image = self.mono_diff(mono) * RingElement(self.ring, {rm: self.field.one})
-            for m2, coeff in image.coeffs.items():
-                for e2, c in coeff.coeffs.items():
-                    rows[pos[(m2, e2)]][j] = c
-        labels_src = [self.render_mono(m) + "." + self.ring.render_mono(r)
-                      for m, r in src]
-        labels_dst = [self.render_mono(m) + "." + self.ring.render_mono(r)
-                      for m, r in dst]
-        return linalg.BlockMatrix(rows, labels_src, labels_dst, self.field)
+        one = self.field.one
+        return linalg.block_matrix(
+            self.bidegree_basis(n, w), self.bidegree_basis(n - 1, w),
+            lambda key: AlgebraElement.from_terms(self, [(key, one)]).diff().terms(),
+            lambda key: self.render_mono(key[0]) + "." + self.ring.render_mono(key[1]),
+            self.field)
 
 
-class AlgebraElement:
+class AlgebraElement(LinComb):
     """Finite sum of monomials with normal-form ring coefficients."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ()
+    algebra = LinComb.parent
+    coeff_class = RingElement
 
-    def __init__(self, algebra, coeffs):
-        self.algebra = algebra
-        clean = {}
-        for mono, c in coeffs.items():
-            if c:
-                clean[mono] = c
-        self.coeffs = clean
-
-    def _check(self, other):
-        if self.algebra != other.algebra:
-            raise ConstructionError("elements of different algebras")
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return AlgebraElement(self.algebra, out)
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _key_bidegree(self, mono):
+        return self.parent.mono_degree(mono), self.parent.mono_weight(mono)
 
     def __mul__(self, other):
-        B = self.algebra
+        B = self.parent
         if isinstance(other, AlgebraElement):
             self._check(other)
             out = {}
             for m1, c1 in self.coeffs.items():
                 for m2, c2 in other.coeffs.items():
                     hit = B.mono_mul(m1, m2)
-                    if hit is None:
-                        continue
-                    scalar, mono = hit
-                    add = (c1 * c2).scale(scalar)
-                    s = out.get(mono)
-                    s = add if s is None else s + add
-                    if s:
-                        out[mono] = s
-                    else:
-                        out.pop(mono, None)
-            return AlgebraElement(B, out)
-        if isinstance(other, RingElement):
-            return AlgebraElement(B, {m: c * other for m, c in self.coeffs.items()})
+                    if hit is not None:
+                        scalar, mono = hit
+                        merge(out, mono, (c1 * c2).scale(scalar))
+            return self._raw(B, out)
         if isinstance(other, int):
             other = B.field.of(other)
-        if isinstance(other, (Fraction, ModP)):
-            return AlgebraElement(B, {m: c * other for m, c in self.coeffs.items()})
+        if isinstance(other, (RingElement, Fraction, ModP)):
+            return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -364,32 +315,10 @@ class AlgebraElement:
         return NotImplemented
 
     def diff(self):
-        total = self.algebra.zero()
+        total = self.parent.zero()
         for mono, c in self.coeffs.items():
-            total = total + self.algebra.mono_diff(mono) * c
+            total = total + self.parent.mono_diff(mono) * c
         return total
-
-    def is_homogeneous(self):
-        degrees = set()
-        for mono, c in self.coeffs.items():
-            if not c.is_homogeneous():
-                return False
-            degrees.add((self.algebra.mono_degree(mono),
-                         self.algebra.mono_weight(mono) + c.weight()))
-        return len(degrees) <= 1
-
-    def bidegree(self):
-        """(homological, internal) bidegree of a homogeneous element."""
-        degrees = set()
-        for mono, c in self.coeffs.items():
-            for w, _ in c.weight_components().items():
-                degrees.add((self.algebra.mono_degree(mono),
-                             self.algebra.mono_weight(mono) + w))
-        if not degrees:
-            return (0, 0)
-        if len(degrees) > 1:
-            raise ConstructionError("element is not bihomogeneous")
-        return degrees.pop()
 
     def degree(self):
         return self.bidegree()[0]

@@ -9,7 +9,7 @@ certificates are reproducible bit for bit.
 
 from dataclasses import dataclass
 
-from .errors import CompositionNonzero
+from .errors import CompositionNonzero, ConstructionError
 
 
 @dataclass
@@ -39,6 +39,38 @@ class BlockMatrix:
         return (len(self.dst_labels), len(self.src_labels))
 
 
+def _position(pos, key):
+    try:
+        return pos[key]
+    except KeyError:
+        raise ConstructionError("element does not lie in the chosen block")
+
+
+def block_matrix(src_keys, dst_keys, image, label, field) -> BlockMatrix:
+    """The matrix of a linear map between two finite keyed bases.
+
+    ``image(key)`` gives the image of the source basis vector ``key`` as
+    (target key, scalar) terms with distinct keys, as ``LinComb.terms()``
+    does; ``label(key)`` names a basis vector of either side.
+    """
+    pos = {k: i for i, k in enumerate(dst_keys)}
+    rows = [[field.zero] * len(src_keys) for _ in dst_keys]
+    for j, key in enumerate(src_keys):
+        for k, s in image(key):
+            rows[_position(pos, k)][j] = s
+    return BlockMatrix(rows, [label(k) for k in src_keys],
+                       [label(k) for k in dst_keys], field)
+
+
+def coordinates(terms, keys, field) -> list:
+    """Dense vector of (key, scalar) terms against the ordered basis ``keys``."""
+    pos = {k: i for i, k in enumerate(keys)}
+    vec = [field.zero] * len(keys)
+    for k, s in terms:
+        vec[_position(pos, k)] = s
+    return vec
+
+
 @dataclass
 class Inconsistency:
     """Certificate that ``A x = v`` has no solution.
@@ -55,8 +87,12 @@ class Inconsistency:
 
 @dataclass
 class SolveResult:
+    """``rank`` is the rank of the matrix: pivots are chosen left to right,
+    so the pivots outside the augmented column are exactly those of A."""
+
     solution: list | None
     certificate: Inconsistency | None
+    rank: int
 
     @property
     def consistent(self):
@@ -151,11 +187,12 @@ def linear_solve(matrix: BlockMatrix, target: list) -> SolveResult:
         row_idx = pivots.index(ncols)
         null_row = transform[row_idx]
         pairing = sum((u * t for u, t in zip(null_row, target)), field.zero)
-        return SolveResult(None, Inconsistency(null_row, pairing, reduced))
+        return SolveResult(None, Inconsistency(null_row, pairing, reduced),
+                           len(pivots) - 1)
     solution = [field.zero] * ncols
     for row_idx, pc in enumerate(pivots):
         solution[pc] = reduced[row_idx][ncols]
-    return SolveResult(solution, None)
+    return SolveResult(solution, None, len(pivots))
 
 
 def apply_matrix(matrix: BlockMatrix, vec: list) -> list:

@@ -1,0 +1,139 @@
+"""The linear-combination core shared by every element type.
+
+An element is a finite map ``coeffs`` from keys to nonzero coefficients
+over a ``parent`` (a ring, an algebra or a module).  Coefficients are
+either ground-field scalars (ring elements) or elements one level down
+(a ring element for B, B^e and J; an element of B, B^e or J for the
+labelled sums over a module's basis).  Subclasses declare that nesting
+with ``coeff_class`` and ``coeff_parent``, the width of their own keys
+with ``key_width`` (2 for pair-indexed B^e and J), and the bidegree of a
+bare key with ``_key_bidegree``; everything linear lives here.
+
+``terms()`` flattens an element into ground-field coordinates: pairs of
+(flat key tuple, scalar) whose keys match the bidegree block bases, so
+``(label, m1, m2, ring monomial)`` for N (x) J.  ``from_terms()`` is its
+inverse.  With ``linalg.block_matrix`` and ``linalg.coordinates`` they
+are the only bridge between elements and coordinate vectors.
+"""
+
+from .errors import ConstructionError
+
+
+def merge(out, key, add):
+    """out[key] += add, dropping the key when the sum vanishes."""
+    s = out.get(key)
+    s = add if s is None else s + add
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+class LinComb:
+
+    __slots__ = ("parent", "coeffs")
+
+    coeff_class = None     # None: coefficients are ground-field scalars
+    coeff_parent = "ring"  # attribute of the parent that owns the coefficients
+    key_width = 1          # flat key components taken by one own key
+
+    def __init__(self, parent, coeffs):
+        self.parent = parent
+        self.coeffs = {k: c for k, c in coeffs.items() if c}
+
+    @classmethod
+    def _raw(cls, parent, coeffs):
+        """Wrap a map already known to have valid keys and nonzero values."""
+        el = cls.__new__(cls)
+        el.parent = parent
+        el.coeffs = coeffs
+        return el
+
+    def _check(self, other):
+        if type(other) is not type(self) or not (
+                self.parent is other.parent or self.parent == other.parent):
+            raise ConstructionError("%s and %s do not share a parent"
+                                    % (type(self).__name__, type(other).__name__))
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.parent is other.parent or self.parent == other.parent)
+                and self.coeffs == other.coeffs)
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            merge(out, k, c)
+        return self._raw(self.parent, out)
+
+    def __neg__(self):
+        return self._raw(self.parent, {k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, s):
+        """Multiply every coefficient on the right by s."""
+        return self._raw(self.parent, {k: v for k, c in self.coeffs.items()
+                                       if (v := c * s)})
+
+    # -- grading ------------------------------------------------------------------
+
+    def _key_bidegree(self, key):
+        raise NotImplementedError
+
+    def bidegrees(self):
+        """The set of bidegrees of the homogeneous components."""
+        out = set()
+        for k, c in self.coeffs.items():
+            n, w = self._key_bidegree(k)
+            if self.coeff_class is None:
+                out.add((n, w))
+            else:
+                out.update((n + cn, w + cw) for cn, cw in c.bidegrees())
+        return out
+
+    def is_homogeneous(self):
+        return len(self.bidegrees()) <= 1
+
+    def bidegree(self):
+        """(homological, internal) bidegree of a homogeneous element; (0, 0) for 0."""
+        found = self.bidegrees()
+        if len(found) > 1:
+            raise ConstructionError("element is not bihomogeneous")
+        return found.pop() if found else (0, 0)
+
+    # -- coordinates ----------------------------------------------------------------
+
+    def terms(self):
+        """(flat key, scalar) pairs: the element's ground-field coordinates."""
+        wide = self.key_width > 1
+        for k, c in self.coeffs.items():
+            head = k if wide else (k,)
+            if self.coeff_class is None:
+                yield head, c
+            else:
+                for sub, s in c.terms():
+                    yield head + sub, s
+
+    @classmethod
+    def from_terms(cls, parent, terms):
+        """The element with the given (flat key, scalar) coordinates."""
+        width = cls.key_width
+        if cls.coeff_class is None:
+            out = {}
+            for (k,), s in terms:
+                out[k] = out[k] + s if k in out else s
+            return cls(parent, out)
+        groups = {}
+        for flat, s in terms:
+            key = flat[0] if width == 1 else flat[:width]
+            groups.setdefault(key, []).append((flat[width:], s))
+        sub_parent = getattr(parent, cls.coeff_parent)
+        return cls(parent, {k: cls.coeff_class.from_terms(sub_parent, sub)
+                            for k, sub in groups.items()})

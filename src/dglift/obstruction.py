@@ -34,8 +34,8 @@ right-hand side).
 from dataclasses import dataclass
 
 from . import linalg
-from .envelope import (DiagonalElement, delta, diagonal_basis,
-                       diagonal_block_keys, diagonal_diff_block, diagonal_vec)
+from .envelope import (DiagonalElement, delta, diagonal_block_keys,
+                       diagonal_diff_block, diagonal_vec)
 from .errors import ConstructionError
 from .semifree import SemifreeModule, TensorJElement
 
@@ -55,12 +55,9 @@ def obstruction_values(N: SemifreeModule, mode="formula") -> dict:
     """
     out = {}
     if mode == "formula":
-        for j, lam in enumerate(N.labels):
-            total = N.tensor_zero()
-            for (i, jj), entry in N.structure.items():
-                if jj == j:
-                    total = total + TensorJElement(N, {N.labels[i]: delta(entry)})
-            out[lam] = total
+        for lam, column in zip(N.labels, N.columns):
+            out[lam] = TensorJElement(N, {N.labels[i]: delta(entry)
+                                          for i, entry in column})
     elif mode == "splitting":
         for lam in N.labels:
             out[lam] = N.sigma_n(N.rho_n(N.gen(lam)).diff())
@@ -131,15 +128,13 @@ def psi_values(D: Connection) -> dict:
 
 def criterion_rhs(N: SemifreeModule, gamma: dict, lam: str) -> TensorJElement:
     """sum_{mu<lam} (gamma_mu b[mu][lam] + e_mu (x) delta(b[mu][lam]))."""
-    j = N.index[lam]
     total = N.tensor_zero()
-    for (i, jj), entry in N.structure.items():
-        if jj == j:
-            mu = N.labels[i]
-            g = gamma.get(mu)
-            if g:
-                total = total + g * entry
-            total = total + TensorJElement(N, {mu: delta(entry)})
+    for i, entry in N.columns[N.index[lam]]:
+        mu = N.labels[i]
+        g = gamma.get(mu)
+        if g:
+            total = total + g * entry
+        total = total + TensorJElement(N, {mu: delta(entry)})
     return total
 
 
@@ -181,17 +176,11 @@ def _check_rank2(N: SemifreeModule):
     n, w = target.bidegree() if target else (N.degrees[1] - N.degrees[0] - 1,
                                              N.weights[1] - N.weights[0])
     matrix = diagonal_diff_block(B, n + 1, w)
-    keys = diagonal_block_keys(B, n, w)
-    vec = diagonal_vec(target, keys)
+    vec = diagonal_vec(target, diagonal_block_keys(B, n, w))
     result = linalg.linear_solve(matrix, vec)
     if result.consistent:
-        src_basis = diagonal_basis(B, n + 1, w)
-        c = None
-        for s, el in zip(result.solution, src_basis):
-            term = el * s
-            c = term if c is None else c + term
-        if c is None:
-            c = DiagonalElement(B, {})
+        c = DiagonalElement.from_terms(
+            B, zip(diagonal_block_keys(B, n + 1, w), result.solution))
         if N.degrees[0] % 2:
             c = -c
         witness = {N.labels[0]: N.tensor_zero(),
@@ -203,7 +192,7 @@ def _check_rank2(N: SemifreeModule):
         "target_bidegree": [n, w],
         "source_dim": len(matrix.src_labels),
         "target_dim": len(matrix.dst_labels),
-        "rank": linalg.rank(matrix),
+        "rank": result.rank,
         "target": str(target),
         "null_functional": _render_functional(matrix.dst_labels,
                                               result.certificate.null_row),
@@ -219,72 +208,51 @@ def _assemble_global_system(N: SemifreeModule):
     Equation blocks: for each lam, the block one homological degree lower.
     The column of an unknown basis element t of gamma_mu holds d(t) in
     equation mu and -(t . b[mu][lam]) in every later equation lam.
+    Keys are ("γ", lam, tensor key) and ("eq", lam, tensor key).
     """
     field = N.algebra.field
-    unk_keys, unk_basis, unk_offsets = [], [], []
-    for i, lab in enumerate(N.labels):
-        unk_offsets.append(len(unk_keys))
-        keys = N.tensor_keys(N.degrees[i], N.weights[i])
-        unk_keys.extend((lab, k) for k in keys)
-        unk_basis.extend(N.tensor_basis(N.degrees[i], N.weights[i]))
-    eq_keys, eq_offsets, eq_pos = [], [], []
-    for i, lab in enumerate(N.labels):
-        eq_offsets.append(len(eq_keys))
-        keys = N.tensor_keys(N.degrees[i] - 1, N.weights[i])
-        eq_pos.append({k: idx for idx, k in enumerate(keys)})
-        eq_keys.extend((lab, k) for k in keys)
-    rows = [[field.zero] * len(unk_keys) for _ in eq_keys]
-    col = 0
-    for i, lab in enumerate(N.labels):
-        n_keys = len(N.tensor_keys(N.degrees[i], N.weights[i]))
-        for local in range(n_keys):
-            t = unk_basis[unk_offsets[i] + local]
-            image = N.tensor_vec(t.diff(),
-                                 N.tensor_keys(N.degrees[i] - 1, N.weights[i]),
-                                 eq_pos[i])
-            for r, s in enumerate(image):
-                if s:
-                    rows[eq_offsets[i] + r][col] = s
-            for (mu, jj), entry in N.structure.items():
-                if mu == i:
-                    moved = t * entry
-                    image2 = N.tensor_vec(moved,
-                                          N.tensor_keys(N.degrees[jj] - 1,
-                                                        N.weights[jj]),
-                                          eq_pos[jj])
-                    for r, s in enumerate(image2):
-                        if s:
-                            rows[eq_offsets[jj] + r][col] = -s
-            col += 1
-    rhs = [field.zero] * len(eq_keys)
-    for i, lam in enumerate(N.labels):
-        target = criterion_rhs(N, {}, lam)
-        vec = N.tensor_vec(target, N.tensor_keys(N.degrees[i] - 1, N.weights[i]),
-                           eq_pos[i])
-        for r, s in enumerate(vec):
-            rhs[eq_offsets[i] + r] = s
-    src_labels = ["γ_%s[%s]" % (lab, N.tensor_key_label(k)) for lab, k in unk_keys]
-    dst_labels = ["eq_%s[%s]" % (lab, N.tensor_key_label(k)) for lab, k in eq_keys]
-    matrix = linalg.BlockMatrix(rows, src_labels, dst_labels, field)
-    return matrix, rhs, unk_offsets
+    unknowns, equations = [], []
+    for lab, n, w in zip(N.labels, N.degrees, N.weights):
+        unknowns.extend(("γ", lab, k) for k in N.tensor_keys(n, w))
+        equations.extend(("eq", lab, k) for k in N.tensor_keys(n - 1, w))
+    later = {lab: [] for lab in N.labels}  # mu -> [(lam, b[mu][lam])]
+    for lam, column in zip(N.labels, N.columns):
+        for i, entry in column:
+            later[N.labels[i]].append((lam, entry))
+
+    def image(key):
+        _, mu, tkey = key
+        t = TensorJElement.from_terms(N, [(tkey, field.one)])
+        for k, s in t.diff().terms():
+            yield ("eq", mu, k), s
+        for lam, entry in later[mu]:
+            for k, s in (t * entry).terms():
+                yield ("eq", lam, k), -s
+
+    def label(key):
+        return "%s_%s[%s]" % (key[0], key[1], N.tensor_key_label(key[2]))
+
+    matrix = linalg.block_matrix(unknowns, equations, image, label, field)
+    rhs = linalg.coordinates([(("eq", lam, k), s) for lam in N.labels
+                              for k, s in criterion_rhs(N, {}, lam).terms()],
+                             equations, field)
+    return matrix, rhs, unknowns
 
 
 def _check_global(N: SemifreeModule):
-    matrix, rhs, unk_offsets = _assemble_global_system(N)
+    matrix, rhs, unknowns = _assemble_global_system(N)
     result = linalg.linear_solve(matrix, rhs)
     if result.consistent:
-        witness = {}
-        for i, lab in enumerate(N.labels):
-            keys = N.tensor_keys(N.degrees[i], N.weights[i])
-            start = unk_offsets[i]
-            coords = result.solution[start:start + len(keys)]
-            witness[lab] = N.tensor_unvec(coords, keys)
+        terms = {lab: [] for lab in N.labels}
+        for (_, lab, key), s in zip(unknowns, result.solution):
+            terms[lab].append((key, s))
+        witness = {lab: TensorJElement.from_terms(N, t) for lab, t in terms.items()}
         return witness, None
     cert = {
         "kind": "gamma-system",
         "unknowns": len(matrix.src_labels),
         "equations": len(matrix.dst_labels),
-        "rank": linalg.rank(matrix),
+        "rank": result.rank,
         "null_functional": _render_functional(matrix.dst_labels,
                                               result.certificate.null_row),
         "pairing": str(result.certificate.pairing),

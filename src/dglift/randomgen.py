@@ -11,11 +11,11 @@ componentwise form of d^2 = 0.
 """
 
 from . import linalg
-from .coefficients import BaseRing, PrimeField, QQ, RingElement
+from .coefficients import BaseRing, PrimeField, QQ
 from .envelope import (DiagonalElement, EnvelopeElement, diagonal_block_keys,
                        envelope_basis)
 from .free_dga import AlgebraElement, FreeDGAlgebra, Variable
-from .semifree import SemifreeModule, ModuleElement
+from .semifree import ModuleElement, SemifreeModule, TensorJElement
 
 
 def random_scalar(rng, field, nonzero=False):
@@ -32,54 +32,29 @@ def standard_rings():
     ]
 
 
-def random_ring_element(rng, ring, w):
-    coeffs = {}
-    for m in ring.graded_basis(w):
-        c = random_scalar(rng, ring.field)
-        if c:
-            coeffs[m] = c
-    return RingElement(ring, coeffs)
+def _random_block_element(rng, cls, parent, keys, field, density):
+    """Sample each basis key with probability ``density``, then a small scalar."""
+    terms = []
+    for key in keys:
+        if rng.random() > density:
+            continue
+        terms.append((key, random_scalar(rng, field)))
+    return cls.from_terms(parent, terms)
 
 
 def random_algebra_element(rng, B, n, w, density=0.7):
-    coeffs = {}
-    for mono, rm in B.bidegree_basis(n, w):
-        if rng.random() > density:
-            continue
-        c = random_scalar(rng, B.field)
-        if c:
-            prev = coeffs.get(mono)
-            add = RingElement(B.ring, {rm: c})
-            coeffs[mono] = add if prev is None else prev + add
-    return AlgebraElement(B, coeffs)
+    return _random_block_element(rng, AlgebraElement, B, B.bidegree_basis(n, w),
+                                 B.field, density)
 
 
 def random_envelope_element(rng, B, n, w, density=0.6):
-    coeffs = {}
-    for m1, m2, rm in envelope_basis(B, n, w):
-        if rng.random() > density:
-            continue
-        c = random_scalar(rng, B.field)
-        if c:
-            key = (m1, m2)
-            add = RingElement(B.ring, {rm: c})
-            prev = coeffs.get(key)
-            coeffs[key] = add if prev is None else prev + add
-    return EnvelopeElement(B, coeffs)
+    return _random_block_element(rng, EnvelopeElement, B, envelope_basis(B, n, w),
+                                 B.field, density)
 
 
 def random_diagonal_element(rng, B, n, w, density=0.6):
-    coeffs = {}
-    for m1, m2, rm in diagonal_block_keys(B, n, w):
-        if rng.random() > density:
-            continue
-        c = random_scalar(rng, B.field)
-        if c:
-            key = (m1, m2)
-            add = RingElement(B.ring, {rm: c})
-            prev = coeffs.get(key)
-            coeffs[key] = add if prev is None else prev + add
-    return DiagonalElement(B, coeffs)
+    return _random_block_element(rng, DiagonalElement, B, diagonal_block_keys(B, n, w),
+                                 B.field, density)
 
 
 def _random_kernel_element(rng, block, field):
@@ -114,16 +89,11 @@ def random_algebra(rng, ring, max_vars=3, max_degree=3):
             coords = _random_kernel_element(rng, block, ring.field)
             if coords is None:
                 continue
-            coeffs = {}
-            for c, (mono, rm) in zip(coords, partial.bidegree_basis(degree - 1, w)):
-                if not c:
-                    continue
-                mono = mono + (0,)  # pad for the variable being adjoined
-                add = RingElement(ring, {rm: c})
-                prev = coeffs.get(mono)
-                coeffs[mono] = add if prev is None else prev + add
-            if coeffs:
-                choice = (w, coeffs)
+            image = AlgebraElement.from_terms(
+                partial, zip(partial.bidegree_basis(degree - 1, w), coords))
+            if image:
+                # pad for the variable being adjoined
+                choice = (w, {mono + (0,): c for mono, c in image.coeffs.items()})
                 break
         name = names[k]
         if choice is None:
@@ -183,17 +153,7 @@ def random_module(rng, B, max_rank=4, max_degree=5, max_weight=5):
             coords = _random_kernel_element(rng, block, B.field)
             if coords is None:
                 continue
-            per_label = {}
-            for c, (lab, mono, rm) in zip(coords, basis):
-                if not c:
-                    continue
-                slot = per_label.setdefault(lab, {})
-                prev = slot.get(mono)
-                add = RingElement(B.ring, {rm: c})
-                slot[mono] = add if prev is None else prev + add
-            entries = {lab: AlgebraElement(B, data)
-                       for lab, data in per_label.items()}
-            entries = {lab: el for lab, el in entries.items() if el}
+            entries = ModuleElement.from_terms(partial, zip(basis, coords)).coeffs
             if entries:
                 column = (w, entries)
                 break
@@ -213,19 +173,8 @@ def random_module(rng, B, max_rank=4, max_degree=5, max_weight=5):
 
 
 def random_module_element(rng, N, n, w, density=0.7):
-    coeffs = {}
-    for lab, mono, rm in N.basis_of_bidegree(n, w):
-        if rng.random() > density:
-            continue
-        c = random_scalar(rng, N.algebra.field)
-        if not c:
-            continue
-        slot = coeffs.setdefault(lab, {})
-        prev = slot.get(mono)
-        add = RingElement(N.algebra.ring, {rm: c})
-        slot[mono] = add if prev is None else prev + add
-    return ModuleElement(N, {lab: AlgebraElement(N.algebra, data)
-                             for lab, data in coeffs.items()})
+    return _random_block_element(rng, ModuleElement, N, N.basis_of_bidegree(n, w),
+                                 N.algebra.field, density)
 
 
 def random_gamma(rng, N, density=0.6):
@@ -236,13 +185,8 @@ def random_gamma(rng, N, density=0.6):
         coords = [random_scalar(rng, N.algebra.field)
                   if rng.random() <= density else N.algebra.field.zero
                   for _ in keys]
-        gamma[lab] = N.tensor_unvec(coords, keys)
+        gamma[lab] = TensorJElement.from_terms(N, zip(keys, coords))
     return gamma
-
-
-def random_homogeneous_bidegree(rng, max_n=6, max_w=6):
-    n = rng.randint(0, max_n)
-    return n, rng.randint(0, max_w)
 
 
 def random_partial_solution(rng, N):
@@ -270,5 +214,5 @@ def random_partial_solution(rng, N):
             c = random_scalar(rng, N.algebra.field)
             if c:
                 coords = [a + c * b for a, b in zip(coords, vec)]
-        gamma[lab] = N.tensor_unvec(coords, src_keys)
+        gamma[lab] = TensorJElement.from_terms(N, zip(src_keys, coords))
     return gamma, None

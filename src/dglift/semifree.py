@@ -25,12 +25,13 @@ obstruction machinery in `obstruction` measures.
 """
 
 from . import linalg
-from .coefficients import RingElement
-from .envelope import (DiagonalElement, delta, diagonal_block_keys,
+from .coefficients import join_signed, render_scalar_mono
+from .envelope import (DiagonalElement, EnvelopeElement, diagonal_block_keys,
                        diagonal_label, pi, rho, sigma)
 from .errors import (ConstructionError, DegreeMismatch,
                      DifferentialSquareNonzero, TriangularityViolation)
 from .free_dga import AlgebraElement
+from .lincomb import LinComb, merge
 
 
 class SemifreeModule:
@@ -65,26 +66,19 @@ class SemifreeModule:
                     % (mu, lam, w, self.weights[j] - self.weights[i]))
             entries[(i, j)] = b
         self.structure = entries
+        # columns[j]: the (i, b[i][j]) entries of d(e_j), in structure order
+        self.columns = [[] for _ in self.labels]
+        for (i, j), b in entries.items():
+            self.columns[j].append((i, b))
         self._tensor_keys_cache = {}
-        # componentwise d^2 = 0
-        for j, lam in enumerate(self.labels):
-            for i, nu in enumerate(self.labels[:j]):
-                total = self.algebra.zero()
-                for m in range(i + 1, j):
-                    left = self.structure.get((i, m))
-                    right = self.structure.get((m, j))
-                    if left is not None and right is not None:
-                        total = total + left * right
-                direct = self.structure.get((i, j))
-                if direct is not None:
-                    term = direct.diff()
-                    if self.degrees[i] % 2:
-                        term = -term
-                    total = total + term
-                if total:
+        # componentwise d^2 = 0: the e_nu component of d(d(e_lam)) must vanish
+        for lam in self.labels:
+            square = ModuleElement(self, {lam: self.algebra.one()}).diff().diff()
+            for nu in self.labels:
+                if nu in square.coeffs:
                     raise DifferentialSquareNonzero(
-                        "d^2 has nonzero component %s at (%s, %s)" % (total, nu, lam),
-                        pair=(nu, lam))
+                        "d^2 has nonzero component %s at (%s, %s)"
+                        % (square.coeffs[nu], nu, lam), pair=(nu, lam))
 
     @property
     def rank(self):
@@ -121,19 +115,10 @@ class SemifreeModule:
             raise KeyError("no basis label %r" % label)
         return ModuleElement(self, {label: self.algebra.one()})
 
-    def diff(self, v):
-        return v.diff()
-
     # -- elements of N (x) J and N (x) B^e ---------------------------------------
-
-    def tensor_element(self, coeffs):
-        return TensorJElement(self, coeffs)
 
     def tensor_zero(self):
         return TensorJElement(self, {})
-
-    def simple_tensor(self, label, j):
-        return TensorJElement(self, {label: j})
 
     def rho_n(self, v):
         """Graded section N -> N (x) B^e, e_lam b -> e_lam (x) (1^o (x) b)."""
@@ -165,21 +150,13 @@ class SemifreeModule:
     def diff_block(self, n, w) -> linalg.BlockMatrix:
         """The differential of N from the (n, w) block to (n-1, w)."""
         B = self.algebra
-        src = self.basis_of_bidegree(n, w)
-        dst = self.basis_of_bidegree(n - 1, w)
-        pos = {k: i for i, k in enumerate(dst)}
-        rows = [[B.field.zero] * len(src) for _ in dst]
-        for j, (lab, mono, rm) in enumerate(src):
-            coeff = B.mono_element(mono) * B.ring.element({rm: B.field.one})
-            image = ModuleElement(self, {lab: coeff}).diff()
-            for lab2, b in image.coeffs.items():
-                for m2, rc in b.coeffs.items():
-                    for e2, s in rc.coeffs.items():
-                        rows[pos[(lab2, m2, e2)]][j] = s
-        mk_label = lambda k: "%s.%s.%s" % (k[0], B.render_mono(k[1]),
-                                           B.ring.render_mono(k[2]))
-        return linalg.BlockMatrix(rows, [mk_label(k) for k in src],
-                                  [mk_label(k) for k in dst], B.field)
+        one = B.field.one
+        return linalg.block_matrix(
+            self.basis_of_bidegree(n, w), self.basis_of_bidegree(n - 1, w),
+            lambda key: ModuleElement.from_terms(self, [(key, one)]).diff().terms(),
+            lambda key: "%s.%s.%s" % (key[0], B.render_mono(key[1]),
+                                      B.ring.render_mono(key[2])),
+            B.field)
 
     def tensor_keys(self, n, w):
         """(label, m1, m2, ring monomial) index keys for (N (x) J)_(n, w)."""
@@ -195,42 +172,8 @@ class SemifreeModule:
         self._tensor_keys_cache[(n, w)] = out
         return out
 
-    def tensor_basis(self, n, w):
-        """TensorJElement basis of (N (x) J)_(n, w) matching tensor_keys."""
-        out = []
-        for (lab, m1, m2, rm) in self.tensor_keys(n, w):
-            j = DiagonalElement(self.algebra,
-                                {(m1, m2): RingElement(self.algebra.ring,
-                                                       {rm: self.algebra.field.one})})
-            out.append(TensorJElement(self, {lab: j}))
-        return out
-
-    def tensor_vec(self, t, keys, pos=None):
-        field = self.algebra.field
-        if pos is None:
-            pos = {k: i for i, k in enumerate(keys)}
-        vec = [field.zero] * len(keys)
-        for lab, j in t.coeffs.items():
-            for (m1, m2), c in j.coeffs.items():
-                for rm, s in c.coeffs.items():
-                    try:
-                        vec[pos[(lab, m1, m2, rm)]] = s
-                    except KeyError:
-                        raise ConstructionError(
-                            "tensor element does not lie in the chosen block")
-        return vec
-
-    def tensor_unvec(self, coords, keys):
-        out = {}
-        for s, (lab, m1, m2, rm) in zip(coords, keys):
-            if not s:
-                continue
-            j = out.setdefault(lab, {})
-            c = j.get((m1, m2))
-            add = RingElement(self.algebra.ring, {rm: s})
-            j[(m1, m2)] = add if c is None else c + add
-        return TensorJElement(self, {lab: DiagonalElement(self.algebra, j)
-                                     for lab, j in out.items()})
+    def tensor_vec(self, t, keys):
+        return linalg.coordinates(t.terms(), keys, self.algebra.field)
 
     def tensor_key_label(self, key):
         lab = key[0]
@@ -238,115 +181,66 @@ class SemifreeModule:
 
     def tensor_diff_block(self, n, w) -> linalg.BlockMatrix:
         """The differential of N (x) J from the (n, w) block to (n-1, w)."""
-        field = self.algebra.field
-        src_keys = self.tensor_keys(n, w)
-        dst_keys = self.tensor_keys(n - 1, w)
-        pos = {k: i for i, k in enumerate(dst_keys)}
-        rows = [[field.zero] * len(src_keys) for _ in dst_keys]
-        for j, t in enumerate(self.tensor_basis(n, w)):
-            vec = self.tensor_vec(t.diff(), dst_keys, pos)
-            for i, s in enumerate(vec):
-                if s:
-                    rows[i][j] = s
-        return linalg.BlockMatrix(rows,
-                                  [self.tensor_key_label(k) for k in src_keys],
-                                  [self.tensor_key_label(k) for k in dst_keys],
-                                  field)
+        one = self.algebra.field.one
+        return linalg.block_matrix(
+            self.tensor_keys(n, w), self.tensor_keys(n - 1, w),
+            lambda key: TensorJElement.from_terms(self, [(key, one)]).diff().terms(),
+            self.tensor_key_label, self.algebra.field)
 
 
-class ModuleElement:
-    """sum e_lam . b_lam with coefficients in B."""
+class LabelledSum(LinComb):
+    """sum e_lam (x) c_lam over the basis labels of a semifree module.
 
-    __slots__ = ("module", "coeffs")
+    The subclasses fix the coefficients: B for N itself, J for N (x) J and
+    B^e for N (x) B^e.  Multiplication by an element of B acts on the
+    coefficients from the right.
+    """
+
+    __slots__ = ()
+    module = LinComb.parent
+    coeff_parent = "algebra"
 
     def __init__(self, module, coeffs):
-        self.module = module
-        self.coeffs = {lab: b for lab, b in coeffs.items() if b}
+        super().__init__(module, coeffs)
         for lab in self.coeffs:
             if lab not in module.index:
                 raise ConstructionError("unknown basis label %r" % lab)
 
-    def _check(self, other):
-        if self.module is not other.module and self.module != other.module:
-            raise ConstructionError("elements of different modules")
+    def _key_bidegree(self, lab):
+        i = self.parent.index[lab]
+        return self.parent.degrees[i], self.parent.weights[i]
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return self.module == other.module and {
-            k: v.coeffs for k, v in self.coeffs.items()
-        } == {k: v.coeffs for k, v in other.coeffs.items()}
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for lab, b in other.coeffs.items():
-            s = out.get(lab)
-            s = b if s is None else s + b
-            if s:
-                out[lab] = s
-            else:
-                out.pop(lab, None)
-        return ModuleElement(self.module, out)
-
-    def __neg__(self):
-        return ModuleElement(self.module, {lab: -b for lab, b in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return ModuleElement(self.module,
-                             {lab: b * other for lab, b in self.coeffs.items()})
+    __mul__ = LinComb.scale
 
     def diff(self):
-        N = self.module
-        B = N.algebra
-        out = N.zero()
-        for lab, b in self.coeffs.items():
+        """d(e_lam c) = sum_mu e_mu b[mu][lam] c + (-1)^{|e_lam|} e_lam d(c)."""
+        N = self.parent
+        out = {}
+        for lab, c in self.coeffs.items():
             j = N.index[lab]
-            for (i, jj), entry in N.structure.items():
-                if jj == j:
-                    out = out + ModuleElement(N, {N.labels[i]: entry * b})
-            db = b.diff()
-            if db:
-                if N.degrees[j] % 2:
-                    db = -db
-                out = out + ModuleElement(N, {lab: db})
-        return out
-
-    def is_homogeneous(self):
-        degrees = set()
-        N = self.module
-        for lab, b in self.coeffs.items():
-            if not b.is_homogeneous():
-                return False
-            n, w = b.bidegree()
-            i = N.index[lab]
-            degrees.add((N.degrees[i] + n, N.weights[i] + w))
-        return len(degrees) <= 1
-
-    def bidegree(self):
-        N = self.module
-        degrees = set()
-        for lab, b in self.coeffs.items():
-            n, w = b.bidegree()
-            i = N.index[lab]
-            degrees.add((N.degrees[i] + n, N.weights[i] + w))
-        if not degrees:
-            return (0, 0)
-        if len(degrees) > 1:
-            raise ConstructionError("element is not bihomogeneous")
-        return degrees.pop()
+            for i, entry in N.columns[j]:
+                merge(out, N.labels[i], entry * c)
+            dc = c.diff()
+            merge(out, lab, -dc if N.degrees[j] % 2 else dc)
+        return self._raw(N, out)
 
     def __repr__(self):
-        from .coefficients import join_signed, render_scalar_mono
         if not self.coeffs:
             return "0"
-        N = self.module
+        return " + ".join("%s ⊗ (%s)" % (lab, self.coeffs[lab])
+                          for lab in self.parent.labels if lab in self.coeffs)
+
+
+class ModuleElement(LabelledSum):
+    """sum e_lam . b_lam with coefficients in B."""
+
+    __slots__ = ()
+    coeff_class = AlgebraElement
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        N = self.parent
         parts = []
         for lab in N.labels:
             if lab not in self.coeffs:
@@ -363,167 +257,15 @@ class ModuleElement:
         return join_signed(parts)
 
 
-class TensorJElement:
+class TensorJElement(LabelledSum):
     """sum e_lam (x) j_lam with coefficients in the diagonal ideal."""
 
-    __slots__ = ("module", "coeffs")
-
-    def __init__(self, module, coeffs):
-        self.module = module
-        self.coeffs = {lab: j for lab, j in coeffs.items() if j}
-        for lab in self.coeffs:
-            if lab not in module.index:
-                raise ConstructionError("unknown basis label %r" % lab)
-
-    def _check(self, other):
-        if self.module is not other.module and self.module != other.module:
-            raise ConstructionError("tensor elements of different modules")
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorJElement):
-            return NotImplemented
-        return self.module == other.module and {
-            k: v.coeffs for k, v in self.coeffs.items()
-        } == {k: v.coeffs for k, v in other.coeffs.items()}
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for lab, j in other.coeffs.items():
-            s = out.get(lab)
-            s = j if s is None else s + j
-            if s:
-                out[lab] = s
-            else:
-                out.pop(lab, None)
-        return TensorJElement(self.module, out)
-
-    def __neg__(self):
-        return TensorJElement(self.module, {lab: -j for lab, j in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        # right action through the second factor
-        return TensorJElement(self.module,
-                              {lab: j * other for lab, j in self.coeffs.items()})
-
-    def diff(self):
-        N = self.module
-        out = N.tensor_zero()
-        for lab, j in self.coeffs.items():
-            col = N.index[lab]
-            for (i, jj), entry in N.structure.items():
-                if jj == col:
-                    out = out + TensorJElement(N, {N.labels[i]: entry * j})
-            dj = j.diff()
-            if dj:
-                if N.degrees[col] % 2:
-                    dj = -dj
-                out = out + TensorJElement(N, {lab: dj})
-        return out
-
-    def is_homogeneous(self):
-        N = self.module
-        degrees = set()
-        for lab, j in self.coeffs.items():
-            if not j.is_homogeneous():
-                return False
-            n, w = j.bidegree()
-            i = N.index[lab]
-            degrees.add((N.degrees[i] + n, N.weights[i] + w))
-        return len(degrees) <= 1
-
-    def bidegree(self):
-        N = self.module
-        degrees = set()
-        for lab, j in self.coeffs.items():
-            n, w = j.bidegree()
-            i = N.index[lab]
-            degrees.add((N.degrees[i] + n, N.weights[i] + w))
-        if not degrees:
-            return (0, 0)
-        if len(degrees) > 1:
-            raise ConstructionError("element is not bihomogeneous")
-        return degrees.pop()
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        N = self.module
-        parts = []
-        for lab in N.labels:
-            if lab in self.coeffs:
-                parts.append("%s ⊗ (%s)" % (lab, self.coeffs[lab]))
-        return " + ".join(parts)
+    __slots__ = ()
+    coeff_class = DiagonalElement
 
 
-class TensorEnvElement:
+class TensorEnvElement(LabelledSum):
     """sum e_lam (x) u_lam over B^e; the transient middle of the splitting."""
 
-    __slots__ = ("module", "coeffs")
-
-    def __init__(self, module, coeffs):
-        self.module = module
-        self.coeffs = {lab: u for lab, u in coeffs.items() if u}
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorEnvElement):
-            return NotImplemented
-        return self.module == other.module and {
-            k: v.coeffs for k, v in self.coeffs.items()
-        } == {k: v.coeffs for k, v in other.coeffs.items()}
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for lab, u in other.coeffs.items():
-            s = out.get(lab)
-            s = u if s is None else s + u
-            if s:
-                out[lab] = s
-            else:
-                out.pop(lab, None)
-        return TensorEnvElement(self.module, out)
-
-    def __neg__(self):
-        return TensorEnvElement(self.module, {lab: -u for lab, u in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def diff(self):
-        N = self.module
-        out = TensorEnvElement(N, {})
-        for lab, u in self.coeffs.items():
-            col = N.index[lab]
-            for (i, jj), entry in N.structure.items():
-                if jj == col:
-                    out = out + TensorEnvElement(N, {N.labels[i]: entry * u})
-            du = u.diff()
-            if du:
-                if N.degrees[col] % 2:
-                    du = -du
-                out = out + TensorEnvElement(N, {lab: du})
-        return out
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        N = self.module
-        parts = []
-        for lab in N.labels:
-            if lab in self.coeffs:
-                parts.append("%s ⊗ (%s)" % (lab, self.coeffs[lab]))
-        return " + ".join(parts)
-
-
-def tensor_delta(module, label, b: AlgebraElement) -> TensorJElement:
-    """e_label (x) delta(b) as an element of N (x) J."""
-    return TensorJElement(module, {label: delta(b)})
+    __slots__ = ()
+    coeff_class = EnvelopeElement

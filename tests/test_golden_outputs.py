@@ -1,0 +1,102 @@
+"""Byte-level pins of CLI output, apart from the timing field.
+
+The pinned data in ``data/golden_outputs.json`` holds, for each golden
+problem and each command below, the exit code, stderr and the full
+JSON and text reports with ``timing_ms`` set to 0.  For a fixed sample
+of the benchmark's frontend corpus it holds the SHA-256 of each
+normalised JSON report, and for one file the parser wrongly rejects, its
+exit code and stderr.  ``collect_outputs()`` rebuilds the same structure
+from the current code; the data was written by it at the commit before
+the element classes were folded onto one linear-combination core.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from dglift.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
+FRONTEND = ROOT / "perfbench" / "corpus" / "frontend"
+
+GOLDEN_FILES = ("liftable.dgp", "nonliftable.dgp", "combined.dgp")
+GOLDEN_COMMANDS = {
+    "validate": ["validate"],
+    "obstruction": ["obstruction"],
+    "check-lift": ["check-lift", "--witness"],
+    "homology": ["homology", "--bidegree", "3,4"],
+    "delta": ["delta", "--element", "X*Y"],
+}
+FRONTEND_COMMANDS = ("validate", "obstruction", "check-lift", "homology")
+# 23 evenly spaced pool files, and f006, which the parser rejects
+FRONTEND_SAMPLE = ["f%03d.dgp" % (17 * k) for k in range(23)] + ["f006.dgp"]
+
+
+def normalise(text):
+    text = re.sub(r'"timing_ms": \d+', '"timing_ms": 0', text)
+    return re.sub(r"\(\d+ ms\)\n$", "(0 ms)\n", text)
+
+
+def run(path, command, fmt):
+    head, *rest = GOLDEN_COMMANDS[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([head, str(path), *rest, "--format", fmt])
+    return {"exit": code, "stdout": normalise(out.getvalue()),
+            "stderr": err.getvalue()}
+
+
+def golden_case(name, command):
+    json_run = run(ROOT / "golden" / name, command, "json")
+    text_run = run(ROOT / "golden" / name, command, "text")
+    return {"exit": json_run["exit"], "stderr": json_run["stderr"],
+            "json": json_run["stdout"], "text": text_run["stdout"]}
+
+
+def frontend_case(name):
+    out = {}
+    for command in FRONTEND_COMMANDS:
+        result = run(FRONTEND / name, command, "json")
+        if result["exit"]:
+            out[command] = {"exit": result["exit"], "stderr": result["stderr"]}
+        else:
+            digest = hashlib.sha256(result["stdout"].encode("utf-8")).hexdigest()
+            out[command] = {"exit": 0, "sha256": digest}
+    return out
+
+
+def collect_outputs():
+    return {
+        "golden": {name: {command: golden_case(name, command)
+                          for command in GOLDEN_COMMANDS}
+                   for name in GOLDEN_FILES},
+        "frontend": {name: frontend_case(name) for name in FRONTEND_SAMPLE},
+    }
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(DATA.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", GOLDEN_FILES)
+@pytest.mark.parametrize("command", list(GOLDEN_COMMANDS))
+def test_golden_output_bytes(pinned, name, command):
+    assert golden_case(name, command) == pinned["golden"][name][command]
+
+
+@pytest.mark.parametrize("name", FRONTEND_SAMPLE)
+def test_frontend_sample_digests(pinned, name):
+    assert frontend_case(name) == pinned["frontend"][name]
+
+
+def test_frontend_sample_keeps_the_parser_defect(pinned):
+    entry = pinned["frontend"]["f006.dgp"]["validate"]
+    assert entry["exit"] == 2
+    assert entry["stderr"] == "dglift: line 2: dZ is not internally homogeneous\n"

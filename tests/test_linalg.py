@@ -87,6 +87,10 @@ def test_rank_nullity_on_random_blocks():
         r = rank(m)
         assert r == oracle_rank(rows, QQ)
         assert r + len(kernel_basis(m)) == ncols
+        # the solver's pivot count is the rank, consistent or not
+        target = [QQ.of(i - 1) for i in range(nrows)]
+        assert linear_solve(m, target).rank == r
+        assert linear_solve(m, apply_matrix(m, [QQ.one] * ncols)).rank == r
         for vec in kernel_basis(m):
             assert all(s == 0 for s in apply_matrix(m, vec))
 

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from dglift import (DegreeMismatch, DifferentialSquareNonzero, SemifreeModule,
-                    TensorJElement, TriangularityViolation, delta, rho)
+from dglift import (ConstructionError, DegreeMismatch, DifferentialSquareNonzero,
+                    ModuleElement, SemifreeModule, TensorJElement,
+                    TriangularityViolation, delta, rho)
 from dglift.randomgen import (example_algebras, random_algebra, random_module,
                               random_module_element, standard_rings)
 from dglift.semifree import TensorEnvElement
@@ -80,6 +81,29 @@ def test_rho_fails_to_be_a_chain_map_on_the_example(module_n):
     expected = N.iota_n(TensorJElement(N, {"e": delta(B.gen("X") * B.gen("Y") * y)}))
     assert gap == expected
     assert gap  # nonzero: rho_n does not commute with the differentials
+
+
+def test_tensor_env_element_rejects_unknown_label(module_n):
+    B = module_n.algebra
+    with pytest.raises(ConstructionError):
+        TensorEnvElement(module_n, {"nope": rho(B.gen("X"))})
+
+
+def test_adding_elements_of_different_modules_raises(example_algebra):
+    B = example_algebra
+    # same labels, different bidegrees: only the module check tells them apart
+    first = SemifreeModule(B, ("e",), (0,), (0,), {})
+    second = SemifreeModule(B, ("e",), (1,), (1,), {})
+    values = (B.one(), delta(B.gen("X")), rho(B.gen("X")))
+    for cls, value in zip((ModuleElement, TensorJElement, TensorEnvElement), values):
+        with pytest.raises(ConstructionError):
+            cls(first, {"e": value}) + cls(second, {"e": value})
+        assert cls(first, {"e": value}) != cls(second, {"e": value})
+
+
+def test_cross_kind_elements_never_compare_equal(module_n):
+    assert module_n.zero() != module_n.tensor_zero()
+    assert not isinstance(module_n.tensor_zero(), ModuleElement)
 
 
 def _random_pool(rng):
