@@ -113,11 +113,43 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin to the first 13 prime bases is exact below PRIME_LIMIT, the
+# least strong pseudoprime to all of them (Sorenson and Webster, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Deterministic primality test for 0 <= n < PRIME_LIMIT."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The prime field F_p; scalars are ModP values."""
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p >= PRIME_LIMIT:
+            raise ConstructionError("characteristic must be below %d, the limit "
+                                    "of the exact primality test" % PRIME_LIMIT)
+        if not is_prime(p):
             raise ConstructionError("characteristic %r is not prime" % (p,))
         self.char = p
         self.name = "FF(%d)" % p

@@ -191,6 +191,19 @@ def _parse_factor(ts, env):
     return (base_kind, base_value)
 
 
+def _scalar(literal, field, line):
+    """An int or Fraction literal as a scalar of ``field``.  QQ keeps the
+    Fraction; F_p reduces numerator and denominator mod p."""
+    if not isinstance(literal, Fraction):
+        return field.of(literal)
+    if not field.char:
+        return literal
+    if literal.denominator % field.char == 0:
+        raise ParseError("denominator %d is zero in %s"
+                         % (literal.denominator, field.name), line)
+    return field.of(literal.numerator) / field.of(literal.denominator)
+
+
 def _parse_term(ts, env, algebra):
     negate = ts.eat_sym("-")
     label = None
@@ -205,8 +218,7 @@ def _parse_term(ts, env, algebra):
                                  "scalars)" % payload, ts.line)
             label = payload
         elif kind == "scalar":
-            value = value * payload if isinstance(payload, Fraction) \
-                else value * algebra.field.of(payload)
+            value = value * _scalar(payload, algebra.field, ts.line)
         else:
             value = value * payload
             seen_monomial = True

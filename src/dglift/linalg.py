@@ -1,8 +1,11 @@
-"""Exact dense linear algebra over a ground field.
+"""Exact sparse linear algebra over a ground field.
 
 Matrices are lists of rows; every entry is an exact scalar of the ambient
-field (Fraction for the rationals, ModP for prime fields).  Elimination is
-fully deterministic: pivots are chosen as the first nonzero entry scanning
+field (Fraction for the rationals, ModP for prime fields).  The one
+elimination routine, ``_eliminate``, is a sparse Gauss-Jordan: each row is a
+{column: scalar} dict of its nonzero entries, with raw ints mod p over F_p,
+and only what a caller reads is made dense again.  Elimination is fully
+deterministic: pivots are chosen as the first nonzero entry scanning
 columns left to right and rows top to bottom, so solutions, kernels and
 certificates are reproducible bit for bit.
 """
@@ -76,13 +79,11 @@ class Inconsistency:
     """Certificate that ``A x = v`` has no solution.
 
     ``null_row`` is a functional u on the target space with u A = 0 while
-    ``pairing`` = u . v is nonzero; ``reduced`` is the row-reduced augmented
-    block the elimination ended with.
+    ``pairing`` = u . v is nonzero.
     """
 
     null_row: list
     pairing: object
-    reduced: list
 
 
 @dataclass
@@ -99,61 +100,89 @@ class SolveResult:
         return self.solution is not None
 
 
-def _eliminate(rows, ncols, field, track):
-    """Gauss-Jordan elimination in place on copies.
+def _sparse_rows(rows, p):
+    """Rows as {column: scalar} dicts of their nonzero entries.  Over F_p
+    the scalars are the raw ints 0 < v < p of the ModP entries."""
+    if p:
+        return [{j: v for j, x in enumerate(row) if (v := x.v)} for row in rows]
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
-    Returns (reduced rows, pivot columns, transform rows or None).  The
-    transform T satisfies T . original = reduced.
+
+def _dense(row, n, field):
+    """A sparse row of raw scalars as a list of n field scalars."""
+    vec = [field.zero] * n
+    for j, x in row.items():
+        vec[j] = field.of(x)
+    return vec
+
+
+def _scaled(row, s, p):
+    if p:
+        return {j: x * s % p for j, x in row.items()}
+    return {j: x * s for j, x in row.items()}
+
+
+def _subtract(row, f, pivot_row, p):
+    """row -= f * pivot_row in place.  f and the pivot row's entries are
+    nonzero, so an entry can only cancel where row already had one."""
+    get = row.get
+    for j, b in pivot_row.items():
+        a = (get(j, 0) - f * b) % p if p else get(j, 0) - f * b
+        if a:
+            row[j] = a
+        else:
+            del row[j]
+
+
+def _eliminate(rows, ncols, field, track):
+    """Sparse Gauss-Jordan elimination of {column: scalar} rows, in place.
+
+    Returns (pivot columns, transform rows or None); ``rows`` ends reduced.
+    The transform T, kept as sparse rows too, satisfies T . original =
+    reduced.  Over F_p the scalars are raw ints mod p throughout.
     """
+    p = field.char
     m = len(rows)
-    work = [list(row) for row in rows]
-    transform = None
-    if track:
-        transform = [[field.one if i == j else field.zero for j in range(m)]
-                     for i in range(m)]
+    transform = [{i: 1 if p else field.one} for i in range(m)] if track else None
     pivots = []
     r = 0
     for c in range(ncols):
-        src = None
-        for i in range(r, m):
-            if work[i][c]:
-                src = i
-                break
+        if r == m:
+            break
+        src = next((i for i in range(r, m) if c in rows[i]), None)
         if src is None:
             continue
         if src != r:
-            work[r], work[src] = work[src], work[r]
+            rows[r], rows[src] = rows[src], rows[r]
             if track:
                 transform[r], transform[src] = transform[src], transform[r]
-        inv = field.one / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        if track:
-            transform[r] = [x * inv for x in transform[r]]
+        inv = pow(rows[r][c], -1, p) if p else field.one / rows[r][c]
+        if inv != 1:
+            rows[r] = _scaled(rows[r], inv, p)
+            if track:
+                transform[r] = _scaled(transform[r], inv, p)
         for i in range(m):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            f = rows[i].get(c) if i != r else None
+            if f:
+                _subtract(rows[i], f, rows[r], p)
                 if track:
-                    transform[i] = [a - f * b
-                                    for a, b in zip(transform[i], transform[r])]
+                    _subtract(transform[i], f, transform[r], p)
         pivots.append(c)
         r += 1
-        if r == m:
-            break
-    return work, pivots, transform
+    return pivots, transform
 
 
 def rank(matrix: BlockMatrix) -> int:
-    _, pivots, _ = _eliminate(matrix.rows, len(matrix.src_labels),
-                              matrix.field, track=False)
-    return len(pivots)
+    rows = _sparse_rows(matrix.rows, matrix.field.char)
+    return len(_eliminate(rows, len(matrix.src_labels), matrix.field, False)[0])
 
 
 def kernel_basis(matrix: BlockMatrix) -> list:
     """Basis of ker(matrix) as source-coordinate vectors, echelon order."""
     field = matrix.field
     ncols = len(matrix.src_labels)
-    reduced, pivots, _ = _eliminate(matrix.rows, ncols, field, track=False)
+    reduced = _sparse_rows(matrix.rows, field.char)
+    pivots, _ = _eliminate(reduced, ncols, field, False)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -161,8 +190,8 @@ def kernel_basis(matrix: BlockMatrix) -> list:
             continue
         vec = [field.zero] * ncols
         vec[free] = field.one
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -reduced[row_idx][free]
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -field.of(row.get(free, 0))
         basis.append(vec)
     return basis
 
@@ -175,23 +204,25 @@ def linear_solve(matrix: BlockMatrix, target: list) -> SolveResult:
     null row refers to the original (unreduced) rows.
     """
     field = matrix.field
+    p = field.char
     ncols = len(matrix.src_labels)
     if len(target) != len(matrix.dst_labels):
         raise ValueError("target length %d does not match %d target labels"
                          % (len(target), len(matrix.dst_labels)))
-    augmented = [list(row) + [t] for row, t in zip(matrix.rows, target)]
-    reduced, pivots, transform = _eliminate(augmented, ncols + 1, field,
-                                            track=True)
-    if ncols in pivots:
+    augmented = _sparse_rows(matrix.rows, p)
+    rhs = _sparse_rows([target], p)[0]
+    for i, t in rhs.items():
+        augmented[i][ncols] = t
+    pivots, transform = _eliminate(augmented, ncols + 1, field, True)
+    if pivots and pivots[-1] == ncols:
         # a pivot in the augmented column exhibits the inconsistency
-        row_idx = pivots.index(ncols)
-        null_row = transform[row_idx]
+        null_row = _dense(transform[len(pivots) - 1], len(target), field)
         pairing = sum((u * t for u, t in zip(null_row, target)), field.zero)
-        return SolveResult(None, Inconsistency(null_row, pairing, reduced),
-                           len(pivots) - 1)
+        return SolveResult(None, Inconsistency(null_row, pairing), len(pivots) - 1)
     solution = [field.zero] * ncols
-    for row_idx, pc in enumerate(pivots):
-        solution[pc] = reduced[row_idx][ncols]
+    for row, pc in zip(augmented, pivots):
+        if ncols in row:
+            solution[pc] = field.of(row[ncols])
     return SolveResult(solution, None, len(pivots))
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 from dglift import parse_problem
 from dglift.cli import emit_report, main, report_from_json, run_command
@@ -183,3 +184,33 @@ def test_report_round_trip_on_random_problems():
         assert report_from_json(emit_report(doc, "json")) == doc
         emit_report(doc, "text")  # renders without error
         assert parse_problem(doc.problem) == problem
+
+
+def test_large_characteristics_exit_cleanly(tmp_path, capsys):
+    problem = golden_text("liftable.dgp")
+    prime = tmp_path / "prime.dgp"
+    prime.write_text(problem.replace("QQ", "FF(1000000000000000003)"))
+    huge = tmp_path / "huge.dgp"
+    huge.write_text(problem.replace("QQ", "FF(%d)" % 10 ** 400))
+    start = time.perf_counter()
+    code, out, _ = run_main(capsys, "check-lift", str(prime))
+    assert code == 0 and json.loads(out)["results"][0]["decision"] == "LIFTABLE"
+    code, _, err = run_main(capsys, "validate", str(huge))
+    assert code == 2 and "limit" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 1
+
+
+def test_rational_literals_reduce_mod_p(tmp_path, capsys):
+    problem = "ring R = FF(5)[x:1]\nalgebra B = R<X:1 | dX = %s>\n"
+    outputs = []
+    for scalar in ("1/2*x", "3*x"):
+        path = tmp_path / "f.dgp"
+        path.write_text(problem % scalar)
+        code, out, _ = run_main(capsys, "validate", str(path))
+        assert code == 0
+        outputs.append(out)
+    assert normalise(outputs[0]) == normalise(outputs[1])
+    assert parse_problem(problem % "1/2*x") == parse_problem(problem % "3*x")
+    path.write_text(problem % "1/5*x")
+    code, _, err = run_main(capsys, "validate", str(path))
+    assert code == 2 and "line 2" in err and "Traceback" not in err

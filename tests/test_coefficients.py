@@ -1,10 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from dglift import BaseRing, ConstructionError, PrimeField, QQ, parse_ring
-from dglift.coefficients import ModP, principal_intersection_dim
+from dglift import (BaseRing, ConstructionError, DGLiftError, PrimeField, QQ,
+                    parse_ring)
+from dglift.coefficients import (PRIME_LIMIT, ModP, is_prime,
+                                 principal_intersection_dim)
 
 
 @pytest.fixture
@@ -140,3 +143,22 @@ def test_prime_field_arithmetic():
     assert not F.of(10)
     with pytest.raises(ValueError):
         ModP(1, 5) + ModP(1, 7)
+
+
+def test_primality_matches_trial_division():
+    for n in range(3000):
+        assert is_prime(n) == (n > 1 and all(n % q for q in range(2, int(n ** 0.5) + 1)))
+    # a Carmichael number, the least strong pseudoprime to bases 2, 3, 5, 7,
+    # and the least one to every prime base up to 37 (41 exposes it)
+    for n in (561, 3215031751, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1)
+
+
+def test_large_characteristics_end_quickly():
+    start = time.perf_counter()
+    assert PrimeField(1000000000000000003).one + 1 == 2
+    for p in (10 ** 18 + 1, PRIME_LIMIT, 10 ** 400):
+        with pytest.raises(DGLiftError):
+            PrimeField(p)
+    assert time.perf_counter() - start < 1

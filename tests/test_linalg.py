@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from dglift import (BlockMatrix, CompositionNonzero, QQ, delta, homology_dim,
-                    kernel_basis, linear_solve, rank)
+from dglift import (BlockMatrix, CompositionNonzero, PrimeField, QQ, delta,
+                    homology_dim, kernel_basis, linear_solve, rank)
+from dglift import linalg
+from dglift.coefficients import ModP
 from dglift.envelope import (diagonal_block_keys, diagonal_diff_block,
                              diagonal_homology_dim, diagonal_vec)
 from dglift.linalg import apply_matrix
@@ -160,3 +162,139 @@ def test_prime_field_solves():
     result = linear_solve(m, v)
     assert result.consistent
     assert apply_matrix(m, result.solution) == v
+
+
+# -- oracle: the dense Gauss-Jordan the sparse solver replaced ---------------
+
+
+def dense_eliminate(rows, ncols, field, track):
+    """The former dense ``linalg._eliminate``, kept here as the reference.
+
+    Returns (reduced rows, pivot columns, transform rows or None).  The
+    transform T satisfies T . original = reduced.
+    """
+    m = len(rows)
+    work = [list(row) for row in rows]
+    transform = None
+    if track:
+        transform = [[field.one if i == j else field.zero for j in range(m)]
+                     for i in range(m)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        src = None
+        for i in range(r, m):
+            if work[i][c]:
+                src = i
+                break
+        if src is None:
+            continue
+        if src != r:
+            work[r], work[src] = work[src], work[r]
+            if track:
+                transform[r], transform[src] = transform[src], transform[r]
+        inv = field.one / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        if track:
+            transform[r] = [x * inv for x in transform[r]]
+        for i in range(m):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+                if track:
+                    transform[i] = [a - f * b
+                                    for a, b in zip(transform[i], transform[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return work, pivots, transform
+
+
+def dense_solve(rows, ncols, target, field):
+    """(rank, solution, null row, pairing) as the dense solver gave them."""
+    augmented = [list(row) + [t] for row, t in zip(rows, target)]
+    reduced, pivots, transform = dense_eliminate(augmented, ncols + 1, field, True)
+    if ncols in pivots:
+        null_row = transform[pivots.index(ncols)]
+        pairing = sum((u * t for u, t in zip(null_row, target)), field.zero)
+        return len(pivots) - 1, None, null_row, pairing
+    solution = [field.zero] * ncols
+    for row_idx, pc in enumerate(pivots):
+        solution[pc] = reduced[row_idx][ncols]
+    return len(pivots), solution, None, None
+
+
+def dense_kernel(rows, ncols, field):
+    reduced, pivots, _ = dense_eliminate(rows, ncols, field, False)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [field.zero] * ncols
+        vec[free] = field.one
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -reduced[row_idx][free]
+        basis.append(vec)
+    return basis
+
+
+def random_rows(rng, field, nrows, ncols):
+    """Sparse-ish random rows; some are combinations of earlier ones, so
+    rank deficiency is common."""
+    density = rng.choice([0.1, 0.3, 0.6, 1.0])
+    rows = []
+    for i in range(nrows):
+        if i >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(range(i), 2)
+            s, t = field.of(rng.randint(-2, 2)), field.of(rng.randint(-2, 2))
+            rows.append([s * x + t * y for x, y in zip(rows[a], rows[b])])
+        else:
+            rows.append([field.of(rng.randint(-3, 3)) if rng.random() < density
+                         else field.zero for _ in range(ncols)])
+    return rows
+
+
+ORACLE_SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (9, 3), (12, 5), (3, 9),
+                 (5, 12), (7, 7), (10, 10)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7)],
+                         ids=["QQ", "FF2", "FF7"])
+def test_sparse_solver_matches_dense_oracle(field):
+    rng = random.Random(54 + field.char)
+    scalar = ModP if field.char else Fraction
+    for trial in range(80):
+        nrows, ncols = ORACLE_SHAPES[trial % len(ORACLE_SHAPES)]
+        rows = random_rows(rng, field, nrows, ncols)
+        m = BlockMatrix(rows, ["c%d" % j for j in range(ncols)],
+                        ["r%d" % i for i in range(nrows)], field)
+        ref_reduced, ref_pivots, ref_transform = dense_eliminate(
+            rows, ncols, field, True)
+        sparse = linalg._sparse_rows(rows, field.char)
+        pivots, transform = linalg._eliminate(sparse, ncols, field, True)
+        assert pivots == ref_pivots
+        assert [linalg._dense(row, ncols, field) for row in sparse] == ref_reduced
+        assert [linalg._dense(row, nrows, field) for row in transform] \
+            == ref_transform
+        assert rank(m) == len(ref_pivots)
+        kernel = kernel_basis(m)
+        assert kernel == dense_kernel(rows, ncols, field)
+        hit = apply_matrix(m, [field.of(rng.randint(-2, 2)) for _ in range(ncols)])
+        noise = [field.of(rng.randint(-1, 1)) for _ in range(nrows)]
+        for target in (hit, noise):
+            ref_rank, ref_solution, ref_null, ref_pairing = dense_solve(
+                rows, ncols, target, field)
+            result = linear_solve(m, target)
+            assert result.rank == ref_rank == len(pivots)
+            assert result.solution == ref_solution
+            assert (result.certificate is None) == (ref_null is None)
+            scalars = [x for vec in kernel for x in vec]
+            if result.certificate is None:
+                scalars += result.solution
+            else:
+                assert result.certificate.null_row == ref_null
+                assert result.certificate.pairing == ref_pairing != 0
+                scalars += result.certificate.null_row + [result.certificate.pairing]
+            assert all(type(x) is scalar for x in scalars)
+        assert linear_solve(m, hit).consistent
