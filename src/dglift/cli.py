@@ -16,7 +16,8 @@ JSON output follows the fixed schema
 where each check-lift result is {module, decision, method, obstruction:
 [{basis, value}], witness?, certificate?}.  Output is byte-identical
 between runs apart from timing_ms.  Exit codes: 0 success, 1 mathematical
-rejection (a construction check failed), 2 usage or parse error.  The
+rejection (a construction check failed), 2 usage or parse error, 3 internal
+error (a program bug, reported in one line without a traceback).  The
 DGLIFT_VERBOSE environment variable adds progress notes on stderr and
 changes nothing else.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from . import __version__
 from .dsl import parse_algebra_element, parse_problem, print_problem
 from .envelope import delta, diagonal_homology_dim
-from .errors import ConstructionError, DGLiftError, ParseError
+from .errors import DGLiftError, ParseError
 from .obstruction import check_lift, obstruction_values
 from .selfcheck import run_all
 
@@ -211,8 +212,29 @@ def _build_parser():
     return parser
 
 
+_parser = None
+
+
+def _get_parser():
+    """The argument parser, built on first use and reused by later calls."""
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    return _parser
+
+
 def main(argv=None):
-    parser = _build_parser()
+    try:
+        return _run(argv)
+    except Exception as exc:  # a program bug, not a mathematical rejection
+        message = str(exc).replace("\n", " ")
+        print("dglift: internal error: %s: %s" % (type(exc).__name__, message),
+              file=sys.stderr)
+        return 3
+
+
+def _run(argv):
+    parser = _get_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -246,10 +268,7 @@ def main(argv=None):
     except ParseError as exc:
         print("dglift: %s" % exc, file=sys.stderr)
         return 2
-    except ConstructionError as exc:
-        print("dglift: %s" % exc, file=sys.stderr)
-        return 1
-    except DGLiftError as exc:
+    except DGLiftError as exc:  # a mathematical rejection
         print("dglift: %s" % exc, file=sys.stderr)
         return 1
     sys.stdout.write(emit_report(doc, args.format))

@@ -213,6 +213,8 @@ class BaseRing:
                    if not any(s != r and mono_divides(s, r) for s in rels)]
         self.relations = tuple(minimal)
         self._basis_cache = {}
+        self._reduced_cache = {}
+        self._mul_cache = {}
 
     @property
     def is_field(self):
@@ -243,11 +245,23 @@ class BaseRing:
         return sum(e * d for e, d in zip(exps, self.degrees))
 
     def mono_reduced(self, exps):
-        return not any(mono_divides(rel, exps) for rel in self.relations)
+        try:
+            return self._reduced_cache[exps]
+        except KeyError:
+            pass
+        reduced = not any(mono_divides(rel, exps) for rel in self.relations)
+        self._reduced_cache[exps] = reduced
+        return reduced
 
     def mono_mul(self, a, b):
+        try:
+            return self._mul_cache[a, b]
+        except KeyError:
+            pass
         prod = tuple(x + y for x, y in zip(a, b))
-        return prod if self.mono_reduced(prod) else None
+        prod = prod if self.mono_reduced(prod) else None
+        self._mul_cache[a, b] = prod
+        return prod
 
     def render_mono(self, exps):
         parts = []

@@ -52,7 +52,12 @@ def _tokenize(text, line_no):
         if m.group("name"):
             tokens.append(("name", m.group("name")))
         elif m.group("int"):
-            tokens.append(("int", int(m.group("int"))))
+            digits = m.group("int")
+            try:
+                tokens.append(("int", int(digits)))
+            except ValueError:  # beyond the interpreter's digit limit
+                raise ParseError("integer literal of %d digits is too long"
+                                 % len(digits), line_no)
         else:
             tokens.append(("sym", m.group("sym")))
     return tokens
@@ -131,8 +136,20 @@ class ProblemDescription:
 # -- expression evaluation --------------------------------------------------------
 
 
+def _repeated_square(x, n):
+    """x^n for n >= 1 in O(log n) products; by associativity this is the
+    same element as the n-fold product x * x * ... * x."""
+    acc = None
+    while True:
+        if n & 1:
+            acc = x if acc is None else acc * x
+        n >>= 1
+        if not n:
+            return acc
+        x = x * x
+
+
 def _power(base_kind, base_value, exponent, divided, ts):
-    B = None
     if base_kind == "var":
         B, name = base_value
         i = B._index[name]
@@ -140,21 +157,16 @@ def _power(base_kind, base_value, exponent, divided, ts):
             if B.vars[i].is_odd:
                 raise ParseError("divided power of the odd variable %s" % name, ts.line)
             return ("alg", B.divided_power(name, exponent))
-        out = B.one()
-        for _ in range(exponent):
-            out = out * B.gen(name)
-        return ("alg", out)
+        if not exponent:
+            return ("alg", B.one())
+        return ("alg", _repeated_square(B.gen(name), exponent))
     if base_kind == "ring":
         if divided:
             raise ParseError("divided powers only apply to even algebra variables",
                              ts.line)
-        out = base_value
-        acc = None
-        for _ in range(exponent):
-            acc = out if acc is None else acc * out
-        if acc is None:
+        if not exponent:
             raise ParseError("zero exponent is not part of the grammar", ts.line)
-        return ("ring", acc)
+        return ("ring", _repeated_square(base_value, exponent))
     raise ParseError("cannot raise %r to a power" % (base_kind,), ts.line)
 
 

@@ -272,9 +272,18 @@ def envelope_basis(B, n, w):
 
 
 def diagonal_block_keys(B, n, w):
-    """(m1, m2, ring monomial) keys of J_(n, w): the pairs with m1 != 1."""
-    return [(m1, m2, rm) for (m1, m2, rm) in envelope_basis(B, n, w)
+    """(m1, m2, ring monomial) keys of J_(n, w): the pairs with m1 != 1.
+
+    The list is cached on B and shared between callers: do not mutate it.
+    """
+    try:
+        return B._jkeys_cache[n, w]
+    except KeyError:
+        pass
+    keys = [(m1, m2, rm) for (m1, m2, rm) in envelope_basis(B, n, w)
             if m1 != B.unit_mono]
+    B._jkeys_cache[n, w] = keys
+    return keys
 
 
 def diagonal_basis(B, n, w):

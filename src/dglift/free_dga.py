@@ -96,8 +96,10 @@ class FreeDGAlgebra:
             diffs.append(el)
         self.diffs = tuple(diffs)
         self._mono_diff_cache = {}
+        self._mul_cache = {}
         self._basis_cache = {}
         self._bibasis_cache = {}
+        self._jkeys_cache = {}  # envelope.diagonal_block_keys
         for v, d in zip(self.vars, self.diffs):
             dd = d.diff()
             if dd:
@@ -137,6 +139,15 @@ class FreeDGAlgebra:
 
     def mono_mul(self, a, b):
         """(scalar, monomial) for the product, or None when it vanishes."""
+        try:
+            return self._mul_cache[a, b]
+        except KeyError:
+            pass
+        hit = self._mono_product(a, b)
+        self._mul_cache[a, b] = hit
+        return hit
+
+    def _mono_product(self, a, b):
         coeff = 1
         exps = []
         for i, v in enumerate(self.vars):

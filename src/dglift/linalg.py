@@ -4,10 +4,13 @@ Matrices are lists of rows; every entry is an exact scalar of the ambient
 field (Fraction for the rationals, ModP for prime fields).  The one
 elimination routine, ``_eliminate``, is a sparse Gauss-Jordan: each row is a
 {column: scalar} dict of its nonzero entries, with raw ints mod p over F_p,
-and only what a caller reads is made dense again.  Elimination is fully
-deterministic: pivots are chosen as the first nonzero entry scanning
-columns left to right and rows top to bottom, so solutions, kernels and
-certificates are reproducible bit for bit.
+and only what a caller reads is made dense again.  A solve does not carry
+the transform T along: it logs its row operations, and only an
+inconsistent solve rebuilds the one row of T its certificate needs, by
+replaying the log backwards.  Elimination is fully deterministic: pivots
+are chosen as the first nonzero entry scanning columns left to right and
+rows top to bottom, so solutions, kernels and certificates are
+reproducible bit for bit.
 """
 
 from dataclasses import dataclass
@@ -137,13 +140,16 @@ def _subtract(row, f, pivot_row, p):
 def _eliminate(rows, ncols, field, track):
     """Sparse Gauss-Jordan elimination of {column: scalar} rows, in place.
 
-    Returns (pivot columns, transform rows or None); ``rows`` ends reduced.
-    The transform T, kept as sparse rows too, satisfies T . original =
-    reduced.  Over F_p the scalars are raw ints mod p throughout.
+    Returns (pivot columns, operation log or None); ``rows`` ends reduced.
+    With ``track`` the row operations are logged in order, as ("swap", r,
+    s), ("scale", r, inv) and ("sub", i, f, r) for row i -= f * row r; the
+    transform T with T . original = reduced is their product, and
+    ``_transform_row`` rebuilds any one row of it.  Over F_p the scalars
+    are raw ints mod p throughout.
     """
     p = field.char
     m = len(rows)
-    transform = [{i: 1 if p else field.one} for i in range(m)] if track else None
+    log = [] if track else None
     pivots = []
     r = 0
     for c in range(ncols):
@@ -155,21 +161,47 @@ def _eliminate(rows, ncols, field, track):
         if src != r:
             rows[r], rows[src] = rows[src], rows[r]
             if track:
-                transform[r], transform[src] = transform[src], transform[r]
+                log.append(("swap", r, src))
         inv = pow(rows[r][c], -1, p) if p else field.one / rows[r][c]
         if inv != 1:
             rows[r] = _scaled(rows[r], inv, p)
             if track:
-                transform[r] = _scaled(transform[r], inv, p)
+                log.append(("scale", r, inv))
         for i in range(m):
             f = rows[i].get(c) if i != r else None
             if f:
                 _subtract(rows[i], f, rows[r], p)
                 if track:
-                    _subtract(transform[i], f, transform[r], p)
+                    log.append(("sub", i, f, r))
         pivots.append(c)
         r += 1
-    return pivots, transform
+    return pivots, log
+
+
+def _transform_row(log, q, m, field):
+    """Row q of the transform T of an ``_eliminate`` log, as a sparse row.
+
+    e_q . T is e_q times the logged operations' matrices, last operation
+    first, so the log is replayed backwards on a row vector v: a swap
+    exchanges v_r and v_s, a scaling sets v_r = v_r * inv, and row i -=
+    f * row r sets v_r = v_r - f * v_i.  Exact arithmetic makes this the
+    very row that tracking T through the elimination gives.
+    """
+    p = field.char
+    v = [0] * m
+    v[q] = 1 if p else field.one
+    for op in reversed(log):
+        if op[0] == "sub":
+            _, i, f, r = op
+            if v[i]:
+                v[r] = (v[r] - f * v[i]) % p if p else v[r] - f * v[i]
+        elif op[0] == "scale":
+            _, r, inv = op
+            v[r] = v[r] * inv % p if p else v[r] * inv
+        else:
+            _, r, s = op
+            v[r], v[s] = v[s], v[r]
+    return {j: x for j, x in enumerate(v) if x}
 
 
 def rank(matrix: BlockMatrix) -> int:
@@ -213,10 +245,11 @@ def linear_solve(matrix: BlockMatrix, target: list) -> SolveResult:
     rhs = _sparse_rows([target], p)[0]
     for i, t in rhs.items():
         augmented[i][ncols] = t
-    pivots, transform = _eliminate(augmented, ncols + 1, field, True)
+    pivots, log = _eliminate(augmented, ncols + 1, field, True)
     if pivots and pivots[-1] == ncols:
         # a pivot in the augmented column exhibits the inconsistency
-        null_row = _dense(transform[len(pivots) - 1], len(target), field)
+        m = len(target)
+        null_row = _dense(_transform_row(log, len(pivots) - 1, m, field), m, field)
         pairing = sum((u * t for u, t in zip(null_row, target)), field.zero)
         return SolveResult(None, Inconsistency(null_row, pairing), len(pivots) - 1)
     solution = [field.zero] * ncols

@@ -302,13 +302,17 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
     by_row = {lab: field.zero for lab in matrix.dst_labels}
     for item in cert["null_functional"]:
         by_row[item["row"]] = _parse_scalar(field, item["value"])
-    u = [by_row[lab] for lab in matrix.dst_labels]
-    ncols = len(matrix.src_labels)
-    for jj in range(ncols):
-        s = sum((ui * matrix.rows[i][jj] for i, ui in enumerate(u)), field.zero)
-        if s:
-            return False
-    pairing = sum((ui * t for ui, t in zip(u, rhs)), field.zero)
+    u = [(i, ui) for i, lab in enumerate(matrix.dst_labels)
+         if (ui := by_row[lab])]
+    # u . A, accumulated over the nonzero entries of u only
+    product = [field.zero] * len(matrix.src_labels)
+    for i, ui in u:
+        for jj, a in enumerate(matrix.rows[i]):
+            if a:
+                product[jj] += ui * a
+    if any(product):
+        return False
+    pairing = sum((ui * rhs[i] for i, ui in u), field.zero)
     return bool(pairing) and str(pairing) == cert["pairing"]
 
 

@@ -214,3 +214,49 @@ def test_rational_literals_reduce_mod_p(tmp_path, capsys):
     path.write_text(problem % "1/5*x")
     code, _, err = run_main(capsys, "validate", str(path))
     assert code == 2 and "line 2" in err and "Traceback" not in err
+
+
+def test_reused_parser_matches_a_fresh_one(monkeypatch, capsys):
+    from dglift import cli
+
+    calls = [
+        ["check-lift", str(GOLDEN / "liftable.dgp"), "--witness"],
+        ["--help"],
+        ["homology", str(GOLDEN / "nonliftable.dgp"), "--bidegree", "3,4"],
+        ["check-lift", "--bogus", str(GOLDEN / "liftable.dgp")],
+        [],
+        ["validate", str(GOLDEN / "combined.dgp"), "--format", "text"],
+        ["check-lift", "--help"],
+        ["delta", str(GOLDEN / "liftable.dgp"), "--element", "X*Y"],
+        ["obstruction", str(GOLDEN / "combined.dgp"), "--module", "M"],
+    ]
+    reused = [run_main(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run_main(capsys, *argv))
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2, 0, 0, 0, 0]
+    assert [(code, normalise(out), err) for code, out, err in reused] \
+        == [(code, normalise(out), err) for code, out, err in fresh]
+    assert "usage: dglift" in reused[1][1] and "unrecognized" in reused[3][2]
+
+
+def test_long_integer_literal_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "long.dgp"
+    path.write_text("ring R = QQ[x:1]\nalgebra B = R<X:1 | dX = %s*x>\n"
+                    % ("1" * 5000))
+    code, out, err = run_main(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err == "dglift: line 2: integer literal of 5000 digits is too long\n"
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    from dglift import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "run_command", broken)
+    code, out, err = run_main(capsys, "validate", str(GOLDEN / "liftable.dgp"))
+    assert code == 3 and out == ""
+    assert err == "dglift: internal error: RuntimeError: boom second line\n"

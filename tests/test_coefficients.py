@@ -162,3 +162,25 @@ def test_large_characteristics_end_quickly():
         with pytest.raises(DGLiftError):
             PrimeField(p)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("ring_text", [
+    "QQ[x:1,y:1]/(x*y)",
+    "QQ[x:1,y:1,z:2]/(x^2, y^3*z)",
+    "FF(3)[x:1]/(x^4)",
+])
+def test_memoised_monomial_products_match_the_formulas(ring_text):
+    ring = parse_ring(ring_text)
+    rng = random.Random(9)
+    for _ in range(300):
+        a = tuple(rng.randint(0, 4) for _ in ring.gens)
+        b = tuple(rng.randint(0, 4) for _ in ring.gens)
+        prod = tuple(x + y for x, y in zip(a, b))
+        # reduced exactly when no relation divides it; asked twice so the
+        # second answer comes from the memo
+        for exps in (a, prod, a, prod):
+            assert ring.mono_reduced(exps) == all(
+                any(r > e for r, e in zip(rel, exps)) for rel in ring.relations)
+        expected = prod if ring.mono_reduced(prod) else None
+        assert ring.mono_mul(a, b) == expected
+        assert ring.mono_mul(a, b) == expected

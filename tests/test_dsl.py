@@ -1,8 +1,10 @@
+import time
+
 import pytest
 
-from dglift import (CycleViolation, DifferentialSquareNonzero, ParseError,
-                    UndeclaredName, parse_algebra_element, parse_problem,
-                    parse_ring, print_problem)
+from dglift import (CycleViolation, DGLiftError, DifferentialSquareNonzero,
+                    ParseError, UndeclaredName, parse_algebra_element,
+                    parse_problem, parse_ring, print_problem)
 from dglift.dsl import default_module_weights
 
 LIFTABLE = """ring R = QQ[x:1,y:1]/(x*y)
@@ -183,3 +185,31 @@ def test_round_trip_on_random_problems():
         reparsed = parse_problem(printed)
         assert reparsed == problem, printed
         assert print_problem(reparsed) == printed
+
+
+def test_large_exponents_end_quickly():
+    problem = ("ring R = QQ[x:1]/(x^2)\nalgebra B = R<X:1 | dX = x>\n"
+               "module N over B = <e:0, f:1 | df = e*%s>\n")
+    start = time.perf_counter()
+    for power in ("x^200000", "X^200000"):
+        try:
+            parse_problem(problem % power)
+        except DGLiftError:
+            pass
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("ring_text", ["QQ[x:1,y:2]", "FF(3)[x:1,y:2]/(x^5)"])
+def test_powers_equal_repeated_products(ring_text):
+    problem = parse_problem("ring R = %s\nalgebra B = R<X:1, Y:2>\n" % ring_text)
+    B = problem.algebra
+    x, Y = B.from_ring(B.ring.gen("x")), B.gen("Y")
+    for n in range(10):
+        for name, base in (("x", x), ("Y", Y)):
+            product = B.one()
+            for _ in range(n):
+                product = product * base
+            if n or name == "Y":
+                assert parse_algebra_element(problem, "%s^%d" % (name, n)) == product
+    with pytest.raises(ParseError, match="zero exponent"):
+        parse_algebra_element(problem, "x^0")

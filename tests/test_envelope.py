@@ -186,3 +186,15 @@ def test_rendering_of_pairs(example_algebra):
     y = B.ring.gen("y")
     d = delta(B.gen("X") * B.gen("Y") * y)
     assert str(d) == "-1^o⊗X*Y · y + (X*Y)^o⊗1 · y"
+
+
+def test_diagonal_block_keys_are_cached_per_algebra(example_algebra):
+    from dglift.envelope import envelope_basis
+
+    B = example_algebra
+    for n in range(5):
+        for w in range(6):
+            keys = diagonal_block_keys(B, n, w)
+            assert keys is diagonal_block_keys(B, n, w)
+            assert keys == [k for k in envelope_basis(B, n, w)
+                            if k[0] != B.unit_mono]

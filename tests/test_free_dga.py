@@ -1,9 +1,10 @@
 import random
+from math import comb
 
 import pytest
 
 from dglift import (BaseRing, CycleViolation, ForwardReference, FreeDGAlgebra,
-                    GradingViolation, QQ, Variable, parse_ring)
+                    GradingViolation, PrimeField, QQ, Variable, parse_ring)
 from dglift.randomgen import random_algebra, random_algebra_element, standard_rings
 
 
@@ -171,3 +172,63 @@ def test_char_p_divided_powers():
     # binomial(2,1) = 2 = 0 mod 2: the square of Y vanishes but Y^(2) persists
     assert not Y * Y
     assert A.divided_power("Y", 2) * Y == A.divided_power("Y", 3)
+
+
+def reference_mono_mul(A, a, b):
+    """The product of two monomials from the definitions: divided-power
+    binomials on even letters, odd squares vanish, and the sign of the
+    permutation that sorts the odd letters of a followed by those of b."""
+    coeff = 1
+    for v, x, y in zip(A.vars, a, b):
+        if v.is_odd and x + y > 1:
+            return None
+        if not v.is_odd:
+            coeff *= comb(x + y, x)
+    word = [i for i, v in enumerate(A.vars) if v.is_odd and a[i]]
+    word += [i for i, v in enumerate(A.vars) if v.is_odd and b[i]]
+    inversions = sum(1 for s in range(len(word)) for t in range(s + 1, len(word))
+                     if word[s] > word[t])
+    scalar = A.field.of(-coeff if inversions % 2 else coeff)
+    if not scalar:
+        return None
+    return scalar, tuple(x + y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_memoised_monomial_products_match_the_formula(char):
+    ring = BaseRing(PrimeField(char) if char else QQ)
+    A = FreeDGAlgebra(ring, [Variable("X", 1, 1), Variable("Y", 2, 2),
+                             Variable("Z", 1, 1), Variable("W", 3, 3),
+                             Variable("V", 2, 2)])
+    rng = random.Random(11 + char)
+    for _ in range(400):
+        a = tuple(rng.randint(0, 1 if v.is_odd else 4) for v in A.vars)
+        b = tuple(rng.randint(0, 1 if v.is_odd else 4) for v in A.vars)
+        expected = reference_mono_mul(A, a, b)
+        assert A.mono_mul(a, b) == expected
+        assert A.mono_mul(a, b) == expected  # from the memo
+
+
+def test_equal_algebras_do_not_share_caches():
+    from dglift import check_lift, parse_problem
+    from dglift.envelope import diagonal_block_keys
+
+    from conftest import golden_text
+
+    first = parse_problem(golden_text("nonliftable.dgp"))
+    second = parse_problem(golden_text("nonliftable.dgp"))
+    A, B = first.algebra, second.algebra
+    assert A == B and A is not B
+    algebra_caches = ("_mono_diff_cache", "_mul_cache", "_basis_cache",
+                      "_bibasis_cache", "_jkeys_cache")
+    ring_caches = ("_reduced_cache", "_mul_cache", "_basis_cache")
+    for name in algebra_caches:
+        assert getattr(A, name) is not getattr(B, name)
+    for name in ring_caches:
+        assert getattr(A.ring, name) is not getattr(B.ring, name)
+    before = {name: dict(getattr(B, name)) for name in algebra_caches}
+    check_lift(first.modules["M"], method="global")
+    keys = diagonal_block_keys(A, 3, 4)
+    assert keys is diagonal_block_keys(A, 3, 4)
+    assert (3, 4) in A._jkeys_cache and A._mul_cache
+    assert {name: dict(getattr(B, name)) for name in algebra_caches} == before

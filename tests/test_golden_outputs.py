@@ -5,9 +5,14 @@ problem and each command below, the exit code, stderr and the full
 JSON and text reports with ``timing_ms`` set to 0.  For a fixed sample
 of the benchmark's frontend corpus it holds the SHA-256 of each
 normalised JSON report, and for one file the parser wrongly rejects, its
-exit code and stderr.  ``collect_outputs()`` rebuilds the same structure
-from the current code; the data was written by it at the commit before
-the element classes were folded onto one linear-combination core.
+exit code and stderr.  For every file of the benchmark's koszul-fp corpus
+it holds the SHA-256 of the normalised JSON of ``check-lift --witness``,
+which pins each witness and null functional byte for byte.
+``collect_outputs()`` rebuilds the same structure from the current code;
+the golden and frontend data were written by it at the commit before the
+element classes were folded onto one linear-combination core, the
+koszul-fp digests at the commit before the solver's transform became an
+operation log.
 """
 
 import contextlib
@@ -24,6 +29,7 @@ from dglift.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
 FRONTEND = ROOT / "perfbench" / "corpus" / "frontend"
+KOSZUL_FP = ROOT / "perfbench" / "corpus" / "koszul-fp"
 
 GOLDEN_FILES = ("liftable.dgp", "nonliftable.dgp", "combined.dgp")
 GOLDEN_COMMANDS = {
@@ -36,6 +42,7 @@ GOLDEN_COMMANDS = {
 FRONTEND_COMMANDS = ("validate", "obstruction", "check-lift", "homology")
 # 23 evenly spaced pool files, and f006, which the parser rejects
 FRONTEND_SAMPLE = ["f%03d.dgp" % (17 * k) for k in range(23)] + ["f006.dgp"]
+KOSZUL_FILES = sorted(p.name for p in KOSZUL_FP.glob("*.dgp"))
 
 
 def normalise(text):
@@ -71,12 +78,19 @@ def frontend_case(name):
     return out
 
 
+def koszul_case(name):
+    result = run(KOSZUL_FP / name, "check-lift", "json")
+    digest = hashlib.sha256(result["stdout"].encode("utf-8")).hexdigest()
+    return {"exit": result["exit"], "stderr": result["stderr"], "sha256": digest}
+
+
 def collect_outputs():
     return {
         "golden": {name: {command: golden_case(name, command)
                           for command in GOLDEN_COMMANDS}
                    for name in GOLDEN_FILES},
         "frontend": {name: frontend_case(name) for name in FRONTEND_SAMPLE},
+        "koszul-fp": {name: koszul_case(name) for name in KOSZUL_FILES},
     }
 
 
@@ -94,6 +108,16 @@ def test_golden_output_bytes(pinned, name, command):
 @pytest.mark.parametrize("name", FRONTEND_SAMPLE)
 def test_frontend_sample_digests(pinned, name):
     assert frontend_case(name) == pinned["frontend"][name]
+
+
+def test_koszul_corpus_is_complete(pinned):
+    assert len(KOSZUL_FILES) == 40
+    assert sorted(pinned["koszul-fp"]) == KOSZUL_FILES
+
+
+@pytest.mark.parametrize("name", KOSZUL_FILES)
+def test_koszul_certificate_digests(pinned, name):
+    assert koszul_case(name) == pinned["koszul-fp"][name]
 
 
 def test_frontend_sample_keeps_the_parser_defect(pinned):

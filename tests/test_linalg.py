@@ -272,9 +272,12 @@ def test_sparse_solver_matches_dense_oracle(field):
         ref_reduced, ref_pivots, ref_transform = dense_eliminate(
             rows, ncols, field, True)
         sparse = linalg._sparse_rows(rows, field.char)
-        pivots, transform = linalg._eliminate(sparse, ncols, field, True)
+        pivots, log = linalg._eliminate(sparse, ncols, field, True)
         assert pivots == ref_pivots
         assert [linalg._dense(row, ncols, field) for row in sparse] == ref_reduced
+        # every row of T, rebuilt from the operation log, is the tracked one
+        transform = [linalg._transform_row(log, q, nrows, field)
+                     for q in range(nrows)]
         assert [linalg._dense(row, nrows, field) for row in transform] \
             == ref_transform
         assert rank(m) == len(ref_pivots)

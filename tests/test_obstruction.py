@@ -260,3 +260,21 @@ def test_global_solve_succeeds_where_greedy_blocks():
         else:
             assert verify_witness(G, gamma)
     assert blocked_count >= 4  # greedy gets stuck almost always
+
+
+def test_certificate_with_one_value_changed_is_rejected(module_m):
+    from copy import deepcopy
+
+    from dglift.obstruction import _parse_scalar
+
+    field = module_m.algebra.field
+    for method in ("rank2", "global"):
+        report = check_lift(module_m, method=method)
+        assert verify_certificate(module_m, report)
+        items = report.certificate["null_functional"]
+        assert items
+        for k in range(len(items)):
+            tampered = deepcopy(report)
+            item = tampered.certificate["null_functional"][k]
+            item["value"] = str(_parse_scalar(field, item["value"]) + 1)
+            assert not verify_certificate(module_m, tampered)
