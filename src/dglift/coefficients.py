@@ -403,12 +403,20 @@ def join_signed(parts):
 
 def multiplication_block(ring, a, w_src):
     """The block of multiplication by the homogeneous element a on R_{w_src}."""
+    return _products_block(ring, [a], w_src + a.weight())
+
+
+def _products_block(ring, factors, w):
+    """The block [a_1 | a_2 | ...] of multiplication by the homogeneous
+    factors, each from R_{w - |a_i|} into R_w; source keys are (i, monomial)."""
     one = ring.field.one
     return linalg.block_matrix(
-        [(m,) for m in ring.graded_basis(w_src)],
-        [(m,) for m in ring.graded_basis(w_src + a.weight())],
-        lambda key: (RingElement.from_terms(ring, [(key, one)]) * a).terms(),
-        lambda key: ring.render_mono(key[0]), ring.field)
+        [(i, m) for i, a in enumerate(factors)
+         for m in ring.graded_basis(w - a.weight())],
+        [(m,) for m in ring.graded_basis(w)],
+        lambda key: (RingElement.from_terms(ring, [(key[1:], one)])
+                     * factors[key[0]]).terms(),
+        lambda key: ring.render_mono(key[-1]), ring.field)
 
 
 def principal_intersection_dim(ring, a, b, w):
@@ -417,11 +425,6 @@ def principal_intersection_dim(ring, a, b, w):
     Computed from the rank identity dim(U cap V) = dim U + dim V - dim(U+V)
     applied to the column spaces of the two multiplication blocks.
     """
-    blk_a = multiplication_block(ring, a, w - a.weight())
-    blk_b = multiplication_block(ring, b, w - b.weight())
-    dim_a = linalg.rank(blk_a)
-    dim_b = linalg.rank(blk_b)
-    joint = linalg.BlockMatrix(
-        [ra + rb for ra, rb in zip(blk_a.rows, blk_b.rows)],
-        blk_a.src_labels + blk_b.src_labels, blk_a.dst_labels, ring.field)
-    return dim_a + dim_b - linalg.rank(joint)
+    dim_a = linalg.rank(multiplication_block(ring, a, w - a.weight()))
+    dim_b = linalg.rank(multiplication_block(ring, b, w - b.weight()))
+    return dim_a + dim_b - linalg.rank(_products_block(ring, [a, b], w))

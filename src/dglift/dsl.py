@@ -24,6 +24,7 @@ the source line of the declaration that caused it.
 """
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -258,7 +259,24 @@ def _parse_expression(ts, env, algebra):
         if ts.at_sym("-"):
             continue  # the leading minus of the next term
         break
+    for value in out.values():
+        _check_printable(value, ts.line)
     return out
+
+
+def _check_printable(value, line):
+    """Reject a rational coefficient that ``str`` cannot print: one with
+    more decimal digits than the interpreter's integer-string limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    for _, s in value.terms():
+        if isinstance(s, Fraction):
+            for n in (s.numerator, s.denominator):
+                # 10**limit needs more than 3 * limit bits
+                if n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+                    raise ParseError("coefficient exceeds the %d-digit limit "
+                                     "for integers" % limit, line)
 
 
 def parse_algebra_element(problem, text):

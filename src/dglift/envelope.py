@@ -25,7 +25,7 @@ as pairs (m, 1).
 from fractions import Fraction
 
 from . import linalg
-from .coefficients import ModP, RingElement, join_signed, ring_mono_key
+from .coefficients import ModP, RingElement, join_signed
 from .errors import ConstructionError
 from .free_dga import AlgebraElement
 from .lincomb import LinComb, merge
@@ -163,23 +163,20 @@ class DiagonalElement(_PairIndexed):
                 merge(out, (B.unit_mono, mono), c.scale(-scalar))
         return EnvelopeElement(B, out)
 
+    def _extend(self, key_terms):
+        """The linear extension of a map on J basis vectors: the sum over
+        the terms (key, s) of self of s times ``key_terms(key)``."""
+        return DiagonalElement.from_terms(self.parent, [
+            (k, t * s) for key, s in self.terms() for k, t in key_terms(key)])
+
     def diff(self):
-        # sigma commutes with the differentials, so differentiate the raw
-        # pairs and drop the components with m1 = 1 that sigma kills
-        return sigma(EnvelopeElement(self.parent, self.coeffs).diff())
+        B = self.parent
+        return self._extend(lambda key: diagonal_key_diff(B, key))
 
     def __mul__(self, other):
         B = self.parent
         if isinstance(other, AlgebraElement):
-            # right action keeps sigma coordinates: second slot multiplies
-            out = {}
-            for (m1, m2), c in self.coeffs.items():
-                for m, cb in other.coeffs.items():
-                    hit = B.mono_mul(m2, m)
-                    if hit is not None:
-                        scalar, mono = hit
-                        merge(out, (m1, mono), (c * cb).scale(scalar))
-            return DiagonalElement(B, out)
+            return self._extend(lambda key: diagonal_key_right(B, key, other))
         if isinstance(other, EnvelopeElement):
             # J is a right ideal; the product stays in J
             return sigma(self.to_envelope() * other)
@@ -188,21 +185,7 @@ class DiagonalElement(_PairIndexed):
     def __rmul__(self, other):
         B = self.parent
         if isinstance(other, AlgebraElement):
-            # b . sigma(m1^o(x)m2) = sigma((b m1)^o(x)m2) - sigma(b^o(x)m1 m2)
-            out = {}
-            unit = B.unit_mono
-            for (m1, m2), c in self.coeffs.items():
-                for m, cb in other.coeffs.items():
-                    hit = B.mono_mul(m, m1)
-                    if hit is not None:
-                        scalar, mono = hit
-                        merge(out, (mono, m2), (cb * c).scale(scalar))
-                    if m != unit:
-                        hit2 = B.mono_mul(m1, m2)
-                        if hit2 is not None:
-                            scalar2, mono2 = hit2
-                            merge(out, (m, mono2), (cb * c).scale(-scalar2))
-            return DiagonalElement(B, out)
+            return self._extend(lambda key: diagonal_key_left(B, other, key))
         return self._scalar_mul(other)
 
     def __repr__(self):
@@ -258,7 +241,12 @@ def delta(b: AlgebraElement) -> DiagonalElement:
 
 
 def envelope_basis(B, n, w):
-    """Ground-field basis of (B^e)_(n, w): (m1, m2, ring monomial) triples."""
+    """Ground-field basis of (B^e)_(n, w): (m1, m2, ring monomial) triples.
+
+    Sorted by (mono_key(m1), mono_key(m2), ring_mono_key(rm)) as built: the
+    loops run over d1 = |m1| upwards, each ``monomial_basis`` is sorted by
+    (degree, monomial) and each ``graded_basis`` by ``ring_mono_key``.
+    """
     out = []
     for d1 in range(n + 1):
         for m1 in B.monomial_basis(d1):
@@ -267,7 +255,6 @@ def envelope_basis(B, n, w):
                 rest = w - w1 - B.mono_weight(m2)
                 for rm in B.ring.graded_basis(rest):
                     out.append((m1, m2, rm))
-    out.sort(key=lambda t: (B.mono_key(t[0]), B.mono_key(t[1]), ring_mono_key(t[2])))
     return out
 
 
@@ -284,6 +271,67 @@ def diagonal_block_keys(B, n, w):
             if m1 != B.unit_mono]
     B._jkeys_cache[n, w] = keys
     return keys
+
+
+# Each J basis vector j = sigma(m1^o (x) m2) . rm, m1 != 1, has the key
+# (m1, m2, rm).  The three maps below give the (key, scalar) terms of d(j),
+# b . j and j . b for one such key, each key at most once: distinct
+# monomials have distinct products with a fixed monomial, and the two
+# groups of d(j) and of b . j differ in the degree or the unit-ness of a
+# slot.  ``DiagonalElement`` extends them linearly.
+
+
+def _shifted(R, c, rm):
+    """(ring monomial, scalar) terms of the ring element c times rm."""
+    for e, s in c.coeffs.items():
+        prod = R.mono_mul(e, rm)
+        if prod is not None:
+            yield prod, s
+
+
+def diagonal_key_diff(B, key):
+    """d(j): sigma commutes with the differentials, so differentiate the
+    raw pair and drop the components with m1 = 1 that sigma kills."""
+    m1, m2, rm = key
+    R, unit = B.ring, B.unit_mono
+    for mu, cu in B.mono_diff(m1).coeffs.items():
+        if mu != unit:
+            for prod, s in _shifted(R, cu, rm):
+                yield (mu, m2, prod), s
+    odd = B.mono_degree(m1) % 2
+    for nu, cv in B.mono_diff(m2).coeffs.items():
+        for prod, s in _shifted(R, cv, rm):
+            yield (m1, nu, prod), -s if odd else s
+
+
+def diagonal_key_left(B, b, key):
+    """b . j = sigma((b m1)^o (x) m2) . rm - sigma(b^o (x) m1 m2) . rm."""
+    m1, m2, rm = key
+    R, unit = B.ring, B.unit_mono
+    inner = B.mono_mul(m1, m2)
+    for m, cb in b.coeffs.items():
+        hit = B.mono_mul(m, m1)
+        if hit is not None:
+            scalar, mono = hit
+            for prod, s in _shifted(R, cb, rm):
+                yield (mono, m2, prod), s * scalar
+        if m != unit and inner is not None:
+            scalar, mono = inner
+            for prod, s in _shifted(R, cb, rm):
+                yield (m, mono, prod), -(s * scalar)
+
+
+def diagonal_key_right(B, key, b):
+    """j . b: the right action keeps sigma coordinates, the second slot
+    multiplies."""
+    m1, m2, rm = key
+    R = B.ring
+    for m, cb in b.coeffs.items():
+        hit = B.mono_mul(m2, m)
+        if hit is not None:
+            scalar, mono = hit
+            for prod, s in _shifted(R, cb, rm):
+                yield (m1, mono, prod), s * scalar
 
 
 def diagonal_basis(B, n, w):
@@ -308,10 +356,9 @@ def diagonal_label(B, key):
 
 def diagonal_diff_block(B, n, w) -> linalg.BlockMatrix:
     """The differential of J as a matrix from the (n, w) block to (n-1, w)."""
-    one = B.field.one
     return linalg.block_matrix(
         diagonal_block_keys(B, n, w), diagonal_block_keys(B, n - 1, w),
-        lambda key: DiagonalElement.from_terms(B, [(key, one)]).diff().terms(),
+        lambda key: diagonal_key_diff(B, key),
         lambda key: diagonal_label(B, key), B.field)
 
 

@@ -1,16 +1,19 @@
 """Exact sparse linear algebra over a ground field.
 
-Matrices are lists of rows; every entry is an exact scalar of the ambient
-field (Fraction for the rationals, ModP for prime fields).  The one
-elimination routine, ``_eliminate``, is a sparse Gauss-Jordan: each row is a
-{column: scalar} dict of its nonzero entries, with raw ints mod p over F_p,
-and only what a caller reads is made dense again.  A solve does not carry
-the transform T along: it logs its row operations, and only an
-inconsistent solve rebuilds the one row of T its certificate needs, by
-replaying the log backwards.  Elimination is fully deterministic: pivots
-are chosen as the first nonzero entry scanning columns left to right and
-rows top to bottom, so solutions, kernels and certificates are
-reproducible bit for bit.
+A ``BlockMatrix`` holds one representation: ``entries``, one {column:
+scalar} dict per row of its nonzero entries, each an exact scalar of the
+ambient field (Fraction for the rationals, ModP for prime fields).
+``block_matrix`` writes the images of a map straight into these rows and
+keeps the basis keys; a row or column label is rendered from its key only
+when it is read.  The dense ``rows`` are derived on demand.  The one
+elimination routine, ``_eliminate``, is a sparse Gauss-Jordan on copies
+of the rows, with raw ints mod p over F_p.  A solve does not carry the
+transform T along: it logs its row operations, and only an inconsistent
+solve rebuilds the one row of T its certificate needs, by replaying the
+log backwards.  Elimination is fully deterministic: pivots are chosen as
+the first nonzero entry scanning columns left to right and rows top to
+bottom, so solutions, kernels and certificates are reproducible bit for
+bit.
 """
 
 from dataclasses import dataclass
@@ -18,31 +21,72 @@ from dataclasses import dataclass
 from .errors import CompositionNonzero, ConstructionError
 
 
-@dataclass
+def _as_is(key):
+    return key
+
+
 class BlockMatrix:
     """A matrix block between two labelled finite bases.
 
-    ``rows[i][j]`` is the coefficient of the i-th target basis vector in the
-    image of the j-th source basis vector.
+    ``entries[i][j]`` is the coefficient of the i-th target basis vector in
+    the image of the j-th source basis vector; a missing entry is zero.
+    ``shape`` is (targets, sources).  This constructor takes dense rows
+    and the labels themselves; ``block_matrix`` builds a block from a map
+    between keyed bases.
     """
 
-    rows: list
-    src_labels: list
-    dst_labels: list
-    field: object
-
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.src_labels):
+    def __init__(self, rows, src_labels, dst_labels, field):
+        for row in rows:
+            if len(row) != len(src_labels):
                 raise ValueError("row length %d does not match %d source labels"
-                                 % (len(row), len(self.src_labels)))
-        if len(self.rows) != len(self.dst_labels):
+                                 % (len(row), len(src_labels)))
+        if len(rows) != len(dst_labels):
             raise ValueError("row count %d does not match %d target labels"
-                             % (len(self.rows), len(self.dst_labels)))
+                             % (len(rows), len(dst_labels)))
+        self._init([{j: x for j, x in enumerate(row) if x} for row in rows],
+                   list(src_labels), list(dst_labels), _as_is, field)
+
+    @classmethod
+    def _of_entries(cls, entries, src_keys, dst_keys, label, field):
+        matrix = cls.__new__(cls)
+        matrix._init(entries, src_keys, dst_keys, label, field)
+        return matrix
+
+    def _init(self, entries, src_keys, dst_keys, label, field):
+        self.entries = entries
+        self.field = field
+        self.shape = (len(dst_keys), len(src_keys))
+        self._src_keys, self._dst_keys = src_keys, dst_keys
+        self._label = label
+        self._src_labels = self._dst_labels = None
 
     @property
-    def shape(self):
-        return (len(self.dst_labels), len(self.src_labels))
+    def src_labels(self):
+        if self._src_labels is None:
+            self._src_labels = [self._label(k) for k in self._src_keys]
+        return self._src_labels
+
+    @property
+    def dst_labels(self):
+        if self._dst_labels is None:
+            self._dst_labels = [self._label(k) for k in self._dst_keys]
+        return self._dst_labels
+
+    def dst_label(self, i):
+        """The label of the i-th target basis vector, rendered alone."""
+        return self._label(self._dst_keys[i])
+
+    @property
+    def rows(self):
+        """The dense rows, built from ``entries`` on each read."""
+        zero, ncols = self.field.zero, self.shape[1]
+        dense = []
+        for entries in self.entries:
+            row = [zero] * ncols
+            for j, x in entries.items():
+                row[j] = x
+            dense.append(row)
+        return dense
 
 
 def _position(pos, key):
@@ -56,16 +100,16 @@ def block_matrix(src_keys, dst_keys, image, label, field) -> BlockMatrix:
     """The matrix of a linear map between two finite keyed bases.
 
     ``image(key)`` gives the image of the source basis vector ``key`` as
-    (target key, scalar) terms with distinct keys, as ``LinComb.terms()``
-    does; ``label(key)`` names a basis vector of either side.
+    (target key, nonzero scalar) terms with distinct keys, as
+    ``LinComb.terms()`` does; ``label(key)`` names a basis vector of either
+    side, and is called only when a label is read.
     """
     pos = {k: i for i, k in enumerate(dst_keys)}
-    rows = [[field.zero] * len(src_keys) for _ in dst_keys]
+    entries = [{} for _ in dst_keys]
     for j, key in enumerate(src_keys):
         for k, s in image(key):
-            rows[_position(pos, k)][j] = s
-    return BlockMatrix(rows, [label(k) for k in src_keys],
-                       [label(k) for k in dst_keys], field)
+            entries[_position(pos, k)][j] = s
+    return BlockMatrix._of_entries(entries, src_keys, dst_keys, label, field)
 
 
 def coordinates(terms, keys, field) -> list:
@@ -103,12 +147,12 @@ class SolveResult:
         return self.solution is not None
 
 
-def _sparse_rows(rows, p):
-    """Rows as {column: scalar} dicts of their nonzero entries.  Over F_p
-    the scalars are the raw ints 0 < v < p of the ModP entries."""
+def _raw_rows(entries, p):
+    """Copies of {column: scalar} rows for elimination.  Over F_p the
+    scalars are the raw ints 0 < v < p of the ModP entries."""
     if p:
-        return [{j: v for j, x in enumerate(row) if (v := x.v)} for row in rows]
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+        return [{j: x.v for j, x in row.items()} for row in entries]
+    return [dict(row) for row in entries]
 
 
 def _dense(row, n, field):
@@ -205,15 +249,15 @@ def _transform_row(log, q, m, field):
 
 
 def rank(matrix: BlockMatrix) -> int:
-    rows = _sparse_rows(matrix.rows, matrix.field.char)
-    return len(_eliminate(rows, len(matrix.src_labels), matrix.field, False)[0])
+    rows = _raw_rows(matrix.entries, matrix.field.char)
+    return len(_eliminate(rows, matrix.shape[1], matrix.field, False)[0])
 
 
 def kernel_basis(matrix: BlockMatrix) -> list:
     """Basis of ker(matrix) as source-coordinate vectors, echelon order."""
     field = matrix.field
-    ncols = len(matrix.src_labels)
-    reduced = _sparse_rows(matrix.rows, field.char)
+    ncols = matrix.shape[1]
+    reduced = _raw_rows(matrix.entries, field.char)
     pivots, _ = _eliminate(reduced, ncols, field, False)
     pivot_set = set(pivots)
     basis = []
@@ -237,18 +281,17 @@ def linear_solve(matrix: BlockMatrix, target: list) -> SolveResult:
     """
     field = matrix.field
     p = field.char
-    ncols = len(matrix.src_labels)
-    if len(target) != len(matrix.dst_labels):
+    m, ncols = matrix.shape
+    if len(target) != m:
         raise ValueError("target length %d does not match %d target labels"
-                         % (len(target), len(matrix.dst_labels)))
-    augmented = _sparse_rows(matrix.rows, p)
-    rhs = _sparse_rows([target], p)[0]
-    for i, t in rhs.items():
-        augmented[i][ncols] = t
+                         % (len(target), m))
+    augmented = _raw_rows(matrix.entries, p)
+    for row, t in zip(augmented, target):
+        if t:
+            row[ncols] = t.v if p else t
     pivots, log = _eliminate(augmented, ncols + 1, field, True)
     if pivots and pivots[-1] == ncols:
         # a pivot in the augmented column exhibits the inconsistency
-        m = len(target)
         null_row = _dense(_transform_row(log, len(pivots) - 1, m, field), m, field)
         pairing = sum((u * t for u, t in zip(null_row, target)), field.zero)
         return SolveResult(None, Inconsistency(null_row, pairing), len(pivots) - 1)
@@ -260,20 +303,9 @@ def linear_solve(matrix: BlockMatrix, target: list) -> SolveResult:
 
 
 def apply_matrix(matrix: BlockMatrix, vec: list) -> list:
-    field = matrix.field
-    return [sum((a * x for a, x in zip(row, vec)), field.zero)
-            for row in matrix.rows]
-
-
-def compose(outer: BlockMatrix, inner: BlockMatrix) -> list:
-    """Raw rows of outer . inner (target bases must line up)."""
-    if len(outer.src_labels) != len(inner.dst_labels):
-        raise ValueError("composition shape mismatch")
-    field = outer.field
-    cols = [apply_matrix(outer, [row[j] for row in inner.rows])
-            for j in range(len(inner.src_labels))]
-    return [[cols[j][i] for j in range(len(cols))]
-            for i in range(len(outer.dst_labels))]
+    zero = matrix.field.zero
+    return [sum((a * vec[j] for j, a in row.items()), zero)
+            for row in matrix.entries]
 
 
 def homology_dim(d_in: BlockMatrix, d_out: BlockMatrix) -> int:
@@ -281,11 +313,14 @@ def homology_dim(d_in: BlockMatrix, d_out: BlockMatrix) -> int:
 
     d_in maps the next degree into this one, d_out maps this degree down.
     """
-    if len(d_out.src_labels) != len(d_in.dst_labels):
+    if d_out.shape[1] != d_in.shape[0]:
         raise ValueError("blocks do not share the middle basis")
-    for row in compose(d_out, d_in):
-        for entry in row:
-            if entry:
-                raise CompositionNonzero("blocks do not compose to zero")
-    cycles = len(d_out.src_labels) - rank(d_out)
+    for out_row in d_out.entries:
+        product = {}
+        for k, a in out_row.items():
+            for j, b in d_in.entries[k].items():
+                product[j] = product.get(j, 0) + a * b
+        if any(product.values()):
+            raise CompositionNonzero("blocks do not compose to zero")
+    cycles = d_out.shape[1] - rank(d_out)
     return cycles - rank(d_in)

@@ -13,7 +13,8 @@ bare key with ``_key_bidegree``; everything linear lives here.
 (flat key tuple, scalar) whose keys match the bidegree block bases, so
 ``(label, m1, m2, ring monomial)`` for N (x) J.  ``from_terms()`` is its
 inverse.  With ``linalg.block_matrix`` and ``linalg.coordinates`` they
-are the only bridge between elements and coordinate vectors.
+bridge elements and coordinate vectors; the maps on one J basis key in
+``envelope`` yield terms of the same shape without building an element.
 """
 
 from .errors import ConstructionError

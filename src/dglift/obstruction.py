@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .envelope import (DiagonalElement, delta, diagonal_block_keys,
-                       diagonal_diff_block, diagonal_vec)
+                       diagonal_diff_block, diagonal_key_diff, diagonal_key_left,
+                       diagonal_key_right, diagonal_vec)
 from .errors import ConstructionError
 from .semifree import SemifreeModule, TensorJElement
 
@@ -160,8 +161,10 @@ class ObstructionReport:
         return self.decision == LIFTABLE
 
 
-def _render_functional(labels, coords):
-    return [{"row": lab, "value": str(c)} for lab, c in zip(labels, coords) if c]
+def _render_functional(matrix, coords):
+    """The nonzero entries of a functional on the target of ``matrix``."""
+    return [{"row": matrix.dst_label(i), "value": str(c)}
+            for i, c in enumerate(coords) if c]
 
 
 def _check_rank2(N: SemifreeModule):
@@ -190,11 +193,11 @@ def _check_rank2(N: SemifreeModule):
         "kind": "boundary-membership",
         "source_bidegree": [n + 1, w],
         "target_bidegree": [n, w],
-        "source_dim": len(matrix.src_labels),
-        "target_dim": len(matrix.dst_labels),
+        "source_dim": matrix.shape[1],
+        "target_dim": matrix.shape[0],
         "rank": result.rank,
         "target": str(target),
-        "null_functional": _render_functional(matrix.dst_labels,
+        "null_functional": _render_functional(matrix,
                                               result.certificate.null_row),
         "pairing": str(result.certificate.pairing),
     }
@@ -204,13 +207,17 @@ def _check_rank2(N: SemifreeModule):
 def _assemble_global_system(N: SemifreeModule):
     """One simultaneous linear system in all gamma coordinates.
 
-    Unknown blocks: for each lam, the (|e_lam|, w_lam) block of N (x) J.
-    Equation blocks: for each lam, the block one homological degree lower.
-    The column of an unknown basis element t of gamma_mu holds d(t) in
-    equation mu and -(t . b[mu][lam]) in every later equation lam.
-    Keys are ("γ", lam, tensor key) and ("eq", lam, tensor key).
+    Unknown blocks: for each mu, the (|e_mu|, w_mu) block of N (x) J, whose
+    basis element t = e_nu (x) j has key (nu, J key of j).  Equation
+    blocks: for each lam, the block one homological degree lower.  The
+    column of t holds d(t) in equation mu, that is e_nu' (x) b[nu'][nu] j
+    for each nu' in column nu and (-1)^{|e_nu|} e_nu (x) d(j), and
+    -(e_nu (x) j b[mu][lam]) in every later equation lam.  These pieces
+    land on distinct keys, so each is written as it comes.  Keys are
+    ("γ", mu, tensor key) and ("eq", lam, tensor key).
     """
-    field = N.algebra.field
+    B = N.algebra
+    field = B.field
     unknowns, equations = [], []
     for lab, n, w in zip(N.labels, N.degrees, N.weights):
         unknowns.extend(("γ", lab, k) for k in N.tensor_keys(n, w))
@@ -219,15 +226,25 @@ def _assemble_global_system(N: SemifreeModule):
     for lam, column in zip(N.labels, N.columns):
         for i, entry in column:
             later[N.labels[i]].append((lam, entry))
+    d_j = {}  # J key -> terms of d(j), within this call
 
     def image(key):
         _, mu, tkey = key
-        t = TensorJElement.from_terms(N, [(tkey, field.one)])
-        for k, s in t.diff().terms():
-            yield ("eq", mu, k), s
+        nu, jkey = tkey[0], tkey[1:]
+        k_nu = N.index[nu]
+        for i, entry in N.columns[k_nu]:
+            head = (N.labels[i],)
+            for k, s in diagonal_key_left(B, entry, jkey):
+                yield ("eq", mu, head + k), s
+        dj = d_j.get(jkey)
+        if dj is None:
+            dj = d_j[jkey] = list(diagonal_key_diff(B, jkey))
+        odd = N.degrees[k_nu] % 2
+        for k, s in dj:
+            yield ("eq", mu, (nu,) + k), -s if odd else s
         for lam, entry in later[mu]:
-            for k, s in (t * entry).terms():
-                yield ("eq", lam, k), -s
+            for k, s in diagonal_key_right(B, jkey, entry):
+                yield ("eq", lam, (nu,) + k), -s
 
     def label(key):
         return "%s_%s[%s]" % (key[0], key[1], N.tensor_key_label(key[2]))
@@ -250,10 +267,10 @@ def _check_global(N: SemifreeModule):
         return witness, None
     cert = {
         "kind": "gamma-system",
-        "unknowns": len(matrix.src_labels),
-        "equations": len(matrix.dst_labels),
+        "unknowns": matrix.shape[1],
+        "equations": matrix.shape[0],
         "rank": result.rank,
-        "null_functional": _render_functional(matrix.dst_labels,
+        "null_functional": _render_functional(matrix,
                                               result.certificate.null_row),
         "pairing": str(result.certificate.pairing),
     }
@@ -304,13 +321,12 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
         by_row[item["row"]] = _parse_scalar(field, item["value"])
     u = [(i, ui) for i, lab in enumerate(matrix.dst_labels)
          if (ui := by_row[lab])]
-    # u . A, accumulated over the nonzero entries of u only
-    product = [field.zero] * len(matrix.src_labels)
+    # u . A, accumulated over the nonzero entries of u and of A only
+    product = {}
     for i, ui in u:
-        for jj, a in enumerate(matrix.rows[i]):
-            if a:
-                product[jj] += ui * a
-    if any(product):
+        for jj, a in matrix.entries[i].items():
+            product[jj] = product.get(jj, field.zero) + ui * a
+    if any(product.values()):
         return False
     pairing = sum((ui * rhs[i] for i, ui in u), field.zero)
     return bool(pairing) and str(pairing) == cert["pairing"]

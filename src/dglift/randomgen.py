@@ -61,7 +61,7 @@ def _random_kernel_element(rng, block, field):
     basis = linalg.kernel_basis(block)
     if not basis:
         return None
-    total = [field.zero] * len(block.src_labels)
+    total = [field.zero] * block.shape[1]
     hit = False
     for vec in basis:
         c = random_scalar(rng, field)
@@ -84,7 +84,7 @@ def random_algebra(rng, ring, max_vars=3, max_degree=3):
         rng.shuffle(weights)
         for w in weights:
             block = partial.diff_block(degree - 1, w)
-            if not block.src_labels:
+            if not block.shape[1]:
                 continue
             coords = _random_kernel_element(rng, block, ring.field)
             if coords is None:

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 
 from dglift import parse_problem
@@ -248,6 +249,19 @@ def test_long_integer_literal_is_a_parse_error(tmp_path, capsys):
     code, out, err = run_main(capsys, "validate", str(path))
     assert code == 2 and out == ""
     assert err == "dglift: line 2: integer literal of 5000 digits is too long\n"
+
+
+def test_unprintable_rational_coefficient_is_a_parse_error(tmp_path, capsys):
+    # Y^2000 is 2000! Y^(2000), a coefficient of 5736 digits
+    path = tmp_path / "huge.dgp"
+    path.write_text("ring R = QQ\nalgebra B = R<Y:2 | dY = 0>\n"
+                    "module N over B = <e:0, f:4001 | df = e*Y^2000>\n")
+    limit = sys.get_int_max_str_digits()
+    for command in ("validate", "check-lift"):
+        code, out, err = run_main(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == ("dglift: line 3: coefficient exceeds the %d-digit limit "
+                       "for integers\n" % limit)
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):

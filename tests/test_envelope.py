@@ -1,13 +1,17 @@
 import random
+from pathlib import Path
 
-from dglift import (EnvelopeElement, delta, diagonal_basis, op_inclusion, pi,
-                    rho, sigma)
+from dglift import (DGLiftError, EnvelopeElement, delta, diagonal_basis,
+                    op_inclusion, parse_problem, pi, rho, sigma)
+from dglift.coefficients import ring_mono_key
 from dglift.envelope import (diagonal_block_keys, diagonal_diff_block,
-                             diagonal_label)
+                             diagonal_label, envelope_basis)
 from dglift.randomgen import (random_algebra, random_algebra_element,
                               random_diagonal_element, random_envelope_element,
                               standard_rings)
 from dglift.selfcheck import suite_derivation, suite_splitting
+
+from conftest import GOLDEN
 
 
 def pair(B, m1, m2, coeff=None):
@@ -198,3 +202,28 @@ def test_diagonal_block_keys_are_cached_per_algebra(example_algebra):
             assert keys is diagonal_block_keys(B, n, w)
             assert keys == [k for k in envelope_basis(B, n, w)
                             if k[0] != B.unit_mono]
+
+
+def test_envelope_basis_is_built_in_sorted_order():
+    """The basis is returned as built, so the loops must already produce
+    the (mono_key(m1), mono_key(m2), ring_mono_key(rm)) order."""
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+    paths = ([GOLDEN / name for name in ("liftable.dgp", "nonliftable.dgp",
+                                         "combined.dgp")]
+             + [corpus / "koszul-fp" / "k00.dgp", corpus / "koszul-qq" / "k07.dgp"]
+             + [corpus / "frontend" / ("f%03d.dgp" % k) for k in range(0, 400, 25)])
+    algebras = []
+    for path in paths:
+        try:
+            algebras.append(parse_problem(path.read_text(encoding="utf-8")).algebra)
+        except DGLiftError:  # the parser's known rejections
+            continue
+    blocks = 0
+    for B in algebras:
+        for n in range(7):
+            for w in range(9):
+                basis = envelope_basis(B, n, w)
+                assert basis == sorted(basis, key=lambda t: (
+                    B.mono_key(t[0]), B.mono_key(t[1]), ring_mono_key(t[2])))
+                blocks += bool(basis)
+    assert len(algebras) >= 15 and blocks > 500

@@ -1,15 +1,24 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dglift import (BlockMatrix, CompositionNonzero, PrimeField, QQ, delta,
-                    homology_dim, kernel_basis, linear_solve, rank)
+from dglift import (BlockMatrix, CompositionNonzero, DGLiftError, PrimeField, QQ,
+                    delta, homology_dim, kernel_basis, linear_solve, parse_problem,
+                    rank)
 from dglift import linalg
-from dglift.coefficients import ModP
-from dglift.envelope import (diagonal_block_keys, diagonal_diff_block,
-                             diagonal_homology_dim, diagonal_vec)
+from dglift.coefficients import ModP, RingElement, multiplication_block
+from dglift.envelope import (DiagonalElement, EnvelopeElement, diagonal_block_keys,
+                             diagonal_diff_block, diagonal_homology_dim,
+                             diagonal_label, diagonal_vec, sigma)
+from dglift.free_dga import AlgebraElement
 from dglift.linalg import apply_matrix
+from dglift.obstruction import _assemble_global_system
+from dglift.randomgen import random_diagonal_element
+from dglift.semifree import ModuleElement, TensorJElement
+
+from conftest import GOLDEN
 
 
 def matrix(rows, field=QQ):
@@ -271,7 +280,8 @@ def test_sparse_solver_matches_dense_oracle(field):
                         ["r%d" % i for i in range(nrows)], field)
         ref_reduced, ref_pivots, ref_transform = dense_eliminate(
             rows, ncols, field, True)
-        sparse = linalg._sparse_rows(rows, field.char)
+        assert m.rows == rows
+        sparse = linalg._raw_rows(m.entries, field.char)
         pivots, log = linalg._eliminate(sparse, ncols, field, True)
         assert pivots == ref_pivots
         assert [linalg._dense(row, ncols, field) for row in sparse] == ref_reduced
@@ -301,3 +311,142 @@ def test_sparse_solver_matches_dense_oracle(field):
                 scalars += result.certificate.null_row + [result.certificate.pairing]
             assert all(type(x) is scalar for x in scalars)
         assert linear_solve(m, hit).consistent
+
+
+# -- oracle: the dense block builder and the element-level images it replaced
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+# the golden files and a fixed sample of the benchmark corpora
+ORACLE_FILES = ([GOLDEN / name for name in ("liftable.dgp", "nonliftable.dgp",
+                                            "combined.dgp")]
+                + [CORPUS / "koszul-fp" / ("k%02d.dgp" % k) for k in range(0, 40, 5)]
+                + [CORPUS / "koszul-qq" / ("k%02d.dgp" % k) for k in range(3, 40, 12)]
+                + [CORPUS / "frontend" / ("f%03d.dgp" % k) for k in range(0, 400, 40)])
+
+
+def oracle_problems():
+    for path in ORACLE_FILES:
+        try:
+            yield path.name, parse_problem(path.read_text(encoding="utf-8"))
+        except DGLiftError:  # the parser's known rejections
+            continue
+
+
+def dense_block_matrix(src_keys, dst_keys, image, label, field):
+    """The former ``linalg.block_matrix``: a zero matrix filled column by
+    column and every label rendered.  Returns (rows, src labels, dst labels)."""
+    pos = {k: i for i, k in enumerate(dst_keys)}
+    rows = [[field.zero] * len(src_keys) for _ in dst_keys]
+    for j, key in enumerate(src_keys):
+        for k, s in image(key):
+            rows[pos[k]][j] = s
+    return rows, [label(k) for k in src_keys], [label(k) for k in dst_keys]
+
+
+def assert_block_equals(block, reference):
+    rows, src_labels, dst_labels = reference
+    assert block.shape == (len(dst_labels), len(src_labels))
+    assert block.rows == rows
+    assert block.src_labels == src_labels
+    assert block.dst_labels == dst_labels
+    assert [block.dst_label(i) for i in range(len(dst_labels))] == dst_labels
+
+
+def reference_gamma_system(N):
+    """The former ``_assemble_global_system``: a TensorJElement per unknown,
+    differentiated, and multiplied by each later structure entry."""
+    field = N.algebra.field
+    unknowns, equations = [], []
+    for lab, n, w in zip(N.labels, N.degrees, N.weights):
+        unknowns.extend(("γ", lab, k) for k in N.tensor_keys(n, w))
+        equations.extend(("eq", lab, k) for k in N.tensor_keys(n - 1, w))
+    later = {lab: [] for lab in N.labels}
+    for lam, column in zip(N.labels, N.columns):
+        for i, entry in column:
+            later[N.labels[i]].append((lam, entry))
+
+    def image(key):
+        _, mu, tkey = key
+        t = TensorJElement.from_terms(N, [(tkey, field.one)])
+        for k, s in t.diff().terms():
+            yield ("eq", mu, k), s
+        for lam, entry in later[mu]:
+            for k, s in (t * entry).terms():
+                yield ("eq", lam, k), -s
+
+    def label(key):
+        return "%s_%s[%s]" % (key[0], key[1], N.tensor_key_label(key[2]))
+
+    return dense_block_matrix(unknowns, equations, image, label, field)
+
+
+def test_block_builders_match_the_dense_reference():
+    blocks = 0
+    for name, problem in oracle_problems():
+        B = problem.algebra
+        R, one = B.ring, B.field.one
+        for n in range(1, 5):
+            for w in range(5):
+                assert_block_equals(B.diff_block(n, w), dense_block_matrix(
+                    B.bidegree_basis(n, w), B.bidegree_basis(n - 1, w),
+                    lambda key: AlgebraElement.from_terms(B, [(key, one)]).diff().terms(),
+                    lambda key: B.render_mono(key[0]) + "." + R.render_mono(key[1]),
+                    B.field))
+                assert_block_equals(diagonal_diff_block(B, n, w), dense_block_matrix(
+                    diagonal_block_keys(B, n, w), diagonal_block_keys(B, n - 1, w),
+                    lambda key: sigma(EnvelopeElement.from_terms(
+                        B, [(key, one)]).diff()).terms(),
+                    lambda key: diagonal_label(B, key), B.field))
+                blocks += 2
+        factors = [R.gen(g) for g in R.gens] + [R.one()]
+        for a in factors:
+            for w_src in range(4):
+                assert_block_equals(multiplication_block(R, a, w_src), dense_block_matrix(
+                    [(m,) for m in R.graded_basis(w_src)],
+                    [(m,) for m in R.graded_basis(w_src + a.weight())],
+                    lambda key: (RingElement.from_terms(R, [(key, one)]) * a).terms(),
+                    lambda key: R.render_mono(key[0]), B.field))
+                blocks += 1
+        for N in problem.modules.values():
+            for n, w in {(n + dn, w) for n, w in zip(N.degrees, N.weights)
+                         for dn in (0, 1)}:
+                assert_block_equals(N.diff_block(n, w), dense_block_matrix(
+                    N.basis_of_bidegree(n, w), N.basis_of_bidegree(n - 1, w),
+                    lambda key: ModuleElement.from_terms(N, [(key, one)]).diff().terms(),
+                    lambda key: "%s.%s.%s" % (key[0], B.render_mono(key[1]),
+                                              R.render_mono(key[2])),
+                    B.field))
+                assert_block_equals(N.tensor_diff_block(n, w), dense_block_matrix(
+                    N.tensor_keys(n, w), N.tensor_keys(n - 1, w),
+                    lambda key: TensorJElement.from_terms(N, [(key, one)]).diff().terms(),
+                    N.tensor_key_label, B.field))
+                blocks += 2
+            matrix, _, _ = _assemble_global_system(N)
+            assert_block_equals(matrix, reference_gamma_system(N))
+            blocks += 1
+    assert blocks > 1000
+
+
+def test_diagonal_arithmetic_matches_the_envelope():
+    """d, b . j and j . b on J against the same maps through B^e: J sits in
+    B^e, which the maps preserve, and sigma reads J's coordinates back."""
+    rng = random.Random(55)
+    checked = 0
+    for name, problem in oracle_problems():
+        B = problem.algebra
+        for N in problem.modules.values():
+            entries = [b for column in N.columns for _, b in column]
+            for n, w in {(n - dn, w) for n, w in zip(N.degrees, N.weights)
+                         for dn in (0, 1)}:
+                elements = [DiagonalElement.from_terms(B, [(key, B.field.one)])
+                            for key in diagonal_block_keys(B, n, w)]
+                elements.append(random_diagonal_element(rng, B, n, w))
+                for j in elements:
+                    u = j.to_envelope()
+                    assert j.diff() == sigma(EnvelopeElement(B, j.coeffs).diff())
+                    for b in entries:
+                        assert b * j == sigma(b * u)
+                        assert j * b == sigma(u * b)
+                    checked += 1
+    assert checked > 500
