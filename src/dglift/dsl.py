@@ -9,9 +9,15 @@ A problem file declares one ring, one algebra, and any number of modules:
 
 Expressions are sums of signed products of atoms; an atom is an integer
 scalar, a rational scalar p/q, a declared name, a plain power `x^2`, or a
-divided power `Y^(n)` (even algebra variables only).  Plain powers of an
-even variable reduce to divided powers with the binomial scalar, odd
-squares vanish.  Whitespace is insignificant and `#` starts a comment.
+divided power `Y^(n)` (even algebra variables only).  Each term is folded,
+left to right, straight to one scalar times one monomial, with the Koszul
+signs and binomials of the algebra and the monomial relations of the ring;
+no element is built until the terms are summed.  A plain power of an even
+variable is a divided power times a factorial, Y^n = n! Y^(n): over FF(p)
+it is 0 once n >= p, and over QQ an n! with more digits than the
+interpreter's integer-string limit is a parse error, even in a term that
+would cancel.  Odd squares vanish.  Whitespace is insignificant and `#`
+starts a comment.
 
 Internal degrees are inferred: a variable takes the internal degree of its
 differential image (its homological degree when dX = 0), a module basis
@@ -27,63 +33,65 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial, lgamma, log
 
-from .coefficients import BaseRing, PrimeField, QQ
+from .coefficients import BaseRing, PrimeField, QQ, RingElement
 from .errors import ConstructionError, ParseError, UndeclaredName
 from .free_dga import AlgebraElement, FreeDGAlgebra, Variable
 from .semifree import ModuleElement, SemifreeModule
 
+# one alternative per token kind; the last catches any other character
 _TOKEN = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<int>\d+)"
-    r"|(?P<sym><|>|\||,|:|/|\(|\)|\*|\+|-|\^|=|\[|\]))")
+    r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)"
+    r"|(\d+)"
+    r"|(<|>|\||,|:|/|\(|\)|\*|\+|-|\^|=|\[|\])"
+    r"|(\S))")
 
 
 def _tokenize(text, line_no):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError("unexpected character %r" % text[pos:].strip()[0],
-                                 line_no)
-            break
-        pos = m.end()
-        if m.group("name"):
-            tokens.append(("name", m.group("name")))
-        elif m.group("int"):
-            digits = m.group("int")
+    for name, digits, sym, bad in _TOKEN.findall(text):
+        if name:
+            tokens.append(("name", name))
+        elif sym:
+            tokens.append(("sym", sym))
+        elif digits:
             try:
                 tokens.append(("int", int(digits)))
             except ValueError:  # beyond the interpreter's digit limit
                 raise ParseError("integer literal of %d digits is too long"
                                  % len(digits), line_no)
         else:
-            tokens.append(("sym", m.group("sym")))
+            raise ParseError("unexpected character %r" % bad, line_no)
     return tokens
 
 
+_END = (None, None)
+
+
 class _Tokens:
+    """A cursor over one line's tokens, which end in the sentinel _END."""
+
     def __init__(self, tokens, line_no):
-        self.tokens = tokens
+        self.tokens = tokens + [_END]
         self.line = line_no
         self.pos = 0
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+        return self.tokens[self.pos]
 
     def next(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def at_sym(self, *symbols):
-        kind, value = self.peek()
+        kind, value = self.tokens[self.pos]
         return kind == "sym" and value in symbols
 
     def eat_sym(self, symbol):
-        if self.at_sym(symbol):
+        kind, value = self.tokens[self.pos]
+        if kind == "sym" and value == symbol:
             self.pos += 1
             return True
         return False
@@ -100,17 +108,14 @@ class _Tokens:
         return value
 
     def expect_int(self):
-        sign = 1
-        if self.at_sym("-"):
-            self.next()
-            sign = -1
+        sign = -1 if self.eat_sym("-") else 1
         kind, value = self.next()
         if kind != "int":
             raise ParseError("expected an integer, found %r" % (value,), self.line)
         return sign * value
 
     def done(self):
-        return self.pos >= len(self.tokens)
+        return self.tokens[self.pos] is _END
 
     def expect_done(self):
         if not self.done():
@@ -125,53 +130,67 @@ class ProblemDescription:
     algebra: FreeDGAlgebra
     modules: dict = field(default_factory=dict)  # name -> SemifreeModule
 
-    def __eq__(self, other):
-        return (isinstance(other, ProblemDescription)
-                and self.ring_name == other.ring_name
-                and self.ring == other.ring
-                and self.algebra_name == other.algebra_name
-                and self.algebra == other.algebra
-                and self.modules == other.modules)
-
 
 # -- expression evaluation --------------------------------------------------------
 
 
-def _repeated_square(x, n):
-    """x^n for n >= 1 in O(log n) products; by associativity this is the
-    same element as the n-fold product x * x * ... * x."""
-    acc = None
-    while True:
-        if n & 1:
-            acc = x if acc is None else acc * x
-        n >>= 1
-        if not n:
-            return acc
-        x = x * x
+_TOO_LONG = "coefficient exceeds the %d-digit limit for integers"
 
 
-def _power(base_kind, base_value, exponent, divided, ts):
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _env(ring, variables=()):
+    """Names in scope: ring generators and algebra variables, each with the
+    exponent tuple of the generator."""
+    env = {}
+    for i, g in enumerate(ring.gens):
+        env[g] = ("ring", tuple(int(j == i) for j in range(len(ring.gens))))
+    for i, v in enumerate(variables):
+        env[v.name] = ("var", (v, tuple(int(j == i) for j in range(len(variables)))))
+    return env
+
+
+def _factorial(n, field, line):
+    """n! in the field, the scalar of Y^n = n! Y^(n), bounded before it is
+    built: 0 over F_p once n >= p; over QQ a ParseError when n! has more
+    digits than the interpreter's integer-string limit."""
+    if field.char:
+        return field.of(factorial(n)) if n < field.char else field.zero
+    limit = _digit_limit()
+    if limit:
+        digits = lgamma(min(n, 10 ** 300) + 1) / log(10)  # log10(n!), clamped
+        if digits > limit + 1 or (digits > limit - 1
+                                  and factorial(n) >= 10 ** limit):
+            raise ParseError(_TOO_LONG % limit, line)
+    return field.of(factorial(n))
+
+
+def _power(base_kind, base, n, divided, ts, field):
+    """A power factor: ("alg", (scalar, monomial)) or ("ring", monomial)."""
     if base_kind == "var":
-        B, name = base_value
-        i = B._index[name]
+        var, mono = base
+        mono = tuple(n * e for e in mono)
         if divided:
-            if B.vars[i].is_odd:
-                raise ParseError("divided power of the odd variable %s" % name, ts.line)
-            return ("alg", B.divided_power(name, exponent))
-        if not exponent:
-            return ("alg", B.one())
-        return ("alg", _repeated_square(B.gen(name), exponent))
+            if var.is_odd:
+                raise ParseError("divided power of the odd variable %s" % var.name,
+                                 ts.line)
+            return "alg", (field.one, mono)
+        if var.is_odd:  # X^0 = 1, X^1 = X, X^n = 0 beyond
+            return "alg", (field.zero if n > 1 else field.one, mono)
+        return "alg", (_factorial(n, field, ts.line), mono)
     if base_kind == "ring":
         if divided:
             raise ParseError("divided powers only apply to even algebra variables",
                              ts.line)
-        if not exponent:
+        if not n:
             raise ParseError("zero exponent is not part of the grammar", ts.line)
-        return ("ring", _repeated_square(base_value, exponent))
+        return "ring", tuple(n * e for e in base)
     raise ParseError("cannot raise %r to a power" % (base_kind,), ts.line)
 
 
-def _parse_factor(ts, env):
+def _parse_factor(ts, env, field):
     kind, value = ts.peek()
     if kind == "int":
         ts.next()
@@ -186,22 +205,19 @@ def _parse_factor(ts, env):
     ts.next()
     if value not in env:
         raise UndeclaredName("undeclared name %r" % value, ts.line)
-    base_kind, base_value = env[value]
+    base_kind, base = env[value]
     if ts.eat_sym("^"):
-        if ts.eat_sym("("):
-            n = ts.expect_int()
-            ts.expect_sym(")")
-            if n < 0:
-                raise ParseError("negative divided power", ts.line)
-            return _power(base_kind, base_value, n, True, ts)
+        divided = ts.eat_sym("(")
         n = ts.expect_int()
+        if divided:
+            ts.expect_sym(")")
         if n < 0:
-            raise ParseError("negative exponent", ts.line)
-        return _power(base_kind, base_value, n, False, ts)
+            raise ParseError("negative divided power" if divided
+                             else "negative exponent", ts.line)
+        return _power(base_kind, base, n, divided, ts, field)
     if base_kind == "var":
-        B, name = base_value
-        return ("alg", B.gen(name))
-    return (base_kind, base_value)
+        return "alg", (field.one, base[1])
+    return base_kind, base
 
 
 def _scalar(literal, field, line):
@@ -217,13 +233,19 @@ def _scalar(literal, field, line):
     return field.of(literal.numerator) / field.of(literal.denominator)
 
 
-def _parse_term(ts, env, algebra):
+def _parse_term(ts, env, ring, algebra):
+    """One signed product as (label, scalar, algebra monomial, ring monomial),
+    folded left to right like the product of elements: the algebra's
+    mono_mul gives Koszul signs and binomials, the ring's the relations.
+    The scalar is zero when the product vanishes."""
     negate = ts.eat_sym("-")
     label = None
-    value = algebra.one()
     seen_monomial = False
+    field = ring.field
+    scalar, rm = field.one, ring.unit_mono
+    am = algebra.unit_mono if algebra is not None else ()
     while True:
-        kind, payload = _parse_factor(ts, env)
+        kind, payload = _parse_factor(ts, env, field)
         if kind == "label":
             # scalars may precede the label, monomial factors may not
             if label is not None or seen_monomial:
@@ -231,73 +253,82 @@ def _parse_term(ts, env, algebra):
                                  "scalars)" % payload, ts.line)
             label = payload
         elif kind == "scalar":
-            value = value * _scalar(payload, algebra.field, ts.line)
-        else:
-            value = value * payload
+            scalar = scalar * _scalar(payload, field, ts.line)
+        elif kind == "ring":
             seen_monomial = True
+            if scalar:
+                rm = ring.mono_mul(rm, payload)
+                if rm is None:
+                    scalar = field.zero
+        else:
+            seen_monomial = True
+            scalar = scalar * payload[0]
+            if scalar:
+                hit = algebra.mono_mul(am, payload[1])
+                if hit is None:
+                    scalar = field.zero
+                else:
+                    scalar, am = scalar * hit[0], hit[1]
         if not ts.eat_sym("*"):
             break
-    if negate:
-        value = -value
-    return label, value
+    return label, -scalar if negate else scalar, am, rm
 
 
-def _parse_expression(ts, env, algebra):
-    """Sum of signed terms; returns {label or None: AlgebraElement}."""
+def _parse_sum(ts, env, ring, algebra):
+    """Sum of signed terms as {label or None: {algebra monomial: {ring
+    monomial: scalar}}}, merged like element addition: a key whose sum
+    vanishes is dropped, and comes back last if a later term adds it."""
     out = {}
     while True:
-        label, value = _parse_term(ts, env, algebra)
-        if value:
-            prev = out.get(label)
-            total = value if prev is None else prev + value
-            if total:
-                out[label] = total
+        label, s, am, rm = _parse_term(ts, env, ring, algebra)
+        if s:
+            by_am = out.setdefault(label, {})
+            by_rm = by_am.setdefault(am, {})
+            if rm in by_rm:
+                s = by_rm[rm] + s
+            if s:
+                by_rm[rm] = s
             else:
-                out.pop(label, None)
+                del by_rm[rm]
+                if not by_rm:
+                    del by_am[am]
+                    if not by_am:
+                        del out[label]
         if ts.eat_sym("+"):
             continue
         if ts.at_sym("-"):
             continue  # the leading minus of the next term
         break
-    for value in out.values():
-        _check_printable(value, ts.line)
+    limit = _digit_limit()
+    if limit and not ring.field.char:
+        # str cannot print a rational past the integer-string limit
+        for by_am in out.values():
+            for by_rm in by_am.values():
+                for s in by_rm.values():
+                    for n in (s.numerator, s.denominator):
+                        # 10**limit needs more than 3 * limit bits
+                        if n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+                            raise ParseError(_TOO_LONG % limit, ts.line)
     return out
 
 
-def _check_printable(value, line):
-    """Reject a rational coefficient that ``str`` cannot print: one with
-    more decimal digits than the interpreter's integer-string limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return
-    for _, s in value.terms():
-        if isinstance(s, Fraction):
-            for n in (s.numerator, s.denominator):
-                # 10**limit needs more than 3 * limit bits
-                if n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
-                    raise ParseError("coefficient exceeds the %d-digit limit "
-                                     "for integers" % limit, line)
+def _parse_expression(ts, env, algebra):
+    """Sum of signed terms; returns {label or None: AlgebraElement}."""
+    ring = algebra.ring
+    return {label: AlgebraElement._raw(algebra, {
+                am: RingElement._raw(ring, by_rm) for am, by_rm in by_am.items()})
+            for label, by_am in _parse_sum(ts, env, ring, algebra).items()}
 
 
 def parse_algebra_element(problem, text):
     """Evaluate an expression (no module labels) in the problem's algebra."""
     B = problem.algebra
-    env = {}
-    for g in B.ring.gens:
-        env[g] = ("ring", B.ring.gen(g))
-    for v in B.vars:
-        env[v.name] = ("var", (B, v.name))
     ts = _Tokens(_tokenize(text, 0), 0)
     if ts.done():
         raise ParseError("empty expression", 0)
-    parts = _parse_expression(ts, env, B)
+    parts = _parse_expression(ts, _env(B.ring, B.vars), B)
     ts.expect_done()
-    total = B.zero()
-    for label, value in parts.items():
-        if label is not None:
-            raise ParseError("module label %r in an algebra expression" % label, 0)
-        total = total + value
-    return total
+    return parts.get(None, B.zero())
 
 
 # -- declarations ------------------------------------------------------------------
@@ -330,15 +361,11 @@ def _parse_ring_tokens(ts):
     relations = []
     if ts.eat_sym("/"):
         ts.expect_sym("(")
-        env = {}
         probe = BaseRing(ground, tuple(gens), tuple(degrees), [])
-        for g in gens:
-            env[g] = ("ring", probe.gen(g))
-        scratch = FreeDGAlgebra(probe, [])
+        env = _env(probe)
         while True:
-            parts = _parse_expression(ts, env, scratch)
-            mono = _as_relation_monomial(parts, probe, ts)
-            relations.append(mono)
+            relations.append(_relation_monomial(_parse_sum(ts, env, probe, None),
+                                                ground, ts))
             if ts.eat_sym(")"):
                 break
             ts.expect_sym(",")
@@ -348,18 +375,13 @@ def _parse_ring_tokens(ts):
         raise ParseError(str(exc), ts.line)
 
 
-def _as_relation_monomial(parts, ring, ts):
-    if set(parts) != {None} or len(parts) != 1:
+def _relation_monomial(parts, field, ts):
+    if list(parts) != [None]:
         raise ParseError("a relation must be a single monomial", ts.line)
-    el = parts[None]
-    terms = [(m, r) for m, r in el.coeffs.items()]
-    if len(terms) != 1 or terms[0][0] != el.algebra.unit_mono:
-        raise ParseError("a relation must be a single monomial", ts.line)
-    coeff = terms[0][1]
-    monos = list(coeff.coeffs.items())
-    if len(monos) != 1 or monos[0][1] != ring.field.one:
+    (by_rm,) = parts[None].values()  # the one algebra monomial ()
+    if list(by_rm.values()) != [field.one]:
         raise ParseError("a relation must be a monomial with coefficient 1", ts.line)
-    return monos[0][0]
+    return next(iter(by_rm))
 
 
 def parse_ring(text):
@@ -370,6 +392,18 @@ def parse_ring(text):
     return ring
 
 
+def _parse_specs(ts):
+    """`name:degree[:weight], ...` as (name, degree, weight or None) triples."""
+    specs = []
+    while True:
+        name = ts.expect_name()
+        ts.expect_sym(":")
+        degree = ts.expect_int()
+        specs.append((name, degree, ts.expect_int() if ts.eat_sym(":") else None))
+        if not ts.eat_sym(","):
+            return specs
+
+
 def _parse_algebra_decl(ts, rings):
     name = ts.expect_name()
     ts.expect_sym("=")
@@ -378,18 +412,7 @@ def _parse_algebra_decl(ts, rings):
         raise UndeclaredName("undeclared ring %r" % ring_name, ts.line)
     ring = rings[ring_name]
     ts.expect_sym("<")
-    specs = []  # (name, degree, explicit weight or None)
-    if not ts.at_sym("|", ">"):
-        while True:
-            vname = ts.expect_name()
-            ts.expect_sym(":")
-            degree = ts.expect_int()
-            weight = None
-            if ts.eat_sym(":"):
-                weight = ts.expect_int()
-            specs.append((vname, degree, weight))
-            if not ts.eat_sym(","):
-                break
+    specs = [] if ts.at_sym("|", ">") else _parse_specs(ts)
     diff_exprs = {}
     if ts.eat_sym("|"):
         declared = {s[0] for s in specs}
@@ -398,17 +421,9 @@ def _parse_algebra_decl(ts, rings):
             if not dname.startswith("d") or dname[1:] not in declared:
                 raise ParseError("expected d<variable>, found %r" % dname, ts.line)
             ts.expect_sym("=")
-            start = ts.pos
-            depth = 0
-            while not ts.done():
-                kind, value = ts.peek()
-                if kind == "sym" and value == "(":
-                    depth += 1
-                if kind == "sym" and value == ")":
-                    depth -= 1
-                if kind == "sym" and value in (",", ">") and depth == 0:
-                    break
-                ts.next()
+            start, depth = ts.pos, 0
+            while not ts.done() and (depth or not ts.at_sym(",", ">")):
+                depth += {"(": 1, ")": -1}.get(ts.next()[1], 0)
             diff_exprs[dname[1:]] = (start, ts.pos)
             if not ts.eat_sym(","):
                 break
@@ -425,9 +440,7 @@ def _parse_algebra_decl(ts, rings):
                    for v, d, w in specs])
     except ConstructionError as exc:
         raise ParseError(str(exc), ts.line)
-    env = {g: ("ring", ring.gen(g)) for g in ring.gens}
-    for v in provisional.vars:
-        env[v.name] = ("var", (provisional, v.name))
+    env = _env(ring, provisional.vars)
     diff_data = {}
     for vname, (start, end) in diff_exprs.items():
         sub = _Tokens(ts.tokens[start:end], ts.line)
@@ -435,13 +448,8 @@ def _parse_algebra_decl(ts, rings):
             raise ParseError("empty differential for %s" % vname, ts.line)
         parts = _parse_expression(sub, env, provisional)
         sub.expect_done()
-        el = provisional.zero()
-        for label, value in parts.items():
-            if label is not None:
-                raise ParseError("module label in d%s" % vname, ts.line)
-            el = el + value
-        if el:
-            diff_data[vname] = el.coeffs
+        if parts:  # only ring generators and variables are in scope
+            diff_data[vname] = parts[None].coeffs
     # pass 2: infer internal degrees and build the validated algebra
     variables = []
     for vname, degree, weight in specs:
@@ -481,23 +489,11 @@ def _parse_module_decl(ts, algebras):
     B = algebras[algebra_name]
     ts.expect_sym("=")
     ts.expect_sym("<")
-    specs = []  # (label, degree, explicit weight or None)
-    while True:
-        label = ts.expect_name()
-        ts.expect_sym(":")
-        degree = ts.expect_int()
-        weight = None
-        if ts.eat_sym(":"):
-            weight = ts.expect_int()
-        specs.append((label, degree, weight))
-        if not ts.eat_sym(","):
-            break
+    specs = _parse_specs(ts)
     labels = [s[0] for s in specs]
     diffs = {}
     if ts.eat_sym("|"):
-        env = {g: ("ring", B.ring.gen(g)) for g in B.ring.gens}
-        for v in B.vars:
-            env[v.name] = ("var", (B, v.name))
+        env = _env(B.ring, B.vars)
         for lab in labels:
             env[lab] = ("label", lab)
         while True:
@@ -506,16 +502,10 @@ def _parse_module_decl(ts, algebras):
                 raise ParseError("expected d<basis label>, found %r" % dname, ts.line)
             ts.expect_sym("=")
             parts = _parse_expression(ts, env, B)
-            entries = {}
-            for target, value in parts.items():
-                if target is None:
-                    if value:
-                        raise ParseError(
-                            "d%s has a component without a basis label" % dname[1:],
-                            ts.line)
-                    continue
-                entries[target] = value
-            diffs[dname[1:]] = entries
+            if None in parts:
+                raise ParseError(
+                    "d%s has a component without a basis label" % dname[1:], ts.line)
+            diffs[dname[1:]] = parts
             if not ts.eat_sym(","):
                 break
     ts.expect_sym(">")

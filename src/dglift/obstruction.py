@@ -301,7 +301,11 @@ def check_lift(N: SemifreeModule, method="auto") -> ObstructionReport:
 
 
 def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
-    """Re-run the certified inconsistency: u . A = 0 and u . rhs != 0."""
+    """Re-run the certified inconsistency: u . A = 0 and u . rhs != 0.
+
+    False, never an exception, for a functional that names a row outside
+    the system or names a row twice, or states a malformed value or one
+    with a zero denominator in the field."""
     cert = report.certificate
     if cert is None:
         return False
@@ -316,11 +320,15 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
         matrix, rhs, _ = _assemble_global_system(N)
     else:
         return False
-    by_row = {lab: field.zero for lab in matrix.dst_labels}
+    index = {lab: i for i, lab in enumerate(matrix.dst_labels)}
+    stated = {}
     for item in cert["null_functional"]:
-        by_row[item["row"]] = _parse_scalar(field, item["value"])
-    u = [(i, ui) for i, lab in enumerate(matrix.dst_labels)
-         if (ui := by_row[lab])]
+        i = index.get(item["row"])
+        ui = _parse_scalar(field, item["value"])
+        if i is None or i in stated or ui is None:
+            return False
+        stated[i] = ui
+    u = [(i, ui) for i, ui in stated.items() if ui]
     # u . A, accumulated over the nonzero entries of u and of A only
     product = {}
     for i, ui in u:
@@ -333,7 +341,13 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
 
 
 def _parse_scalar(field, text):
-    if "/" in text:
-        num, den = text.split("/")
-        return field.of(int(num)) / field.of(int(den))
-    return field.of(int(text))
+    """A stated value "n" or "n/d" as a field scalar; None when it is not
+    of that form or d is zero in the field."""
+    if not isinstance(text, str):
+        return None
+    num, slash, den = text.partition("/")
+    try:
+        value = field.of(int(num))
+        return value / field.of(int(den)) if slash else value
+    except (ValueError, ZeroDivisionError):
+        return None

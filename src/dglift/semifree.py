@@ -10,7 +10,10 @@ of d^2 = 0,
 
     sum_{nu < mu < lam} b[nu][mu] b[mu][lam] + (-1)^{|e_nu|} d(b[nu][lam]) = 0,
 
-reporting the first failing (nu, lam) pair.
+reporting the first failing (nu, lam) pair.  It is read off the structure
+columns: for each entry b[mu][lam] of column lam, row nu gets b[nu][mu]
+b[mu][lam] for each entry of column mu, and row mu gets (-1)^{|e_mu|}
+d(b[mu][lam]).
 
 Elements of N, of N (x) J, and (transiently) of N (x) B^e are maps from
 basis labels to coefficients in B, J, and B^e respectively.  The tensor
@@ -71,14 +74,19 @@ class SemifreeModule:
         for (i, j), b in entries.items():
             self.columns[j].append((i, b))
         self._tensor_keys_cache = {}
-        # componentwise d^2 = 0: the e_nu component of d(d(e_lam)) must vanish
-        for lam in self.labels:
-            square = ModuleElement(self, {lam: self.algebra.one()}).diff().diff()
-            for nu in self.labels:
-                if nu in square.coeffs:
-                    raise DifferentialSquareNonzero(
-                        "d^2 has nonzero component %s at (%s, %s)"
-                        % (square.coeffs[nu], nu, lam), pair=(nu, lam))
+        # componentwise d^2 = 0: square[nu] is the e_nu component of d(d(e_lam))
+        for lam, column in zip(self.labels, self.columns):
+            square = {}
+            for mu, b in column:
+                for nu, a in self.columns[mu]:
+                    merge(square, nu, a * b)
+                db = b.diff()
+                merge(square, mu, -db if self.degrees[mu] % 2 else db)
+            if square:
+                nu = min(square)
+                raise DifferentialSquareNonzero(
+                    "d^2 has nonzero component %s at (%s, %s)"
+                    % (square[nu], self.labels[nu], lam), pair=(self.labels[nu], lam))
 
     @property
     def rank(self):

@@ -274,3 +274,20 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     code, out, err = run_main(capsys, "validate", str(GOLDEN / "liftable.dgp"))
     assert code == 3 and out == ""
     assert err == "dglift: internal error: RuntimeError: boom second line\n"
+
+
+def test_module_entry_point(capsys):
+    import os
+    import subprocess
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    argv = ["check-lift", "golden/nonliftable.dgp", "--witness"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "dglift"] + argv, cwd=root,
+                          env=env, capture_output=True, text=True, timeout=60)
+    code, out, err = run_main(capsys, "check-lift",
+                              str(root / "golden" / "nonliftable.dgp"), "--witness")
+    assert (done.returncode, normalise(done.stdout), done.stderr) \
+        == (code, normalise(out), err)
+    assert code == 0 and '"NOT_LIFTABLE"' in out

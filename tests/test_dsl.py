@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -213,3 +214,124 @@ def test_powers_equal_repeated_products(ring_text):
                 assert parse_algebra_element(problem, "%s^%d" % (name, n)) == product
     with pytest.raises(ParseError, match="zero exponent"):
         parse_algebra_element(problem, "x^0")
+
+
+def test_divided_power_coefficients_are_bounded_before_they_are_built():
+    from math import factorial
+
+    f7 = parse_problem("ring R = FF(7)\nalgebra B = R<Y:2>\n")
+    start = time.perf_counter()
+    assert not parse_algebra_element(f7, "Y^200000")
+    assert time.perf_counter() - start < 0.2
+    assert parse_algebra_element(f7, "Y^6") == 720 * f7.algebra.divided_power("Y", 6)
+    qq = parse_problem("ring R = QQ\nalgebra B = R<Y:2>\n")
+    assert parse_algebra_element(qq, "Y^1000") \
+        == factorial(1000) * qq.algebra.divided_power("Y", 1000)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no integer-string digit limit")
+def test_divided_power_factorials_past_the_digit_limit_are_parse_errors():
+    qq = parse_problem("ring R = QQ\nalgebra B = R<Y:2>\n")
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="coefficient exceeds the"):
+        parse_algebra_element(qq, "Y^200000")
+    assert time.perf_counter() - start < 0.2
+    # exact at the boundary: the n! with the most digits allowed parses
+    n, f, bound = 1, 1, 10 ** sys.get_int_max_str_digits()
+    while f * (n + 1) < bound:
+        n += 1
+        f *= n
+    assert parse_algebra_element(qq, "Y^%d" % n) \
+        == f * qq.algebra.divided_power("Y", n)
+    for text in ("Y^%d", "Y^%d - Y^%d", "0*Y^%d"):
+        with pytest.raises(ParseError, match="coefficient exceeds the"):
+            parse_algebra_element(qq, text.replace("%d", str(n + 1)))
+
+
+def _element_oracle(problem, rng, labels=()):
+    """A random signed term as (text, label, element): the element is the
+    product of the factors computed with element arithmetic."""
+    B = problem.algebra
+    field, ring = B.field, B.ring
+    factors, label, value = [], None, B.one()
+    if labels and rng.random() < 0.7:
+        if rng.random() < 0.3:
+            k = rng.randint(0, 3)
+            factors.append(str(k))
+            value = value * field.of(k)
+        label = rng.choice(labels)
+        factors.append(label)
+    for _ in range(rng.randint(1, 5)):
+        pick = rng.randrange(6)
+        if pick == 0:
+            k = rng.choice([0, 1, 2, 3, 5, 7, 12])
+            factors.append(str(k))
+            value = value * field.of(k)
+        elif pick == 1:
+            a, b = rng.randint(0, 9), rng.choice([1, 2, 4, 5, 8, 11])
+            if field.char and b % field.char == 0:
+                b = 1
+            factors.append("%d/%d" % (a, b))
+            value = value * (field.of(a) / field.of(b))
+        elif pick == 2:
+            g = rng.choice(ring.gens)
+            k = rng.randint(1, 4)
+            factors.append(g if k == 1 and rng.random() < 0.5 else "%s^%d" % (g, k))
+            for _ in range(k):
+                value = value * B.from_ring(ring.gen(g))
+        elif pick in (3, 4):
+            v = rng.choice(B.vars)
+            k = rng.randint(0, 9 if not v.is_odd else 3)
+            factors.append(v.name if k == 1 and rng.random() < 0.5
+                           else "%s^%d" % (v.name, k))
+            for _ in range(k):
+                value = value * B.gen(v.name)
+        else:
+            v = rng.choice([v for v in B.vars if not v.is_odd])
+            k = rng.randint(0, 9)
+            factors.append("%s^(%d)" % (v.name, k))
+            value = value * B.divided_power(v.name, k)
+    negate = rng.random() < 0.3
+    return ("-" if negate else "") + "*".join(factors), label, -value if negate else value
+
+
+@pytest.mark.parametrize("field", ["QQ", "FF(2)", "FF(3)", "FF(7)"])
+def test_terms_fold_like_element_products(field):
+    """Terms evaluated straight to monomials equal the products and sums of
+    elements: Koszul signs, binomials, factorials, relations and scalars."""
+    import random
+
+    from dglift.dsl import _env, _parse_expression, _tokenize, _Tokens
+
+    problem = parse_problem("ring R = %s[x:1,y:2]/(x^3, x*y^2)\n"
+                            "algebra B = R<X:1, Y:2, Z:3, W:4>\n" % field)
+    B = problem.algebra
+    rng = random.Random(field)
+    labels = ("e", "f", "g")
+    env = _env(B.ring, B.vars)
+    env.update((lab, ("label", lab)) for lab in labels)
+    for _ in range(150):
+        text, _, value = _element_oracle(problem, rng)
+        assert parse_algebra_element(problem, text) == value, text
+        terms = [_element_oracle(problem, rng, labels)
+                 for _ in range(rng.randint(1, 5))]
+        total = {}
+        for _, label, el in terms:
+            total[label] = total[label] + el if label in total else el
+        text = " + ".join(t for t, _, _ in terms).replace("+ -", "- ")
+        ts = _Tokens(_tokenize(text, 1), 1)
+        parts = _parse_expression(ts, env, B)
+        assert ts.done()
+        assert parts == {lab: el for lab, el in total.items() if el}, text
+    X, Y, Z = (B.gen(v) for v in "XYZ")
+    assert parse_algebra_element(problem, "X*Z") == X * Z
+    assert parse_algebra_element(problem, "Z*X") == Z * X == -(X * Z)
+    assert parse_algebra_element(problem, "X^0") == B.one()
+    assert parse_algebra_element(problem, "Y^(0)") == B.one()
+    assert not parse_algebra_element(problem, "0*X*Y^3*x")
+    assert not parse_algebra_element(problem, "X*Y*x*y^2")
+    killed = parse_problem("ring R = %s[x:1]/(x)\nalgebra B = R<X:1>\n" % field)
+    for text in ("x", "x^2", "X*x", "2*x*X"):
+        assert not parse_algebra_element(killed, text)
+    assert parse_algebra_element(killed, "x + X") == killed.algebra.gen("X")

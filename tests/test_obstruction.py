@@ -4,8 +4,8 @@ import pytest
 
 from dglift import (Connection, SemifreeModule, TensorJElement,
                     canonical_connection, check_lift, criterion_rhs, delta,
-                    obstruction_apply, obstruction_values, psi_apply,
-                    psi_values, verify_certificate, verify_witness)
+                    obstruction_apply, obstruction_values, parse_problem,
+                    psi_apply, psi_values, verify_certificate, verify_witness)
 from dglift.obstruction import (LIFTABLE, METHOD_GLOBAL, METHOD_RANK2,
                                 METHOD_TRIVIAL, NOT_LIFTABLE)
 from dglift.randomgen import (example_algebras, random_algebra, random_gamma,
@@ -13,6 +13,8 @@ from dglift.randomgen import (example_algebras, random_algebra, random_gamma,
                               random_partial_solution, standard_rings)
 from dglift.selfcheck import (suite_connections, suite_decision, suite_homotopy,
                               suite_obstruction)
+
+from conftest import golden_text
 
 
 def test_obstruction_of_the_liftable_example(module_n):
@@ -278,3 +280,56 @@ def test_certificate_with_one_value_changed_is_rejected(module_m):
             item = tampered.certificate["null_functional"][k]
             item["value"] = str(_parse_scalar(field, item["value"]) + 1)
             assert not verify_certificate(module_m, tampered)
+
+
+def _with_functional(report, items):
+    from copy import deepcopy
+
+    tampered = deepcopy(report)
+    tampered.certificate["null_functional"] = items
+    return tampered
+
+
+def _assert_each_value_rejected_as(N, report, bad):
+    items = report.certificate["null_functional"]
+    for k in range(len(items)):
+        tampered = [dict(item) for item in items]
+        tampered[k]["value"] = bad
+        assert not verify_certificate(N, _with_functional(report, tampered))
+
+
+@pytest.mark.parametrize("method", ["rank2", "global"])
+def test_certificate_naming_an_unknown_row_is_rejected(module_m, method):
+    report = check_lift(module_m, method=method)
+    items = report.certificate["null_functional"]
+    for extra in ({"row": "no such row", "value": "5"},
+                  {"row": "no such row", "value": "0"}):
+        assert not verify_certificate(module_m,
+                                      _with_functional(report, items + [extra]))
+
+
+@pytest.mark.parametrize("method", ["rank2", "global"])
+def test_certificate_naming_a_row_twice_is_rejected(module_m, method):
+    report = check_lift(module_m, method=method)
+    items = report.certificate["null_functional"]
+    for tampered in (items + items, items + [dict(items[0], value="0")]):
+        assert not verify_certificate(module_m, _with_functional(report, tampered))
+
+
+@pytest.mark.parametrize("method", ["rank2", "global"])
+def test_malformed_certificate_values_are_rejected(module_m, method):
+    report = check_lift(module_m, method=method)
+    for bad in ("1/2/3", "abc", "", "1/", "/2", None, 1):
+        _assert_each_value_rejected_as(module_m, report, bad)
+
+
+@pytest.mark.parametrize("method", ["rank2", "global"])
+@pytest.mark.parametrize("field, zeros", [("QQ", ["1/0", "0/0"]),
+                                          ("FF(7)", ["1/0", "1/14", "3/49"])])
+def test_zero_denominators_are_rejected(field, zeros, method):
+    text = golden_text("nonliftable.dgp").replace("QQ", field)
+    M = parse_problem(text).modules["M"]
+    report = check_lift(M, method=method)
+    assert verify_certificate(M, report)
+    for bad in zeros:
+        _assert_each_value_rejected_as(M, report, bad)

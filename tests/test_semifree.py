@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from dglift import (ConstructionError, DegreeMismatch, DifferentialSquareNonzero,
-                    ModuleElement, SemifreeModule, TensorJElement,
-                    TriangularityViolation, delta, rho)
+from dglift import (AlgebraElement, ConstructionError, DegreeMismatch,
+                    DifferentialSquareNonzero, ModuleElement, SemifreeModule,
+                    TensorJElement, TriangularityViolation, delta, rho)
 from dglift.randomgen import (example_algebras, random_algebra, random_module,
                               random_module_element, standard_rings)
 from dglift.semifree import TensorEnvElement
@@ -210,3 +210,73 @@ def test_internal_degree_preserved_by_module_and_tensor_differentials():
         if dv:
             assert dv.bidegree() == (n - 1, w)
         checked += 1
+
+
+def _former_d_squared_check(N):
+    """The d^2 = 0 check as SemifreeModule.__init__ made it before it read
+    the columns: d(d(e_lam)) as a ModuleElement, first failing (nu, lam)."""
+    for lam in N.labels:
+        square = ModuleElement(N, {lam: N.algebra.one()}).diff().diff()
+        for nu in N.labels:
+            if nu in square.coeffs:
+                raise DifferentialSquareNonzero(
+                    "d^2 has nonzero component %s at (%s, %s)"
+                    % (square.coeffs[nu], nu, lam), pair=(nu, lam))
+
+
+def _d_squared_outcome(check):
+    try:
+        check()
+    except DifferentialSquareNonzero as exc:
+        return type(exc), str(exc), exc.pair
+    return None
+
+
+def _both_d_squared_checks(N, structure):
+    """The outcome of the column check and of the former check on N's basis
+    with the given structure."""
+    B = N.algebra
+    new = _d_squared_outcome(lambda: SemifreeModule(B, N.labels, N.degrees,
+                                                    N.weights, structure))
+    ref = SemifreeModule(B, N.labels, N.degrees, N.weights, {})
+    for (mu, lam), b in structure.items():
+        if b:
+            ref.columns[ref.index[lam]].append((ref.index[mu], b))
+    return new, _d_squared_outcome(lambda: _former_d_squared_check(ref))
+
+
+def test_d_squared_check_matches_the_former_check_on_the_corpus():
+    """On every corpus module, and with one entry dropped, doubled or moved
+    within its bidegree, the column check raises exactly what the former
+    element-level check raised: type, message and pair."""
+    from pathlib import Path
+
+    from dglift import DGLiftError, parse_problem
+
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+    files = sorted(corpus.glob("*/*.dgp"))
+    assert len(files) == 483
+    rng = random.Random(33)
+    modules = failures = 0
+    for path in files:
+        try:
+            problem = parse_problem(path.read_text(encoding="utf-8"))
+        except DGLiftError:
+            continue
+        for N in problem.modules.values():
+            modules += 1
+            structure = {(N.labels[i], N.labels[j]): b
+                         for (i, j), b in N.structure.items()}
+            new, ref = _both_d_squared_checks(N, structure)
+            assert new is None and ref is None
+            B = N.algebra
+            for key in rng.sample(sorted(structure), min(3, len(structure))):
+                b = structure[key]
+                n, w = b.bidegree()
+                mono, rm = rng.choice(B.bidegree_basis(n, w))
+                moved = AlgebraElement.from_terms(B, [((mono, rm), B.field.one)])
+                for changed in (B.zero(), b * 2, b + moved, b - moved):
+                    new, ref = _both_d_squared_checks(N, {**structure, key: changed})
+                    assert new == ref, (path.name, key)
+                    failures += new is not None
+    assert modules > 1200 and failures > 300
