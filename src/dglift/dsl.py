@@ -154,10 +154,17 @@ def _env(ring, variables=()):
 
 def _factorial(n, field, line):
     """n! in the field, the scalar of Y^n = n! Y^(n), bounded before it is
-    built: 0 over F_p once n >= p; over QQ a ParseError when n! has more
-    digits than the interpreter's integer-string limit."""
-    if field.char:
-        return field.of(factorial(n)) if n < field.char else field.zero
+    built: over F_p 0 once n >= p, else a running product reduced mod p;
+    over QQ a ParseError when n! has more digits than the interpreter's
+    integer-string limit."""
+    p = field.char
+    if p:
+        if n >= p:
+            return field.zero
+        value = 1
+        for k in range(2, n + 1):
+            value = value * k % p
+        return field.of(value)
     limit = _digit_limit()
     if limit:
         digits = lgamma(min(n, 10 ** 300) + 1) / log(10)  # log10(n!), clamped
@@ -563,14 +570,19 @@ def _infer_module_weights(specs, diffs, ts):
 
 
 def default_module_weights(module):
-    """The weights inference would produce with no annotations."""
-    weights = [None] * module.rank
-    for i, column in enumerate(module.columns):
-        forced = None
-        for mu, entry in column:
-            forced = weights[mu] + entry.bidegree()[1]
-        weights[i] = forced if forced is not None else 0
-    return weights
+    """The weights inference would produce with no annotations: the last
+    entry b[mu][lam] of a column forces lam's weight from mu's.  The module
+    has checked that b[mu][lam] has weight w_lam - w_mu, so no entry's
+    bidegree is recomputed."""
+    weights = module.weights
+    defaults = []
+    for lam, column in enumerate(module.columns):
+        if column:
+            mu = column[-1][0]
+            defaults.append(defaults[mu] + weights[lam] - weights[mu])
+        else:
+            defaults.append(0)
+    return defaults
 
 
 def parse_problem(text):

@@ -6,14 +6,20 @@ ambient field (Fraction for the rationals, ModP for prime fields).
 ``block_matrix`` writes the images of a map straight into these rows and
 keeps the basis keys; a row or column label is rendered from its key only
 when it is read.  The dense ``rows`` are derived on demand.  The one
-elimination routine, ``_eliminate``, is a sparse Gauss-Jordan on copies
-of the rows, with raw ints mod p over F_p.  A solve does not carry the
+elimination routine, ``_eliminate``, is a sparse forward elimination on
+copies of the rows, with raw ints mod p over F_p: a column index names
+the rows that may hold each column, so a pivot step touches only the rows
+below it that hold the pivot column, and no row above a pivot is ever
+cleared.  Solutions and kernel vectors are read off the echelon rows by
+back substitution, which gives the same unique vectors (free variables
+zero) that the fully reduced rows give.  A solve does not carry the
 transform T along: it logs its row operations, and only an inconsistent
-solve rebuilds the one row of T its certificate needs, by replaying the
-log backwards.  Elimination is fully deterministic: pivots are chosen as
-the first nonzero entry scanning columns left to right and rows top to
-bottom, so solutions, kernels and certificates are reproducible bit for
-bit.
+solve rebuilds the one row of T its certificate needs, the last pivot
+row, by replaying the log backwards; that row, and every row of T below
+it, is the one a full Gauss-Jordan gives.  Elimination is fully
+deterministic: pivots are chosen as the first nonzero entry scanning
+columns left to right and rows top to bottom, so solutions, kernels and
+certificates are reproducible bit for bit.
 """
 
 from dataclasses import dataclass
@@ -169,57 +175,87 @@ def _scaled(row, s, p):
     return {j: x * s for j, x in row.items()}
 
 
-def _subtract(row, f, pivot_row, p):
-    """row -= f * pivot_row in place.  f and the pivot row's entries are
-    nonzero, so an entry can only cancel where row already had one."""
-    get = row.get
-    for j, b in pivot_row.items():
-        a = (get(j, 0) - f * b) % p if p else get(j, 0) - f * b
-        if a:
-            row[j] = a
-        else:
-            del row[j]
-
-
 def _eliminate(rows, ncols, field, track):
-    """Sparse Gauss-Jordan elimination of {column: scalar} rows, in place.
+    """Sparse forward elimination of {column: scalar} rows, in place.
 
-    Returns (pivot columns, operation log or None); ``rows`` ends reduced.
+    Returns (pivot columns, operation log or None).  Columns are taken left
+    to right; the pivot of column c is the first row at or below r that
+    holds c, swapped up to row r and scaled to 1, and only the rows below
+    it that hold c are cleared.  ``rows`` ends in echelon form: row k has a
+    unit entry at pivots[k] and nothing to its left, the rows below the
+    rank are empty.  ``holders[c]`` is the set of rows that may hold column
+    c: built from the input, extended on fill-in and swaps, and read once,
+    when c is reached; a stale entry fails ``c in rows[i]``.
+
     With ``track`` the row operations are logged in order, as ("swap", r,
     s), ("scale", r, inv) and ("sub", i, f, r) for row i -= f * row r; the
-    transform T with T . original = reduced is their product, and
-    ``_transform_row`` rebuilds any one row of it.  Over F_p the scalars
-    are raw ints mod p throughout.
+    transform T with T . original = echelon is their product, and
+    ``_transform_row`` rebuilds any one row of it.  The last pivot row of
+    T and every row below it are those a full Gauss-Jordan gives, which
+    only adds operations on earlier pivot rows.  Over F_p the scalars are
+    raw ints mod p throughout.
     """
     p = field.char
     m = len(rows)
     log = [] if track else None
+    holders = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
     pivots = []
     r = 0
     for c in range(ncols):
         if r == m:
             break
-        src = next((i for i in range(r, m) if c in rows[i]), None)
-        if src is None:
+        below = [i for i in holders[c] if i >= r and c in rows[i]]
+        if not below:
             continue
+        src = min(below)
         if src != r:
             rows[r], rows[src] = rows[src], rows[r]
+            for j in rows[src]:
+                holders[j].add(src)
             if track:
                 log.append(("swap", r, src))
-        inv = pow(rows[r][c], -1, p) if p else field.one / rows[r][c]
+        pivot_row = rows[r]
+        inv = pow(pivot_row[c], -1, p) if p else field.one / pivot_row[c]
         if inv != 1:
-            rows[r] = _scaled(rows[r], inv, p)
+            pivot_row = rows[r] = _scaled(pivot_row, inv, p)
             if track:
                 log.append(("scale", r, inv))
-        for i in range(m):
-            f = rows[i].get(c) if i != r else None
-            if f:
-                _subtract(rows[i], f, rows[r], p)
-                if track:
-                    log.append(("sub", i, f, r))
+        for i in below:
+            if i == src:
+                continue
+            row = rows[i]
+            f = row[c]
+            for j, b in pivot_row.items():  # row -= f * pivot_row
+                if j in row:
+                    a = (row[j] - f * b) % p if p else row[j] - f * b
+                    if a:
+                        row[j] = a
+                    else:
+                        del row[j]
+                else:
+                    row[j] = -f * b % p if p else -f * b
+                    holders[j].add(i)
+            if track:
+                log.append(("sub", i, f, r))
         pivots.append(c)
         r += 1
     return pivots, log
+
+
+def _back_substitute(rows, pivots, x, p):
+    """Extend ``x``, raw scalars on non-pivot columns, to the pivot
+    columns so that every echelon row of ``_eliminate`` pairs with it to
+    zero: the last pivot first, each from the values already set."""
+    for k in range(len(pivots) - 1, -1, -1):
+        s = sum(a * x[j] for j, a in rows[k].items() if j in x)
+        if p:
+            s %= p
+        if s:
+            x[pivots[k]] = -s % p if p else -s
+    return x
 
 
 def _transform_row(log, q, m, field):
@@ -254,22 +290,17 @@ def rank(matrix: BlockMatrix) -> int:
 
 
 def kernel_basis(matrix: BlockMatrix) -> list:
-    """Basis of ker(matrix) as source-coordinate vectors, echelon order."""
+    """Basis of ker(matrix) as source-coordinate vectors, echelon order:
+    one per free column, which it sets to 1 and every other free column
+    to 0."""
     field = matrix.field
+    p = field.char
     ncols = matrix.shape[1]
-    reduced = _raw_rows(matrix.entries, field.char)
-    pivots, _ = _eliminate(reduced, ncols, field, False)
+    echelon = _raw_rows(matrix.entries, p)
+    pivots, _ = _eliminate(echelon, ncols, field, False)
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [field.zero] * ncols
-        vec[free] = field.one
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -field.of(row.get(free, 0))
-        basis.append(vec)
-    return basis
+    return [_dense(_back_substitute(echelon, pivots, {free: 1}, p), ncols, field)
+            for free in range(ncols) if free not in pivot_set]
 
 
 def linear_solve(matrix: BlockMatrix, target: list) -> SolveResult:
@@ -292,14 +323,14 @@ def linear_solve(matrix: BlockMatrix, target: list) -> SolveResult:
     pivots, log = _eliminate(augmented, ncols + 1, field, True)
     if pivots and pivots[-1] == ncols:
         # a pivot in the augmented column exhibits the inconsistency
-        null_row = _dense(_transform_row(log, len(pivots) - 1, m, field), m, field)
-        pairing = sum((u * t for u, t in zip(null_row, target)), field.zero)
-        return SolveResult(None, Inconsistency(null_row, pairing), len(pivots) - 1)
-    solution = [field.zero] * ncols
-    for row, pc in zip(augmented, pivots):
-        if ncols in row:
-            solution[pc] = field.of(row[ncols])
-    return SolveResult(solution, None, len(pivots))
+        u = _transform_row(log, len(pivots) - 1, m, field)
+        pairing = sum(x * (target[i].v if p else target[i]) for i, x in u.items())
+        return SolveResult(None, Inconsistency(_dense(u, m, field), field.of(pairing)),
+                           len(pivots) - 1)
+    # x[ncols] = -1 puts the target on the right: A x = target
+    x = _back_substitute(augmented, pivots, {ncols: p - 1 if p else -1}, p)
+    del x[ncols]
+    return SolveResult(_dense(x, ncols, field), None, len(pivots))
 
 
 def apply_matrix(matrix: BlockMatrix, vec: list) -> list:

@@ -167,6 +167,17 @@ def _render_functional(matrix, coords):
             for i, c in enumerate(coords) if c]
 
 
+def _rank2_system(N: SemifreeModule):
+    """(delta(b), n, w, the diagonal block from (n + 1, w), the coordinates
+    of delta(b) in bidegree (n, w)) for b = b[e][e'] of a rank-2 module."""
+    B = N.algebra
+    target = delta(N.structure.get((0, 1), B.zero()))
+    n, w = target.bidegree() if target else (N.degrees[1] - N.degrees[0] - 1,
+                                             N.weights[1] - N.weights[0])
+    return (target, n, w, diagonal_diff_block(B, n + 1, w),
+            diagonal_vec(target, diagonal_block_keys(B, n, w)))
+
+
 def _check_rank2(N: SemifreeModule):
     """Boundary-membership test for a two-element basis with d(e') = e b.
 
@@ -174,12 +185,7 @@ def _check_rank2(N: SemifreeModule):
     gamma_e to zero and gamma_e' to e (x) c.
     """
     B = N.algebra
-    b = N.structure.get((0, 1), B.zero())
-    target = delta(b)
-    n, w = target.bidegree() if target else (N.degrees[1] - N.degrees[0] - 1,
-                                             N.weights[1] - N.weights[0])
-    matrix = diagonal_diff_block(B, n + 1, w)
-    vec = diagonal_vec(target, diagonal_block_keys(B, n, w))
+    target, n, w, matrix, vec = _rank2_system(N)
     result = linalg.linear_solve(matrix, vec)
     if result.consistent:
         c = DiagonalElement.from_terms(
@@ -303,28 +309,31 @@ def check_lift(N: SemifreeModule, method="auto") -> ObstructionReport:
 def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
     """Re-run the certified inconsistency: u . A = 0 and u . rhs != 0.
 
-    False, never an exception, for a functional that names a row outside
-    the system or names a row twice, or states a malformed value or one
-    with a zero denominator in the field."""
+    False, never an exception, for a functional that is not a list of
+    {"row": label, "value": text} items, names a row outside the system or
+    names a row twice, or states a malformed value or one with a zero
+    denominator in the field, and for a missing pairing or a target
+    bidegree other than the module's."""
     cert = report.certificate
-    if cert is None:
+    items = cert.get("null_functional") if isinstance(cert, dict) else None
+    if not isinstance(items, list) or not all(
+            isinstance(item, dict) and isinstance(item.get("row"), str)
+            for item in items):
         return False
     field = N.algebra.field
-    if cert["kind"] == "boundary-membership":
-        b = N.structure[(0, 1)]
-        target = delta(b)
-        n, w = cert["target_bidegree"]
-        matrix = diagonal_diff_block(N.algebra, n + 1, w)
-        rhs = diagonal_vec(target, diagonal_block_keys(N.algebra, n, w))
-    elif cert["kind"] == "gamma-system":
+    if cert.get("kind") == "boundary-membership":
+        _, n, w, matrix, rhs = _rank2_system(N)
+        if cert.get("target_bidegree") != [n, w]:
+            return False
+    elif cert.get("kind") == "gamma-system":
         matrix, rhs, _ = _assemble_global_system(N)
     else:
         return False
     index = {lab: i for i, lab in enumerate(matrix.dst_labels)}
     stated = {}
-    for item in cert["null_functional"]:
+    for item in items:
         i = index.get(item["row"])
-        ui = _parse_scalar(field, item["value"])
+        ui = _parse_scalar(field, item.get("value"))
         if i is None or i in stated or ui is None:
             return False
         stated[i] = ui
@@ -337,7 +346,7 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
     if any(product.values()):
         return False
     pairing = sum((ui * rhs[i] for i, ui in u), field.zero)
-    return bool(pairing) and str(pairing) == cert["pairing"]
+    return bool(pairing) and str(pairing) == cert.get("pairing")
 
 
 def _parse_scalar(field, text):

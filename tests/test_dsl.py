@@ -1,5 +1,6 @@
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,32 @@ def test_weight_annotation_conflict_rejected():
 
 def test_default_weights_inference(module_n):
     assert default_module_weights(module_n) == [0, 4]
+
+
+def _default_weights_from_bidegrees(module):
+    """The former ``default_module_weights``: each entry's bidegree again."""
+    weights = [None] * module.rank
+    for i, column in enumerate(module.columns):
+        forced = None
+        for mu, entry in column:
+            forced = weights[mu] + entry.bidegree()[1]
+        weights[i] = forced if forced is not None else 0
+    return weights
+
+
+def test_default_weights_match_the_bidegree_inference_on_the_corpus():
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+    modules = 0
+    for path in sorted(corpus.glob("*/*.dgp")):
+        try:
+            problem = parse_problem(path.read_text(encoding="utf-8"))
+        except DGLiftError:  # the parser's known rejections
+            continue
+        for module in problem.modules.values():
+            assert default_module_weights(module) \
+                == _default_weights_from_bidegrees(module)
+            modules += 1
+    assert modules > 1000
 
 
 def test_single_declaration_constraints():
@@ -227,6 +254,21 @@ def test_divided_power_coefficients_are_bounded_before_they_are_built():
     qq = parse_problem("ring R = QQ\nalgebra B = R<Y:2>\n")
     assert parse_algebra_element(qq, "Y^1000") \
         == factorial(1000) * qq.algebra.divided_power("Y", 1000)
+
+
+def test_divided_power_coefficients_below_a_large_prime_are_reduced_as_built():
+    from math import factorial
+
+    p = 1000000007
+    problem = parse_problem("ring R = FF(%d)\nalgebra B = R<Y:2>\n" % p)
+    B = problem.algebra
+    start = time.perf_counter()
+    value = parse_algebra_element(problem, "Y^200000")
+    assert time.perf_counter() - start < 0.5
+    assert value  # n < p, so n! is a unit mod p
+    for n in (0, 1, 2, 3, 12, 13, 50, 200):
+        assert parse_algebra_element(problem, "Y^%d" % n) \
+            == (factorial(n) % p) * B.divided_power("Y", n)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

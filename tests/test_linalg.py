@@ -203,15 +203,16 @@ def dense_eliminate(rows, ncols, field, track):
             if track:
                 transform[r], transform[src] = transform[src], transform[r]
         inv = field.one / work[r][c]
-        work[r] = [x * inv for x in work[r]]
+        work[r] = [x * inv if x else x for x in work[r]]
         if track:
-            transform[r] = [x * inv for x in transform[r]]
+            transform[r] = [x * inv if x else x for x in transform[r]]
         for i in range(m):
             if i != r and work[i][c]:
                 f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+                # a zero entry of row r leaves the entry of row i as it is
+                work[i] = [a - f * b if b else a for a, b in zip(work[i], work[r])]
                 if track:
-                    transform[i] = [a - f * b
+                    transform[i] = [a - f * b if b else a
                                     for a, b in zip(transform[i], transform[r])]
         pivots.append(c)
         r += 1
@@ -278,18 +279,26 @@ def test_sparse_solver_matches_dense_oracle(field):
         rows = random_rows(rng, field, nrows, ncols)
         m = BlockMatrix(rows, ["c%d" % j for j in range(ncols)],
                         ["r%d" % i for i in range(nrows)], field)
-        ref_reduced, ref_pivots, ref_transform = dense_eliminate(
+        _, ref_pivots, ref_transform = dense_eliminate(
             rows, ncols, field, True)
         assert m.rows == rows
         sparse = linalg._raw_rows(m.entries, field.char)
         pivots, log = linalg._eliminate(sparse, ncols, field, True)
         assert pivots == ref_pivots
-        assert [linalg._dense(row, ncols, field) for row in sparse] == ref_reduced
-        # every row of T, rebuilt from the operation log, is the tracked one
-        transform = [linalg._transform_row(log, q, nrows, field)
-                     for q in range(nrows)]
-        assert [linalg._dense(row, nrows, field) for row in transform] \
-            == ref_transform
+        echelon = [linalg._dense(row, ncols, field) for row in sparse]
+        # echelon form: a unit pivot with zeros to its left, zero rows below
+        for row, pc in zip(echelon, pivots):
+            assert row[pc] == 1 and not any(row[:pc])
+        assert not any(x for row in echelon[len(pivots):] for x in row)
+        # T, rebuilt from the operation log, takes the original rows to these
+        transform = [linalg._dense(linalg._transform_row(log, q, nrows, field),
+                                   nrows, field) for q in range(nrows)]
+        for t_row, row in zip(transform, echelon):
+            assert [sum((t * orig[j] for t, orig in zip(t_row, rows)), field.zero)
+                    for j in range(ncols)] == row
+        # the last pivot row of T and the rows below it are Gauss-Jordan's
+        last = max(len(pivots) - 1, 0)
+        assert transform[last:] == ref_transform[last:]
         assert rank(m) == len(ref_pivots)
         kernel = kernel_basis(m)
         assert kernel == dense_kernel(rows, ncols, field)
@@ -450,3 +459,36 @@ def test_diagonal_arithmetic_matches_the_envelope():
                         assert j * b == sigma(u * b)
                     checked += 1
     assert checked > 500
+
+
+def test_solver_matches_the_dense_oracle_on_real_systems():
+    """The γ-system of every oracle problem, and the diagonal differential
+    blocks of the golden algebras, against the dense Gauss-Jordan."""
+    systems = 0
+    for name, problem in oracle_problems():
+        field = problem.algebra.field
+        for N in problem.modules.values():
+            matrix, rhs, _ = _assemble_global_system(N)
+            rows = matrix.rows
+            ref_rank, ref_solution, ref_null, ref_pairing = dense_solve(
+                rows, matrix.shape[1], rhs, field)
+            result = linear_solve(matrix, rhs)
+            assert result.rank == ref_rank
+            assert result.solution == ref_solution
+            if ref_null is None:
+                assert result.certificate is None
+            else:
+                assert result.certificate.null_row == ref_null
+                assert result.certificate.pairing == ref_pairing != 0
+            systems += 1
+    for path in ("liftable.dgp", "nonliftable.dgp", "combined.dgp"):
+        B = parse_problem((GOLDEN / path).read_text(encoding="utf-8")).algebra
+        for n in range(1, 6):
+            for w in range(6):
+                block = diagonal_diff_block(B, n, w)
+                ncols = block.shape[1]
+                _, pivots, _ = dense_eliminate(block.rows, ncols, B.field, False)
+                assert rank(block) == len(pivots)
+                assert kernel_basis(block) == dense_kernel(block.rows, ncols, B.field)
+                systems += 1
+    assert systems > 100

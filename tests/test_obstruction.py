@@ -333,3 +333,38 @@ def test_zero_denominators_are_rejected(field, zeros, method):
     assert verify_certificate(M, report)
     for bad in zeros:
         _assert_each_value_rejected_as(M, report, bad)
+
+
+@pytest.mark.parametrize("method", ["rank2", "global"])
+@pytest.mark.parametrize("shape", ["item without row", "list as row", "string as item",
+                                   "null functional", "no pairing"])
+def test_structurally_malformed_certificates_are_rejected(module_m, method, shape):
+    from copy import deepcopy
+
+    report = check_lift(module_m, method=method)
+    assert verify_certificate(module_m, report)
+    tampered = deepcopy(report)
+    cert = tampered.certificate
+    first = cert["null_functional"][0]
+    if shape == "item without row":
+        del first["row"]
+    elif shape == "list as row":
+        first["row"] = [first["row"]]
+    elif shape == "string as item":
+        cert["null_functional"][0] = first["row"]
+    elif shape == "null functional":
+        cert["null_functional"] = None
+    else:
+        del cert["pairing"]
+    assert not verify_certificate(module_m, tampered)
+
+
+def test_boundary_certificate_with_another_target_bidegree_is_rejected(module_m):
+    from copy import deepcopy
+
+    report = check_lift(module_m, method="rank2")
+    n, w = report.certificate["target_bidegree"]
+    for bad in ("abc", None, [n], [n, w, 0], ["a", "b"], [n + 1, w], [n, w + 1]):
+        tampered = deepcopy(report)
+        tampered.certificate["target_bidegree"] = bad
+        assert not verify_certificate(module_m, tampered)
