@@ -14,6 +14,7 @@ monomials print and enumerate before y-pure ones); every basis listed by
 this module is ordered that way.
 """
 
+import sys
 from fractions import Fraction
 
 from . import linalg
@@ -54,8 +55,7 @@ class ModP:
         return ModP(self.v - other.v, self.p)
 
     def __rsub__(self, other):
-        other = self._lift(other)
-        return ModP(other.v - self.v, self.p)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -67,6 +67,8 @@ class ModP:
 
     def __truediv__(self, other):
         other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
         if other.v == 0:
             raise ZeroDivisionError("division by zero in F_%d" % self.p)
         return ModP(self.v * pow(other.v, self.p - 2, self.p), self.p)
@@ -171,9 +173,27 @@ class PrimeField:
 
 QQ = RationalField()
 
+TOO_LONG = "coefficient exceeds the %d-digit limit for integers"
+
+
+def digit_limit():
+    """The interpreter's integer-string digit limit; 0 when there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 
 def mono_divides(small, big):
     return all(a <= b for a, b in zip(small, big))
+
+
+def exponent_vectors(degrees, total, caps):
+    """Every exponent vector e, in lexicographic order, with sum(e_i *
+    degrees[i]) == total and e_i <= caps[i] (None: no cap), for positive
+    degrees; none when total < 0."""
+    found = [((), total)]
+    for d, cap in zip(degrees, caps):
+        found = [(prefix + (e,), rest - e * d) for prefix, rest in found
+                 for e in range(rest // d + 1) if cap is None or e <= cap]
+    return [prefix for prefix, rest in found if rest == 0]
 
 
 def ring_mono_key(exps):
@@ -305,21 +325,8 @@ class BaseRing:
             return self._basis_cache[w]
         except KeyError:
             pass
-        found = []
-
-        def extend(prefix, i, remaining):
-            if i == len(self.gens):
-                if remaining == 0:
-                    exps = tuple(prefix)
-                    if self.mono_reduced(exps):
-                        found.append(exps)
-                return
-            d = self.degrees[i]
-            for e in range(remaining // d + 1):
-                extend(prefix + [e], i + 1, remaining - e * d)
-
-        extend([], 0, w)
-        found.sort(key=ring_mono_key)
+        found = sorted(filter(self.mono_reduced, exponent_vectors(
+            self.degrees, w, (None,) * len(self.degrees))), key=ring_mono_key)
         self._basis_cache[w] = found
         return found
 

@@ -30,12 +30,12 @@ the source line of the declaration that caused it.
 """
 
 import re
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lgamma, log
 
-from .coefficients import BaseRing, PrimeField, QQ, RingElement
+from .coefficients import (BaseRing, PrimeField, QQ, RingElement, TOO_LONG,
+                           digit_limit)
 from .errors import ConstructionError, ParseError, UndeclaredName
 from .free_dga import AlgebraElement, FreeDGAlgebra, Variable
 from .semifree import ModuleElement, SemifreeModule
@@ -134,13 +134,6 @@ class ProblemDescription:
 # -- expression evaluation --------------------------------------------------------
 
 
-_TOO_LONG = "coefficient exceeds the %d-digit limit for integers"
-
-
-def _digit_limit():
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def _env(ring, variables=()):
     """Names in scope: ring generators and algebra variables, each with the
     exponent tuple of the generator."""
@@ -165,12 +158,12 @@ def _factorial(n, field, line):
         for k in range(2, n + 1):
             value = value * k % p
         return field.of(value)
-    limit = _digit_limit()
+    limit = digit_limit()
     if limit:
         digits = lgamma(min(n, 10 ** 300) + 1) / log(10)  # log10(n!), clamped
         if digits > limit + 1 or (digits > limit - 1
                                   and factorial(n) >= 10 ** limit):
-            raise ParseError(_TOO_LONG % limit, line)
+            raise ParseError(TOO_LONG % limit, line)
     return field.of(factorial(n))
 
 
@@ -271,7 +264,10 @@ def _parse_term(ts, env, ring, algebra):
             seen_monomial = True
             scalar = scalar * payload[0]
             if scalar:
-                hit = algebra.mono_mul(am, payload[1])
+                try:
+                    hit = algebra.mono_mul(am, payload[1])
+                except ConstructionError as exc:  # a binomial past the digit limit
+                    raise ParseError(exc.message, ts.line)
                 if hit is None:
                     scalar = field.zero
                 else:
@@ -306,7 +302,7 @@ def _parse_sum(ts, env, ring, algebra):
         if ts.at_sym("-"):
             continue  # the leading minus of the next term
         break
-    limit = _digit_limit()
+    limit = digit_limit()
     if limit and not ring.field.char:
         # str cannot print a rational past the integer-string limit
         for by_am in out.values():
@@ -315,7 +311,7 @@ def _parse_sum(ts, env, ring, algebra):
                     for n in (s.numerator, s.denominator):
                         # 10**limit needs more than 3 * limit bits
                         if n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
-                            raise ParseError(_TOO_LONG % limit, ts.line)
+                            raise ParseError(TOO_LONG % limit, ts.line)
     return out
 
 

@@ -4,10 +4,6 @@
 class DGLiftError(Exception):
     """Base class for every error raised by this package."""
 
-
-class ConstructionError(DGLiftError):
-    """A mathematical object failed its construction-time validation."""
-
     def __init__(self, message, line=None):
         super().__init__(message)
         self.message = message
@@ -17,6 +13,10 @@ class ConstructionError(DGLiftError):
         if self.line is not None:
             return "line %d: %s" % (self.line, self.message)
         return self.message
+
+
+class ConstructionError(DGLiftError):
+    """A mathematical object failed its construction-time validation."""
 
 
 class CycleViolation(ConstructionError):
@@ -53,16 +53,6 @@ class CompositionNonzero(DGLiftError):
 
 class ParseError(DGLiftError):
     """A problem description could not be parsed; carries the source line."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.message = message
-        self.line = line
-
-    def __str__(self):
-        if self.line is not None:
-            return "line %d: %s" % (self.line, self.message)
-        return self.message
 
 
 class UndeclaredName(ParseError):

@@ -19,10 +19,10 @@ Leibniz rule over the factors.  Elements are monomial -> RingElement maps.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, log10
 
 from . import linalg
-from .coefficients import ModP, RingElement
+from .coefficients import ModP, RingElement, TOO_LONG, digit_limit, exponent_vectors
 from .lincomb import LinComb, merge
 from .errors import (ConstructionError, CycleViolation, ForwardReference,
                      GradingViolation)
@@ -52,6 +52,35 @@ class Variable:
 
     def __repr__(self):
         return "%s:(%d,%d)" % (self.name, self.degree, self.weight)
+
+
+def _binomial(n, k, field):
+    """C(n, k), for 0 < k < n, as a scalar of ``field``, bounded before it
+    is built.  Over F_p by Lucas' theorem: the product of the binomials of
+    the base-p digits, each a running product mod p.  Over QQ a
+    ConstructionError when it has more digits than the integer-string
+    limit: C(n, k) >= (n/k)^k rules out a large one unbuilt (an lgamma
+    estimate overflows or cancels for a huge n and a small k), an exact
+    comparison the rest."""
+    p = field.char
+    if p:
+        num = den = 1
+        while k:
+            n, ni = divmod(n, p)
+            k, ki = divmod(k, p)
+            if ki > ni:
+                return field.zero
+            for j in range(min(ki, ni - ki)):
+                num = num * (ni - j) % p
+                den = den * (j + 1) % p
+        return field.of(num * pow(den, -1, p))
+    k = min(k, n - k)
+    limit = digit_limit()
+    if not limit or log10(n) - log10(k) <= (limit + 1) / k:
+        value = comb(n, k)
+        if not limit or value.bit_length() <= 3 * limit or value < 10 ** limit:
+            return field.of(value)
+    raise ConstructionError(TOO_LONG % limit)
 
 
 class FreeDGAlgebra:
@@ -148,7 +177,7 @@ class FreeDGAlgebra:
         return hit
 
     def _mono_product(self, a, b):
-        coeff = 1
+        coeff = self.field.one
         exps = []
         for i, v in enumerate(self.vars):
             e = a[i] + b[i]
@@ -156,7 +185,7 @@ class FreeDGAlgebra:
                 if e > 1:
                     return None
             elif a[i] and b[i]:
-                coeff *= comb(e, a[i])
+                coeff = coeff * _binomial(e, a[i], self.field)
             exps.append(e)
         # Koszul sign: odd letters of b move left past later odd letters of a
         inv = 0
@@ -164,7 +193,7 @@ class FreeDGAlgebra:
             if v.is_odd and b[j]:
                 inv += sum(a[i] for i in range(j + 1, len(self.vars))
                            if self.vars[i].is_odd)
-        scalar = self.field.of(-coeff if inv % 2 else coeff)
+        scalar = -coeff if inv % 2 else coeff
         if not scalar:
             return None
         return scalar, tuple(exps)
@@ -247,22 +276,9 @@ class FreeDGAlgebra:
             return self._basis_cache[n]
         except KeyError:
             pass
-        found = []
-
-        def extend(prefix, i, remaining):
-            if i == len(self.vars):
-                if remaining == 0:
-                    found.append(tuple(prefix))
-                return
-            v = self.vars[i]
-            top = remaining // v.degree
-            if v.is_odd:
-                top = min(1, top)
-            for e in range(top + 1):
-                extend(prefix + [e], i + 1, remaining - e * v.degree)
-
-        extend([], 0, n)
-        found.sort(key=self.mono_key)
+        found = sorted(exponent_vectors(
+            [v.degree for v in self.vars], n,
+            [1 if v.is_odd else None for v in self.vars]), key=self.mono_key)
         self._basis_cache[n] = found
         return found
 
@@ -330,9 +346,6 @@ class AlgebraElement(LinComb):
         for mono, c in self.coeffs.items():
             total = total + self.parent.mono_diff(mono) * c
         return total
-
-    def degree(self):
-        return self.bidegree()[0]
 
     def sorted_terms(self):
         """(monomial, ring monomial, scalar) triples in the fixed order."""

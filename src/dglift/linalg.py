@@ -2,10 +2,11 @@
 
 A ``BlockMatrix`` holds one representation: ``entries``, one {column:
 scalar} dict per row of its nonzero entries, each an exact scalar of the
-ambient field (Fraction for the rationals, ModP for prime fields).
-``block_matrix`` writes the images of a map straight into these rows and
-keeps the basis keys; a row or column label is rendered from its key only
-when it is read.  The dense ``rows`` are derived on demand.  The one
+ambient field (Fraction for the rationals, ModP for prime fields).  Its
+one constructor takes these rows, the basis keys of both sides and a
+function that renders a key as a label, called only when a label is
+read.  ``block_matrix`` writes the images of a map straight into the
+rows.  The dense ``rows`` are derived on demand.  The one
 elimination routine, ``_eliminate``, is a sparse forward elimination on
 copies of the rows, with raw ints mod p over F_p: a column index names
 the rows that may hold each column, so a pivot step touches only the rows
@@ -27,38 +28,17 @@ from dataclasses import dataclass
 from .errors import CompositionNonzero, ConstructionError
 
 
-def _as_is(key):
-    return key
-
-
 class BlockMatrix:
-    """A matrix block between two labelled finite bases.
+    """A matrix block between two keyed finite bases.
 
     ``entries[i][j]`` is the coefficient of the i-th target basis vector in
     the image of the j-th source basis vector; a missing entry is zero.
-    ``shape`` is (targets, sources).  This constructor takes dense rows
-    and the labels themselves; ``block_matrix`` builds a block from a map
-    between keyed bases.
+    ``shape`` is (targets, sources).  ``label(key)`` names a basis vector
+    of either side from its key, and is called only when a label is read.
+    ``block_matrix`` builds a block from a map between keyed bases.
     """
 
-    def __init__(self, rows, src_labels, dst_labels, field):
-        for row in rows:
-            if len(row) != len(src_labels):
-                raise ValueError("row length %d does not match %d source labels"
-                                 % (len(row), len(src_labels)))
-        if len(rows) != len(dst_labels):
-            raise ValueError("row count %d does not match %d target labels"
-                             % (len(rows), len(dst_labels)))
-        self._init([{j: x for j, x in enumerate(row) if x} for row in rows],
-                   list(src_labels), list(dst_labels), _as_is, field)
-
-    @classmethod
-    def _of_entries(cls, entries, src_keys, dst_keys, label, field):
-        matrix = cls.__new__(cls)
-        matrix._init(entries, src_keys, dst_keys, label, field)
-        return matrix
-
-    def _init(self, entries, src_keys, dst_keys, label, field):
+    def __init__(self, entries, src_keys, dst_keys, label, field):
         self.entries = entries
         self.field = field
         self.shape = (len(dst_keys), len(src_keys))
@@ -115,7 +95,7 @@ def block_matrix(src_keys, dst_keys, image, label, field) -> BlockMatrix:
     for j, key in enumerate(src_keys):
         for k, s in image(key):
             entries[_position(pos, k)][j] = s
-    return BlockMatrix._of_entries(entries, src_keys, dst_keys, label, field)
+    return BlockMatrix(entries, src_keys, dst_keys, label, field)
 
 
 def coordinates(terms, keys, field) -> list:

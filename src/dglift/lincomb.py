@@ -99,9 +99,6 @@ class LinComb:
                 out.update((n + cn, w + cw) for cn, cw in c.bidegrees())
         return out
 
-    def is_homogeneous(self):
-        return len(self.bidegrees()) <= 1
-
     def bidegree(self):
         """(homological, internal) bidegree of a homogeneous element; (0, 0) for 0."""
         found = self.bidegrees()

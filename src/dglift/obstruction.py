@@ -25,10 +25,15 @@ The decision runs by one of three methods:
 
 The system is solved globally rather than basis element by basis element:
 a greedy choice of gamma_mu can block a later equation even when a
-simultaneous solution exists.  LIFTABLE reports carry the gamma family;
-NOT_LIFTABLE reports carry a machine-checkable inconsistency certificate
-(a left null functional of the system with nonzero pairing against the
-right-hand side).
+simultaneous solution exists.  The right-hand side of either system is
+the obstruction cocycle itself, read from the values ``check_lift`` has
+already computed.  Each system has one builder, which returns the matrix,
+the right-hand side, a reader from a solution to the gamma family, and
+the certificate head given the rank; ``check_lift`` solves once, and
+``verify_certificate`` rebuilds through the same builder.  LIFTABLE
+reports carry the gamma family; NOT_LIFTABLE reports carry a
+machine-checkable inconsistency certificate (a left null functional of
+the system with nonzero pairing against the right-hand side).
 """
 
 from dataclasses import dataclass
@@ -161,56 +166,37 @@ class ObstructionReport:
         return self.decision == LIFTABLE
 
 
-def _render_functional(matrix, coords):
-    """The nonzero entries of a functional on the target of ``matrix``."""
-    return [{"row": matrix.dst_label(i), "value": str(c)}
-            for i, c in enumerate(coords) if c]
-
-
-def _rank2_system(N: SemifreeModule):
-    """(delta(b), n, w, the diagonal block from (n + 1, w), the coordinates
-    of delta(b) in bidegree (n, w)) for b = b[e][e'] of a rank-2 module."""
-    B = N.algebra
-    target = delta(N.structure.get((0, 1), B.zero()))
-    n, w = target.bidegree() if target else (N.degrees[1] - N.degrees[0] - 1,
-                                             N.weights[1] - N.weights[0])
-    return (target, n, w, diagonal_diff_block(B, n + 1, w),
-            diagonal_vec(target, diagonal_block_keys(B, n, w)))
-
-
-def _check_rank2(N: SemifreeModule):
-    """Boundary-membership test for a two-element basis with d(e') = e b.
+def _rank2_system(N: SemifreeModule, obstruction):
+    """Boundary-membership test for a two-element basis with d(e') = e b:
+    is delta(b), the obstruction value of e' at e, a boundary in J?
 
     Valid in both directions because B_0 = R makes J_0 = 0, which pins
-    gamma_e to zero and gamma_e' to e (x) c.
+    gamma_e to zero and gamma_e' to e (x) c.  The system is the diagonal
+    block from (n + 1, w) against the coordinates of delta(b) in (n, w),
+    the bidegree of b.
     """
     B = N.algebra
-    target, n, w, matrix, vec = _rank2_system(N)
-    result = linalg.linear_solve(matrix, vec)
-    if result.consistent:
+    e, ep = N.labels
+    n, w = N.degrees[1] - N.degrees[0] - 1, N.weights[1] - N.weights[0]
+    target = obstruction[ep].coeffs.get(e) or DiagonalElement(B, {})
+    matrix = diagonal_diff_block(B, n + 1, w)
+
+    def read_witness(solution):
         c = DiagonalElement.from_terms(
-            B, zip(diagonal_block_keys(B, n + 1, w), result.solution))
-        if N.degrees[0] % 2:
-            c = -c
-        witness = {N.labels[0]: N.tensor_zero(),
-                   N.labels[1]: TensorJElement(N, {N.labels[0]: c})}
-        return witness, None
-    cert = {
-        "kind": "boundary-membership",
-        "source_bidegree": [n + 1, w],
-        "target_bidegree": [n, w],
-        "source_dim": matrix.shape[1],
-        "target_dim": matrix.shape[0],
-        "rank": result.rank,
-        "target": str(target),
-        "null_functional": _render_functional(matrix,
-                                              result.certificate.null_row),
-        "pairing": str(result.certificate.pairing),
-    }
-    return None, cert
+            B, zip(diagonal_block_keys(B, n + 1, w), solution))
+        return {e: N.tensor_zero(),
+                ep: TensorJElement(N, {e: -c if N.degrees[0] % 2 else c})}
+
+    def head(rank):
+        return {"kind": "boundary-membership", "source_bidegree": [n + 1, w],
+                "target_bidegree": [n, w], "source_dim": matrix.shape[1],
+                "target_dim": matrix.shape[0], "rank": rank, "target": str(target)}
+
+    return (matrix, diagonal_vec(target, diagonal_block_keys(B, n, w)),
+            read_witness, head)
 
 
-def _assemble_global_system(N: SemifreeModule):
+def _assemble_global_system(N: SemifreeModule, obstruction):
     """One simultaneous linear system in all gamma coordinates.
 
     Unknown blocks: for each mu, the (|e_mu|, w_mu) block of N (x) J, whose
@@ -220,7 +206,8 @@ def _assemble_global_system(N: SemifreeModule):
     for each nu' in column nu and (-1)^{|e_nu|} e_nu (x) d(j), and
     -(e_nu (x) j b[mu][lam]) in every later equation lam.  These pieces
     land on distinct keys, so each is written as it comes.  Keys are
-    ("γ", mu, tensor key) and ("eq", lam, tensor key).
+    ("γ", mu, tensor key) and ("eq", lam, tensor key).  The right-hand
+    side of equation lam is the obstruction value of e_lam.
     """
     B = N.algebra
     field = B.field
@@ -255,32 +242,21 @@ def _assemble_global_system(N: SemifreeModule):
     def label(key):
         return "%s_%s[%s]" % (key[0], key[1], N.tensor_key_label(key[2]))
 
+    def read_witness(solution):
+        terms = {lab: [] for lab in N.labels}
+        for (_, lab, key), s in zip(unknowns, solution):
+            terms[lab].append((key, s))
+        return {lab: TensorJElement.from_terms(N, t) for lab, t in terms.items()}
+
+    def head(rank):
+        return {"kind": "gamma-system", "unknowns": matrix.shape[1],
+                "equations": matrix.shape[0], "rank": rank}
+
     matrix = linalg.block_matrix(unknowns, equations, image, label, field)
     rhs = linalg.coordinates([(("eq", lam, k), s) for lam in N.labels
-                              for k, s in criterion_rhs(N, {}, lam).terms()],
+                              for k, s in obstruction[lam].terms()],
                              equations, field)
-    return matrix, rhs, unknowns
-
-
-def _check_global(N: SemifreeModule):
-    matrix, rhs, unknowns = _assemble_global_system(N)
-    result = linalg.linear_solve(matrix, rhs)
-    if result.consistent:
-        terms = {lab: [] for lab in N.labels}
-        for (_, lab, key), s in zip(unknowns, result.solution):
-            terms[lab].append((key, s))
-        witness = {lab: TensorJElement.from_terms(N, t) for lab, t in terms.items()}
-        return witness, None
-    cert = {
-        "kind": "gamma-system",
-        "unknowns": matrix.shape[1],
-        "equations": matrix.shape[0],
-        "rank": result.rank,
-        "null_functional": _render_functional(matrix,
-                                              result.certificate.null_row),
-        "pairing": str(result.certificate.pairing),
-    }
-    return None, cert
+    return matrix, rhs, read_witness, head
 
 
 def check_lift(N: SemifreeModule, method="auto") -> ObstructionReport:
@@ -296,24 +272,32 @@ def check_lift(N: SemifreeModule, method="auto") -> ObstructionReport:
     if method == "rank2" or (method == "auto" and N.rank == 2):
         if N.rank != 2:
             raise ValueError("rank2 method needs exactly two basis elements")
-        witness, cert = _check_rank2(N)
-        tag = METHOD_RANK2
+        tag, system = METHOD_RANK2, _rank2_system
     else:
-        witness, cert = _check_global(N)
-        tag = METHOD_GLOBAL
-    if witness is not None:
-        return ObstructionReport(LIFTABLE, tag, obstruction, witness, None)
+        tag, system = METHOD_GLOBAL, _assemble_global_system
+    matrix, rhs, read_witness, head = system(N, obstruction)
+    result = linalg.linear_solve(matrix, rhs)
+    if result.consistent:
+        return ObstructionReport(LIFTABLE, tag, obstruction,
+                                 read_witness(result.solution), None)
+    cert = head(result.rank)
+    cert["null_functional"] = [{"row": matrix.dst_label(i), "value": str(c)}
+                               for i, c in enumerate(result.certificate.null_row)
+                               if c]
+    cert["pairing"] = str(result.certificate.pairing)
     return ObstructionReport(NOT_LIFTABLE, tag, obstruction, None, cert)
 
 
 def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
     """Re-run the certified inconsistency: u . A = 0 and u . rhs != 0.
 
-    False, never an exception, for a functional that is not a list of
-    {"row": label, "value": text} items, names a row outside the system or
-    names a row twice, or states a malformed value or one with a zero
-    denominator in the field, and for a missing pairing or a target
-    bidegree other than the module's."""
+    The system is rebuilt from N by the builder of the certificate's kind,
+    boundary-membership only for a module of rank 2.  False, never an
+    exception, for a functional that is not a list of {"row": label,
+    "value": text} items, names a row outside the system or names a row
+    twice, or states a malformed value or one with a zero denominator in
+    the field, for a missing pairing, and for a stated kind, bidegree,
+    dimension or target other than the rebuilt system's."""
     cert = report.certificate
     items = cert.get("null_functional") if isinstance(cert, dict) else None
     if not isinstance(items, list) or not all(
@@ -321,13 +305,14 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
             for item in items):
         return False
     field = N.algebra.field
-    if cert.get("kind") == "boundary-membership":
-        _, n, w, matrix, rhs = _rank2_system(N)
-        if cert.get("target_bidegree") != [n, w]:
-            return False
+    if cert.get("kind") == "boundary-membership" and N.rank == 2:
+        system = _rank2_system
     elif cert.get("kind") == "gamma-system":
-        matrix, rhs, _ = _assemble_global_system(N)
+        system = _assemble_global_system
     else:
+        return False
+    matrix, rhs, _, head = system(N, obstruction_values(N))
+    if any(cert.get(key) != value for key, value in head(cert.get("rank")).items()):
         return False
     index = {lab: i for i, lab in enumerate(matrix.dst_labels)}
     stated = {}

@@ -264,6 +264,27 @@ def test_unprintable_rational_coefficient_is_a_parse_error(tmp_path, capsys):
                        "for integers\n" % limit)
 
 
+def test_divided_power_binomials_in_a_module_end_quickly(tmp_path, capsys):
+    # d(de3) = e1*Y^(300000)*Y^(300000) = comb(600000, 300000) e1*Y^(600000)
+    path = tmp_path / "binomial.dgp"
+    text = ("ring R = %s[x:1]\nalgebra B = R<Y:2>\nmodule N over B = <e1:0, "
+            "e2:600001, e3:1200002 | de1 = 0, de2 = e1*Y^(300000), "
+            "de3 = e2*Y^(300000)>\n")
+    expected = {
+        "QQ": (1, "dglift: line 3: coefficient exceeds the %d-digit limit for "
+                  "integers\n" % sys.get_int_max_str_digits()),
+        "FF(7)": (0, ""),
+        "FF(1000000007)": (1, "dglift: line 3: d^2 has nonzero component "
+                              "46106955*Y^(600000) at (e1, e3)\n"),
+    }
+    for field, (code, err) in expected.items():
+        path.write_text(text % field)
+        start = time.perf_counter()
+        got_code, _, got_err = run_main(capsys, "validate", str(path))
+        assert (got_code, got_err) == (code, err)
+        assert time.perf_counter() - start < 1
+
+
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     from dglift import cli
 

@@ -1,13 +1,15 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from dglift import (BaseRing, ConstructionError, DGLiftError, PrimeField, QQ,
                     parse_ring)
-from dglift.coefficients import (PRIME_LIMIT, ModP, is_prime,
-                                 principal_intersection_dim)
+from dglift.coefficients import (PRIME_LIMIT, ModP, exponent_vectors, is_prime,
+                                 principal_intersection_dim, ring_mono_key)
+from dglift.randomgen import example_algebras, standard_rings
 
 
 @pytest.fixture
@@ -143,6 +145,53 @@ def test_prime_field_arithmetic():
     assert not F.of(10)
     with pytest.raises(ValueError):
         ModP(1, 5) + ModP(1, 7)
+
+
+def test_prime_field_rejects_foreign_operands():
+    # the reflected operators return NotImplemented, so Python raises TypeError
+    for operation in (lambda: Fraction(1, 2) - ModP(1, 5),
+                      lambda: 1.5 - ModP(1, 5),
+                      lambda: ModP(1, 5) / Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            operation()
+    assert 3 - ModP(1, 5) == ModP(2, 5)
+
+
+def brute_force_exponents(degrees, total, caps):
+    """Every exponent vector of the given total, by exhaustive product over
+    per-position ranges, in itertools.product's (lexicographic) order."""
+    ranges = [range(max(total, 0) // d + 1) for d in degrees]
+    return [exps for exps in itertools.product(*ranges)
+            if sum(e * d for e, d in zip(exps, degrees)) == total
+            and all(cap is None or e <= cap for e, cap in zip(exps, caps))]
+
+
+def test_exponent_vectors_match_brute_force():
+    cases = [(ring.degrees, [None] * len(ring.degrees)) for ring in standard_rings()]
+    cases += [([v.degree for v in B.vars], [1 if v.is_odd else None for v in B.vars])
+              for B in example_algebras()]
+    rng = random.Random(8)
+    for _ in range(40):
+        degrees = [rng.randint(1, 4) for _ in range(rng.randint(0, 4))]
+        cases.append((degrees, [rng.choice([None, 0, 1, 2]) for _ in degrees]))
+    for degrees, caps in cases:
+        for total in range(-3, 11):
+            assert exponent_vectors(degrees, total, caps) \
+                == brute_force_exponents(degrees, total, caps), (degrees, caps, total)
+
+
+def test_bases_are_the_filtered_sorted_enumerations():
+    for ring in standard_rings():
+        for w in range(-2, 9):
+            assert ring.graded_basis(w) == sorted(brute_force_basis(ring, w),
+                                                  key=ring_mono_key)
+    for B in example_algebras():
+        degrees = [v.degree for v in B.vars]
+        for n in range(-2, 9):
+            # odd letters square to zero: exponent at most 1
+            brute = [m for m in brute_force_exponents(degrees, n, [None] * len(degrees))
+                     if all(e <= 1 for e, v in zip(m, B.vars) if v.is_odd)]
+            assert B.monomial_basis(n) == sorted(brute, key=B.mono_key)
 
 
 def test_primality_matches_trial_division():

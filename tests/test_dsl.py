@@ -291,6 +291,22 @@ def test_divided_power_factorials_past_the_digit_limit_are_parse_errors():
             parse_algebra_element(qq, text.replace("%d", str(n + 1)))
 
 
+def test_divided_power_products_are_bounded_before_they_are_built():
+    """Y^(300000) * Y^(300000): the binomial over F_p by Lucas' theorem, and
+    over QQ a parse error past the digit limit without building it."""
+    start = time.perf_counter()
+    # comb(600000, 300000) is 0 mod 7 and 46106955 mod 1000000007
+    for p, expected in ((7, 0), (1000000007, 46106955)):
+        problem = parse_problem("ring R = FF(%d)\nalgebra B = R<Y:2>\n" % p)
+        assert parse_algebra_element(problem, "Y^(300000)*Y^(300000)") \
+            == expected * problem.algebra.divided_power("Y", 600000)
+    if hasattr(sys, "get_int_max_str_digits"):
+        qq = parse_problem("ring R = QQ\nalgebra B = R<Y:2>\n")
+        with pytest.raises(ParseError, match="line 0: coefficient exceeds the"):
+            parse_algebra_element(qq, "Y^(300000)*Y^(300000)")
+    assert time.perf_counter() - start < 1
+
+
 def _element_oracle(problem, rng, labels=()):
     """A random signed term as (text, label, element): the element is the
     product of the factors computed with element arithmetic."""

@@ -1,9 +1,10 @@
 import random
+import sys
 from math import comb
 
 import pytest
 
-from dglift import (BaseRing, CycleViolation, ForwardReference, FreeDGAlgebra,
+from dglift import (BaseRing, ConstructionError, CycleViolation, ForwardReference, FreeDGAlgebra,
                     GradingViolation, PrimeField, QQ, Variable, parse_ring)
 from dglift.randomgen import random_algebra, random_algebra_element, standard_rings
 
@@ -207,6 +208,37 @@ def test_memoised_monomial_products_match_the_formula(char):
         expected = reference_mono_mul(A, a, b)
         assert A.mono_mul(a, b) == expected
         assert A.mono_mul(a, b) == expected  # from the memo
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 1000000007])
+def test_divided_power_binomials_mod_p_match_the_exact_ones(p):
+    """Lucas' theorem, over one and several base-p digits, against
+    comb(a + b, a) % p; a zero binomial makes the product vanish."""
+    A = FreeDGAlgebra(BaseRing(PrimeField(p)), [Variable("Y", 2, 2)])
+    for a in range(1, 60):
+        for b in (a, 1, 2, 7, 30):
+            expected = comb(a + b, a) % p
+            assert A.mono_mul((a,), (b,)) \
+                == ((A.field.of(expected), (a + b,)) if expected else None)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no integer-string digit limit")
+def test_divided_power_binomials_past_the_digit_limit_are_construction_errors():
+    A = FreeDGAlgebra(BaseRing(QQ), [Variable("Y", 2, 2)])
+    bound = 10 ** sys.get_int_max_str_digits()
+    # exact at the boundary: the largest comb(2a, a) below 10^limit, and
+    # comb(n, 1) = n with and without one digit too many
+    lo, hi = 1, 20000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if comb(2 * mid, mid) < bound else (lo, mid)
+    assert A.mono_mul((lo,), (lo,)) == (QQ.of(comb(2 * lo, lo)), (2 * lo,))
+    assert A.mono_mul((bound - 2,), (1,)) == (QQ.of(bound - 1), (bound - 1,))
+    for a, b in ((lo + 1, lo + 1), (bound - 1, 1), (10 ** 4000, 10 ** 4000),
+                 (300000, 300000)):
+        with pytest.raises(ConstructionError, match="coefficient exceeds the"):
+            A.mono_mul((a,), (b,))
 
 
 def test_equal_algebras_do_not_share_caches():

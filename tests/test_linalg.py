@@ -14,17 +14,25 @@ from dglift.envelope import (DiagonalElement, EnvelopeElement, diagonal_block_ke
                              diagonal_label, diagonal_vec, sigma)
 from dglift.free_dga import AlgebraElement
 from dglift.linalg import apply_matrix
-from dglift.obstruction import _assemble_global_system
+from dglift.obstruction import (_assemble_global_system, criterion_rhs,
+                                obstruction_values)
 from dglift.randomgen import random_diagonal_element
 from dglift.semifree import ModuleElement, TensorJElement
 
 from conftest import GOLDEN
 
 
+def dense_block(rows, src_labels, dst_labels, field):
+    """A block with the given dense rows, through the one constructor: the
+    labels are the keys themselves."""
+    return BlockMatrix([{j: x for j, x in enumerate(row) if x} for row in rows],
+                       src_labels, dst_labels, str, field)
+
+
 def matrix(rows, field=QQ):
     rows = [[field.of(x) for x in row] for row in rows]
     nc = len(rows[0]) if rows else 0
-    return BlockMatrix(rows, ["c%d" % j for j in range(nc)],
+    return dense_block(rows, ["c%d" % j for j in range(nc)],
                        ["r%d" % i for i in range(len(rows))], field)
 
 
@@ -93,7 +101,7 @@ def test_rank_nullity_on_random_blocks():
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
                 for _ in range(nrows)]
-        m = BlockMatrix(rows, ["c%d" % j for j in range(ncols)],
+        m = dense_block(rows, ["c%d" % j for j in range(ncols)],
                         ["r%d" % i for i in range(nrows)], QQ)
         r = rank(m)
         assert r == oracle_rank(rows, QQ)
@@ -125,7 +133,7 @@ def test_example_boundary_system_inconsistent_for_the_x_target(example_algebra):
 
 
 def test_homology_dimension_examples(example_algebra, nonliftable_problem):
-    empty = BlockMatrix([], [], [], QQ)
+    empty = dense_block([], [], [], QQ)
     assert homology_dim(empty, empty) == 0  # the zero complex
     zero = matrix([[0, 0], [0, 0]])
     assert homology_dim(zero, zero) == 2 - 0  # zero maps, 2-dim middle
@@ -166,7 +174,7 @@ def test_prime_field_solves():
     from dglift import PrimeField
     F = PrimeField(5)
     rows = [[F.of(2), F.of(1)], [F.of(1), F.of(2)]]  # det = 3, invertible mod 5
-    m = BlockMatrix(rows, ["a", "b"], ["r0", "r1"], F)
+    m = dense_block(rows, ["a", "b"], ["r0", "r1"], F)
     v = [F.of(1), F.of(2)]
     result = linear_solve(m, v)
     assert result.consistent
@@ -277,7 +285,7 @@ def test_sparse_solver_matches_dense_oracle(field):
     for trial in range(80):
         nrows, ncols = ORACLE_SHAPES[trial % len(ORACLE_SHAPES)]
         rows = random_rows(rng, field, nrows, ncols)
-        m = BlockMatrix(rows, ["c%d" % j for j in range(ncols)],
+        m = dense_block(rows, ["c%d" % j for j in range(ncols)],
                         ["r%d" % i for i in range(nrows)], field)
         _, ref_pivots, ref_transform = dense_eliminate(
             rows, ncols, field, True)
@@ -431,10 +439,32 @@ def test_block_builders_match_the_dense_reference():
                     lambda key: TensorJElement.from_terms(N, [(key, one)]).diff().terms(),
                     N.tensor_key_label, B.field))
                 blocks += 2
-            matrix, _, _ = _assemble_global_system(N)
+            matrix, _, _, _ = _assemble_global_system(N, obstruction_values(N))
             assert_block_equals(matrix, reference_gamma_system(N))
             blocks += 1
     assert blocks > 1000
+
+
+def test_gamma_rhs_is_the_obstruction():
+    """The γ-system's right-hand side, read from the obstruction values,
+    against the former path: the coordinates of criterion_rhs(N, {}, lam)."""
+    problems = [problem for _, problem in oracle_problems()]
+    problems += [parse_problem(path.read_text(encoding="utf-8"))
+                 for path in sorted((CORPUS / "koszul-fp").glob("*.dgp"))]
+    checked = 0
+    for problem in problems:
+        for N in problem.modules.values():
+            matrix, rhs, _, _ = _assemble_global_system(N, obstruction_values(N))
+            equations = [("eq", lam, k) for lam, n, w in
+                         zip(N.labels, N.degrees, N.weights)
+                         for k in N.tensor_keys(n - 1, w)]
+            assert matrix.shape[0] == len(equations)
+            assert rhs == linalg.coordinates(
+                [(("eq", lam, k), s) for lam in N.labels
+                 for k, s in criterion_rhs(N, {}, lam).terms()],
+                equations, N.algebra.field)
+            checked += 1
+    assert checked >= 60
 
 
 def test_diagonal_arithmetic_matches_the_envelope():
@@ -468,7 +498,7 @@ def test_solver_matches_the_dense_oracle_on_real_systems():
     for name, problem in oracle_problems():
         field = problem.algebra.field
         for N in problem.modules.values():
-            matrix, rhs, _ = _assemble_global_system(N)
+            matrix, rhs, _, _ = _assemble_global_system(N, obstruction_values(N))
             rows = matrix.rows
             ref_rank, ref_solution, ref_null, ref_pairing = dense_solve(
                 rows, matrix.shape[1], rhs, field)

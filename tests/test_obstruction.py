@@ -368,3 +368,22 @@ def test_boundary_certificate_with_another_target_bidegree_is_rejected(module_m)
         tampered = deepcopy(report)
         tampered.certificate["target_bidegree"] = bad
         assert not verify_certificate(module_m, tampered)
+
+
+def _golden_with_module(text):
+    return parse_problem(golden_text("nonliftable.dgp")
+                         + "module P over B = %s\n" % text).modules["P"]
+
+
+def test_boundary_certificate_on_a_rank_one_module_is_rejected(module_m):
+    report = check_lift(module_m, method="rank2")
+    assert not verify_certificate(_golden_with_module("<e:0 | de = 0>"), report)
+
+
+def test_boundary_certificate_on_a_rank_three_module_is_rejected(module_m):
+    # check_lift decides this module by the global solve, not by the rank-2
+    # corollary, whatever block its first two labels would give
+    P = _golden_with_module("<u:0, up:4, z:9 | du = 0, dup = u*X*Y*x, dz = 0>")
+    assert check_lift(P).method == METHOD_GLOBAL
+    report = check_lift(module_m, method="rank2")
+    assert not verify_certificate(P, report)
