@@ -244,6 +244,8 @@ def _run(argv):
         return 2
     verbose = bool(os.environ.get("DGLIFT_VERBOSE"))
     try:
+        if getattr(args, "trials", None) is not None and args.trials < 1:
+            raise ParseError("--trials must be at least 1")
         problem = None
         if args.command != "selftest":
             if verbose:

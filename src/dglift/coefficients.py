@@ -251,9 +251,10 @@ class BaseRing:
         return hash((self.field, self.gens, self.degrees, self.relations))
 
     def __repr__(self):
+        """The ring in the problem language, as `ring R = ...` writes it."""
         if self.is_field:
             return self.field.name
-        gens = ", ".join("%s:%d" % (n, d) for n, d in zip(self.gens, self.degrees))
+        gens = ",".join("%s:%d" % (n, d) for n, d in zip(self.gens, self.degrees))
         txt = "%s[%s]" % (self.field.name, gens)
         if self.relations:
             txt += "/(%s)" % ", ".join(self.render_mono(r) for r in self.relations)
@@ -375,37 +376,10 @@ class RingElement(LinComb):
                       key=lambda item: (self.parent.mono_weight(item[0]),
                                         ring_mono_key(item[0])))
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for exps, c in self.sorted_terms():
-            mono = self.parent.render_mono(exps)
-            parts.append(render_scalar_mono(c, mono))
-        return join_signed(parts)
-
-
-def render_scalar_mono(scalar, mono):
-    """Deterministic `scalar*mono` with 1 and -1 elided; may start with '-'."""
-    txt = str(scalar)
-    if txt == "1":
-        return mono
-    if txt == "-1":
-        return "-" + mono
-    if mono == "1":
-        return txt
-    return "%s*%s" % (txt, mono)
-
-
-def join_signed(parts):
-    """Join pre-rendered terms with ' + ' / ' - ' by their leading sign."""
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+    def text_terms(self):
+        """(factor texts, scalar) pairs in print order."""
+        ring = self.parent
+        return [((ring.render_mono(e),), c) for e, c in self.sorted_terms()]
 
 
 def multiplication_block(ring, a, w_src):

@@ -23,7 +23,13 @@ Internal degrees are inferred: a variable takes the internal degree of its
 differential image (its homological degree when dX = 0), a module basis
 element takes the degree forced by its differential (0 when absent).  A
 third field overrides the default (`X:1:2`, `e:0:3`) and is checked for
-consistency when the differential already forces a value.
+consistency when the differential already forces a value; `_settle_weight`
+decides both.  Each dX is parsed in place into a parse algebra and measured
+there, with the declared weights, else the homological degrees: one
+expression in `_parse_algebra_decl`.  The weights forced by the other
+differentials are not used, so a dX homogeneous only under them is
+rejected (corpus file f006, a known defect); measuring with the weights
+already settled would fix it.
 
 Every construction error raised by the algebra layers is re-raised with
 the source line of the declaration that caused it.
@@ -407,16 +413,39 @@ def _parse_specs(ts):
             return specs
 
 
-def _parse_algebra_decl(ts, rings):
+def _settle_weight(name, declared, forced, default, line):
+    """The internal degree of a variable or basis element: the one its
+    differential forces, which a declared one must equal, else the declared
+    one, else the default."""
+    if forced is None:
+        return default if declared is None else declared
+    if declared is not None and declared != forced:
+        raise ParseError("declared internal degree %d for %s, but d%s forces %d"
+                         % (declared, name, name, forced), line)
+    return forced
+
+
+def _parse_algebra_decl(ts, ring_name, ring):
     name = ts.expect_name()
     ts.expect_sym("=")
-    ring_name = ts.expect_name()
-    if ring_name not in rings:
-        raise UndeclaredName("undeclared ring %r" % ring_name, ts.line)
-    ring = rings[ring_name]
+    used = ts.expect_name()
+    if used != ring_name:
+        raise UndeclaredName("undeclared ring %r" % used, ts.line)
     ts.expect_sym("<")
     specs = [] if ts.at_sym("|", ">") else _parse_specs(ts)
-    diff_exprs = {}
+    for vname, degree, weight in specs:
+        if degree < 1:
+            raise ParseError("variable %s needs homological degree >= 1" % vname,
+                             ts.line)
+    # the parse algebra: products ignore weights, but every dX is measured
+    # with these, the declared weight else the homological degree (f006)
+    try:
+        parsing = FreeDGAlgebra(ring, [Variable(v, d, d if w is None else w)
+                                       for v, d, w in specs])
+    except ConstructionError as exc:
+        raise ParseError(str(exc), ts.line)
+    env = _env(ring, parsing.vars)
+    diffs = {}
     if ts.eat_sym("|"):
         declared = {s[0] for s in specs}
         while True:
@@ -424,72 +453,38 @@ def _parse_algebra_decl(ts, rings):
             if not dname.startswith("d") or dname[1:] not in declared:
                 raise ParseError("expected d<variable>, found %r" % dname, ts.line)
             ts.expect_sym("=")
-            start, depth = ts.pos, 0
-            while not ts.done() and (depth or not ts.at_sym(",", ">")):
-                depth += {"(": 1, ")": -1}.get(ts.next()[1], 0)
-            diff_exprs[dname[1:]] = (start, ts.pos)
+            # only ring generators and variables are in scope: no label
+            diffs[dname[1:]] = _parse_expression(ts, env, parsing).get(None)
             if not ts.eat_sym(","):
                 break
     ts.expect_sym(">")
-
-    for vname, degree, weight in specs:
-        if degree < 1:
-            raise ParseError("variable %s needs homological degree >= 1" % vname,
-                             ts.line)
-    # pass 1: provisional algebra (weights irrelevant for products)
-    try:
-        provisional = FreeDGAlgebra(
-            ring, [Variable(v, d, w if w is not None else max(d, 1))
-                   for v, d, w in specs])
-    except ConstructionError as exc:
-        raise ParseError(str(exc), ts.line)
-    env = _env(ring, provisional.vars)
-    diff_data = {}
-    for vname, (start, end) in diff_exprs.items():
-        sub = _Tokens(ts.tokens[start:end], ts.line)
-        if sub.done():
-            raise ParseError("empty differential for %s" % vname, ts.line)
-        parts = _parse_expression(sub, env, provisional)
-        sub.expect_done()
-        if parts:  # only ring generators and variables are in scope
-            diff_data[vname] = parts[None].coeffs
-    # pass 2: infer internal degrees and build the validated algebra
     variables = []
     for vname, degree, weight in specs:
-        raw = diff_data.get(vname)
-        if raw:
-            el = AlgebraElement(provisional, raw)
+        dx, forced = diffs.get(vname), None
+        if dx:
             try:
-                _, w_forced = el.bidegree()
+                forced = dx.bidegree()[1]
             except ConstructionError:
                 raise ParseError("d%s is not internally homogeneous" % vname, ts.line)
-            if weight is not None and weight != w_forced:
-                raise ParseError(
-                    "declared internal degree %d for %s, but d%s forces %d"
-                    % (weight, vname, vname, w_forced), ts.line)
-            weight = w_forced
-        elif weight is None:
-            weight = degree
-        variables.append((vname, degree, weight))
+        variables.append((vname, degree,
+                          _settle_weight(vname, weight, forced, degree, ts.line)))
     try:
-        algebra = FreeDGAlgebra(ring,
-                                [Variable(v, d, w) for v, d, w in variables],
-                                diff_data)
+        algebra = FreeDGAlgebra(ring, [Variable(*v) for v in variables],
+                                {v: dx.coeffs for v, dx in diffs.items() if dx})
     except ConstructionError as exc:
         exc.line = ts.line
         raise
     return name, algebra
 
 
-def _parse_module_decl(ts, algebras):
+def _parse_module_decl(ts, algebra_name, B):
     name = ts.expect_name()
     kw = ts.expect_name()
     if kw != "over":
         raise ParseError("expected 'over', found %r" % kw, ts.line)
-    algebra_name = ts.expect_name()
-    if algebra_name not in algebras:
-        raise UndeclaredName("undeclared algebra %r" % algebra_name, ts.line)
-    B = algebras[algebra_name]
+    used = ts.expect_name()
+    if used != algebra_name:
+        raise UndeclaredName("undeclared algebra %r" % used, ts.line)
     ts.expect_sym("=")
     ts.expect_sym("<")
     specs = _parse_specs(ts)
@@ -512,57 +507,37 @@ def _parse_module_decl(ts, algebras):
             if not ts.eat_sym(","):
                 break
     ts.expect_sym(">")
-
-    degrees = [s[1] for s in specs]
-    weights = _infer_module_weights(specs, diffs, ts)
-    structure = {}
-    for lam, entries in diffs.items():
-        for mu, value in entries.items():
-            if value:
-                structure[(mu, lam)] = value
-    try:
-        module = SemifreeModule(B, labels, degrees, weights, structure)
-    except ConstructionError as exc:
-        exc.line = ts.line
-        raise
-    return name, module
-
-
-def _infer_module_weights(specs, diffs, ts):
-    labels = [s[0] for s in specs]
+    # weights in basis order: each component of d(lab) forces w(mu) + its own
     index = {lab: i for i, lab in enumerate(labels)}
-    weights = [None] * len(labels)
-    for i, (lab, _, explicit) in enumerate(specs):
+    weights = []
+    for lab, _, declared in specs:
         forced = None
         for mu, value in diffs.get(lab, {}).items():
-            if not value:
-                continue
             try:
                 _, w_val = value.bidegree()
             except ConstructionError:
                 raise ParseError(
                     "the %s-component of d%s is not internally homogeneous"
                     % (mu, lab), ts.line)
-            mu_w = weights[index[mu]]
-            if mu_w is None:
+            if index[mu] >= len(weights):
                 raise ParseError(
                     "d%s refers to %s, which is not declared earlier" % (lab, mu),
                     ts.line)
-            candidate = mu_w + w_val
+            candidate = weights[index[mu]] + w_val
             if forced is not None and candidate != forced:
                 raise ParseError(
                     "components of d%s force inconsistent internal degrees" % lab,
                     ts.line)
             forced = candidate
-        if forced is not None:
-            if explicit is not None and explicit != forced:
-                raise ParseError(
-                    "declared internal degree %d for %s, but d%s forces %d"
-                    % (explicit, lab, lab, forced), ts.line)
-            weights[i] = forced
-        else:
-            weights[i] = explicit if explicit is not None else 0
-    return weights
+        weights.append(_settle_weight(lab, declared, forced, 0, ts.line))
+    structure = {(mu, lam): value for lam, entries in diffs.items()
+                 for mu, value in entries.items()}
+    try:
+        module = SemifreeModule(B, labels, [s[1] for s in specs], weights, structure)
+    except ConstructionError as exc:
+        exc.line = ts.line
+        raise
+    return name, module
 
 
 def default_module_weights(module):
@@ -582,9 +557,7 @@ def default_module_weights(module):
 
 
 def parse_problem(text):
-    rings, algebras = {}, {}
-    problem_ring = None
-    problem_algebra = None
+    ring_name = ring = algebra_name = algebra = None
     modules = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -593,52 +566,37 @@ def parse_problem(text):
         ts = _Tokens(_tokenize(line, line_no), line_no)
         head = ts.expect_name()
         if head == "ring":
-            if problem_ring is not None:
+            if ring is not None:
                 raise ParseError("a problem declares exactly one ring", line_no)
-            rname = ts.expect_name()
+            ring_name = ts.expect_name()
             ts.expect_sym("=")
             ring = _parse_ring_tokens(ts)
             ts.expect_done()
-            rings[rname] = ring
-            problem_ring = (rname, ring)
         elif head == "algebra":
-            if problem_algebra is not None:
+            if algebra is not None:
                 raise ParseError("a problem declares exactly one algebra", line_no)
-            if problem_ring is None:
+            if ring is None:
                 raise ParseError("declare the ring before the algebra", line_no)
-            aname, algebra = _parse_algebra_decl(ts, rings)
+            algebra_name, algebra = _parse_algebra_decl(ts, ring_name, ring)
             ts.expect_done()
-            if aname in rings:
-                raise ParseError("name %r is already in use" % aname, line_no)
-            algebras[aname] = algebra
-            problem_algebra = (aname, algebra)
+            if algebra_name == ring_name:
+                raise ParseError("name %r is already in use" % algebra_name, line_no)
         elif head == "module":
-            if problem_algebra is None:
+            if algebra is None:
                 raise ParseError("declare the algebra before any module", line_no)
-            mname, module = _parse_module_decl(ts, algebras)
+            mname, module = _parse_module_decl(ts, algebra_name, algebra)
             ts.expect_done()
-            if mname in rings or mname in algebras or mname in modules:
+            if mname in (ring_name, algebra_name) or mname in modules:
                 raise ParseError("name %r is already in use" % mname, line_no)
             modules[mname] = module
         else:
             raise ParseError("unknown declaration %r" % head, line_no)
-    if problem_ring is None or problem_algebra is None:
+    if algebra is None:
         raise ParseError("a problem needs a ring and an algebra", None)
-    return ProblemDescription(problem_ring[0], problem_ring[1],
-                              problem_algebra[0], problem_algebra[1], modules)
+    return ProblemDescription(ring_name, ring, algebra_name, algebra, modules)
 
 
 # -- pretty printer ----------------------------------------------------------------
-
-
-def _ring_text(ring):
-    if ring.is_field:
-        return ring.field.name
-    gens = ",".join("%s:%d" % (g, d) for g, d in zip(ring.gens, ring.degrees))
-    txt = "%s[%s]" % (ring.field.name, gens)
-    if ring.relations:
-        txt += "/(%s)" % ", ".join(ring.render_mono(r) for r in ring.relations)
-    return txt
 
 
 def _algebra_text(name, ring_name, B):
@@ -673,7 +631,7 @@ def _module_text(name, algebra_name, module):
 
 
 def print_problem(problem):
-    lines = ["ring %s = %s" % (problem.ring_name, _ring_text(problem.ring)),
+    lines = ["ring %s = %r" % (problem.ring_name, problem.ring),
              _algebra_text(problem.algebra_name, problem.ring_name,
                            problem.algebra)]
     for mname, module in problem.modules.items():

@@ -25,10 +25,18 @@ as pairs (m, 1).
 from fractions import Fraction
 
 from . import linalg
-from .coefficients import ModP, RingElement, join_signed
+from .coefficients import ModP, RingElement
 from .errors import ConstructionError
 from .free_dga import AlgebraElement
-from .lincomb import LinComb, merge
+from .lincomb import LinComb, join_signed, merge
+
+
+def pair_text(algebra, m1, m2):
+    """`m1^o⊗m2`, the left monomial bracketed when it is a product or power."""
+    left = algebra.render_mono(m1)
+    if "*" in left or "^" in left:
+        left = "(%s)" % left
+    return "%s^o⊗%s" % (left, algebra.render_mono(m2))
 
 
 def render_pair_terms(algebra, coeffs):
@@ -40,10 +48,7 @@ def render_pair_terms(algebra, coeffs):
                                    algebra.mono_key(kv[0][1])))
     parts = []
     for (m1, m2), c in items:
-        left = algebra.render_mono(m1)
-        if "*" in left or "^" in left:
-            left = "(%s)" % left
-        pair = "%s^o⊗%s" % (left, algebra.render_mono(m2))
+        pair = pair_text(algebra, m1, m2)
         for rm, s in c.sorted_terms():
             r_txt = algebra.ring.render_mono(rm)
             txt = str(s)
@@ -346,10 +351,7 @@ def diagonal_vec(element, keys):
 
 def diagonal_label(B, key):
     m1, m2, rm = key
-    left = B.render_mono(m1)
-    if "*" in left or "^" in left:
-        left = "(%s)" % left
-    txt = "σ(%s^o⊗%s)" % (left, B.render_mono(m2))
+    txt = "σ(%s)" % pair_text(B, m1, m2)
     r_txt = B.ring.render_mono(rm)
     return txt if r_txt == "1" else txt + "·" + r_txt
 

@@ -347,28 +347,9 @@ class AlgebraElement(LinComb):
             total = total + self.parent.mono_diff(mono) * c
         return total
 
-    def sorted_terms(self):
-        """(monomial, ring monomial, scalar) triples in the fixed order."""
-        out = []
-        for mono, c in sorted(self.coeffs.items(),
-                              key=lambda kv: self.algebra.mono_key(kv[0])):
-            for rm, s in c.sorted_terms():
-                out.append((mono, rm, s))
-        return out
-
-    def __repr__(self):
-        from .coefficients import join_signed, render_scalar_mono
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for mono, rm, s in self.sorted_terms():
-            m_txt = self.algebra.render_mono(mono)
-            r_txt = self.algebra.ring.render_mono(rm)
-            if m_txt == "1":
-                combined = r_txt
-            elif r_txt == "1":
-                combined = m_txt
-            else:
-                combined = m_txt + "*" + r_txt
-            parts.append(render_scalar_mono(s, combined))
-        return join_signed(parts)
+    def text_terms(self):
+        """(factor texts, scalar) pairs in print order."""
+        B = self.parent
+        return [((B.render_mono(mono),) + texts, s)
+                for mono in sorted(self.coeffs, key=B.mono_key)
+                for texts, s in self.coeffs[mono].text_terms()]

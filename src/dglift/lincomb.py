@@ -15,6 +15,9 @@ bare key with ``_key_bidegree``; everything linear lives here.
 inverse.  With ``linalg.block_matrix`` and ``linalg.coordinates`` they
 bridge elements and coordinate vectors; the maps on one J basis key in
 ``envelope`` yield terms of the same shape without building an element.
+``text_terms()``, where a subclass defines it, is the printed form of
+``terms()``: (factor texts, scalar) pairs in print order, which the one
+renderer ``render_terms`` writes for R, B and N.
 """
 
 from .errors import ConstructionError
@@ -28,6 +31,33 @@ def merge(out, key, add):
         out[key] = s
     else:
         out.pop(key, None)
+
+
+def join_signed(parts):
+    """Join pre-rendered terms with ' + ' / ' - ' by their leading sign."""
+    out = parts[0]
+    for p in parts[1:]:
+        if p.startswith("-"):
+            out += " - " + p[1:]
+        else:
+            out += " + " + p
+    return out
+
+
+def render_terms(terms):
+    """`scalar*f1*f2...` per (factor texts, scalar) term, factors "1" dropped
+    and a scalar 1 or -1 elided, joined by sign; "0" for no terms."""
+    parts = []
+    for factors, s in terms:
+        mono = "*".join(f for f in factors if f != "1") or "1"
+        txt = str(s)
+        if txt == "1":
+            parts.append(mono)
+        elif txt == "-1":
+            parts.append("-" + mono)
+        else:
+            parts.append(txt if mono == "1" else txt + "*" + mono)
+    return join_signed(parts) if parts else "0"
 
 
 class LinComb:
@@ -77,6 +107,9 @@ class LinComb:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def __repr__(self):
+        return render_terms(self.text_terms())
 
     def scale(self, s):
         """Multiply every coefficient on the right by s."""

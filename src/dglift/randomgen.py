@@ -107,7 +107,6 @@ def random_algebra(rng, ring, max_vars=3, max_degree=3):
         diff_data = {nm: {m + (0,) * (len(vars_so_far) - len(m)): c
                           for m, c in data.items()}
                      for nm, data in diff_data.items()}
-        vars_so_far = [Variable(v.name, v.degree, v.weight) for v in vars_so_far]
     return FreeDGAlgebra(ring, vars_so_far, diff_data)
 
 

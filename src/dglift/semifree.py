@@ -28,7 +28,7 @@ obstruction machinery in `obstruction` measures.
 """
 
 from . import linalg
-from .coefficients import join_signed, render_scalar_mono
+from .coefficients import TOO_LONG, digit_limit
 from .envelope import (DiagonalElement, EnvelopeElement, diagonal_block_keys,
                        diagonal_label, pi, rho, sigma)
 from .errors import (ConstructionError, DegreeMismatch,
@@ -84,9 +84,14 @@ class SemifreeModule:
                 merge(square, mu, -db if self.degrees[mu] % 2 else db)
             if square:
                 nu = min(square)
-                raise DifferentialSquareNonzero(
-                    "d^2 has nonzero component %s at (%s, %s)"
-                    % (square[nu], self.labels[nu], lam), pair=(self.labels[nu], lam))
+                pair = (self.labels[nu], lam)
+                try:
+                    message = "d^2 has nonzero component %s at (%s, %s)" % (
+                        square[nu], *pair)
+                except ValueError:  # a coefficient past the integer-string limit
+                    message = "d^2 has nonzero component at (%s, %s): %s" % (
+                        *pair, TOO_LONG % digit_limit())
+                raise DifferentialSquareNonzero(message, pair=pair)
 
     @property
     def rank(self):
@@ -245,24 +250,12 @@ class ModuleElement(LabelledSum):
     __slots__ = ()
     coeff_class = AlgebraElement
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        N = self.parent
-        parts = []
-        for lab in N.labels:
-            if lab not in self.coeffs:
-                continue
-            for mono, rm, s in self.coeffs[lab].sorted_terms():
-                factors = [lab]
-                m_txt = N.algebra.render_mono(mono)
-                if m_txt != "1":
-                    factors.append(m_txt)
-                r_txt = N.algebra.ring.render_mono(rm)
-                if r_txt != "1":
-                    factors.append(r_txt)
-                parts.append(render_scalar_mono(s, "*".join(factors)))
-        return join_signed(parts)
+    def text_terms(self):
+        """(factor texts, scalar) pairs in print order."""
+        return [((lab,) + texts, s) for lab in self.parent.labels
+                if lab in self.coeffs for texts, s in self.coeffs[lab].text_terms()]
+
+    __repr__ = LinComb.__repr__
 
 
 class TensorJElement(LabelledSum):

@@ -3,6 +3,8 @@ import re
 import sys
 import time
 
+import pytest
+
 from dglift import parse_problem
 from dglift.cli import emit_report, main, report_from_json, run_command
 
@@ -86,6 +88,13 @@ def test_selftest_command(capsys):
     doc = json.loads(out)
     assert len(doc["results"]) == 6
     assert all(e["status"] == "pass" for e in doc["results"])
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_selftest_rejects_fewer_than_one_trial(trials, capsys):
+    code, out, err = run_main(capsys, "selftest", "--trials", trials)
+    assert code == 2 and out == ""
+    assert err == "dglift: --trials must be at least 1\n"
 
 
 def test_exit_code_on_mathematical_rejection(tmp_path, capsys):
@@ -283,6 +292,22 @@ def test_divided_power_binomials_in_a_module_end_quickly(tmp_path, capsys):
         got_code, _, got_err = run_main(capsys, "validate", str(path))
         assert (got_code, got_err) == (code, err)
         assert time.perf_counter() - start < 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no integer-string digit limit")
+def test_unprintable_d_squared_component_is_a_rejection(tmp_path, capsys):
+    # d^2(e3) = comb(10000, 5000)^2 e1*Y^(10000)*Z^(10000): each binomial is
+    # under the digit limit, their product is not
+    path = tmp_path / "square.dgp"
+    path.write_text("ring R = QQ\nalgebra B = R<Y:2, Z:2>\nmodule N over B = "
+                    "<e1:0, e2:20001, e3:40002 | de1 = 0, "
+                    "de2 = e1*Y^(5000)*Z^(5000), de3 = e2*Y^(5000)*Z^(5000)>\n")
+    code, out, err = run_main(capsys, "validate", str(path))
+    assert code == 1 and out == ""
+    assert err == ("dglift: line 3: d^2 has nonzero component at (e1, e3): "
+                   "coefficient exceeds the %d-digit limit for integers\n"
+                   % sys.get_int_max_str_digits())
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):

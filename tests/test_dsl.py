@@ -393,3 +393,18 @@ def test_terms_fold_like_element_products(field):
     for text in ("x", "x^2", "X*x", "2*x*X"):
         assert not parse_algebra_element(killed, text)
     assert parse_algebra_element(killed, "x + X") == killed.algebra.gen("X")
+
+
+@pytest.mark.parametrize("diffs, message", [
+    ("dX = , dY = 0", "expected a factor, found ','"),
+    ("dX = x, dQ = x", "expected d<variable>, found 'dQ'"),
+    ("dX = x y, dY = 0", "expected '>', found 'y'"),
+    ("dX = x, dY = X*y y", "expected '>', found 'y'"),
+    ("dX = W, dX = x", "undeclared name 'W'"),
+])
+def test_malformed_algebra_differentials(diffs, message):
+    # each dX is parsed in place, so the first error is the leftmost one
+    with pytest.raises(ParseError) as info:
+        parse_problem("ring R = QQ[x:1,y:1]/(x*y)\n"
+                      "algebra B = R<X:1, Y:2 | %s>\n" % diffs)
+    assert str(info.value) == "line 2: " + message
