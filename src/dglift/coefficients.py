@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ConstructionError
-from .lincomb import LinComb, merge
+from .lincomb import LinComb, memoised, merge
 
 
 class ModP:
@@ -176,9 +176,22 @@ QQ = RationalField()
 TOO_LONG = "coefficient exceeds the %d-digit limit for integers"
 
 
-def digit_limit():
-    """The interpreter's integer-string digit limit; 0 when there is none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# digit_limit(): the interpreter's integer-string digit limit; 0 when there is none
+digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def too_long(n):
+    """Whether the integer n has more digits than ``str`` may print."""
+    limit = digit_limit()  # 10**limit has more than 3 * limit bits
+    return bool(limit) and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit
+
+
+def element_text(element):
+    """(str(element), True), or (the TOO_LONG text, False) if str cannot print it."""
+    try:
+        return str(element), True
+    except ValueError:
+        return TOO_LONG % digit_limit(), False
 
 
 def mono_divides(small, big):
@@ -232,9 +245,7 @@ class BaseRing:
         minimal = [r for r in rels
                    if not any(s != r and mono_divides(s, r) for s in rels)]
         self.relations = tuple(minimal)
-        self._basis_cache = {}
-        self._reduced_cache = {}
-        self._mul_cache = {}
+        self.unit_mono = (0,) * len(self.gens)
 
     @property
     def is_field(self):
@@ -265,24 +276,14 @@ class BaseRing:
     def mono_weight(self, exps):
         return sum(e * d for e, d in zip(exps, self.degrees))
 
+    @memoised
     def mono_reduced(self, exps):
-        try:
-            return self._reduced_cache[exps]
-        except KeyError:
-            pass
-        reduced = not any(mono_divides(rel, exps) for rel in self.relations)
-        self._reduced_cache[exps] = reduced
-        return reduced
+        return not any(mono_divides(rel, exps) for rel in self.relations)
 
+    @memoised
     def mono_mul(self, a, b):
-        try:
-            return self._mul_cache[a, b]
-        except KeyError:
-            pass
         prod = tuple(x + y for x, y in zip(a, b))
-        prod = prod if self.mono_reduced(prod) else None
-        self._mul_cache[a, b] = prod
-        return prod
+        return prod if self.mono_reduced(prod) else None
 
     def render_mono(self, exps):
         parts = []
@@ -294,10 +295,6 @@ class BaseRing:
         return "*".join(parts) if parts else "1"
 
     # -- elements ------------------------------------------------------------
-
-    @property
-    def unit_mono(self):
-        return (0,) * len(self.gens)
 
     def element(self, coeffs):
         return RingElement(self, coeffs)
@@ -318,18 +315,11 @@ class BaseRing:
         exps = tuple(1 if j == i else 0 for j in range(len(self.gens)))
         return RingElement(self, {exps: self.field.one})
 
+    @memoised
     def graded_basis(self, w):
         """Ordered monomial basis of the internal-degree-w piece."""
-        if w < 0:
-            return []
-        try:
-            return self._basis_cache[w]
-        except KeyError:
-            pass
-        found = sorted(filter(self.mono_reduced, exponent_vectors(
+        return sorted(filter(self.mono_reduced, exponent_vectors(
             self.degrees, w, (None,) * len(self.degrees))), key=ring_mono_key)
-        self._basis_cache[w] = found
-        return found
 
 
 class RingElement(LinComb):

@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import factorial, lgamma, log
 
 from .coefficients import (BaseRing, PrimeField, QQ, RingElement, TOO_LONG,
-                           digit_limit)
+                           digit_limit, too_long)
 from .errors import ConstructionError, ParseError, UndeclaredName
 from .free_dga import AlgebraElement, FreeDGAlgebra, Variable
 from .semifree import ModuleElement, SemifreeModule
@@ -167,8 +167,7 @@ def _factorial(n, field, line):
     limit = digit_limit()
     if limit:
         digits = lgamma(min(n, 10 ** 300) + 1) / log(10)  # log10(n!), clamped
-        if digits > limit + 1 or (digits > limit - 1
-                                  and factorial(n) >= 10 ** limit):
+        if digits > limit + 1 or (digits > limit - 1 and too_long(factorial(n))):
             raise ParseError(TOO_LONG % limit, line)
     return field.of(factorial(n))
 
@@ -308,16 +307,13 @@ def _parse_sum(ts, env, ring, algebra):
         if ts.at_sym("-"):
             continue  # the leading minus of the next term
         break
-    limit = digit_limit()
-    if limit and not ring.field.char:
+    if not ring.field.char:
         # str cannot print a rational past the integer-string limit
         for by_am in out.values():
             for by_rm in by_am.values():
                 for s in by_rm.values():
-                    for n in (s.numerator, s.denominator):
-                        # 10**limit needs more than 3 * limit bits
-                        if n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
-                            raise ParseError(TOO_LONG % limit, ts.line)
+                    if too_long(s.numerator) or too_long(s.denominator):
+                        raise ParseError(TOO_LONG % digit_limit(), ts.line)
     return out
 
 

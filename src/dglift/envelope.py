@@ -28,7 +28,7 @@ from . import linalg
 from .coefficients import ModP, RingElement
 from .errors import ConstructionError
 from .free_dga import AlgebraElement
-from .lincomb import LinComb, join_signed, merge
+from .lincomb import LinComb, join_signed, memoised, merge
 
 
 def pair_text(algebra, m1, m2):
@@ -246,36 +246,22 @@ def delta(b: AlgebraElement) -> DiagonalElement:
 
 
 def envelope_basis(B, n, w):
-    """Ground-field basis of (B^e)_(n, w): (m1, m2, ring monomial) triples.
-
-    Sorted by (mono_key(m1), mono_key(m2), ring_mono_key(rm)) as built: the
-    loops run over d1 = |m1| upwards, each ``monomial_basis`` is sorted by
-    (degree, monomial) and each ``graded_basis`` by ``ring_mono_key``.
-    """
-    out = []
-    for d1 in range(n + 1):
-        for m1 in B.monomial_basis(d1):
-            w1 = B.mono_weight(m1)
-            for m2 in B.monomial_basis(n - d1):
-                rest = w - w1 - B.mono_weight(m2)
-                for rm in B.ring.graded_basis(rest):
-                    out.append((m1, m2, rm))
-    return out
+    """Ground-field basis of (B^e)_(n, w): (m1, m2, ring monomial) triples,
+    sorted by (mono_key(m1), mono_key(m2), ring_mono_key(rm)): the m1 = 1
+    block, which is B_(n, w), then the keys of J_(n, w)."""
+    return ([(B.unit_mono, m2, rm) for m2, rm in B.bidegree_basis(n, w)]
+            + diagonal_block_keys(B, n, w))
 
 
+@memoised
 def diagonal_block_keys(B, n, w):
-    """(m1, m2, ring monomial) keys of J_(n, w): the pairs with m1 != 1.
+    """(m1, m2, ring monomial) keys of J_(n, w): each monomial m1 != 1 of
+    degree d1 <= n, in order, times the basis of B_(n - d1, w - wt m1).
 
     The list is cached on B and shared between callers: do not mutate it.
     """
-    try:
-        return B._jkeys_cache[n, w]
-    except KeyError:
-        pass
-    keys = [(m1, m2, rm) for (m1, m2, rm) in envelope_basis(B, n, w)
-            if m1 != B.unit_mono]
-    B._jkeys_cache[n, w] = keys
-    return keys
+    return [(m1, m2, rm) for d1 in range(1, n + 1) for m1 in B.monomial_basis(d1)
+            for m2, rm in B.bidegree_basis(n - d1, w - B.mono_weight(m1))]
 
 
 # Each J basis vector j = sigma(m1^o (x) m2) . rm, m1 != 1, has the key

@@ -22,8 +22,9 @@ from fractions import Fraction
 from math import comb, log10
 
 from . import linalg
-from .coefficients import ModP, RingElement, TOO_LONG, digit_limit, exponent_vectors
-from .lincomb import LinComb, merge
+from .coefficients import (ModP, RingElement, TOO_LONG, digit_limit, element_text,
+                           exponent_vectors, too_long)
+from .lincomb import LinComb, memoised, merge
 from .errors import (ConstructionError, CycleViolation, ForwardReference,
                      GradingViolation)
 
@@ -78,7 +79,7 @@ def _binomial(n, k, field):
     limit = digit_limit()
     if not limit or log10(n) - log10(k) <= (limit + 1) / k:
         value = comb(n, k)
-        if not limit or value.bit_length() <= 3 * limit or value < 10 ** limit:
+        if not too_long(value):
             return field.of(value)
     raise ConstructionError(TOO_LONG % limit)
 
@@ -95,6 +96,7 @@ class FreeDGAlgebra:
 
     def __init__(self, ring, variables, diff_data=None):
         self.ring = ring
+        self.field = ring.field
         self.vars = tuple(variables)
         names = [v.name for v in self.vars]
         if len(names) != len(set(names)):
@@ -104,6 +106,7 @@ class FreeDGAlgebra:
             raise ConstructionError("variable name %s clashes with a ring generator"
                                     % sorted(clash)[0])
         self._index = {v.name: i for i, v in enumerate(self.vars)}
+        self.unit_mono = (0,) * len(self.vars)
         diff_data = diff_data or {}
         diffs = []
         for i, v in enumerate(self.vars):
@@ -124,19 +127,12 @@ class FreeDGAlgebra:
                         "d%s has internal degree %d, expected %d" % (v.name, w, v.weight))
             diffs.append(el)
         self.diffs = tuple(diffs)
-        self._mono_diff_cache = {}
-        self._mul_cache = {}
-        self._basis_cache = {}
-        self._bibasis_cache = {}
-        self._jkeys_cache = {}  # envelope.diagonal_block_keys
         for v, d in zip(self.vars, self.diffs):
             dd = d.diff()
             if dd:
-                raise CycleViolation("d(d%s) = %s is nonzero" % (v.name, dd))
-
-    @property
-    def field(self):
-        return self.ring.field
+                text, shown = element_text(dd)
+                raise CycleViolation("d(d%s) = %s is nonzero" % (v.name, text) if shown
+                                     else "d(d%s) is nonzero: %s" % (v.name, text))
 
     def __eq__(self, other):
         return (isinstance(other, FreeDGAlgebra)
@@ -153,10 +149,6 @@ class FreeDGAlgebra:
 
     # -- monomials ------------------------------------------------------------
 
-    @property
-    def unit_mono(self):
-        return (0,) * len(self.vars)
-
     def mono_degree(self, mono):
         return sum(e * v.degree for e, v in zip(mono, self.vars))
 
@@ -166,17 +158,9 @@ class FreeDGAlgebra:
     def mono_key(self, mono):
         return (self.mono_degree(mono), mono)
 
+    @memoised
     def mono_mul(self, a, b):
         """(scalar, monomial) for the product, or None when it vanishes."""
-        try:
-            return self._mul_cache[a, b]
-        except KeyError:
-            pass
-        hit = self._mono_product(a, b)
-        self._mul_cache[a, b] = hit
-        return hit
-
-    def _mono_product(self, a, b):
         coeff = self.field.one
         exps = []
         for i, v in enumerate(self.vars):
@@ -194,9 +178,7 @@ class FreeDGAlgebra:
                 inv += sum(a[i] for i in range(j + 1, len(self.vars))
                            if self.vars[i].is_odd)
         scalar = -coeff if inv % 2 else coeff
-        if not scalar:
-            return None
-        return scalar, tuple(exps)
+        return (scalar, tuple(exps)) if scalar else None
 
     def render_mono(self, mono):
         parts = []
@@ -209,33 +191,23 @@ class FreeDGAlgebra:
                 parts.append("%s^(%d)" % (v.name, e))
         return "*".join(parts) if parts else "1"
 
+    @memoised
     def mono_diff(self, mono):
         """d of a single monomial, by the Leibniz rule over its factors."""
-        try:
-            return self._mono_diff_cache[mono]
-        except KeyError:
-            pass
         total = self.zero()
         prefix_parity = 0
         for i, v in enumerate(self.vars):
             e = mono[i]
             if e:
-                head = [0] * len(self.vars)
-                for k in range(i):
-                    head[k] = mono[k]
-                if not v.is_odd:
-                    head[i] = e - 1  # even factor: d(Y^(e)) = Y^(e-1) dY
-                tail = [0] * len(self.vars)
-                for k in range(i + 1, len(self.vars)):
-                    tail[k] = mono[k]
-                term = (self.mono_element(tuple(head))
-                        * self.diffs[i]
-                        * self.mono_element(tuple(tail)))
+                # mono = head * factor i * tail; even factor: d(Y^(e)) = Y^(e-1) dY
+                head = mono[:i] + (0 if v.is_odd else e - 1,) + self.unit_mono[i + 1:]
+                tail = self.unit_mono[:i + 1] + mono[i + 1:]
+                term = (self.mono_element(head) * self.diffs[i]
+                        * self.mono_element(tail))
                 if prefix_parity:
                     term = -term
                 total = total + term
                 prefix_parity = (prefix_parity + e * v.degree) % 2
-        self._mono_diff_cache[mono] = total
         return total
 
     # -- element constructors --------------------------------------------------
@@ -246,20 +218,18 @@ class FreeDGAlgebra:
     def one(self):
         return AlgebraElement(self, {self.unit_mono: self.ring.one()})
 
-    def mono_element(self, mono, coeff=None):
-        return AlgebraElement(self, {mono: coeff if coeff is not None else self.ring.one()})
+    def mono_element(self, mono):
+        return AlgebraElement(self, {mono: self.ring.one()})
 
     def gen(self, name):
         i = self._index[name]
-        mono = tuple(1 if j == i else 0 for j in range(len(self.vars)))
-        return self.mono_element(mono)
+        return self.mono_element(self.unit_mono[:i] + (1,) + self.unit_mono[i + 1:])
 
     def divided_power(self, name, n):
         i = self._index[name]
         if self.vars[i].is_odd:
             raise ConstructionError("divided powers only exist for even variables")
-        mono = tuple(n if j == i else 0 for j in range(len(self.vars)))
-        return self.mono_element(mono)
+        return self.mono_element(self.unit_mono[:i] + (n,) + self.unit_mono[i + 1:])
 
     def from_ring(self, r):
         if r.ring != self.ring:
@@ -268,34 +238,18 @@ class FreeDGAlgebra:
 
     # -- graded bases -----------------------------------------------------------
 
+    @memoised
     def monomial_basis(self, n):
         """Monomials of homological degree n, in the fixed order."""
-        if n < 0:
-            return []
-        try:
-            return self._basis_cache[n]
-        except KeyError:
-            pass
-        found = sorted(exponent_vectors(
+        return sorted(exponent_vectors(
             [v.degree for v in self.vars], n,
             [1 if v.is_odd else None for v in self.vars]), key=self.mono_key)
-        self._basis_cache[n] = found
-        return found
 
+    @memoised
     def bidegree_basis(self, n, w):
         """Ground-field basis of the (n, w) piece: (monomial, ring monomial)."""
-        key = (n, w)
-        try:
-            return self._bibasis_cache[key]
-        except KeyError:
-            pass
-        out = []
-        for mono in self.monomial_basis(n):
-            rest = w - self.mono_weight(mono)
-            for rm in self.ring.graded_basis(rest):
-                out.append((mono, rm))
-        self._bibasis_cache[key] = out
-        return out
+        return [(mono, rm) for mono in self.monomial_basis(n)
+                for rm in self.ring.graded_basis(w - self.mono_weight(mono))]
 
     def diff_block(self, n, w):
         """The differential as a matrix from the (n, w) piece to (n-1, w)."""

@@ -20,7 +20,34 @@ bridge elements and coordinate vectors; the maps on one J basis key in
 renderer ``render_terms`` writes for R, B and N.
 """
 
+from functools import wraps
+
 from .errors import ConstructionError
+
+
+def memoised(fn):
+    """Cache fn(owner, *args) in a table that owner keeps as its attribute
+    ``_memo_<fn name>``, keyed by args.  The table holds only results, so
+    it dies with its owner; a call that raises stores nothing.  Callers
+    share a cached result and must not mutate it."""
+    name = "_memo_" + fn.__name__
+    missing = object()
+
+    # getattr/setattr: reading owner.__dict__ would slow its other attributes;
+    # a miss is a get, not a caught KeyError, since fresh owners miss often
+    @wraps(fn)
+    def cached(owner, *args):
+        try:
+            table = getattr(owner, name)
+        except AttributeError:
+            table = {}
+            setattr(owner, name, table)
+        value = table.get(args, missing)
+        if value is missing:
+            value = table[args] = fn(owner, *args)
+        return value
+
+    return cached
 
 
 def merge(out, key, add):

@@ -28,13 +28,13 @@ obstruction machinery in `obstruction` measures.
 """
 
 from . import linalg
-from .coefficients import TOO_LONG, digit_limit
+from .coefficients import element_text
 from .envelope import (DiagonalElement, EnvelopeElement, diagonal_block_keys,
                        diagonal_label, pi, rho, sigma)
 from .errors import (ConstructionError, DegreeMismatch,
                      DifferentialSquareNonzero, TriangularityViolation)
 from .free_dga import AlgebraElement
-from .lincomb import LinComb, merge
+from .lincomb import LinComb, memoised, merge
 
 
 class SemifreeModule:
@@ -73,7 +73,6 @@ class SemifreeModule:
         self.columns = [[] for _ in self.labels]
         for (i, j), b in entries.items():
             self.columns[j].append((i, b))
-        self._tensor_keys_cache = {}
         # componentwise d^2 = 0: square[nu] is the e_nu component of d(d(e_lam))
         for lam, column in zip(self.labels, self.columns):
             square = {}
@@ -85,13 +84,11 @@ class SemifreeModule:
             if square:
                 nu = min(square)
                 pair = (self.labels[nu], lam)
-                try:
-                    message = "d^2 has nonzero component %s at (%s, %s)" % (
-                        square[nu], *pair)
-                except ValueError:  # a coefficient past the integer-string limit
-                    message = "d^2 has nonzero component at (%s, %s): %s" % (
-                        *pair, TOO_LONG % digit_limit())
-                raise DifferentialSquareNonzero(message, pair=pair)
+                text, shown = element_text(square[nu])
+                raise DifferentialSquareNonzero(
+                    "d^2 has nonzero component %s at (%s, %s)" % (text, *pair) if shown
+                    else "d^2 has nonzero component at (%s, %s): %s" % (*pair, text),
+                    pair=pair)
 
     @property
     def rank(self):
@@ -153,12 +150,9 @@ class SemifreeModule:
 
     def basis_of_bidegree(self, n, w):
         """(label, monomial, ring monomial) basis of N_(n, w)."""
-        out = []
-        for i, lab in enumerate(self.labels):
-            for mono, rm in self.algebra.bidegree_basis(n - self.degrees[i],
-                                                        w - self.weights[i]):
-                out.append((lab, mono, rm))
-        return out
+        return [(lab, mono, rm)
+                for lab, d, wt in zip(self.labels, self.degrees, self.weights)
+                for mono, rm in self.algebra.bidegree_basis(n - d, w - wt)]
 
     def diff_block(self, n, w) -> linalg.BlockMatrix:
         """The differential of N from the (n, w) block to (n-1, w)."""
@@ -171,19 +165,12 @@ class SemifreeModule:
                                       B.ring.render_mono(key[2])),
             B.field)
 
+    @memoised
     def tensor_keys(self, n, w):
         """(label, m1, m2, ring monomial) index keys for (N (x) J)_(n, w)."""
-        try:
-            return self._tensor_keys_cache[(n, w)]
-        except KeyError:
-            pass
-        out = []
-        for i, lab in enumerate(self.labels):
-            for key in diagonal_block_keys(self.algebra, n - self.degrees[i],
-                                           w - self.weights[i]):
-                out.append((lab,) + key)
-        self._tensor_keys_cache[(n, w)] = out
-        return out
+        return [(lab,) + key
+                for lab, d, wt in zip(self.labels, self.degrees, self.weights)
+                for key in diagonal_block_keys(self.algebra, n - d, w - wt)]
 
     def tensor_vec(self, t, keys):
         return linalg.coordinates(t.terms(), keys, self.algebra.field)

@@ -310,6 +310,20 @@ def test_unprintable_d_squared_component_is_a_rejection(tmp_path, capsys):
                    % sys.get_int_max_str_digits())
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no integer-string digit limit")
+def test_unprintable_d_of_a_differential_is_a_rejection(tmp_path, capsys):
+    # d(dX) = comb(10000, 5000)^2 W^(10000)*V^(10000): each binomial is under
+    # the digit limit, their product is not
+    path = tmp_path / "dd.dgp"
+    path.write_text("ring R = QQ\nalgebra B = R<W:2, V:2, U:20001:20000, X:40002 | "
+                    "dU = W^(5000)*V^(5000), dX = W^(5000)*V^(5000)*U>\n")
+    code, out, err = run_main(capsys, "validate", str(path))
+    assert code == 1 and out == ""
+    assert err == ("dglift: line 2: d(dX) is nonzero: coefficient exceeds the "
+                   "%d-digit limit for integers\n" % sys.get_int_max_str_digits())
+
+
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     from dglift import cli
 

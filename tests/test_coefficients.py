@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ import pytest
 
 from dglift import (BaseRing, ConstructionError, DGLiftError, PrimeField, QQ,
                     parse_ring)
-from dglift.coefficients import (PRIME_LIMIT, ModP, exponent_vectors, is_prime,
-                                 principal_intersection_dim, ring_mono_key)
+from dglift.coefficients import (PRIME_LIMIT, TOO_LONG, ModP, element_text,
+                                 exponent_vectors, is_prime,
+                                 principal_intersection_dim, ring_mono_key,
+                                 too_long)
 from dglift.randomgen import example_algebras, standard_rings
 
 
@@ -233,3 +236,28 @@ def test_memoised_monomial_products_match_the_formulas(ring_text):
         expected = prod if ring.mono_reduced(prod) else None
         assert ring.mono_mul(a, b) == expected
         assert ring.mono_mul(a, b) == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no integer-string digit limit")
+def test_too_long_is_exact_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for n in (0, 1, -7, 10 ** limit - 1, -(10 ** limit - 1), 2 ** (3 * limit)):
+        assert not too_long(n)
+    for n in (10 ** limit, -(10 ** limit), 10 ** (2 * limit)):
+        assert too_long(n)
+    sys.set_int_max_str_digits(0)  # no limit: nothing is too long
+    try:
+        assert not too_long(10 ** (2 * limit))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no integer-string digit limit")
+def test_element_text_names_a_coefficient_past_the_digit_limit(qxy_mod_xy):
+    limit = sys.get_int_max_str_digits()
+    x = qxy_mod_xy.gen("x")
+    assert element_text(x.scale(QQ.of(-3))) == ("-3*x", True)
+    huge = x.scale(Fraction(1, 10 ** limit))
+    assert element_text(huge) == (TOO_LONG % limit, False)

@@ -192,16 +192,96 @@ def test_rendering_of_pairs(example_algebra):
     assert str(d) == "-1^o⊗X*Y · y + (X*Y)^o⊗1 · y"
 
 
-def test_diagonal_block_keys_are_cached_per_algebra(example_algebra):
-    from dglift.envelope import envelope_basis
+# The nested-loop enumerations the bases were built by before they were
+# assembled from B's cached bidegree pieces: the reference for those pieces.
 
+def former_monomial_basis(B, n):
+    return [] if n < 0 else B.monomial_basis(n)
+
+
+def former_graded_basis(R, w):
+    return [] if w < 0 else R.graded_basis(w)
+
+
+def former_envelope_basis(B, n, w):
+    out = []
+    for d1 in range(n + 1):
+        for m1 in former_monomial_basis(B, d1):
+            w1 = B.mono_weight(m1)
+            for m2 in former_monomial_basis(B, n - d1):
+                rest = w - w1 - B.mono_weight(m2)
+                for rm in former_graded_basis(B.ring, rest):
+                    out.append((m1, m2, rm))
+    return out
+
+
+def former_diagonal_block_keys(B, n, w):
+    return [k for k in former_envelope_basis(B, n, w) if k[0] != B.unit_mono]
+
+
+def former_basis_of_bidegree(N, n, w):
+    B = N.algebra
+    out = []
+    for i, lab in enumerate(N.labels):
+        for mono in former_monomial_basis(B, n - N.degrees[i]):
+            rest = w - N.weights[i] - B.mono_weight(mono)
+            for rm in former_graded_basis(B.ring, rest):
+                out.append((lab, mono, rm))
+    return out
+
+
+def former_tensor_keys(N, n, w):
+    out = []
+    for i, lab in enumerate(N.labels):
+        for key in former_diagonal_block_keys(N.algebra, n - N.degrees[i],
+                                              w - N.weights[i]):
+            out.append((lab,) + key)
+    return out
+
+
+def test_diagonal_block_keys_are_cached_per_algebra(example_algebra):
     B = example_algebra
     for n in range(5):
         for w in range(6):
             keys = diagonal_block_keys(B, n, w)
             assert keys is diagonal_block_keys(B, n, w)
-            assert keys == [k for k in envelope_basis(B, n, w)
-                            if k[0] != B.unit_mono]
+            assert keys == former_diagonal_block_keys(B, n, w)
+
+
+def test_bases_equal_the_former_nested_loop_enumerations():
+    """B^e, J, N and N (x) J bases, built from B's cached pieces, against
+    the former loops over the golden problems, koszul-fp/k00 and a
+    frontend sample, for n, w in 0..5 and at each label's bidegree."""
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+    paths = ([GOLDEN / name for name in ("liftable.dgp", "nonliftable.dgp",
+                                         "combined.dgp")]
+             + [corpus / "koszul-fp" / "k00.dgp"]
+             + [corpus / "frontend" / ("f%03d.dgp" % k) for k in range(0, 400, 40)])
+    problems = []
+    for path in paths:
+        try:
+            problems.append(parse_problem(path.read_text(encoding="utf-8")))
+        except DGLiftError:  # the parser's known rejections
+            continue
+    nonempty = 0
+    for problem in problems:
+        B = problem.algebra
+        for n in range(6):
+            for w in range(6):
+                assert envelope_basis(B, n, w) == former_envelope_basis(B, n, w)
+                keys = diagonal_block_keys(B, n, w)
+                assert keys == former_diagonal_block_keys(B, n, w)
+                nonempty += bool(keys)
+        for N in problem.modules.values():
+            bidegrees = [(n, w) for n in range(6) for w in range(6)]
+            bidegrees += [(d - k, wt) for d, wt in zip(N.degrees, N.weights)
+                          for k in (0, 1)]
+            for n, w in bidegrees:
+                assert N.basis_of_bidegree(n, w) == former_basis_of_bidegree(N, n, w)
+                keys = N.tensor_keys(n, w)
+                assert keys == former_tensor_keys(N, n, w)
+                nonempty += bool(keys)
+    assert len(problems) >= 10 and nonempty > 250
 
 
 def test_envelope_basis_is_built_in_sorted_order():

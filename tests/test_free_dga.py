@@ -247,20 +247,29 @@ def test_equal_algebras_do_not_share_caches():
 
     from conftest import golden_text
 
+    def tables(owner, names):
+        return {name: vars(owner).get("_memo_" + name) for name in names}
+
     first = parse_problem(golden_text("nonliftable.dgp"))
     second = parse_problem(golden_text("nonliftable.dgp"))
     A, B = first.algebra, second.algebra
+    M, M2 = first.modules["M"], second.modules["M"]
     assert A == B and A is not B
-    algebra_caches = ("_mono_diff_cache", "_mul_cache", "_basis_cache",
-                      "_bibasis_cache", "_jkeys_cache")
-    ring_caches = ("_reduced_cache", "_mul_cache", "_basis_cache")
-    for name in algebra_caches:
-        assert getattr(A, name) is not getattr(B, name)
-    for name in ring_caches:
-        assert getattr(A.ring, name) is not getattr(B.ring, name)
-    before = {name: dict(getattr(B, name)) for name in algebra_caches}
-    check_lift(first.modules["M"], method="global")
+    algebra_tables = ("mono_diff", "mono_mul", "monomial_basis", "bidegree_basis",
+                      "diagonal_block_keys")
+    ring_tables = ("mono_reduced", "mono_mul", "graded_basis")
+    before = {name: dict(t or {}) for name, t in tables(B, algebra_tables).items()}
+    check_lift(M, method="global")
     keys = diagonal_block_keys(A, 3, 4)
     assert keys is diagonal_block_keys(A, 3, 4)
-    assert (3, 4) in A._jkeys_cache and A._mul_cache
-    assert {name: dict(getattr(B, name)) for name in algebra_caches} == before
+    assert (3, 4) in A._memo_diagonal_block_keys and A._memo_mono_mul
+    # every table of A, its ring and M filled; B's are as they were
+    assert all(tables(A, algebra_tables).values())
+    assert all(tables(A.ring, ring_tables).values())
+    assert M._memo_tensor_keys
+    assert {name: dict(t or {}) for name, t in tables(B, algebra_tables).items()} == before
+    check_lift(M2, method="global")
+    for owner, other, names in ((A, B, algebra_tables), (A.ring, B.ring, ring_tables),
+                                (M, M2, ("tensor_keys",))):
+        mine, theirs = tables(owner, names), tables(other, names)
+        assert all(mine[name] is not theirs[name] for name in names)
