@@ -14,12 +14,17 @@ JSON output follows the fixed schema
     {version, problem, results: [...], timing_ms}
 
 where each check-lift result is {module, decision, method, obstruction:
-[{basis, value}], witness?, certificate?}.  Output is byte-identical
-between runs apart from timing_ms.  Exit codes: 0 success, 1 mathematical
-rejection (a construction check failed), 2 usage or parse error, 3 internal
-error (a program bug, reported in one line without a traceback).  The
-DGLIFT_VERBOSE environment variable adds progress notes on stderr and
-changes nothing else.
+[{basis, value}], witness?, certificate?}.  A ReportDocument is a plain
+record of these four fields; two are equal when every field is.  Output is
+byte-identical between runs apart from timing_ms.  Exit codes: 0 success,
+1 mathematical rejection (a construction check failed), 2 usage or parse
+error, 3 internal error (a program bug, reported in one line without a
+traceback).  The DGLIFT_VERBOSE environment variable adds progress notes on
+stderr and changes nothing else.
+
+Only ``selftest`` imports ``selfcheck`` (and with it ``randomgen`` and
+``random``), inside its branch of ``run_command``, so no other command
+pays for loading the randomised test kit.
 """
 
 import argparse
@@ -27,22 +32,30 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .dsl import parse_algebra_element, parse_problem, print_problem
 from .envelope import delta, diagonal_homology_dim
 from .errors import DGLiftError, ParseError
 from .obstruction import check_lift, obstruction_values
-from .selfcheck import run_all
 
 
-@dataclass
 class ReportDocument:
-    version: str
-    problem: str               # pretty-printed problem echo ("" for selftest)
-    results: list              # JSON-ready dicts, deterministic order
-    timing_ms: int
+    """One command's report: the version, the pretty-printed problem echo
+    ("" for selftest), the JSON-ready result dicts in deterministic order
+    and the elapsed milliseconds.  Two documents are equal when every
+    field is."""
+
+    def __init__(self, version, problem, results, timing_ms):
+        self.version = version
+        self.problem = problem
+        self.results = results
+        self.timing_ms = timing_ms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_dict(self):
         return {"version": self.version, "problem": self.problem,
@@ -157,6 +170,7 @@ def run_command(command, problem, *, module=None, bidegree=None,
         dim = diagonal_homology_dim(problem.algebra, n, w)
         results.append({"bidegree": [n, w], "dimension": dim})
     elif command == "selftest":
+        from .selfcheck import run_all  # the randomised kit only this command uses
         for name, count in run_all(trials):
             results.append({"suite": name, "trials": count, "status": "pass"})
     else:

@@ -36,7 +36,6 @@ the source line of the declaration that caused it.
 """
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lgamma, log
 
@@ -102,22 +101,28 @@ class _Tokens:
             return True
         return False
 
+    def error(self, expected, value):
+        """The ParseError "expected <expected>, found <value>" on this line,
+        where the value None of the sentinel reads "end of line"."""
+        found = "end of line" if value is None else repr(value)
+        return ParseError("expected %s, found %s" % (expected, found), self.line)
+
     def expect_sym(self, symbol):
         kind, value = self.next()
         if kind != "sym" or value != symbol:
-            raise ParseError("expected %r, found %r" % (symbol, value), self.line)
+            raise self.error(repr(symbol), value)
 
     def expect_name(self):
         kind, value = self.next()
         if kind != "name":
-            raise ParseError("expected a name, found %r" % (value,), self.line)
+            raise self.error("a name", value)
         return value
 
     def expect_int(self):
         sign = -1 if self.eat_sym("-") else 1
         kind, value = self.next()
         if kind != "int":
-            raise ParseError("expected an integer, found %r" % (value,), self.line)
+            raise self.error("an integer", value)
         return sign * value
 
     def done(self):
@@ -128,13 +133,22 @@ class _Tokens:
             raise ParseError("trailing input %r" % (self.peek()[1],), self.line)
 
 
-@dataclass
 class ProblemDescription:
-    ring_name: str
-    ring: BaseRing
-    algebra_name: str
-    algebra: FreeDGAlgebra
-    modules: dict = field(default_factory=dict)  # name -> SemifreeModule
+    """A parsed problem: the ring, the algebra and the modules (a dict
+    name -> SemifreeModule, a new empty one by default), each with its
+    declared name.  Two problems are equal when every field is."""
+
+    def __init__(self, ring_name, ring, algebra_name, algebra, modules=None):
+        self.ring_name = ring_name
+        self.ring = ring
+        self.algebra_name = algebra_name
+        self.algebra = algebra
+        self.modules = {} if modules is None else modules
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 # -- expression evaluation --------------------------------------------------------
@@ -206,7 +220,7 @@ def _parse_factor(ts, env, field):
             return ("scalar", Fraction(value, den))
         return ("scalar", value)
     if kind != "name":
-        raise ParseError("expected a factor, found %r" % (value,), ts.line)
+        raise ts.error("a factor", value)
     ts.next()
     if value not in env:
         raise UndeclaredName("undeclared name %r" % value, ts.line)
@@ -447,7 +461,7 @@ def _parse_algebra_decl(ts, ring_name, ring):
         while True:
             dname = ts.expect_name()
             if not dname.startswith("d") or dname[1:] not in declared:
-                raise ParseError("expected d<variable>, found %r" % dname, ts.line)
+                raise ts.error("d<variable>", dname)
             ts.expect_sym("=")
             # only ring generators and variables are in scope: no label
             diffs[dname[1:]] = _parse_expression(ts, env, parsing).get(None)
@@ -477,7 +491,7 @@ def _parse_module_decl(ts, algebra_name, B):
     name = ts.expect_name()
     kw = ts.expect_name()
     if kw != "over":
-        raise ParseError("expected 'over', found %r" % kw, ts.line)
+        raise ts.error("'over'", kw)
     used = ts.expect_name()
     if used != algebra_name:
         raise UndeclaredName("undeclared algebra %r" % used, ts.line)
@@ -493,7 +507,7 @@ def _parse_module_decl(ts, algebra_name, B):
         while True:
             dname = ts.expect_name()
             if not dname.startswith("d") or dname[1:] not in set(labels):
-                raise ParseError("expected d<basis label>, found %r" % dname, ts.line)
+                raise ts.error("d<basis label>", dname)
             ts.expect_sym("=")
             parts = _parse_expression(ts, env, B)
             if None in parts:

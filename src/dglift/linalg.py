@@ -23,8 +23,6 @@ columns left to right and rows top to bottom, so solutions, kernels and
 certificates are reproducible bit for bit.
 """
 
-from dataclasses import dataclass
-
 from .errors import CompositionNonzero, ConstructionError
 
 
@@ -107,7 +105,6 @@ def coordinates(terms, keys, field) -> list:
     return vec
 
 
-@dataclass
 class Inconsistency:
     """Certificate that ``A x = v`` has no solution.
 
@@ -115,18 +112,21 @@ class Inconsistency:
     ``pairing`` = u . v is nonzero.
     """
 
-    null_row: list
-    pairing: object
+    def __init__(self, null_row, pairing):
+        self.null_row = null_row
+        self.pairing = pairing
 
 
-@dataclass
 class SolveResult:
-    """``rank`` is the rank of the matrix: pivots are chosen left to right,
-    so the pivots outside the augmented column are exactly those of A."""
+    """``solution`` is a list, or None when the system is inconsistent and
+    ``certificate`` an Inconsistency says why.  ``rank`` is the rank of the
+    matrix: pivots are chosen left to right, so the pivots outside the
+    augmented column are exactly those of A."""
 
-    solution: list | None
-    certificate: Inconsistency | None
-    rank: int
+    def __init__(self, solution, certificate, rank):
+        self.solution = solution
+        self.certificate = certificate
+        self.rank = rank
 
     @property
     def consistent(self):

@@ -36,8 +36,6 @@ machine-checkable inconsistency certificate (a left null functional of
 the system with nonzero pairing against the right-hand side).
 """
 
-from dataclasses import dataclass
-
 from . import linalg
 from .envelope import (DiagonalElement, delta, diagonal_block_keys,
                        diagonal_diff_block, diagonal_key_diff, diagonal_key_left,
@@ -153,13 +151,18 @@ def verify_witness(N: SemifreeModule, gamma: dict) -> bool:
     return True
 
 
-@dataclass
 class ObstructionReport:
-    decision: str
-    method: str
-    obstruction: dict          # label -> TensorJElement
-    witness: dict | None       # label -> TensorJElement when LIFTABLE
-    certificate: dict | None   # serialisable data when NOT_LIFTABLE
+    """A decision (LIFTABLE or NOT_LIFTABLE) and its method, with the
+    obstruction as {label: TensorJElement}, the witness gamma in the same
+    form when LIFTABLE, and the serialisable certificate when NOT_LIFTABLE
+    (the other of the two is None)."""
+
+    def __init__(self, decision, method, obstruction, witness, certificate):
+        self.decision = decision
+        self.method = method
+        self.obstruction = obstruction
+        self.witness = witness
+        self.certificate = certificate
 
     @property
     def liftable(self):

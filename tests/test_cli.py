@@ -6,7 +6,8 @@ import time
 import pytest
 
 from dglift import parse_problem
-from dglift.cli import emit_report, main, report_from_json, run_command
+from dglift.cli import (ReportDocument, emit_report, main, report_from_json,
+                        run_command)
 
 from conftest import GOLDEN, golden_text
 
@@ -145,6 +146,16 @@ def test_report_round_trip():
     doc = run_command("check-lift", problem, witness=True)
     text = emit_report(doc, "json")
     assert report_from_json(text) == doc
+
+
+def test_report_document_is_a_record_compared_field_by_field():
+    doc = ReportDocument("0.1.0", "ring R = QQ\n", [{"module": "N"}], 3)
+    assert doc == ReportDocument(version="0.1.0", problem="ring R = QQ\n",
+                                 results=[{"module": "N"}], timing_ms=3)
+    assert not doc != ReportDocument("0.1.0", "ring R = QQ\n", [{"module": "N"}], 3)
+    assert doc != ReportDocument("0.1.0", "ring R = QQ\n", [{"module": "N"}], 4)
+    assert doc != ReportDocument("0.1.0", "ring R = QQ\n", [], 3)
+    assert doc != doc.to_dict()
 
 
 def test_text_format_contains_pair_notation(capsys):

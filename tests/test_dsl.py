@@ -7,7 +7,7 @@ import pytest
 from dglift import (CycleViolation, DGLiftError, DifferentialSquareNonzero,
                     ParseError, UndeclaredName, parse_algebra_element,
                     parse_problem, parse_ring, print_problem)
-from dglift.dsl import default_module_weights
+from dglift.dsl import ProblemDescription, default_module_weights
 
 LIFTABLE = """ring R = QQ[x:1,y:1]/(x*y)
 algebra B = R<X:1, Y:2 | dX = x, dY = X*y>
@@ -63,6 +63,23 @@ def test_round_trip_is_identity():
         printed = print_problem(p)
         assert parse_problem(printed) == p
         assert print_problem(parse_problem(printed)) == printed
+
+
+def test_problem_description_is_a_record_compared_field_by_field():
+    p = parse_problem(LIFTABLE)
+    first = ProblemDescription("R", p.ring, "B", p.algebra)
+    second = ProblemDescription("R", p.ring, "B", p.algebra)
+    assert first.modules == {} and second.modules == {}
+    assert first.modules is not second.modules  # a new dict per instance
+    first.modules["N"] = p.modules["N"]
+    assert second.modules == {}
+    assert first != second and not first == second
+    assert ProblemDescription("R", p.ring, "B", p.algebra, dict(p.modules)) == p
+    assert ProblemDescription(ring_name="R", ring=p.ring, algebra_name="B",
+                              algebra=p.algebra, modules=p.modules) == p
+    assert ProblemDescription("S", p.ring, "B", p.algebra, p.modules) != p
+    assert p != parse_problem(NONLIFTABLE)
+    assert p != (p.ring_name, p.ring, p.algebra_name, p.algebra, p.modules)
 
 
 def test_round_trip_with_annotations_and_scalars():
@@ -393,6 +410,21 @@ def test_terms_fold_like_element_products(field):
     for text in ("x", "x^2", "X*x", "2*x*X"):
         assert not parse_algebra_element(killed, text)
     assert parse_algebra_element(killed, "x + X") == killed.algebra.gen("X")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ring R = FF(\n", "line 1: expected an integer, found end of line"),
+    ("ring R = QQ[x:1]\nalgebra B = R<X:1 | dX = x\n",
+     "line 2: expected '>', found end of line"),
+    ("ring R = QQ[x:1]\nalgebra B = R<X:1 | dX = \n",
+     "line 2: expected a factor, found end of line"),
+    ("ring R = QQ[x:1]\nalgebra B = R<X:1 | dX = x>\nmodule N\n",
+     "line 3: expected a name, found end of line"),
+])
+def test_errors_at_the_end_of_a_line_say_so(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("diffs, message", [

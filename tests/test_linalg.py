@@ -95,6 +95,14 @@ def test_certificate_verifies_by_pairing():
         found += 1
 
 
+def test_solve_result_without_a_solution_is_inconsistent():
+    cert = linalg.Inconsistency([QQ.one], QQ.one)
+    assert not linalg.SolveResult(None, cert, 0).consistent
+    assert linalg.SolveResult([], None, 0).consistent
+    result = linalg.SolveResult(solution=None, certificate=cert, rank=2)
+    assert (result.certificate, result.rank) == (cert, 2)
+
+
 def test_rank_nullity_on_random_blocks():
     rng = random.Random(53)
     for _ in range(60):
