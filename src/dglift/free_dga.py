@@ -193,22 +193,32 @@ class FreeDGAlgebra:
 
     @memoised
     def mono_diff(self, mono):
-        """d of a single monomial, by the Leibniz rule over its factors."""
-        total = self.zero()
+        """d of a single monomial, by the Leibniz rule over its factors:
+        mono = head * factor i * tail, with d(Y^(e)) = Y^(e-1) dY for an
+        even factor, gives the terms (head * m) * tail of each monomial m
+        of dX_i, each scaled by the two products' scalars and by the sign
+        of the factors before i."""
+        mul = self.mono_mul
+        out = {}
         prefix_parity = 0
         for i, v in enumerate(self.vars):
             e = mono[i]
             if e:
-                # mono = head * factor i * tail; even factor: d(Y^(e)) = Y^(e-1) dY
                 head = mono[:i] + (0 if v.is_odd else e - 1,) + self.unit_mono[i + 1:]
                 tail = self.unit_mono[:i + 1] + mono[i + 1:]
-                term = (self.mono_element(head) * self.diffs[i]
-                        * self.mono_element(tail))
-                if prefix_parity:
-                    term = -term
-                total = total + term
+                for m, c in self.diffs[i].coeffs.items():
+                    hit = mul(head, m)
+                    if hit is None:
+                        continue
+                    s1, m1 = hit
+                    hit = mul(m1, tail)
+                    if hit is None:
+                        continue
+                    s2, m2 = hit
+                    s = s1 * s2
+                    merge(out, m2, c.scale(-s if prefix_parity else s))
                 prefix_parity = (prefix_parity + e * v.degree) % 2
-        return total
+        return AlgebraElement._raw(self, out)
 
     # -- element constructors --------------------------------------------------
 

@@ -17,10 +17,16 @@ zero) that the fully reduced rows give.  A solve does not carry the
 transform T along: it logs its row operations, and only an inconsistent
 solve rebuilds the one row of T its certificate needs, the last pivot
 row, by replaying the log backwards; that row, and every row of T below
-it, is the one a full Gauss-Jordan gives.  Elimination is fully
-deterministic: pivots are chosen as the first nonzero entry scanning
-columns left to right and rows top to bottom, so solutions, kernels and
-certificates are reproducible bit for bit.
+it, is the one a full Gauss-Jordan on the same pivot rows gives.
+
+Elimination is fully deterministic.  Columns are taken left to right, so
+the pivot columns, the rank, the solutions and the kernels do not depend
+on which row supplies a pivot.  The pivot row of a column is the
+sparsest row that holds it, the first of those on a tie, in the manner
+of Markowitz (Management Sci. 1957; Duff, Erisman and Reid, *Direct
+Methods for Sparse Matrices*, ch. 7): it makes less fill-in than the
+topmost row.  The certificate depends on the rows chosen, and is
+reproducible bit for bit.
 """
 
 from .errors import CompositionNonzero, ConstructionError
@@ -159,9 +165,11 @@ def _eliminate(rows, ncols, field, track):
     """Sparse forward elimination of {column: scalar} rows, in place.
 
     Returns (pivot columns, operation log or None).  Columns are taken left
-    to right; the pivot of column c is the first row at or below r that
-    holds c, swapped up to row r and scaled to 1, and only the rows below
-    it that hold c are cleared.  ``rows`` ends in echelon form: row k has a
+    to right; the pivot of column c is the row at or below r that holds c
+    with the fewest entries, the one of least index on a tie, swapped up
+    to row r and scaled to 1, and only the other rows at or below r that
+    hold c are cleared: the former row r among them, at its new place
+    when the swap moved it.  ``rows`` ends in echelon form: row k has a
     unit entry at pivots[k] and nothing to its left, the rows below the
     rank are empty.  ``holders[c]`` is the set of rows that may hold column
     c: built from the input, extended on fill-in and swaps, and read once,
@@ -187,10 +195,12 @@ def _eliminate(rows, ncols, field, track):
     for c in range(ncols):
         if r == m:
             break
-        below = [i for i in holders[c] if i >= r and c in rows[i]]
+        # (entries, index) of each row at or below r that holds c
+        below = [(len(row), i) for i in holders[c]
+                 if i >= r and c in (row := rows[i])]
         if not below:
             continue
-        src = min(below)
+        src = min(below)[1]
         if src != r:
             rows[r], rows[src] = rows[src], rows[r]
             for j in rows[src]:
@@ -203,9 +213,11 @@ def _eliminate(rows, ncols, field, track):
             pivot_row = rows[r] = _scaled(pivot_row, inv, p)
             if track:
                 log.append(("scale", r, inv))
-        for i in below:
+        for _, i in below:
             if i == src:
                 continue
+            if i == r:  # the former row r, swapped down to src
+                i = src
             row = rows[i]
             f = row[c]
             for j, b in pivot_row.items():  # row -= f * pivot_row

@@ -29,17 +29,21 @@ simultaneous solution exists.  The right-hand side of either system is
 the obstruction cocycle itself, read from the values ``check_lift`` has
 already computed.  Each system has one builder, which returns the matrix,
 the right-hand side, a reader from a solution to the gamma family, and
-the certificate head given the rank; ``check_lift`` solves once, and
-``verify_certificate`` rebuilds through the same builder.  LIFTABLE
-reports carry the gamma family; NOT_LIFTABLE reports carry a
+the certificate head given the rank; ``check_lift`` solves once.
+LIFTABLE reports carry the gamma family; NOT_LIFTABLE reports carry a
 machine-checkable inconsistency certificate (a left null functional of
 the system with nonzero pairing against the right-hand side).
+``verify_certificate`` does not trust that builder: it shares only the
+bases and the row labels with it, and pairs the functional with columns
+built by element arithmetic (d(t) and t b of TensorJElements, d(j) of
+DiagonalElements), so a wrong sign in the builder's images cannot
+certify itself.
 """
 
 from . import linalg
 from .envelope import (DiagonalElement, delta, diagonal_block_keys,
                        diagonal_diff_block, diagonal_key_diff, diagonal_key_left,
-                       diagonal_key_right, diagonal_vec)
+                       diagonal_key_right, diagonal_label, diagonal_vec)
 from .errors import ConstructionError
 from .semifree import SemifreeModule, TensorJElement
 
@@ -169,6 +173,14 @@ class ObstructionReport:
         return self.decision == LIFTABLE
 
 
+def _rank2_target(N: SemifreeModule, obstruction):
+    """(e, e', n, w, delta(b)) for a two-element basis with d(e') = e b:
+    delta(b), the obstruction value of e' at e, lies in J_(n, w)."""
+    e, ep = N.labels
+    n, w = N.degrees[1] - N.degrees[0] - 1, N.weights[1] - N.weights[0]
+    return e, ep, n, w, obstruction[ep].coeffs.get(e) or DiagonalElement(N.algebra, {})
+
+
 def _rank2_system(N: SemifreeModule, obstruction):
     """Boundary-membership test for a two-element basis with d(e') = e b:
     is delta(b), the obstruction value of e' at e, a boundary in J?
@@ -179,9 +191,7 @@ def _rank2_system(N: SemifreeModule, obstruction):
     the bidegree of b.
     """
     B = N.algebra
-    e, ep = N.labels
-    n, w = N.degrees[1] - N.degrees[0] - 1, N.weights[1] - N.weights[0]
-    target = obstruction[ep].coeffs.get(e) or DiagonalElement(B, {})
+    e, ep, n, w, target = _rank2_target(N, obstruction)
     matrix = diagonal_diff_block(B, n + 1, w)
 
     def read_witness(solution):
@@ -199,6 +209,24 @@ def _rank2_system(N: SemifreeModule, obstruction):
             read_witness, head)
 
 
+def _gamma_keys(N: SemifreeModule):
+    """The keys of the γ-system's unknowns and equations, in order, and
+    the later structure entries {mu: [(lam, b[mu][lam])]}."""
+    unknowns, equations = [], []
+    for lab, n, w in zip(N.labels, N.degrees, N.weights):
+        unknowns.extend(("γ", lab, k) for k in N.tensor_keys(n, w))
+        equations.extend(("eq", lab, k) for k in N.tensor_keys(n - 1, w))
+    later = {lab: [] for lab in N.labels}
+    for lam, column in zip(N.labels, N.columns):
+        for i, entry in column:
+            later[N.labels[i]].append((lam, entry))
+    return unknowns, equations, later
+
+
+def _gamma_label(N: SemifreeModule, key):
+    return "%s_%s[%s]" % (key[0], key[1], N.tensor_key_label(key[2]))
+
+
 def _assemble_global_system(N: SemifreeModule, obstruction):
     """One simultaneous linear system in all gamma coordinates.
 
@@ -214,14 +242,7 @@ def _assemble_global_system(N: SemifreeModule, obstruction):
     """
     B = N.algebra
     field = B.field
-    unknowns, equations = [], []
-    for lab, n, w in zip(N.labels, N.degrees, N.weights):
-        unknowns.extend(("γ", lab, k) for k in N.tensor_keys(n, w))
-        equations.extend(("eq", lab, k) for k in N.tensor_keys(n - 1, w))
-    later = {lab: [] for lab in N.labels}  # mu -> [(lam, b[mu][lam])]
-    for lam, column in zip(N.labels, N.columns):
-        for i, entry in column:
-            later[N.labels[i]].append((lam, entry))
+    unknowns, equations, later = _gamma_keys(N)
     d_j = {}  # J key -> terms of d(j), within this call
 
     def image(key):
@@ -242,9 +263,6 @@ def _assemble_global_system(N: SemifreeModule, obstruction):
             for k, s in diagonal_key_right(B, jkey, entry):
                 yield ("eq", lam, (nu,) + k), -s
 
-    def label(key):
-        return "%s_%s[%s]" % (key[0], key[1], N.tensor_key_label(key[2]))
-
     def read_witness(solution):
         terms = {lab: [] for lab in N.labels}
         for (_, lab, key), s in zip(unknowns, solution):
@@ -255,7 +273,8 @@ def _assemble_global_system(N: SemifreeModule, obstruction):
         return {"kind": "gamma-system", "unknowns": matrix.shape[1],
                 "equations": matrix.shape[0], "rank": rank}
 
-    matrix = linalg.block_matrix(unknowns, equations, image, label, field)
+    matrix = linalg.block_matrix(unknowns, equations, image,
+                                 lambda key: _gamma_label(N, key), field)
     rhs = linalg.coordinates([(("eq", lam, k), s) for lam in N.labels
                               for k, s in obstruction[lam].terms()],
                              equations, field)
@@ -292,15 +311,17 @@ def check_lift(N: SemifreeModule, method="auto") -> ObstructionReport:
 
 
 def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
-    """Re-run the certified inconsistency: u . A = 0 and u . rhs != 0.
+    """Re-check the certified inconsistency: u . A = 0 and u . rhs != 0.
 
-    The system is rebuilt from N by the builder of the certificate's kind,
-    boundary-membership only for a module of rank 2.  False, never an
-    exception, for a functional that is not a list of {"row": label,
-    "value": text} items, names a row outside the system or names a row
-    twice, or states a malformed value or one with a zero denominator in
-    the field, for a missing pairing, and for a stated kind, bidegree,
-    dimension or target other than the rebuilt system's."""
+    The system is not rebuilt by the builder ``check_lift`` solved: each
+    column of A is built by element arithmetic (``_gamma_columns``,
+    ``_boundary_columns``), and only the bases and the row labels are
+    shared.  boundary-membership is checked only for a module of
+    rank 2.  False, never an exception, for a functional that is not a list
+    of {"row": label, "value": text} items, names a row outside the system
+    or names a row twice, or states a malformed value or one with a zero
+    denominator in the field, for a missing pairing, and for a stated kind,
+    bidegree, dimension or target other than the system's."""
     cert = report.certificate
     items = cert.get("null_functional") if isinstance(cert, dict) else None
     if not isinstance(items, list) or not all(
@@ -309,32 +330,76 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
         return False
     field = N.algebra.field
     if cert.get("kind") == "boundary-membership" and N.rank == 2:
-        system = _rank2_system
+        system = _boundary_columns
     elif cert.get("kind") == "gamma-system":
-        system = _assemble_global_system
+        system = _gamma_columns
     else:
         return False
-    matrix, rhs, _, head = system(N, obstruction_values(N))
-    if any(cert.get(key) != value for key, value in head(cert.get("rank")).items()):
+    head, rows, columns, rhs = system(N, obstruction_values(N))
+    if any(cert.get(key) != value for key, value in head.items()):
         return False
-    index = {lab: i for i, lab in enumerate(matrix.dst_labels)}
     stated = {}
     for item in items:
-        i = index.get(item["row"])
+        key = rows.get(item["row"])
         ui = _parse_scalar(field, item.get("value"))
-        if i is None or i in stated or ui is None:
+        if key is None or key in stated or ui is None:
             return False
-        stated[i] = ui
-    u = [(i, ui) for i, ui in stated.items() if ui]
-    # u . A, accumulated over the nonzero entries of u and of A only
-    product = {}
-    for i, ui in u:
-        for jj, a in matrix.entries[i].items():
-            product[jj] = product.get(jj, field.zero) + ui * a
-    if any(product.values()):
-        return False
-    pairing = sum((ui * rhs[i] for i, ui in u), field.zero)
+        stated[key] = ui
+    u = {key: ui for key, ui in stated.items() if ui}
+    for column in columns(u):
+        if sum((u[k] * s for k, s in column if k in u), field.zero):
+            return False
+    pairing = sum((u[k] * s for k, s in rhs if k in u), field.zero)
     return bool(pairing) and str(pairing) == cert.get("pairing")
+
+
+def _gamma_columns(N: SemifreeModule, obstruction):
+    """The γ-system from elements: (certificate head without the rank,
+    {row label: equation key}, columns, right-hand side terms).
+
+    ``columns(u)`` yields the column of each unknown t = e_nu (x) j of
+    block mu as (equation key, scalar) terms: the TensorJElement d(t) in
+    equation mu and -(t b[mu][lam]) in each later equation lam.  A column
+    all of whose equations miss the support of u pairs with u to zero and
+    is skipped."""
+    unknowns, equations, later = _gamma_keys(N)
+    one = N.algebra.field.one
+    head = {"kind": "gamma-system", "unknowns": len(unknowns),
+            "equations": len(equations)}
+
+    def columns(u):
+        hit = {lam for _, lam, _ in u}
+        for _, mu, tkey in unknowns:
+            entries = [(lam, entry) for lam, entry in later[mu] if lam in hit]
+            if mu not in hit and not entries:
+                continue
+            t = TensorJElement.from_terms(N, [(tkey, one)])
+            column = [(("eq", mu, k), s) for k, s in t.diff().terms()] if mu in hit else []
+            for lam, entry in entries:
+                column.extend((("eq", lam, k), -s) for k, s in (t * entry).terms())
+            yield column
+
+    return (head, {_gamma_label(N, key): key for key in equations}, columns,
+            [(("eq", lam, k), s) for lam in N.labels for k, s in obstruction[lam].terms()])
+
+
+def _boundary_columns(N: SemifreeModule, obstruction):
+    """The rank-2 boundary system from elements, in the form of
+    ``_gamma_columns``: the column of each J basis vector j of the source
+    block is the DiagonalElement d(j)."""
+    B = N.algebra
+    _, _, n, w, target = _rank2_target(N, obstruction)
+    sources, targets = diagonal_block_keys(B, n + 1, w), diagonal_block_keys(B, n, w)
+    head = {"kind": "boundary-membership", "source_bidegree": [n + 1, w],
+            "target_bidegree": [n, w], "source_dim": len(sources),
+            "target_dim": len(targets), "target": str(target)}
+
+    def columns(u):
+        for key in sources:
+            yield DiagonalElement.from_terms(B, [(key, B.field.one)]).diff().terms()
+
+    return (head, {diagonal_label(B, key): key for key in targets}, columns,
+            list(target.terms()))
 
 
 def _parse_scalar(field, text):

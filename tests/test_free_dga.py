@@ -273,3 +273,48 @@ def test_equal_algebras_do_not_share_caches():
                                 (M, M2, ("tensor_keys",))):
         mine, theirs = tables(owner, names), tables(other, names)
         assert all(mine[name] is not theirs[name] for name in names)
+
+
+def former_mono_diff(A, mono):
+    """d of a monomial as it was expanded before ``mono_diff`` read B's
+    monomial products: the Leibniz rule over AlgebraElement products,
+    head * dX_i * tail, signed by the factors before i."""
+    total = A.zero()
+    prefix_parity = 0
+    for i, v in enumerate(A.vars):
+        e = mono[i]
+        if e:
+            head = mono[:i] + (0 if v.is_odd else e - 1,) + A.unit_mono[i + 1:]
+            tail = A.unit_mono[:i + 1] + mono[i + 1:]
+            term = A.mono_element(head) * A.diffs[i] * A.mono_element(tail)
+            total = total + (-term if prefix_parity else term)
+            prefix_parity = (prefix_parity + e * v.degree) % 2
+    return total
+
+
+@pytest.mark.parametrize("field", ["QQ", "FF(2)", "FF(7)"])
+def test_monomial_differentials_match_the_element_level_expansion(field):
+    """Odd and even letters interleaved, dX with several terms and
+    coefficients, over every monomial of homological degree up to 12, so
+    divided powers up to Y^(6) and V^(6)."""
+    ring = parse_ring(field + "[x:1,y:1]/(x*y, x^2)")
+    x, y = ring.gen("x"), ring.gen("y")
+    A = FreeDGAlgebra(ring, [Variable("X", 1, 1), Variable("Y", 2, 2),
+                             Variable("Z", 1, 1), Variable("V", 2, 2),
+                             Variable("W", 3, 3), Variable("U", 4, 4)],
+                      {"X": {(0, 0, 0, 0, 0, 0): x},
+                       "Y": {(1, 0, 0, 0, 0, 0): y},
+                       "Z": {(0, 0, 0, 0, 0, 0): y},
+                       "V": {(0, 0, 1, 0, 0, 0): x, (1, 0, 0, 0, 0, 0): 3 * y},
+                       "W": {(0, 1, 0, 0, 0, 0): x, (0, 0, 0, 1, 0, 0): 2 * x},
+                       "U": {(1, 1, 0, 0, 0, 0): y}})
+    checked = nonzero = 0
+    for n in range(13):
+        for mono in A.monomial_basis(n):
+            expected = former_mono_diff(A, mono)
+            assert A.mono_diff(mono) == expected
+            # the same terms in the same order
+            assert list(A.mono_diff(mono).coeffs.items()) == list(expected.coeffs.items())
+            checked += 1
+            nonzero += bool(expected)
+    assert checked > 200 and nonzero > 150

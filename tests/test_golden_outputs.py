@@ -12,7 +12,9 @@ which pins each witness and null functional byte for byte.
 the golden and frontend data were written by it at the commit before the
 element classes were folded onto one linear-combination core, the
 koszul-fp digests at the commit before the solver's transform became an
-operation log.
+operation log; 16 of the 40 koszul-fp digests were written again when
+the solver began to take the sparsest row as pivot, which changed those
+null functionals and nothing else.
 """
 
 import contextlib

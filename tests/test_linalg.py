@@ -95,6 +95,34 @@ def test_certificate_verifies_by_pairing():
         found += 1
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "FF7"])
+def test_a_sparser_row_below_is_swapped_up_and_the_former_row_cleared(field):
+    """Row 0 holds column 0, but row 1 has fewer entries and becomes its
+    pivot; the former row 0, swapped down to row 1, must still be cleared.
+    The same happens at column 1 with rows 1 and 2."""
+    rows = [[1, 1, 1], [2, 0, 0], [0, 1, 0]]
+    m = matrix(rows, field)
+    work = linalg._raw_rows(m.entries, field.char)
+    pivots, log = linalg._eliminate(work, 3, field, True)
+    assert pivots == [0, 1, 2]
+    assert [op for op in log if op[0] == "swap"] == [("swap", 0, 1), ("swap", 1, 2)]
+    assert [linalg._dense(row, 3, field) for row in work] == [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    x = [field.of(1), field.of(2), field.of(3)]
+    result = linear_solve(m, apply_matrix(m, x))
+    assert result.solution == x and result.rank == 3
+    # rank 2 with the same swap: row 2 = row 0 + row 1
+    deficient = matrix([[1, 1, 1], [2, 0, 0], [3, 1, 1]], field)
+    target = [field.zero, field.zero, field.one]
+    result = linear_solve(deficient, target)
+    assert result.rank == rank(deficient) == 2
+    assert kernel_basis(deficient) == [[field.zero, -field.one, field.one]]
+    u = result.certificate.null_row
+    assert not any(sum((a * b for a, b in zip(u, col)), field.zero)
+                   for col in zip(*deficient.rows))
+    assert result.certificate.pairing == u[2] != 0
+
+
 def test_solve_result_without_a_solution_is_inconsistent():
     cert = linalg.Inconsistency([QQ.one], QQ.one)
     assert not linalg.SolveResult(None, cert, 0).consistent
@@ -193,7 +221,10 @@ def test_prime_field_solves():
 
 
 def dense_eliminate(rows, ncols, field, track):
-    """The former dense ``linalg._eliminate``, kept here as the reference.
+    """The former dense ``linalg._eliminate``, kept here as the reference,
+    with the sparse solver's row rule: the pivot of column c is the row at
+    or below r that holds c with the fewest nonzero entries (every column
+    of the row counts, an augmented one too), the first such row on a tie.
 
     Returns (reduced rows, pivot columns, transform rows or None).  The
     transform T satisfies T . original = reduced.
@@ -207,11 +238,12 @@ def dense_eliminate(rows, ncols, field, track):
     pivots = []
     r = 0
     for c in range(ncols):
-        src = None
+        src, fewest = None, None
         for i in range(r, m):
             if work[i][c]:
-                src = i
-                break
+                count = sum(1 for x in work[i] if x)
+                if fewest is None or count < fewest:
+                    src, fewest = i, count
         if src is None:
             continue
         if src != r:

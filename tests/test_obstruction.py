@@ -387,3 +387,36 @@ def test_boundary_certificate_on_a_rank_three_module_is_rejected(module_m):
     assert check_lift(P).method == METHOD_GLOBAL
     report = check_lift(module_m, method="rank2")
     assert not verify_certificate(P, report)
+
+
+def _negated(key_map):
+    def negated(*args):
+        return ((k, -s) for k, s in key_map(*args))
+    return negated
+
+
+@pytest.mark.parametrize("image", ["diagonal_key_left", "diagonal_key_right",
+                                   "diagonal_key_diff"])
+def test_certificates_of_a_wrong_gamma_system_are_rejected(monkeypatch, image):
+    """The checker builds each column by element arithmetic, not from the
+    key-level images the solver's builder reads.  With one of the
+    builder's images negated (b . j in d(t), the later terms t b, or
+    the sign of d(j)), the solver certifies a wrong system, and some of
+    those certificates fail the check."""
+    from pathlib import Path
+
+    from dglift import obstruction
+
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+    texts = [golden_text(name) for name in ("liftable.dgp", "nonliftable.dgp",
+                                            "combined.dgp")]
+    texts += [(corpus / "koszul-fp" / ("k%02d.dgp" % k)).read_text(encoding="utf-8")
+              for k in range(10)]
+    modules = [N for text in texts for N in parse_problem(text).modules.values()]
+    for N in modules:
+        report = check_lift(N, method="global")
+        assert report.liftable or verify_certificate(N, report)
+    monkeypatch.setattr(obstruction, image, _negated(getattr(obstruction, image)))
+    reports = [(N, check_lift(N, method="global")) for N in modules]
+    assert any(not report.liftable and not verify_certificate(N, report)
+               for N, report in reports)
