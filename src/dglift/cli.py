@@ -7,7 +7,6 @@ Commands operate on a problem file and emit a ReportDocument:
     dglift obstruction problem.dgp [--module N]
     dglift check-lift problem.dgp [--module N] [--witness]
     dglift homology   problem.dgp --bidegree 3,4
-    dglift selftest   [--trials 25]
 
 JSON output follows the fixed schema
 
@@ -21,10 +20,6 @@ byte-identical between runs apart from timing_ms.  Exit codes: 0 success,
 error, 3 internal error (a program bug, reported in one line without a
 traceback).  The DGLIFT_VERBOSE environment variable adds progress notes on
 stderr and changes nothing else.
-
-Only ``selftest`` imports ``selfcheck`` (and with it ``randomgen`` and
-``random``), inside its branch of ``run_command``, so no other command
-pays for loading the randomised test kit.
 """
 
 import argparse
@@ -41,10 +36,9 @@ from .obstruction import check_lift, obstruction_values
 
 
 class ReportDocument:
-    """One command's report: the version, the pretty-printed problem echo
-    ("" for selftest), the JSON-ready result dicts in deterministic order
-    and the elapsed milliseconds.  Two documents are equal when every
-    field is."""
+    """One command's report: the version, the pretty-printed problem echo,
+    the JSON-ready result dicts in deterministic order and the elapsed
+    milliseconds.  Two documents are equal when every field is."""
 
     def __init__(self, version, problem, results, timing_ms):
         self.version = version
@@ -104,9 +98,6 @@ def _emit_text(doc):
         elif "dimension" in entry:
             n, w = entry["bidegree"]
             lines.append("dim H_(%d,%d)(J) = %d" % (n, w, entry["dimension"]))
-        elif "suite" in entry:
-            lines.append("%s: %s (%d trials)"
-                         % (entry["suite"], entry["status"], entry["trials"]))
         elif "object" in entry:
             lines.append("%s %s: %s" % (entry["object"], entry["name"],
                                         entry["status"]))
@@ -128,7 +119,7 @@ def _module_names(problem, module):
 
 
 def run_command(command, problem, *, module=None, bidegree=None,
-                witness=False, element=None, trials=None):
+                witness=False, element=None):
     """Execute one command against a parsed problem; returns a ReportDocument."""
     start = time.monotonic()
     results = []
@@ -169,15 +160,10 @@ def run_command(command, problem, *, module=None, bidegree=None,
         n, w = bidegree
         dim = diagonal_homology_dim(problem.algebra, n, w)
         results.append({"bidegree": [n, w], "dimension": dim})
-    elif command == "selftest":
-        from .selfcheck import run_all  # the randomised kit only this command uses
-        for name, count in run_all(trials):
-            results.append({"suite": name, "trials": count, "status": "pass"})
     else:
         raise ParseError("unknown command %r" % command)
     elapsed = int((time.monotonic() - start) * 1000)
-    echo = print_problem(problem) if problem is not None else ""
-    return ReportDocument(__version__, echo, results, elapsed)
+    return ReportDocument(__version__, print_problem(problem), results, elapsed)
 
 
 def _parse_bidegree(text):
@@ -202,12 +188,10 @@ def _build_parser():
         "obstruction": "print the obstruction map on each basis element",
         "check-lift": "decide naive liftability with witness or certificate",
         "homology": "dimension of the diagonal ideal's homology at a bidegree",
-        "selftest": "run the randomised invariant suites",
     }
     for name, help_txt in commands.items():
         cmd = sub.add_parser(name, help=help_txt)
-        if name != "selftest":
-            cmd.add_argument("problem", help="problem description file")
+        cmd.add_argument("problem", help="problem description file")
         if name in ("obstruction", "check-lift"):
             cmd.add_argument("--module", help="restrict to one module")
         if name == "check-lift":
@@ -219,9 +203,6 @@ def _build_parser():
         if name == "delta":
             cmd.add_argument("--element", required=True,
                              help="algebra element expression")
-        if name == "selftest":
-            cmd.add_argument("--trials", type=int, default=None,
-                             help="trials per suite (default: full runs)")
         cmd.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
@@ -257,20 +238,16 @@ def _run(argv):
         parser.print_usage(sys.stderr)
         return 2
     verbose = bool(os.environ.get("DGLIFT_VERBOSE"))
+    if verbose:
+        print("reading %s" % args.problem, file=sys.stderr)
     try:
-        if getattr(args, "trials", None) is not None and args.trials < 1:
-            raise ParseError("--trials must be at least 1")
-        problem = None
-        if args.command != "selftest":
-            if verbose:
-                print("reading %s" % args.problem, file=sys.stderr)
-            try:
-                with open(args.problem, "r", encoding="utf-8") as handle:
-                    text = handle.read()
-            except OSError as exc:
-                print("dglift: %s" % exc, file=sys.stderr)
-                return 2
-            problem = parse_problem(text)
+        with open(args.problem, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        print("dglift: %s" % exc, file=sys.stderr)
+        return 2
+    try:
+        problem = parse_problem(text)
         if verbose:
             print("running %s" % args.command, file=sys.stderr)
         doc = run_command(
@@ -279,8 +256,7 @@ def _run(argv):
             bidegree=_parse_bidegree(args.bidegree)
             if getattr(args, "bidegree", None) else None,
             witness=getattr(args, "witness", False),
-            element=getattr(args, "element", None),
-            trials=getattr(args, "trials", None))
+            element=getattr(args, "element", None))
     except ParseError as exc:
         print("dglift: %s" % exc, file=sys.stderr)
         return 2

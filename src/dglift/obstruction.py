@@ -33,9 +33,10 @@ the certificate head given the rank; ``check_lift`` solves once.
 LIFTABLE reports carry the gamma family; NOT_LIFTABLE reports carry a
 machine-checkable inconsistency certificate (a left null functional of
 the system with nonzero pairing against the right-hand side).
-``verify_certificate`` does not trust that builder: it shares only the
-bases and the row labels with it, and pairs the functional with columns
-built by element arithmetic (d(t) and t b of TensorJElements, d(j) of
+``verify_certificate`` does not trust that builder's images: it takes
+the bases, the row labels and the certificate head (with the rank of the
+builder's matrix) from it, but pairs the functional with columns built by
+element arithmetic (d(t) and t b of TensorJElements, d(j) of
 DiagonalElements), so a wrong sign in the builder's images cannot
 certify itself.
 """
@@ -313,15 +314,17 @@ def check_lift(N: SemifreeModule, method="auto") -> ObstructionReport:
 def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
     """Re-check the certified inconsistency: u . A = 0 and u . rhs != 0.
 
-    The system is not rebuilt by the builder ``check_lift`` solved: each
-    column of A is built by element arithmetic (``_gamma_columns``,
-    ``_boundary_columns``), and only the bases and the row labels are
-    shared.  boundary-membership is checked only for a module of
-    rank 2.  False, never an exception, for a functional that is not a list
-    of {"row": label, "value": text} items, names a row outside the system
-    or names a row twice, or states a malformed value or one with a zero
-    denominator in the field, for a missing pairing, and for a stated kind,
-    bidegree, dimension or target other than the system's."""
+    The head (kind, bidegrees, dimensions, rank, target) must equal the
+    one of the builder ``check_lift`` solved, with the rank of its matrix.
+    The columns of A are not read from that builder: each is built by
+    element arithmetic (``_gamma_columns``, ``_boundary_columns``), and
+    only the bases and the row labels are shared.  boundary-membership is
+    checked only for a module of rank 2.  False, never an exception, for a
+    functional that is not a list of {"row": label, "value": text} items,
+    names a row outside the system or names a row twice, or states a value
+    other than the field's own text of a scalar (so no zero denominator,
+    sign, padding or unreduced fraction), for a missing pairing, and for
+    any stated head field other than the system's."""
     cert = report.certificate
     items = cert.get("null_functional") if isinstance(cert, dict) else None
     if not isinstance(items, list) or not all(
@@ -330,14 +333,17 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
         return False
     field = N.algebra.field
     if cert.get("kind") == "boundary-membership" and N.rank == 2:
-        system = _boundary_columns
+        builder, system = _rank2_system, _boundary_columns
     elif cert.get("kind") == "gamma-system":
-        system = _gamma_columns
+        builder, system = _assemble_global_system, _gamma_columns
     else:
         return False
-    head, rows, columns, rhs = system(N, obstruction_values(N))
-    if any(cert.get(key) != value for key, value in head.items()):
+    obstruction = obstruction_values(N)
+    matrix, _, _, head = builder(N, obstruction)
+    if any(cert.get(key) != value
+           for key, value in head(linalg.rank(matrix)).items()):
         return False
+    rows, columns, rhs = system(N, obstruction)
     stated = {}
     for item in items:
         key = rows.get(item["row"])
@@ -354,8 +360,8 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
 
 
 def _gamma_columns(N: SemifreeModule, obstruction):
-    """The γ-system from elements: (certificate head without the rank,
-    {row label: equation key}, columns, right-hand side terms).
+    """The γ-system from elements: ({row label: equation key}, columns,
+    right-hand side terms).
 
     ``columns(u)`` yields the column of each unknown t = e_nu (x) j of
     block mu as (equation key, scalar) terms: the TensorJElement d(t) in
@@ -364,8 +370,6 @@ def _gamma_columns(N: SemifreeModule, obstruction):
     is skipped."""
     unknowns, equations, later = _gamma_keys(N)
     one = N.algebra.field.one
-    head = {"kind": "gamma-system", "unknowns": len(unknowns),
-            "equations": len(equations)}
 
     def columns(u):
         hit = {lam for _, lam, _ in u}
@@ -379,7 +383,7 @@ def _gamma_columns(N: SemifreeModule, obstruction):
                 column.extend((("eq", lam, k), -s) for k, s in (t * entry).terms())
             yield column
 
-    return (head, {_gamma_label(N, key): key for key in equations}, columns,
+    return ({_gamma_label(N, key): key for key in equations}, columns,
             [(("eq", lam, k), s) for lam in N.labels for k, s in obstruction[lam].terms()])
 
 
@@ -389,27 +393,26 @@ def _boundary_columns(N: SemifreeModule, obstruction):
     block is the DiagonalElement d(j)."""
     B = N.algebra
     _, _, n, w, target = _rank2_target(N, obstruction)
-    sources, targets = diagonal_block_keys(B, n + 1, w), diagonal_block_keys(B, n, w)
-    head = {"kind": "boundary-membership", "source_bidegree": [n + 1, w],
-            "target_bidegree": [n, w], "source_dim": len(sources),
-            "target_dim": len(targets), "target": str(target)}
 
     def columns(u):
-        for key in sources:
+        for key in diagonal_block_keys(B, n + 1, w):
             yield DiagonalElement.from_terms(B, [(key, B.field.one)]).diff().terms()
 
-    return (head, {diagonal_label(B, key): key for key in targets}, columns,
-            list(target.terms()))
+    return ({diagonal_label(B, key): key for key in diagonal_block_keys(B, n, w)},
+            columns, list(target.terms()))
 
 
 def _parse_scalar(field, text):
-    """A stated value "n" or "n/d" as a field scalar; None when it is not
-    of that form or d is zero in the field."""
+    """A stated value as a field scalar: "n" or "n/d", and only the text
+    the field itself prints for that scalar ("1", not "+1", "01" or
+    "2/2"; over F_p, a residue 0 <= n < p); None for anything else."""
     if not isinstance(text, str):
         return None
     num, slash, den = text.partition("/")
     try:
         value = field.of(int(num))
-        return value / field.of(int(den)) if slash else value
+        if slash:
+            value = value / field.of(int(den))
     except (ValueError, ZeroDivisionError):
         return None
+    return value if str(value) == text else None

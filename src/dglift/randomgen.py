@@ -1,7 +1,7 @@
 """Seeded random generators for property checks.
 
-Everything here drives the invariant suites (`selfcheck`) and the test
-suite.  Generation is deterministic given the Random instance: random
+Everything here drives the tests (the invariant suites among them) and
+the benchmark corpus generator.  Generation is deterministic given the Random instance: random
 homogeneous elements are sampled from the exact bidegree bases with small
 scalars, random free extensions adjoin variables whose differentials are
 sampled from the kernel of d on the appropriate block (so they are cycles

@@ -1,4 +1,4 @@
-"""Randomised invariant suites, shared by the CLI selftest and the tests.
+"""Randomised invariant suites, run by the tests.
 
 Each suite draws seeded random data, checks an exact identity, and returns
 the number of successful trials; any failure raises AssertionError with a
@@ -10,14 +10,15 @@ map, connection calculus, and the homotopy independence of psi.
 
 import random
 
-from .envelope import delta, op_inclusion, pi, rho, sigma
-from .obstruction import (Connection, canonical_connection, check_lift,
-                          criterion_rhs, obstruction_apply, obstruction_values,
-                          psi_apply, verify_witness)
-from .randomgen import (example_algebras, random_algebra, random_algebra_element,
-                        random_envelope_element, random_gamma, random_module,
-                        random_module_element, standard_rings)
-from .semifree import TensorJElement
+from dglift.envelope import delta, op_inclusion, pi, rho, sigma
+from dglift.obstruction import (Connection, canonical_connection, check_lift,
+                                criterion_rhs, obstruction_apply, obstruction_values,
+                                psi_apply, verify_witness)
+from dglift.randomgen import (example_algebras, random_algebra, random_algebra_element,
+                              random_envelope_element, random_gamma, random_module,
+                              random_module_element, random_partial_solution,
+                              standard_rings)
+from dglift.semifree import TensorJElement
 
 
 def _algebra_pool(rng, extra_random=2):
@@ -85,7 +86,6 @@ def suite_obstruction(seed=2, trials=100):
     """Both descriptions of the obstruction agree; psi of the canonical
     connection is its negative; it anticommutes with d; the partial sums
     of the lifting criterion are cycles along random partial solutions."""
-    from .randomgen import random_partial_solution
     rng = random.Random(seed)
     pool = _algebra_pool(rng)
     done = 0
@@ -200,21 +200,3 @@ def suite_decision(seed=5, trials=40):
         done += 1
     return done
 
-
-ALL_SUITES = [
-    ("splitting-identities", suite_splitting),
-    ("derivation-rules", suite_derivation),
-    ("obstruction-identities", suite_obstruction),
-    ("connection-calculus", suite_connections),
-    ("homotopy-independence", suite_homotopy),
-    ("decision-procedure", suite_decision),
-]
-
-
-def run_all(trials=None):
-    """Run every suite; returns [(name, trials_run)] or raises AssertionError."""
-    results = []
-    for name, fn in ALL_SUITES:
-        count = fn() if trials is None else fn(trials=trials)
-        results.append((name, count))
-    return results

@@ -19,11 +19,10 @@ from dglift.envelope import diagonal_block_keys, diagonal_diff_block, diagonal_v
 from dglift.linalg import linear_solve, kernel_basis, rank
 from dglift.obstruction import LIFTABLE, METHOD_TRIVIAL, NOT_LIFTABLE
 from dglift.semifree import SemifreeModule, TensorJElement
-from dglift.selfcheck import (suite_connections, suite_derivation,
-                              suite_homotopy, suite_obstruction,
-                              suite_splitting)
 
 from conftest import GOLDEN
+from invariants import (suite_connections, suite_derivation, suite_homotopy,
+                        suite_obstruction, suite_splitting)
 
 
 def _criterion(number, name):

@@ -9,9 +9,9 @@ from dglift.envelope import (diagonal_block_keys, diagonal_diff_block,
 from dglift.randomgen import (random_algebra, random_algebra_element,
                               random_diagonal_element, random_envelope_element,
                               standard_rings)
-from dglift.selfcheck import suite_derivation, suite_splitting
 
 from conftest import GOLDEN
+from invariants import suite_derivation, suite_splitting
 
 
 def pair(B, m1, m2, coeff=None):

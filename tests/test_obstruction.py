@@ -11,10 +11,10 @@ from dglift.obstruction import (LIFTABLE, METHOD_GLOBAL, METHOD_RANK2,
 from dglift.randomgen import (example_algebras, random_algebra, random_gamma,
                               random_module, random_module_element,
                               random_partial_solution, standard_rings)
-from dglift.selfcheck import (suite_connections, suite_decision, suite_homotopy,
-                              suite_obstruction)
 
 from conftest import golden_text
+from invariants import (suite_connections, suite_decision, suite_homotopy,
+                        suite_obstruction)
 
 
 def test_obstruction_of_the_liftable_example(module_n):
@@ -319,14 +319,29 @@ def test_certificate_naming_a_row_twice_is_rejected(module_m, method):
 @pytest.mark.parametrize("method", ["rank2", "global"])
 def test_malformed_certificate_values_are_rejected(module_m, method):
     report = check_lift(module_m, method=method)
-    for bad in ("1/2/3", "abc", "", "1/", "/2", None, 1):
+    for bad in ("1/2/3", "abc", "", "1/", "/2", None, 1,
+                "+1", " 1", "01", "2/2", "0_1"):
         _assert_each_value_rejected_as(module_m, report, bad)
 
 
 @pytest.mark.parametrize("method", ["rank2", "global"])
+def test_certificate_with_another_rank_is_rejected(module_m, method):
+    from copy import deepcopy
+
+    report = check_lift(module_m, method=method)
+    assert verify_certificate(module_m, report)
+    rank = report.certificate["rank"]
+    for bad in (rank - 1, rank + 1, 999, str(rank), None):
+        tampered = deepcopy(report)
+        tampered.certificate["rank"] = bad
+        assert not verify_certificate(module_m, tampered)
+
+
+@pytest.mark.parametrize("method", ["rank2", "global"])
 @pytest.mark.parametrize("field, zeros", [("QQ", ["1/0", "0/0"]),
-                                          ("FF(7)", ["1/0", "1/14", "3/49"])])
+                                          ("FF(7)", ["1/0", "1/14", "3/49", "8"])])
 def test_zero_denominators_are_rejected(field, zeros, method):
+    # "8" is 1 in FF(7) but not the text the field prints for it
     text = golden_text("nonliftable.dgp").replace("QQ", field)
     M = parse_problem(text).modules["M"]
     report = check_lift(M, method=method)
