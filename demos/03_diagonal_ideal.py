@@ -8,8 +8,9 @@ takes values in J and commutes with the differentials.
 """
 
 from dglift import delta, parse_problem, pi, rho, sigma
-from dglift.envelope import (diagonal_basis, diagonal_diff_block,
-                             diagonal_homology_dim, op_inclusion)
+from dglift.envelope import (diagonal_basis, diagonal_block_keys,
+                             diagonal_diff_block, diagonal_homology_dim,
+                             diagonal_label, op_inclusion)
 
 problem = parse_problem("""
 ring R = QQ[x:1,y:1]/(x*y)
@@ -36,10 +37,12 @@ for el in diagonal_basis(B, 4, 4):
     print("  ", el)
 
 block = diagonal_diff_block(B, 4, 4)
+src_labels, dst_labels = ([diagonal_label(B, k) for k in diagonal_block_keys(B, n, 4)]
+                          for n in (4, 3))
 print("\nthe differential (4,4) -> (3,4) as a %dx%d block:" % block.shape)
-for j, src in enumerate(block.src_labels):
+for j, src in enumerate(src_labels):
     column = [row[j] for row in block.rows]
-    image = [(block.dst_labels[i], c) for i, c in enumerate(column) if c]
+    image = [(dst_labels[i], c) for i, c in enumerate(column) if c]
     print("  d[%s] = %s" % (src, " + ".join("%s·%s" % (c, lab) for lab, c in image) or "0"))
 
 print("\ndim H_(n,4)(J):", {n: diagonal_homology_dim(B, n, 4) for n in range(1, 5)})

@@ -1,6 +1,6 @@
 """Command dispatcher and report serialisation.
 
-Commands operate on a problem file and emit a ReportDocument:
+Commands operate on a problem file and emit a report:
 
     dglift validate   problem.dgp
     dglift delta      problem.dgp --element "X*Y*y"
@@ -13,8 +13,8 @@ JSON output follows the fixed schema
     {version, problem, results: [...], timing_ms}
 
 where each check-lift result is {module, decision, method, obstruction:
-[{basis, value}], witness?, certificate?}.  A ReportDocument is a plain
-record of these four fields; two are equal when every field is.  Output is
+[{basis, value}], witness?, certificate?}.  A report is the plain dict of
+these four keys, in this order, that ``json.dumps`` writes.  Output is
 byte-identical between runs apart from timing_ms.  Exit codes: 0 success,
 1 mathematical rejection (a construction check failed), 2 usage or parse
 error, 3 internal error (a program bug, reported in one line without a
@@ -35,44 +35,17 @@ from .errors import DGLiftError, ParseError
 from .obstruction import check_lift, obstruction_values
 
 
-class ReportDocument:
-    """One command's report: the version, the pretty-printed problem echo,
-    the JSON-ready result dicts in deterministic order and the elapsed
-    milliseconds.  Two documents are equal when every field is."""
-
-    def __init__(self, version, problem, results, timing_ms):
-        self.version = version
-        self.problem = problem
-        self.results = results
-        self.timing_ms = timing_ms
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def to_dict(self):
-        return {"version": self.version, "problem": self.problem,
-                "results": self.results, "timing_ms": self.timing_ms}
-
-
-def emit_report(doc: ReportDocument, fmt="json") -> str:
+def emit_report(doc, fmt="json") -> str:
     if fmt == "json":
-        return json.dumps(doc.to_dict(), ensure_ascii=False, indent=2) + "\n"
+        return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
     if fmt == "text":
         return _emit_text(doc)
     raise ValueError("unknown format %r" % fmt)
 
 
-def report_from_json(text) -> ReportDocument:
-    data = json.loads(text)
-    return ReportDocument(data["version"], data["problem"], data["results"],
-                          data["timing_ms"])
-
-
 def _emit_text(doc):
-    lines = ["dglift %s" % doc.version]
-    for entry in doc.results:
+    lines = ["dglift %s" % doc["version"]]
+    for entry in doc["results"]:
         if "decision" in entry:
             lines.append("module %s: %s (method: %s)"
                          % (entry["module"], entry["decision"], entry["method"]))
@@ -101,7 +74,7 @@ def _emit_text(doc):
         elif "object" in entry:
             lines.append("%s %s: %s" % (entry["object"], entry["name"],
                                         entry["status"]))
-    lines.append("(%d ms)" % doc.timing_ms)
+    lines.append("(%d ms)" % doc["timing_ms"])
     return "\n".join(lines) + "\n"
 
 
@@ -120,7 +93,8 @@ def _module_names(problem, module):
 
 def run_command(command, problem, *, module=None, bidegree=None,
                 witness=False, element=None):
-    """Execute one command against a parsed problem; returns a ReportDocument."""
+    """Execute one command against a parsed problem; returns the report as
+    the dict ``emit_report`` serialises."""
     start = time.monotonic()
     results = []
     if command == "validate":
@@ -163,7 +137,8 @@ def run_command(command, problem, *, module=None, bidegree=None,
     else:
         raise ParseError("unknown command %r" % command)
     elapsed = int((time.monotonic() - start) * 1000)
-    return ReportDocument(__version__, print_problem(problem), results, elapsed)
+    return {"version": __version__, "problem": print_problem(problem),
+            "results": results, "timing_ms": elapsed}
 
 
 def _parse_bidegree(text):

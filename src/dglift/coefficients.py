@@ -386,8 +386,7 @@ def _products_block(ring, factors, w):
          for m in ring.graded_basis(w - a.weight())],
         [(m,) for m in ring.graded_basis(w)],
         lambda key: (RingElement.from_terms(ring, [(key[1:], one)])
-                     * factors[key[0]]).terms(),
-        lambda key: ring.render_mono(key[-1]), ring.field)
+                     * factors[key[0]]).terms(), ring.field)
 
 
 def principal_intersection_dim(ring, a, b, w):

@@ -346,8 +346,7 @@ def diagonal_diff_block(B, n, w) -> linalg.BlockMatrix:
     """The differential of J as a matrix from the (n, w) block to (n-1, w)."""
     return linalg.block_matrix(
         diagonal_block_keys(B, n, w), diagonal_block_keys(B, n - 1, w),
-        lambda key: diagonal_key_diff(B, key),
-        lambda key: diagonal_label(B, key), B.field)
+        lambda key: diagonal_key_diff(B, key), B.field)
 
 
 def diagonal_homology_dim(B, n, w) -> int:

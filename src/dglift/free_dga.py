@@ -267,7 +267,6 @@ class FreeDGAlgebra:
         return linalg.block_matrix(
             self.bidegree_basis(n, w), self.bidegree_basis(n - 1, w),
             lambda key: AlgebraElement.from_terms(self, [(key, one)]).diff().terms(),
-            lambda key: self.render_mono(key[0]) + "." + self.ring.render_mono(key[1]),
             self.field)
 
 

@@ -2,22 +2,22 @@
 
 A ``BlockMatrix`` holds one representation: ``entries``, one {column:
 scalar} dict per row of its nonzero entries, each an exact scalar of the
-ambient field (Fraction for the rationals, ModP for prime fields).  Its
-one constructor takes these rows, the basis keys of both sides and a
-function that renders a key as a label, called only when a label is
-read.  ``block_matrix`` writes the images of a map straight into the
-rows.  The dense ``rows`` are derived on demand.  The one
-elimination routine, ``_eliminate``, is a sparse forward elimination on
-copies of the rows, with raw ints mod p over F_p: a column index names
-the rows that may hold each column, so a pivot step touches only the rows
-below it that hold the pivot column, and no row above a pivot is ever
-cleared.  Solutions and kernel vectors are read off the echelon rows by
-back substitution, which gives the same unique vectors (free variables
-zero) that the fully reduced rows give.  A solve does not carry the
-transform T along: it logs its row operations, and only an inconsistent
-solve rebuilds the one row of T its certificate needs, the last pivot
-row, by replaying the log backwards; that row, and every row of T below
-it, is the one a full Gauss-Jordan on the same pivot rows gives.
+ambient field (Fraction for the rationals, ModP for prime fields), with
+its shape and field, and nothing else: a caller that names rows holds
+the basis keys it built the block from.  ``block_matrix`` writes the
+images of a map straight into the rows.  The dense ``rows`` are derived
+on demand.  The one elimination routine, ``_eliminate``, is a sparse
+forward elimination on copies of the rows, with raw ints mod p over F_p:
+a column index names the rows that may hold each column, so a pivot step
+touches only the rows below it that hold the pivot column, and no row
+above a pivot is ever cleared.  Solutions and kernel vectors are read
+off the echelon rows by back substitution, which gives the same unique
+vectors (free variables zero) that the fully reduced rows give.  A solve
+does not carry the transform T along: it logs its row operations, and
+only an inconsistent solve rebuilds the one row of T its certificate
+needs, the last pivot row, by replaying the log backwards; that row, and
+every row of T below it, is the one a full Gauss-Jordan on the same
+pivot rows gives.
 
 Elimination is fully deterministic.  Columns are taken left to right, so
 the pivot columns, the rank, the solutions and the kernels do not depend
@@ -33,38 +33,18 @@ from .errors import CompositionNonzero, ConstructionError
 
 
 class BlockMatrix:
-    """A matrix block between two keyed finite bases.
+    """A matrix block between two finite bases.
 
     ``entries[i][j]`` is the coefficient of the i-th target basis vector in
     the image of the j-th source basis vector; a missing entry is zero.
-    ``shape`` is (targets, sources).  ``label(key)`` names a basis vector
-    of either side from its key, and is called only when a label is read.
-    ``block_matrix`` builds a block from a map between keyed bases.
+    ``shape`` is (targets, sources).  ``block_matrix`` builds a block from
+    a map between keyed bases.
     """
 
-    def __init__(self, entries, src_keys, dst_keys, label, field):
+    def __init__(self, entries, shape, field):
         self.entries = entries
+        self.shape = shape
         self.field = field
-        self.shape = (len(dst_keys), len(src_keys))
-        self._src_keys, self._dst_keys = src_keys, dst_keys
-        self._label = label
-        self._src_labels = self._dst_labels = None
-
-    @property
-    def src_labels(self):
-        if self._src_labels is None:
-            self._src_labels = [self._label(k) for k in self._src_keys]
-        return self._src_labels
-
-    @property
-    def dst_labels(self):
-        if self._dst_labels is None:
-            self._dst_labels = [self._label(k) for k in self._dst_keys]
-        return self._dst_labels
-
-    def dst_label(self, i):
-        """The label of the i-th target basis vector, rendered alone."""
-        return self._label(self._dst_keys[i])
 
     @property
     def rows(self):
@@ -86,20 +66,19 @@ def _position(pos, key):
         raise ConstructionError("element does not lie in the chosen block")
 
 
-def block_matrix(src_keys, dst_keys, image, label, field) -> BlockMatrix:
+def block_matrix(src_keys, dst_keys, image, field) -> BlockMatrix:
     """The matrix of a linear map between two finite keyed bases.
 
     ``image(key)`` gives the image of the source basis vector ``key`` as
     (target key, nonzero scalar) terms with distinct keys, as
-    ``LinComb.terms()`` does; ``label(key)`` names a basis vector of either
-    side, and is called only when a label is read.
+    ``LinComb.terms()`` does; the keys only place each image.
     """
     pos = {k: i for i, k in enumerate(dst_keys)}
     entries = [{} for _ in dst_keys]
     for j, key in enumerate(src_keys):
         for k, s in image(key):
             entries[_position(pos, k)][j] = s
-    return BlockMatrix(entries, src_keys, dst_keys, label, field)
+    return BlockMatrix(entries, (len(dst_keys), len(src_keys)), field)
 
 
 def coordinates(terms, keys, field) -> list:
@@ -306,7 +285,7 @@ def linear_solve(matrix: BlockMatrix, target: list) -> SolveResult:
     p = field.char
     m, ncols = matrix.shape
     if len(target) != m:
-        raise ValueError("target length %d does not match %d target labels"
+        raise ValueError("target length %d does not match %d matrix rows"
                          % (len(target), m))
     augmented = _raw_rows(matrix.entries, p)
     for row, t in zip(augmented, target):

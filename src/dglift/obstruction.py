@@ -28,23 +28,24 @@ a greedy choice of gamma_mu can block a later equation even when a
 simultaneous solution exists.  The right-hand side of either system is
 the obstruction cocycle itself, read from the values ``check_lift`` has
 already computed.  Each system has one builder, which returns the matrix,
-the right-hand side, a reader from a solution to the gamma family, and
-the certificate head given the rank; ``check_lift`` solves once.
-LIFTABLE reports carry the gamma family; NOT_LIFTABLE reports carry a
-machine-checkable inconsistency certificate (a left null functional of
-the system with nonzero pairing against the right-hand side).
-``verify_certificate`` does not trust that builder's images: it takes
-the bases, the row labels and the certificate head (with the rank of the
-builder's matrix) from it, but pairs the functional with columns built by
-element arithmetic (d(t) and t b of TensorJElements, d(j) of
-DiagonalElements), so a wrong sign in the builder's images cannot
-certify itself.
+the right-hand side, a reader from a solution to the gamma family, the
+certificate head given the rank, and a namer of the matrix rows;
+``check_lift`` solves once.  LIFTABLE reports carry the gamma family;
+NOT_LIFTABLE reports carry a machine-checkable inconsistency certificate
+(a left null functional of the system, its rows named, with nonzero
+pairing against the right-hand side).  ``verify_certificate`` does not
+trust that builder's images: it takes the certificate head (with the
+rank of the builder's matrix) from it, but pairs the functional with
+columns built by element arithmetic in N (x) B^e and B^e (d(t) and t b
+for t in N (x) J, d(j) for j in J, each brought back by sigma), so a
+wrong sign in the builder's images, or in the J key maps that the
+builder and DiagonalElement arithmetic share, cannot certify itself.
 """
 
 from . import linalg
 from .envelope import (DiagonalElement, delta, diagonal_block_keys,
                        diagonal_diff_block, diagonal_key_diff, diagonal_key_left,
-                       diagonal_key_right, diagonal_label, diagonal_vec)
+                       diagonal_key_right, diagonal_label, diagonal_vec, sigma)
 from .errors import ConstructionError
 from .semifree import SemifreeModule, TensorJElement
 
@@ -206,8 +207,9 @@ def _rank2_system(N: SemifreeModule, obstruction):
                 "target_bidegree": [n, w], "source_dim": matrix.shape[1],
                 "target_dim": matrix.shape[0], "rank": rank, "target": str(target)}
 
-    return (matrix, diagonal_vec(target, diagonal_block_keys(B, n, w)),
-            read_witness, head)
+    rows = diagonal_block_keys(B, n, w)
+    return (matrix, diagonal_vec(target, rows), read_witness, head,
+            lambda i: diagonal_label(B, rows[i]))
 
 
 def _gamma_keys(N: SemifreeModule):
@@ -274,12 +276,12 @@ def _assemble_global_system(N: SemifreeModule, obstruction):
         return {"kind": "gamma-system", "unknowns": matrix.shape[1],
                 "equations": matrix.shape[0], "rank": rank}
 
-    matrix = linalg.block_matrix(unknowns, equations, image,
-                                 lambda key: _gamma_label(N, key), field)
+    matrix = linalg.block_matrix(unknowns, equations, image, field)
     rhs = linalg.coordinates([(("eq", lam, k), s) for lam in N.labels
                               for k, s in obstruction[lam].terms()],
                              equations, field)
-    return matrix, rhs, read_witness, head
+    return (matrix, rhs, read_witness, head,
+            lambda i: _gamma_label(N, equations[i]))
 
 
 def check_lift(N: SemifreeModule, method="auto") -> ObstructionReport:
@@ -298,13 +300,13 @@ def check_lift(N: SemifreeModule, method="auto") -> ObstructionReport:
         tag, system = METHOD_RANK2, _rank2_system
     else:
         tag, system = METHOD_GLOBAL, _assemble_global_system
-    matrix, rhs, read_witness, head = system(N, obstruction)
+    matrix, rhs, read_witness, head, row_label = system(N, obstruction)
     result = linalg.linear_solve(matrix, rhs)
     if result.consistent:
         return ObstructionReport(LIFTABLE, tag, obstruction,
                                  read_witness(result.solution), None)
     cert = head(result.rank)
-    cert["null_functional"] = [{"row": matrix.dst_label(i), "value": str(c)}
+    cert["null_functional"] = [{"row": row_label(i), "value": str(c)}
                                for i, c in enumerate(result.certificate.null_row)
                                if c]
     cert["pairing"] = str(result.certificate.pairing)
@@ -317,14 +319,14 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
     The head (kind, bidegrees, dimensions, rank, target) must equal the
     one of the builder ``check_lift`` solved, with the rank of its matrix.
     The columns of A are not read from that builder: each is built by
-    element arithmetic (``_gamma_columns``, ``_boundary_columns``), and
-    only the bases and the row labels are shared.  boundary-membership is
-    checked only for a module of rank 2.  False, never an exception, for a
+    element arithmetic through B^e (``_gamma_columns``,
+    ``_boundary_columns``), and only the bases are shared.
+    boundary-membership is checked only for a module of rank 2.  False, never an exception, for a
     functional that is not a list of {"row": label, "value": text} items,
     names a row outside the system or names a row twice, or states a value
     other than the field's own text of a scalar (so no zero denominator,
     sign, padding or unreduced fraction), for a missing pairing, and for
-    any stated head field other than the system's."""
+    any stated head field other than the system's, in value or in type."""
     cert = report.certificate
     items = cert.get("null_functional") if isinstance(cert, dict) else None
     if not isinstance(items, list) or not all(
@@ -339,8 +341,9 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
     else:
         return False
     obstruction = obstruction_values(N)
-    matrix, _, _, head = builder(N, obstruction)
-    if any(cert.get(key) != value
+    matrix, _, _, head, _ = builder(N, obstruction)
+    # repr compares JSON values type-exactly: 4.0, True and [4.0, 4] are not 4
+    if any(repr(cert.get(key)) != repr(value)
            for key, value in head(linalg.rank(matrix)).items()):
         return False
     rows, columns, rhs = system(N, obstruction)
@@ -364,10 +367,11 @@ def _gamma_columns(N: SemifreeModule, obstruction):
     right-hand side terms).
 
     ``columns(u)`` yields the column of each unknown t = e_nu (x) j of
-    block mu as (equation key, scalar) terms: the TensorJElement d(t) in
-    equation mu and -(t b[mu][lam]) in each later equation lam.  A column
-    all of whose equations miss the support of u pairs with u to zero and
-    is skipped."""
+    block mu as (equation key, scalar) terms: d(t) in equation mu and
+    -(t b[mu][lam]) in each later equation lam.  Both are computed in
+    N (x) B^e and brought back by sigma, so they do not use the J key maps
+    the builder does.  A column all of whose equations miss the support
+    of u pairs with u to zero and is skipped."""
     unknowns, equations, later = _gamma_keys(N)
     one = N.algebra.field.one
 
@@ -377,10 +381,12 @@ def _gamma_columns(N: SemifreeModule, obstruction):
             entries = [(lam, entry) for lam, entry in later[mu] if lam in hit]
             if mu not in hit and not entries:
                 continue
-            t = TensorJElement.from_terms(N, [(tkey, one)])
-            column = [(("eq", mu, k), s) for k, s in t.diff().terms()] if mu in hit else []
+            t = N.iota_n(TensorJElement.from_terms(N, [(tkey, one)]))
+            column = ([(("eq", mu, k), s) for k, s in N.sigma_n(t.diff()).terms()]
+                      if mu in hit else [])
             for lam, entry in entries:
-                column.extend((("eq", lam, k), -s) for k, s in (t * entry).terms())
+                column.extend((("eq", lam, k), -s)
+                              for k, s in N.sigma_n(t * entry).terms())
             yield column
 
     return ({_gamma_label(N, key): key for key in equations}, columns,
@@ -390,13 +396,14 @@ def _gamma_columns(N: SemifreeModule, obstruction):
 def _boundary_columns(N: SemifreeModule, obstruction):
     """The rank-2 boundary system from elements, in the form of
     ``_gamma_columns``: the column of each J basis vector j of the source
-    block is the DiagonalElement d(j)."""
+    block is d(j), computed in B^e and brought back by sigma."""
     B = N.algebra
     _, _, n, w, target = _rank2_target(N, obstruction)
 
     def columns(u):
         for key in diagonal_block_keys(B, n + 1, w):
-            yield DiagonalElement.from_terms(B, [(key, B.field.one)]).diff().terms()
+            j = DiagonalElement.from_terms(B, [(key, B.field.one)])
+            yield sigma(j.to_envelope().diff()).terms()
 
     return ({diagonal_label(B, key): key for key in diagonal_block_keys(B, n, w)},
             columns, list(target.terms()))

@@ -161,8 +161,6 @@ class SemifreeModule:
         return linalg.block_matrix(
             self.basis_of_bidegree(n, w), self.basis_of_bidegree(n - 1, w),
             lambda key: ModuleElement.from_terms(self, [(key, one)]).diff().terms(),
-            lambda key: "%s.%s.%s" % (key[0], B.render_mono(key[1]),
-                                      B.ring.render_mono(key[2])),
             B.field)
 
     @memoised
@@ -185,7 +183,7 @@ class SemifreeModule:
         return linalg.block_matrix(
             self.tensor_keys(n, w), self.tensor_keys(n - 1, w),
             lambda key: TensorJElement.from_terms(self, [(key, one)]).diff().terms(),
-            self.tensor_key_label, self.algebra.field)
+            self.algebra.field)
 
 
 class LabelledSum(LinComb):

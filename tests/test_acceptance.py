@@ -71,7 +71,7 @@ def test_criterion_2_nonliftable_example(nonliftable_problem):
     assert verify_certificate(M, rank2) and verify_certificate(M, globally)
     # the block data: 6-dimensional target, 4 independent images, target v5
     block = diagonal_diff_block(B, 4, 4)
-    assert len(block.dst_labels) == 6 and len(block.src_labels) == 4
+    assert block.shape == (6, 4)
     assert rank(block) == 4
     f = B.field
     unit = lambda i: [f.one if k == i else f.zero for k in range(6)]

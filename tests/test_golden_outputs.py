@@ -5,16 +5,19 @@ problem and each command below, the exit code, stderr and the full
 JSON and text reports with ``timing_ms`` set to 0.  For a fixed sample
 of the benchmark's frontend corpus it holds the SHA-256 of each
 normalised JSON report, and for one file the parser wrongly rejects, its
-exit code and stderr.  For every file of the benchmark's koszul-fp corpus
-it holds the SHA-256 of the normalised JSON of ``check-lift --witness``,
-which pins each witness and null functional byte for byte.
+exit code and stderr.  For every file of the benchmark's koszul-fp and
+koszul-qq corpora it holds the SHA-256 of the normalised JSON of
+``check-lift --witness``, which pins each witness and null functional
+byte for byte.
 ``collect_outputs()`` rebuilds the same structure from the current code;
 the golden and frontend data were written by it at the commit before the
 element classes were folded onto one linear-combination core, the
 koszul-fp digests at the commit before the solver's transform became an
 operation log; 16 of the 40 koszul-fp digests were written again when
 the solver began to take the sparsest row as pivot, which changed those
-null functionals and nothing else.
+null functionals and nothing else.  The koszul-qq digests, which pin
+the Koszul family's null functionals over QQ, were written at the commit
+before ``BlockMatrix`` stopped carrying basis labels.
 """
 
 import contextlib
@@ -31,7 +34,8 @@ from dglift.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
 FRONTEND = ROOT / "perfbench" / "corpus" / "frontend"
-KOSZUL_FP = ROOT / "perfbench" / "corpus" / "koszul-fp"
+KOSZUL = {family: ROOT / "perfbench" / "corpus" / family
+          for family in ("koszul-fp", "koszul-qq")}
 
 GOLDEN_FILES = ("liftable.dgp", "nonliftable.dgp", "combined.dgp")
 GOLDEN_COMMANDS = {
@@ -44,7 +48,8 @@ GOLDEN_COMMANDS = {
 FRONTEND_COMMANDS = ("validate", "obstruction", "check-lift", "homology")
 # 23 evenly spaced pool files, and f006, which the parser rejects
 FRONTEND_SAMPLE = ["f%03d.dgp" % (17 * k) for k in range(23)] + ["f006.dgp"]
-KOSZUL_FILES = sorted(p.name for p in KOSZUL_FP.glob("*.dgp"))
+KOSZUL_FILES = {family: sorted(p.name for p in folder.glob("*.dgp"))
+                for family, folder in KOSZUL.items()}
 
 
 def normalise(text):
@@ -80,8 +85,8 @@ def frontend_case(name):
     return out
 
 
-def koszul_case(name):
-    result = run(KOSZUL_FP / name, "check-lift", "json")
+def koszul_case(family, name):
+    result = run(KOSZUL[family] / name, "check-lift", "json")
     digest = hashlib.sha256(result["stdout"].encode("utf-8")).hexdigest()
     return {"exit": result["exit"], "stderr": result["stderr"], "sha256": digest}
 
@@ -92,7 +97,8 @@ def collect_outputs():
                           for command in GOLDEN_COMMANDS}
                    for name in GOLDEN_FILES},
         "frontend": {name: frontend_case(name) for name in FRONTEND_SAMPLE},
-        "koszul-fp": {name: koszul_case(name) for name in KOSZUL_FILES},
+        **{family: {name: koszul_case(family, name) for name in names}
+           for family, names in KOSZUL_FILES.items()},
     }
 
 
@@ -113,13 +119,19 @@ def test_frontend_sample_digests(pinned, name):
 
 
 def test_koszul_corpus_is_complete(pinned):
-    assert len(KOSZUL_FILES) == 40
-    assert sorted(pinned["koszul-fp"]) == KOSZUL_FILES
+    for family, names in KOSZUL_FILES.items():
+        assert len(names) == 40
+        assert sorted(pinned[family]) == names
 
 
-@pytest.mark.parametrize("name", KOSZUL_FILES)
+@pytest.mark.parametrize("name", KOSZUL_FILES["koszul-fp"])
 def test_koszul_certificate_digests(pinned, name):
-    assert koszul_case(name) == pinned["koszul-fp"][name]
+    assert koszul_case("koszul-fp", name) == pinned["koszul-fp"][name]
+
+
+@pytest.mark.parametrize("name", KOSZUL_FILES["koszul-qq"])
+def test_koszul_qq_certificate_digests(pinned, name):
+    assert koszul_case("koszul-qq", name) == pinned["koszul-qq"][name]
 
 
 def test_frontend_sample_keeps_the_parser_defect(pinned):

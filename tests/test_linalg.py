@@ -14,26 +14,24 @@ from dglift.envelope import (DiagonalElement, EnvelopeElement, diagonal_block_ke
                              diagonal_label, diagonal_vec, sigma)
 from dglift.free_dga import AlgebraElement
 from dglift.linalg import apply_matrix
-from dglift.obstruction import (_assemble_global_system, criterion_rhs,
-                                obstruction_values)
+from dglift.obstruction import (_assemble_global_system, _rank2_system,
+                                criterion_rhs, obstruction_values)
 from dglift.randomgen import random_diagonal_element
 from dglift.semifree import ModuleElement, TensorJElement
 
 from conftest import GOLDEN
 
 
-def dense_block(rows, src_labels, dst_labels, field):
-    """A block with the given dense rows, through the one constructor: the
-    labels are the keys themselves."""
+def dense_block(rows, ncols, field):
+    """A block with the given dense rows, through the one constructor."""
     return BlockMatrix([{j: x for j, x in enumerate(row) if x} for row in rows],
-                       src_labels, dst_labels, str, field)
+                       (len(rows), ncols), field)
 
 
 def matrix(rows, field=QQ):
     rows = [[field.of(x) for x in row] for row in rows]
     nc = len(rows[0]) if rows else 0
-    return dense_block(rows, ["c%d" % j for j in range(nc)],
-                       ["r%d" % i for i in range(len(rows))], field)
+    return dense_block(rows, nc, field)
 
 
 def oracle_rank(rows, field):
@@ -137,8 +135,7 @@ def test_rank_nullity_on_random_blocks():
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
                 for _ in range(nrows)]
-        m = dense_block(rows, ["c%d" % j for j in range(ncols)],
-                        ["r%d" % i for i in range(nrows)], QQ)
+        m = dense_block(rows, ncols, QQ)
         r = rank(m)
         assert r == oracle_rank(rows, QQ)
         assert r + len(kernel_basis(m)) == ncols
@@ -169,7 +166,7 @@ def test_example_boundary_system_inconsistent_for_the_x_target(example_algebra):
 
 
 def test_homology_dimension_examples(example_algebra, nonliftable_problem):
-    empty = dense_block([], [], [], QQ)
+    empty = dense_block([], 0, QQ)
     assert homology_dim(empty, empty) == 0  # the zero complex
     zero = matrix([[0, 0], [0, 0]])
     assert homology_dim(zero, zero) == 2 - 0  # zero maps, 2-dim middle
@@ -200,7 +197,7 @@ def test_homology_agrees_with_independent_elimination(example_algebra,
                 d_out = diagonal_diff_block(B, n, w)
                 d_in = diagonal_diff_block(B, n + 1, w)
                 dim = homology_dim(d_in, d_out)
-                cycles = len(d_out.src_labels) - oracle_rank(d_out.rows, B.field)
+                cycles = d_out.shape[1] - oracle_rank(d_out.rows, B.field)
                 boundaries = oracle_rank(d_in.rows, B.field)
                 assert dim == cycles - boundaries
                 assert dim >= 0
@@ -210,7 +207,7 @@ def test_prime_field_solves():
     from dglift import PrimeField
     F = PrimeField(5)
     rows = [[F.of(2), F.of(1)], [F.of(1), F.of(2)]]  # det = 3, invertible mod 5
-    m = dense_block(rows, ["a", "b"], ["r0", "r1"], F)
+    m = dense_block(rows, 2, F)
     v = [F.of(1), F.of(2)]
     result = linear_solve(m, v)
     assert result.consistent
@@ -325,8 +322,7 @@ def test_sparse_solver_matches_dense_oracle(field):
     for trial in range(80):
         nrows, ncols = ORACLE_SHAPES[trial % len(ORACLE_SHAPES)]
         rows = random_rows(rng, field, nrows, ncols)
-        m = dense_block(rows, ["c%d" % j for j in range(ncols)],
-                        ["r%d" % i for i in range(nrows)], field)
+        m = dense_block(rows, ncols, field)
         _, ref_pivots, ref_transform = dense_eliminate(
             rows, ncols, field, True)
         assert m.rows == rows
@@ -390,29 +386,27 @@ def oracle_problems():
             continue
 
 
-def dense_block_matrix(src_keys, dst_keys, image, label, field):
+def dense_block_matrix(src_keys, dst_keys, image, field):
     """The former ``linalg.block_matrix``: a zero matrix filled column by
-    column and every label rendered.  Returns (rows, src labels, dst labels)."""
+    column, made a block by ``dense_block``."""
     pos = {k: i for i, k in enumerate(dst_keys)}
     rows = [[field.zero] * len(src_keys) for _ in dst_keys]
     for j, key in enumerate(src_keys):
         for k, s in image(key):
             rows[pos[k]][j] = s
-    return rows, [label(k) for k in src_keys], [label(k) for k in dst_keys]
+    return dense_block(rows, len(src_keys), field)
 
 
 def assert_block_equals(block, reference):
-    rows, src_labels, dst_labels = reference
-    assert block.shape == (len(dst_labels), len(src_labels))
-    assert block.rows == rows
-    assert block.src_labels == src_labels
-    assert block.dst_labels == dst_labels
-    assert [block.dst_label(i) for i in range(len(dst_labels))] == dst_labels
+    assert block.shape == reference.shape
+    assert block.entries == reference.entries
+    assert block.rows == reference.rows
 
 
 def reference_gamma_system(N):
     """The former ``_assemble_global_system``: a TensorJElement per unknown,
-    differentiated, and multiplied by each later structure entry."""
+    differentiated, and multiplied by each later structure entry.  Returns
+    the block and the labels of its rows."""
     field = N.algebra.field
     unknowns, equations = [], []
     for lab, n, w in zip(N.labels, N.degrees, N.weights):
@@ -435,7 +429,8 @@ def reference_gamma_system(N):
     def label(key):
         return "%s_%s[%s]" % (key[0], key[1], N.tensor_key_label(key[2]))
 
-    return dense_block_matrix(unknowns, equations, image, label, field)
+    return (dense_block_matrix(unknowns, equations, image, field),
+            [label(key) for key in equations])
 
 
 def test_block_builders_match_the_dense_reference():
@@ -448,13 +443,11 @@ def test_block_builders_match_the_dense_reference():
                 assert_block_equals(B.diff_block(n, w), dense_block_matrix(
                     B.bidegree_basis(n, w), B.bidegree_basis(n - 1, w),
                     lambda key: AlgebraElement.from_terms(B, [(key, one)]).diff().terms(),
-                    lambda key: B.render_mono(key[0]) + "." + R.render_mono(key[1]),
                     B.field))
                 assert_block_equals(diagonal_diff_block(B, n, w), dense_block_matrix(
                     diagonal_block_keys(B, n, w), diagonal_block_keys(B, n - 1, w),
                     lambda key: sigma(EnvelopeElement.from_terms(
-                        B, [(key, one)]).diff()).terms(),
-                    lambda key: diagonal_label(B, key), B.field))
+                        B, [(key, one)]).diff()).terms(), B.field))
                 blocks += 2
         factors = [R.gen(g) for g in R.gens] + [R.one()]
         for a in factors:
@@ -463,7 +456,7 @@ def test_block_builders_match_the_dense_reference():
                     [(m,) for m in R.graded_basis(w_src)],
                     [(m,) for m in R.graded_basis(w_src + a.weight())],
                     lambda key: (RingElement.from_terms(R, [(key, one)]) * a).terms(),
-                    lambda key: R.render_mono(key[0]), B.field))
+                    B.field))
                 blocks += 1
         for N in problem.modules.values():
             for n, w in {(n + dn, w) for n, w in zip(N.degrees, N.weights)
@@ -471,17 +464,24 @@ def test_block_builders_match_the_dense_reference():
                 assert_block_equals(N.diff_block(n, w), dense_block_matrix(
                     N.basis_of_bidegree(n, w), N.basis_of_bidegree(n - 1, w),
                     lambda key: ModuleElement.from_terms(N, [(key, one)]).diff().terms(),
-                    lambda key: "%s.%s.%s" % (key[0], B.render_mono(key[1]),
-                                              R.render_mono(key[2])),
                     B.field))
                 assert_block_equals(N.tensor_diff_block(n, w), dense_block_matrix(
                     N.tensor_keys(n, w), N.tensor_keys(n - 1, w),
                     lambda key: TensorJElement.from_terms(N, [(key, one)]).diff().terms(),
-                    N.tensor_key_label, B.field))
+                    B.field))
                 blocks += 2
-            matrix, _, _, _ = _assemble_global_system(N, obstruction_values(N))
-            assert_block_equals(matrix, reference_gamma_system(N))
+            obstruction = obstruction_values(N)
+            matrix, _, _, _, row_label = _assemble_global_system(N, obstruction)
+            reference, labels = reference_gamma_system(N)
+            assert_block_equals(matrix, reference)
+            assert [row_label(i) for i in range(len(labels))] == labels
             blocks += 1
+            if N.rank == 2 and N.structure:
+                # the rank-2 rows are the J basis of delta(b)'s bidegree
+                matrix, _, _, head, row_label = _rank2_system(N, obstruction)
+                n, w = head(0)["target_bidegree"]
+                assert [row_label(i) for i in range(matrix.shape[0])] == [
+                    diagonal_label(B, k) for k in diagonal_block_keys(B, n, w)]
     assert blocks > 1000
 
 
@@ -494,7 +494,7 @@ def test_gamma_rhs_is_the_obstruction():
     checked = 0
     for problem in problems:
         for N in problem.modules.values():
-            matrix, rhs, _, _ = _assemble_global_system(N, obstruction_values(N))
+            matrix, rhs, _, _, _ = _assemble_global_system(N, obstruction_values(N))
             equations = [("eq", lam, k) for lam, n, w in
                          zip(N.labels, N.degrees, N.weights)
                          for k in N.tensor_keys(n - 1, w)]
@@ -538,7 +538,7 @@ def test_solver_matches_the_dense_oracle_on_real_systems():
     for name, problem in oracle_problems():
         field = problem.algebra.field
         for N in problem.modules.values():
-            matrix, rhs, _, _ = _assemble_global_system(N, obstruction_values(N))
+            matrix, rhs, _, _, _ = _assemble_global_system(N, obstruction_values(N))
             rows = matrix.rows
             ref_rank, ref_solution, ref_null, ref_pairing = dense_solve(
                 rows, matrix.shape[1], rhs, field)

@@ -324,6 +324,13 @@ def test_malformed_certificate_values_are_rejected(module_m, method):
         _assert_each_value_rejected_as(module_m, report, bad)
 
 
+# both certificates of M state dimensions and a rank of 0
+ZERO_HEADS = """ring R = QQ[x:1,y:1]/(x^2, x*y)
+algebra B = R<X:1 | dX = 2*y^2>
+module M over B = <e1:2:2, e2:4:5 | de1 = 0, de2 = 2*e1*X*x>
+"""
+
+
 @pytest.mark.parametrize("method", ["rank2", "global"])
 def test_certificate_with_another_rank_is_rejected(module_m, method):
     from copy import deepcopy
@@ -335,6 +342,24 @@ def test_certificate_with_another_rank_is_rejected(module_m, method):
         tampered = deepcopy(report)
         tampered.certificate["rank"] = bad
         assert not verify_certificate(module_m, tampered)
+    # a head number of another JSON type is rejected, though Python calls it
+    # equal: 4.0 for 4, False for 0, in a field or in a bidegree list
+    small = parse_problem(ZERO_HEADS).modules["M"]
+    for N in (module_m, small):
+        report = check_lift(N, method=method)
+        assert verify_certificate(N, report)
+        for key, value in report.certificate.items():
+            if key.endswith("_bidegree"):
+                bads = [value[:i] + [float(x)] + value[i + 1:]
+                        for i, x in enumerate(value)]
+            elif isinstance(value, int):
+                bads = [float(value)] + ([bool(value)] if value in (0, 1) else [])
+            else:
+                continue
+            for bad in bads:
+                tampered = deepcopy(report)
+                tampered.certificate[key] = bad
+                assert not verify_certificate(N, tampered), (key, bad)
 
 
 @pytest.mark.parametrize("method", ["rank2", "global"])
@@ -435,3 +460,31 @@ def test_certificates_of_a_wrong_gamma_system_are_rejected(monkeypatch, image):
     reports = [(N, check_lift(N, method="global")) for N in modules]
     assert any(not report.liftable and not verify_certificate(N, report)
                for N, report in reports)
+
+
+@pytest.mark.parametrize("image", ["diagonal_key_left", "diagonal_key_right",
+                                   "diagonal_key_diff"])
+def test_a_wrong_key_map_cannot_certify_itself(monkeypatch, image):
+    """The checker computes its columns through B^e, not through the J key
+    maps.  With one of them negated where the builder reads it and where
+    DiagonalElement arithmetic extends it, some modules turn wrongly
+    NOT_LIFTABLE, and every one of their certificates fails the check."""
+    from pathlib import Path
+
+    from dglift import envelope, obstruction
+
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+    texts = [golden_text(name) for name in ("liftable.dgp", "nonliftable.dgp",
+                                            "combined.dgp")]
+    texts += [path.read_text(encoding="utf-8")
+              for path in sorted((corpus / "koszul-fp").glob("*.dgp"))]
+    modules = [N for text in texts for N in parse_problem(text).modules.values()]
+    liftable = [check_lift(N).liftable for N in modules]
+    negated = _negated(getattr(envelope, image))
+    for binding in (envelope, obstruction):
+        monkeypatch.setattr(binding, image, negated)
+    wrong = [(N, report) for N, report, truth
+             in zip(modules, map(check_lift, modules), liftable)
+             if truth and not report.liftable]
+    assert wrong
+    assert not any(verify_certificate(N, report) for N, report in wrong)
