@@ -221,6 +221,9 @@ def _run(argv):
     except OSError as exc:
         print("dglift: %s" % exc, file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print("dglift: %s is not UTF-8 text: %s" % (args.problem, exc), file=sys.stderr)
+        return 2
     try:
         problem = parse_problem(text)
         if verbose:

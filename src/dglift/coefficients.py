@@ -16,6 +16,7 @@ this module is ordered that way.
 
 import sys
 from fractions import Fraction
+from operator import add, le, mul
 
 from . import linalg
 from .errors import ConstructionError
@@ -195,7 +196,7 @@ def element_text(element):
 
 
 def mono_divides(small, big):
-    return all(a <= b for a, b in zip(small, big))
+    return all(map(le, small, big))
 
 
 def exponent_vectors(degrees, total, caps):
@@ -274,7 +275,7 @@ class BaseRing:
     # -- monomial arithmetic ------------------------------------------------
 
     def mono_weight(self, exps):
-        return sum(e * d for e, d in zip(exps, self.degrees))
+        return sum(map(mul, exps, self.degrees))
 
     @memoised
     def mono_reduced(self, exps):
@@ -282,7 +283,7 @@ class BaseRing:
 
     @memoised
     def mono_mul(self, a, b):
-        prod = tuple(x + y for x, y in zip(a, b))
+        prod = tuple(map(add, a, b))
         return prod if self.mono_reduced(prod) else None
 
     def render_mono(self, exps):

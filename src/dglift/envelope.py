@@ -273,11 +273,12 @@ def diagonal_block_keys(B, n, w):
 
 
 def _shifted(R, c, rm):
-    """(ring monomial, scalar) terms of the ring element c times rm."""
-    for e, s in c.coeffs.items():
-        prod = R.mono_mul(e, rm)
-        if prod is not None:
-            yield prod, s
+    """(ring monomial, scalar) terms of the ring element c times rm: the
+    terms of c itself when rm is 1, since c is in normal form."""
+    if rm == R.unit_mono:
+        return c.coeffs.items()
+    mul = R.mono_mul
+    return [(prod, s) for e, s in c.coeffs.items() if (prod := mul(e, rm)) is not None]
 
 
 def diagonal_key_diff(B, key):
@@ -301,14 +302,15 @@ def diagonal_key_left(B, b, key):
     R, unit = B.ring, B.unit_mono
     inner = B.mono_mul(m1, m2)
     for m, cb in b.coeffs.items():
+        terms = _shifted(R, cb, rm)
         hit = B.mono_mul(m, m1)
         if hit is not None:
             scalar, mono = hit
-            for prod, s in _shifted(R, cb, rm):
+            for prod, s in terms:
                 yield (mono, m2, prod), s * scalar
         if m != unit and inner is not None:
             scalar, mono = inner
-            for prod, s in _shifted(R, cb, rm):
+            for prod, s in terms:
                 yield (m, mono, prod), -(s * scalar)
 
 

@@ -20,6 +20,7 @@ Leibniz rule over the factors.  Elements are monomial -> RingElement maps.
 
 from fractions import Fraction
 from math import comb, log10
+from operator import add, mul
 
 from . import linalg
 from .coefficients import (ModP, RingElement, TOO_LONG, digit_limit, element_text,
@@ -107,6 +108,10 @@ class FreeDGAlgebra:
                                     % sorted(clash)[0])
         self._index = {v.name: i for i, v in enumerate(self.vars)}
         self.unit_mono = (0,) * len(self.vars)
+        # per-variable gradings, aligned with a monomial's exponents
+        self.degrees = tuple(v.degree for v in self.vars)
+        self.weights = tuple(v.weight for v in self.vars)
+        self.odd = tuple(v.is_odd for v in self.vars)
         diff_data = diff_data or {}
         diffs = []
         for i, v in enumerate(self.vars):
@@ -150,35 +155,38 @@ class FreeDGAlgebra:
     # -- monomials ------------------------------------------------------------
 
     def mono_degree(self, mono):
-        return sum(e * v.degree for e, v in zip(mono, self.vars))
+        return sum(map(mul, mono, self.degrees))
 
     def mono_weight(self, mono):
-        return sum(e * v.weight for e, v in zip(mono, self.vars))
+        return sum(map(mul, mono, self.weights))
 
     def mono_key(self, mono):
         return (self.mono_degree(mono), mono)
 
     @memoised
     def mono_mul(self, a, b):
-        """(scalar, monomial) for the product, or None when it vanishes."""
-        coeff = self.field.one
-        exps = []
-        for i, v in enumerate(self.vars):
-            e = a[i] + b[i]
-            if v.is_odd:
+        """(scalar, monomial) for the product, or None when it vanishes.
+
+        One pass over the variables in order: an odd letter squared
+        vanishes, two even exponents multiply by their binomial, and the
+        Koszul sign counts, at each odd letter of a, the odd letters of b
+        before it, which move left past it.  The first vanishing letter
+        ends the pass, before the binomials of later letters are built."""
+        field = self.field
+        coeff = field.one
+        exps = tuple(map(add, a, b))
+        odd_b = inv = 0
+        for x, y, e, odd in zip(a, b, exps, self.odd):
+            if odd:
                 if e > 1:
                     return None
-            elif a[i] and b[i]:
-                coeff = coeff * _binomial(e, a[i], self.field)
-            exps.append(e)
-        # Koszul sign: odd letters of b move left past later odd letters of a
-        inv = 0
-        for j, v in enumerate(self.vars):
-            if v.is_odd and b[j]:
-                inv += sum(a[i] for i in range(j + 1, len(self.vars))
-                           if self.vars[i].is_odd)
+                if x:
+                    inv += odd_b
+                odd_b += y
+            elif x and y:
+                coeff = coeff * _binomial(e, x, field)
         scalar = -coeff if inv % 2 else coeff
-        return (scalar, tuple(exps)) if scalar else None
+        return (scalar, exps) if scalar else None
 
     def render_mono(self, mono):
         parts = []
@@ -201,10 +209,10 @@ class FreeDGAlgebra:
         mul = self.mono_mul
         out = {}
         prefix_parity = 0
-        for i, v in enumerate(self.vars):
+        for i, (odd, d) in enumerate(zip(self.odd, self.degrees)):
             e = mono[i]
             if e:
-                head = mono[:i] + (0 if v.is_odd else e - 1,) + self.unit_mono[i + 1:]
+                head = mono[:i] + (0 if odd else e - 1,) + self.unit_mono[i + 1:]
                 tail = self.unit_mono[:i + 1] + mono[i + 1:]
                 for m, c in self.diffs[i].coeffs.items():
                     hit = mul(head, m)
@@ -217,7 +225,7 @@ class FreeDGAlgebra:
                     s2, m2 = hit
                     s = s1 * s2
                     merge(out, m2, c.scale(-s if prefix_parity else s))
-                prefix_parity = (prefix_parity + e * v.degree) % 2
+                prefix_parity = (prefix_parity + e * d) % 2
         return AlgebraElement._raw(self, out)
 
     # -- element constructors --------------------------------------------------
@@ -252,8 +260,8 @@ class FreeDGAlgebra:
     def monomial_basis(self, n):
         """Monomials of homological degree n, in the fixed order."""
         return sorted(exponent_vectors(
-            [v.degree for v in self.vars], n,
-            [1 if v.is_odd else None for v in self.vars]), key=self.mono_key)
+            self.degrees, n, [1 if odd else None for odd in self.odd]),
+            key=self.mono_key)
 
     @memoised
     def bidegree_basis(self, n, w):

@@ -33,7 +33,13 @@ certificate head given the rank, and a namer of the matrix rows;
 ``check_lift`` solves once.  LIFTABLE reports carry the gamma family;
 NOT_LIFTABLE reports carry a machine-checkable inconsistency certificate
 (a left null functional of the system, its rows named, with nonzero
-pairing against the right-hand side).  ``verify_certificate`` does not
+pairing against the right-hand side).  The γ-system is laid out by
+integer block offsets (``gamma_layout``): the rows of equation lam at
+the label nu start at one integer, the unknowns of gamma_mu at nu at
+another, and a J basis key sits at its index in ``diagonal_block_keys``;
+the builder writes by those positions, and its right-hand side, witness
+reader and row namer, and the checker's rows and unknowns, read the same
+layout, the one enumeration of the system.  ``verify_certificate`` does not
 trust that builder's images: it takes the certificate head (with the
 rank of the builder's matrix) from it, but pairs the functional with
 columns built by element arithmetic in N (x) B^e and B^e (d(t) and t b
@@ -42,11 +48,14 @@ wrong sign in the builder's images, or in the J key maps that the
 builder and DiagonalElement arithmetic share, cannot certify itself.
 """
 
+from bisect import bisect_right
+
 from . import linalg
 from .envelope import (DiagonalElement, delta, diagonal_block_keys,
                        diagonal_diff_block, diagonal_key_diff, diagonal_key_left,
                        diagonal_key_right, diagonal_label, diagonal_vec, sigma)
 from .errors import ConstructionError
+from .lincomb import memoised
 from .semifree import SemifreeModule, TensorJElement
 
 LIFTABLE = "LIFTABLE"
@@ -212,76 +221,134 @@ def _rank2_system(N: SemifreeModule, obstruction):
             lambda i: diagonal_label(B, rows[i]))
 
 
-def _gamma_keys(N: SemifreeModule):
-    """The keys of the γ-system's unknowns and equations, in order, and
-    the later structure entries {mu: [(lam, b[mu][lam])]}."""
-    unknowns, equations = [], []
-    for lab, n, w in zip(N.labels, N.degrees, N.weights):
-        unknowns.extend(("γ", lab, k) for k in N.tensor_keys(n, w))
-        equations.extend(("eq", lab, k) for k in N.tensor_keys(n - 1, w))
-    later = {lab: [] for lab in N.labels}
-    for lam, column in zip(N.labels, N.columns):
-        for i, entry in column:
-            later[N.labels[i]].append((lam, entry))
-    return unknowns, equations, later
+class GammaBlocks:
+    """One side of the γ-system laid out by integer block offsets.
+
+    Block (l, k) is e_k (x) J_(n, w) with (n, w) = (|e_l| - |e_k| - shift,
+    w_l - w_k): with shift 0 the unknowns of gamma_l, with shift 1 the
+    coordinates of equation l.  The blocks run in the order of (l, k),
+    block (l, k) from the integer ``start[l][k]``, and within a block the
+    J basis key j sits at its index in ``diagonal_block_keys(B, n, w)``,
+    ``positions[n, w][j]``.  ``blocks`` lists the nonempty blocks as
+    (start, l, k, J keys).  It keeps N's algebra, labels and label index
+    but not N, which memoises it, so that N is freed by reference counting
+    alone."""
+
+    def __init__(self, N: SemifreeModule, shift):
+        B = self.algebra = N.algebra
+        self.labels, self.index = N.labels, N.index
+        self.bidegree = [[(n - shift - d, w - wt) for d, wt in zip(N.degrees, N.weights)]
+                         for n, w in zip(N.degrees, N.weights)]
+        self.start, self.blocks, self.positions = [], [], {}
+        size = 0
+        for l, row in enumerate(self.bidegree):
+            self.start.append([])
+            for k, (n, w) in enumerate(row):
+                keys = diagonal_block_keys(B, n, w)
+                if (n, w) not in self.positions:
+                    self.positions[n, w] = {key: i for i, key in enumerate(keys)}
+                self.start[l].append(size)
+                if keys:
+                    self.blocks.append((size, l, k, keys))
+                    size += len(keys)
+        self.size = size
+        self._starts = [block[0] for block in self.blocks]
+
+    def position(self, l, key):
+        """The index of the tensor key (label, m1, m2, rm) in block l."""
+        try:
+            k = self.index[key[0]]
+            return self.start[l][k] + self.positions[self.bidegree[l][k]][key[1:]]
+        except KeyError:
+            raise ConstructionError("element does not lie in the chosen block")
+
+    def block_of(self, i):
+        """(l, k, J key) at index i."""
+        start, l, k, keys = self.blocks[bisect_right(self._starts, i) - 1]
+        return l, k, keys[i - start]
+
+    def name(self, i):
+        """The name of equation row i."""
+        l, k, key = self.block_of(i)
+        return "eq_%s[%s⊗%s]" % (self.labels[l], self.labels[k],
+                                 diagonal_label(self.algebra, key))
 
 
-def _gamma_label(N: SemifreeModule, key):
-    return "%s_%s[%s]" % (key[0], key[1], N.tensor_key_label(key[2]))
+@memoised
+def gamma_layout(N: SemifreeModule):
+    """The unknowns and the equations of N's γ-system, as GammaBlocks."""
+    return GammaBlocks(N, 0), GammaBlocks(N, 1)
+
+
+def _later(N: SemifreeModule):
+    """The structure entries by row: later[mu] = [(lam, b[mu][lam])]."""
+    later = [[] for _ in N.labels]
+    for lam, column in enumerate(N.columns):
+        for mu, entry in column:
+            later[mu].append((lam, entry))
+    return later
 
 
 def _assemble_global_system(N: SemifreeModule, obstruction):
     """One simultaneous linear system in all gamma coordinates.
 
-    Unknown blocks: for each mu, the (|e_mu|, w_mu) block of N (x) J, whose
-    basis element t = e_nu (x) j has key (nu, J key of j).  Equation
-    blocks: for each lam, the block one homological degree lower.  The
-    column of t holds d(t) in equation mu, that is e_nu' (x) b[nu'][nu] j
+    Unknown block mu: the (|e_mu|, w_mu) piece of N (x) J, whose basis
+    element t = e_nu (x) j sits in block (mu, nu) of ``gamma_layout``'s
+    unknowns.  Equation block lam: the piece one homological degree lower.
+    The column of t holds d(t) in equation mu, that is e_nu' (x) b[nu'][nu] j
     for each nu' in column nu and (-1)^{|e_nu|} e_nu (x) d(j), and
-    -(e_nu (x) j b[mu][lam]) in every later equation lam.  These pieces
-    land on distinct keys, so each is written as it comes.  Keys are
-    ("γ", mu, tensor key) and ("eq", lam, tensor key).  The right-hand
-    side of equation lam is the obstruction value of e_lam.
+    -(e_nu (x) j b[mu][lam]) in every later equation lam.  Each piece is
+    the image of a J block under one J key map, each image key read as its
+    index in the target J block and written at the integer offsets of the
+    blocks: the column of t at block (mu, nu)'s offset plus j's index; no
+    tensor key is built.  The pieces land on distinct entries, and each
+    row receives its entries in column order.  The right-hand side of
+    equation lam is the obstruction value of e_lam.
     """
     B = N.algebra
-    field = B.field
-    unknowns, equations, later = _gamma_keys(N)
-    d_j = {}  # J key -> terms of d(j), within this call
+    labels = N.labels
+    unknowns, equations = gamma_layout(N)
+    entries = [{} for _ in range(equations.size)]
+    later = _later(N)
 
-    def image(key):
-        _, mu, tkey = key
-        nu, jkey = tkey[0], tkey[1:]
-        k_nu = N.index[nu]
-        for i, entry in N.columns[k_nu]:
-            head = (N.labels[i],)
-            for k, s in diagonal_key_left(B, entry, jkey):
-                yield ("eq", mu, head + k), s
-        dj = d_j.get(jkey)
-        if dj is None:
-            dj = d_j[jkey] = list(diagonal_key_diff(B, jkey))
-        odd = N.degrees[k_nu] % 2
-        for k, s in dj:
-            yield ("eq", mu, (nu,) + k), -s if odd else s
+    def write(keys, column, row, target, key_terms, negate):
+        pos = equations.positions[target]
+        try:
+            for c, key in enumerate(keys, column):
+                for k, s in key_terms(key):
+                    entries[row + pos[k]][c] = -s if negate else s
+        except KeyError:
+            raise ConstructionError("element does not lie in the chosen block")
+
+    for column, mu, nu, keys in unknowns.blocks:
+        for i, entry in N.columns[nu]:
+            write(keys, column, equations.start[mu][i], equations.bidegree[mu][i],
+                  lambda key: diagonal_key_left(B, entry, key), False)
+        write(keys, column, equations.start[mu][nu], equations.bidegree[mu][nu],
+              lambda key: diagonal_key_diff(B, key), N.degrees[nu] % 2)
         for lam, entry in later[mu]:
-            for k, s in diagonal_key_right(B, jkey, entry):
-                yield ("eq", lam, (nu,) + k), -s
+            write(keys, column, equations.start[lam][nu], equations.bidegree[lam][nu],
+                  lambda key: diagonal_key_right(B, key, entry), True)
+
+    rhs = [B.field.zero] * equations.size
+    for lam, lab in enumerate(labels):
+        for key, s in obstruction[lab].terms():
+            rhs[equations.position(lam, key)] = s
 
     def read_witness(solution):
-        terms = {lab: [] for lab in N.labels}
-        for (_, lab, key), s in zip(unknowns, solution):
-            terms[lab].append((key, s))
+        terms = {lab: [] for lab in labels}
+        for column, mu, nu, keys in unknowns.blocks:
+            head = (labels[nu],)
+            terms[labels[mu]].extend(
+                zip([head + key for key in keys], solution[column:column + len(keys)]))
         return {lab: TensorJElement.from_terms(N, t) for lab, t in terms.items()}
 
     def head(rank):
         return {"kind": "gamma-system", "unknowns": matrix.shape[1],
                 "equations": matrix.shape[0], "rank": rank}
 
-    matrix = linalg.block_matrix(unknowns, equations, image, field)
-    rhs = linalg.coordinates([(("eq", lam, k), s) for lam in N.labels
-                              for k, s in obstruction[lam].terms()],
-                             equations, field)
-    return (matrix, rhs, read_witness, head,
-            lambda i: _gamma_label(N, equations[i]))
+    matrix = linalg.BlockMatrix(entries, (equations.size, unknowns.size), B.field)
+    return matrix, rhs, read_witness, head, equations.name
 
 
 def check_lift(N: SemifreeModule, method="auto") -> ObstructionReport:
@@ -363,34 +430,38 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
 
 
 def _gamma_columns(N: SemifreeModule, obstruction):
-    """The γ-system from elements: ({row label: equation key}, columns,
-    right-hand side terms).
+    """The γ-system from elements: ({row label: row index}, columns,
+    right-hand side terms), the rows and unknowns those of ``gamma_layout``.
 
     ``columns(u)`` yields the column of each unknown t = e_nu (x) j of
-    block mu as (equation key, scalar) terms: d(t) in equation mu and
+    block mu as (row index, scalar) terms: d(t) in equation mu and
     -(t b[mu][lam]) in each later equation lam.  Both are computed in
     N (x) B^e and brought back by sigma, so they do not use the J key maps
     the builder does.  A column all of whose equations miss the support
     of u pairs with u to zero and is skipped."""
-    unknowns, equations, later = _gamma_keys(N)
+    unknowns, equations = gamma_layout(N)
+    labels, later = N.labels, _later(N)
     one = N.algebra.field.one
 
     def columns(u):
-        hit = {lam for _, lam, _ in u}
-        for _, mu, tkey in unknowns:
+        hit = {equations.block_of(i)[0] for i in u}
+        for _, mu, nu, keys in unknowns.blocks:
             entries = [(lam, entry) for lam, entry in later[mu] if lam in hit]
             if mu not in hit and not entries:
                 continue
-            t = N.iota_n(TensorJElement.from_terms(N, [(tkey, one)]))
-            column = ([(("eq", mu, k), s) for k, s in N.sigma_n(t.diff()).terms()]
-                      if mu in hit else [])
-            for lam, entry in entries:
-                column.extend((("eq", lam, k), -s)
-                              for k, s in N.sigma_n(t * entry).terms())
-            yield column
+            for key in keys:
+                t = N.iota_n(TensorJElement.from_terms(N, [((labels[nu],) + key, one)]))
+                column = ([(equations.position(mu, k), s)
+                           for k, s in N.sigma_n(t.diff()).terms()]
+                          if mu in hit else [])
+                for lam, entry in entries:
+                    column.extend((equations.position(lam, k), -s)
+                                  for k, s in N.sigma_n(t * entry).terms())
+                yield column
 
-    return ({_gamma_label(N, key): key for key in equations}, columns,
-            [(("eq", lam, k), s) for lam in N.labels for k, s in obstruction[lam].terms()])
+    return ({equations.name(i): i for i in range(equations.size)}, columns,
+            [(equations.position(lam, k), s) for lam, lab in enumerate(labels)
+             for k, s in obstruction[lab].terms()])
 
 
 def _boundary_columns(N: SemifreeModule, obstruction):

@@ -108,6 +108,16 @@ def test_exit_code_on_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_undecodable_problem_file_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "latin.dgp"
+    bad.write_bytes(b"ring R = QQ\n\xff\xfe\n")
+    code, out, err = run_main(capsys, "check-lift", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and str(bad) in err
+    assert "internal error" not in err
+
+
 def test_exit_code_on_unknown_module(capsys):
     code, _, err = run_main(capsys, "check-lift", str(GOLDEN / "liftable.dgp"),
                             "--module", "Zed")

@@ -266,11 +266,11 @@ def test_equal_algebras_do_not_share_caches():
     # every table of A, its ring and M filled; B's are as they were
     assert all(tables(A, algebra_tables).values())
     assert all(tables(A.ring, ring_tables).values())
-    assert M._memo_tensor_keys
+    assert M._memo_gamma_layout
     assert {name: dict(t or {}) for name, t in tables(B, algebra_tables).items()} == before
     check_lift(M2, method="global")
     for owner, other, names in ((A, B, algebra_tables), (A.ring, B.ring, ring_tables),
-                                (M, M2, ("tensor_keys",))):
+                                (M, M2, ("gamma_layout",))):
         mine, theirs = tables(owner, names), tables(other, names)
         assert all(mine[name] is not theirs[name] for name in names)
 

@@ -6,9 +6,11 @@ import weakref
 
 import pytest
 
-from dglift import ConstructionError, FreeDGAlgebra, QQ, Variable
+from dglift import ConstructionError, FreeDGAlgebra, QQ, Variable, check_lift, parse_problem
 from dglift.coefficients import BaseRing
 from dglift.lincomb import memoised
+
+from conftest import golden_text
 
 
 class Counter:
@@ -73,9 +75,14 @@ def test_a_table_does_not_keep_its_owner_alive():
         ring = BaseRing(QQ, ("x",), (1,), [(3,)])
         ring.graded_basis(2)
         ring.mono_mul((1,), (1,))
-        refs = [weakref.ref(owner), weakref.ref(ring)]
-        del owner, ring
-        assert [ref() for ref in refs] == [None, None]
+        # the γ-system's layout, memoised on its module, keeps no module
+        problem = parse_problem(golden_text("nonliftable.dgp"))
+        module = problem.modules["M"]
+        check_lift(module, method="global")
+        assert module._memo_gamma_layout
+        refs = [weakref.ref(owner), weakref.ref(ring), weakref.ref(module)]
+        del owner, ring, problem, module
+        assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
 
