@@ -616,7 +616,8 @@ def _algebra_text(name, ring_name, B):
             vars_txt.append("%s:%d" % (v.name, v.degree))
         else:
             vars_txt.append("%s:%d:%d" % (v.name, v.degree, v.weight))
-    diffs_txt = ["d%s = %s" % (v.name, d) for v, d in zip(B.vars, B.diffs)]
+    diffs_txt = ["d%s = %s" % (v.name, AlgebraElement(B, d))
+                 for v, d in zip(B.vars, B.diffs)]
     inner = ", ".join(vars_txt)
     if diffs_txt:
         inner += " | " + ", ".join(diffs_txt)

@@ -132,10 +132,10 @@ class EnvelopeElement(_PairIndexed):
         B = self.parent
         out = {}
         for (m1, m2), c in self.coeffs.items():
-            for mu, cu in B.mono_diff(m1).coeffs.items():
+            for mu, cu in B.mono_diff(m1).items():
                 merge(out, (mu, m2), cu * c)
             sign = B.field.of(-1 if B.mono_degree(m1) % 2 else 1)
-            for nu, cv in B.mono_diff(m2).coeffs.items():
+            for nu, cv in B.mono_diff(m2).items():
                 merge(out, (m1, nu), (cv * c).scale(sign))
         return EnvelopeElement(B, out)
 
@@ -286,12 +286,12 @@ def diagonal_key_diff(B, key):
     raw pair and drop the components with m1 = 1 that sigma kills."""
     m1, m2, rm = key
     R, unit = B.ring, B.unit_mono
-    for mu, cu in B.mono_diff(m1).coeffs.items():
+    for mu, cu in B.mono_diff(m1).items():
         if mu != unit:
             for prod, s in _shifted(R, cu, rm):
                 yield (mu, m2, prod), s
     odd = B.mono_degree(m1) % 2
-    for nu, cv in B.mono_diff(m2).coeffs.items():
+    for nu, cv in B.mono_diff(m2).items():
         for prod, s in _shifted(R, cv, rm):
             yield (m1, nu, prod), -s if odd else s
 

@@ -92,7 +92,9 @@ class FreeDGAlgebra:
     dictionaries {monomial exponents: RingElement} (or None for zero).
     Construction validates, for every variable, that dX only involves
     earlier variables, that dX is homogeneous of bidegree
-    (|X| - 1, w(X)), and that d(dX) = 0.
+    (|X| - 1, w(X)), and that d(dX) = 0.  ``diffs`` and ``mono_diff``'s
+    table hold coefficient dicts, not elements whose parent is the
+    algebra, so the algebra is freed by reference counting alone.
     """
 
     def __init__(self, ring, variables, diff_data=None):
@@ -131,8 +133,8 @@ class FreeDGAlgebra:
                     raise GradingViolation(
                         "d%s has internal degree %d, expected %d" % (v.name, w, v.weight))
             diffs.append(el)
-        self.diffs = tuple(diffs)
-        for v, d in zip(self.vars, self.diffs):
+        self.diffs = tuple(d.coeffs for d in diffs)
+        for v, d in zip(self.vars, diffs):
             dd = d.diff()
             if dd:
                 text, shown = element_text(dd)
@@ -144,11 +146,11 @@ class FreeDGAlgebra:
                 and self.ring == other.ring
                 and [(v.name, v.degree, v.weight) for v in self.vars]
                 == [(v.name, v.degree, v.weight) for v in other.vars]
-                and [d.coeffs for d in self.diffs] == [d.coeffs for d in other.diffs])
+                and self.diffs == other.diffs)
 
     def __repr__(self):
         vars_txt = ", ".join("%s:%d" % (v.name, v.degree) for v in self.vars)
-        diffs_txt = ", ".join("d%s = %s" % (v.name, d)
+        diffs_txt = ", ".join("d%s = %s" % (v.name, AlgebraElement(self, d))
                               for v, d in zip(self.vars, self.diffs))
         return "%r<%s | %s>" % (self.ring, vars_txt, diffs_txt)
 
@@ -201,7 +203,8 @@ class FreeDGAlgebra:
 
     @memoised
     def mono_diff(self, mono):
-        """d of a single monomial, by the Leibniz rule over its factors:
+        """d of a single monomial, as a coefficient dict {monomial: ring
+        element}, by the Leibniz rule over its factors:
         mono = head * factor i * tail, with d(Y^(e)) = Y^(e-1) dY for an
         even factor, gives the terms (head * m) * tail of each monomial m
         of dX_i, each scaled by the two products' scalars and by the sign
@@ -214,7 +217,7 @@ class FreeDGAlgebra:
             if e:
                 head = mono[:i] + (0 if odd else e - 1,) + self.unit_mono[i + 1:]
                 tail = self.unit_mono[:i + 1] + mono[i + 1:]
-                for m, c in self.diffs[i].coeffs.items():
+                for m, c in self.diffs[i].items():
                     hit = mul(head, m)
                     if hit is None:
                         continue
@@ -226,7 +229,7 @@ class FreeDGAlgebra:
                     s = s1 * s2
                     merge(out, m2, c.scale(-s if prefix_parity else s))
                 prefix_parity = (prefix_parity + e * d) % 2
-        return AlgebraElement._raw(self, out)
+        return out
 
     # -- element constructors --------------------------------------------------
 
@@ -313,10 +316,11 @@ class AlgebraElement(LinComb):
         return NotImplemented
 
     def diff(self):
-        total = self.parent.zero()
+        B, out = self.parent, {}
         for mono, c in self.coeffs.items():
-            total = total + self.parent.mono_diff(mono) * c
-        return total
+            for m, s in B.mono_diff(mono).items():
+                merge(out, m, s * c)
+        return self._raw(B, out)
 
     def text_terms(self):
         """(factor texts, scalar) pairs in print order."""

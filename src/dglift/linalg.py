@@ -14,10 +14,12 @@ above a pivot is ever cleared.  Solutions and kernel vectors are read
 off the echelon rows by back substitution, which gives the same unique
 vectors (free variables zero) that the fully reduced rows give.  A solve
 does not carry the transform T along: it logs its row operations, and
-only an inconsistent solve rebuilds the one row of T its certificate
-needs, the last pivot row, by replaying the log backwards; that row, and
-every row of T below it, is the one a full Gauss-Jordan on the same
-pivot rows gives.
+only an inconsistent solve rebuilds the one row of T it returns, the
+last pivot row, by replaying the log backwards; that row, and every row
+of T below it, is the one a full Gauss-Jordan on the same pivot rows
+gives.  A solve returns the solution, or that row as a sparse null
+functional with its nonzero pairing against the target, and nothing
+else: a caller that wants the rank asks ``rank``.
 
 Elimination is fully deterministic.  Columns are taken left to right, so
 the pivot columns, the rank, the solutions and the kernels do not depend
@@ -25,7 +27,7 @@ on which row supplies a pivot.  The pivot row of a column is the
 sparsest row that holds it, the first of those on a tie, in the manner
 of Markowitz (Management Sci. 1957; Duff, Erisman and Reid, *Direct
 Methods for Sparse Matrices*, ch. 7): it makes less fill-in than the
-topmost row.  The certificate depends on the rows chosen, and is
+topmost row.  The null functional depends on the rows chosen, and is
 reproducible bit for bit.
 """
 
@@ -90,28 +92,16 @@ def coordinates(terms, keys, field) -> list:
     return vec
 
 
-class Inconsistency:
-    """Certificate that ``A x = v`` has no solution.
+class SolveResult:
+    """``solution`` is a list, or None when the system is inconsistent;
+    then ``null_row``, a sparse functional {row: scalar} in row order, and
+    ``pairing`` say why: u = null_row has u A = 0 while ``pairing`` =
+    u . target is nonzero.  Both are None for a solution."""
 
-    ``null_row`` is a functional u on the target space with u A = 0 while
-    ``pairing`` = u . v is nonzero.
-    """
-
-    def __init__(self, null_row, pairing):
+    def __init__(self, solution, null_row, pairing):
+        self.solution = solution
         self.null_row = null_row
         self.pairing = pairing
-
-
-class SolveResult:
-    """``solution`` is a list, or None when the system is inconsistent and
-    ``certificate`` an Inconsistency says why.  ``rank`` is the rank of the
-    matrix: pivots are chosen left to right, so the pivots outside the
-    augmented column are exactly those of A."""
-
-    def __init__(self, solution, certificate, rank):
-        self.solution = solution
-        self.certificate = certificate
-        self.rank = rank
 
     @property
     def consistent(self):
@@ -278,8 +268,8 @@ def linear_solve(matrix: BlockMatrix, target: list) -> SolveResult:
     """Solve matrix . x = target by deterministic elimination.
 
     Free variables are set to zero, so the returned solution is the unique
-    one selected by the fixed basis order.  On failure the certificate's
-    null row refers to the original (unreduced) rows.
+    one selected by the fixed basis order.  On failure the null row refers
+    to the original (unreduced) rows.
     """
     field = matrix.field
     p = field.char
@@ -294,14 +284,13 @@ def linear_solve(matrix: BlockMatrix, target: list) -> SolveResult:
     pivots, log = _eliminate(augmented, ncols + 1, field, True)
     if pivots and pivots[-1] == ncols:
         # a pivot in the augmented column exhibits the inconsistency
-        u = _transform_row(log, len(pivots) - 1, m, field)
-        pairing = sum(x * (target[i].v if p else target[i]) for i, x in u.items())
-        return SolveResult(None, Inconsistency(_dense(u, m, field), field.of(pairing)),
-                           len(pivots) - 1)
+        row = _transform_row(log, len(pivots) - 1, m, field)
+        u = {i: field.of(x) for i, x in row.items()}
+        return SolveResult(None, u, sum((x * target[i] for i, x in u.items()), field.zero))
     # x[ncols] = -1 puts the target on the right: A x = target
     x = _back_substitute(augmented, pivots, {ncols: p - 1 if p else -1}, p)
     del x[ncols]
-    return SolveResult(_dense(x, ncols, field), None, len(pivots))
+    return SolveResult(_dense(x, ncols, field), None, None)
 
 
 def apply_matrix(matrix: BlockMatrix, vec: list) -> list:

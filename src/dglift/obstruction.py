@@ -28,24 +28,24 @@ a greedy choice of gamma_mu can block a later equation even when a
 simultaneous solution exists.  The right-hand side of either system is
 the obstruction cocycle itself, read from the values ``check_lift`` has
 already computed.  Each system has one builder, which returns the matrix,
-the right-hand side, a reader from a solution to the gamma family, the
-certificate head given the rank, and a namer of the matrix rows;
-``check_lift`` solves once.  LIFTABLE reports carry the gamma family;
-NOT_LIFTABLE reports carry a machine-checkable inconsistency certificate
-(a left null functional of the system, its rows named, with nonzero
-pairing against the right-hand side).  The γ-system is laid out by
-integer block offsets (``gamma_layout``): the rows of equation lam at
-the label nu start at one integer, the unknowns of gamma_mu at nu at
-another, and a J basis key sits at its index in ``diagonal_block_keys``;
-the builder writes by those positions, and its right-hand side, witness
-reader and row namer, and the checker's rows and unknowns, read the same
-layout, the one enumeration of the system.  ``verify_certificate`` does not
-trust that builder's images: it takes the certificate head (with the
-rank of the builder's matrix) from it, but pairs the functional with
-columns built by element arithmetic in N (x) B^e and B^e (d(t) and t b
-for t in N (x) J, d(j) for j in J, each brought back by sigma), so a
-wrong sign in the builder's images, or in the J key maps that the
-builder and DiagonalElement arithmetic share, cannot certify itself.
+the right-hand side, a reader from a solution to the gamma family and a
+namer of the matrix rows; ``check_lift`` solves once.  LIFTABLE reports
+carry the gamma family; NOT_LIFTABLE reports carry a machine-checkable
+inconsistency certificate: a head read from the bases alone
+(``_certificate_head``), and a left null functional of the system, its
+rows named, with nonzero pairing against the right-hand side.  The
+γ-system is laid out by integer block offsets (``gamma_layout``): the
+rows of equation lam at the label nu start at one integer, the unknowns
+of gamma_mu at nu at another, and a J basis key sits at its index in
+``diagonal_block_keys``; the builder writes by those positions, and its
+right-hand side, witness reader and row namer, and the checker's rows
+and unknowns, read the same layout, the one enumeration of the system.
+``verify_certificate`` calls neither builder and eliminates nothing: it
+compares the same head, and pairs the functional with columns built by
+element arithmetic in N (x) B^e and B^e (d(t) and t b for t in N (x) J,
+d(j) for j in J, each brought back by sigma), so a wrong sign in the
+builder's images, or in the J key maps that the builder and
+DiagonalElement arithmetic share, cannot certify itself.
 """
 
 from bisect import bisect_right
@@ -211,14 +211,24 @@ def _rank2_system(N: SemifreeModule, obstruction):
         return {e: N.tensor_zero(),
                 ep: TensorJElement(N, {e: -c if N.degrees[0] % 2 else c})}
 
-    def head(rank):
-        return {"kind": "boundary-membership", "source_bidegree": [n + 1, w],
-                "target_bidegree": [n, w], "source_dim": matrix.shape[1],
-                "target_dim": matrix.shape[0], "rank": rank, "target": str(target)}
-
     rows = diagonal_block_keys(B, n, w)
-    return (matrix, diagonal_vec(target, rows), read_witness, head,
+    return (matrix, diagonal_vec(target, rows), read_witness,
             lambda i: diagonal_label(B, rows[i]))
+
+
+def _certificate_head(N: SemifreeModule, method, obstruction):
+    """The head of a certificate of N's ``method`` system, read from its
+    bases alone: the γ-system's numbers of unknowns and equations, or the
+    rank-2 blocks' bidegrees, dimensions and target."""
+    if method == METHOD_GLOBAL:
+        unknowns, equations = gamma_layout(N)
+        return {"kind": "gamma-system", "unknowns": unknowns.size,
+                "equations": equations.size}
+    _, _, n, w, target = _rank2_target(N, obstruction)
+    source, rows = (diagonal_block_keys(N.algebra, k, w) for k in (n + 1, n))
+    return {"kind": "boundary-membership", "source_bidegree": [n + 1, w],
+            "target_bidegree": [n, w], "source_dim": len(source),
+            "target_dim": len(rows), "target": str(target)}
 
 
 class GammaBlocks:
@@ -343,12 +353,8 @@ def _assemble_global_system(N: SemifreeModule, obstruction):
                 zip([head + key for key in keys], solution[column:column + len(keys)]))
         return {lab: TensorJElement.from_terms(N, t) for lab, t in terms.items()}
 
-    def head(rank):
-        return {"kind": "gamma-system", "unknowns": matrix.shape[1],
-                "equations": matrix.shape[0], "rank": rank}
-
     matrix = linalg.BlockMatrix(entries, (equations.size, unknowns.size), B.field)
-    return matrix, rhs, read_witness, head, equations.name
+    return matrix, rhs, read_witness, equations.name
 
 
 def check_lift(N: SemifreeModule, method="auto") -> ObstructionReport:
@@ -367,33 +373,32 @@ def check_lift(N: SemifreeModule, method="auto") -> ObstructionReport:
         tag, system = METHOD_RANK2, _rank2_system
     else:
         tag, system = METHOD_GLOBAL, _assemble_global_system
-    matrix, rhs, read_witness, head, row_label = system(N, obstruction)
+    matrix, rhs, read_witness, row_label = system(N, obstruction)
     result = linalg.linear_solve(matrix, rhs)
     if result.consistent:
         return ObstructionReport(LIFTABLE, tag, obstruction,
                                  read_witness(result.solution), None)
-    cert = head(result.rank)
+    cert = _certificate_head(N, tag, obstruction)
     cert["null_functional"] = [{"row": row_label(i), "value": str(c)}
-                               for i, c in enumerate(result.certificate.null_row)
-                               if c]
-    cert["pairing"] = str(result.certificate.pairing)
+                               for i, c in result.null_row.items()]
+    cert["pairing"] = str(result.pairing)
     return ObstructionReport(NOT_LIFTABLE, tag, obstruction, None, cert)
 
 
 def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
     """Re-check the certified inconsistency: u . A = 0 and u . rhs != 0.
 
-    The head (kind, bidegrees, dimensions, rank, target) must equal the
-    one of the builder ``check_lift`` solved, with the rank of its matrix.
-    The columns of A are not read from that builder: each is built by
-    element arithmetic through B^e (``_gamma_columns``,
-    ``_boundary_columns``), and only the bases are shared.
-    boundary-membership is checked only for a module of rank 2.  False, never an exception, for a
-    functional that is not a list of {"row": label, "value": text} items,
-    names a row outside the system or names a row twice, or states a value
-    other than the field's own text of a scalar (so no zero denominator,
-    sign, padding or unreduced fraction), for a missing pairing, and for
-    any stated head field other than the system's, in value or in type."""
+    The keys must be those of ``_certificate_head`` and "null_functional"
+    and "pairing", each head field the head's.  No builder is called and
+    nothing eliminated: each column of A is built by element arithmetic
+    through B^e (``_gamma_columns``, ``_boundary_columns``), and only the
+    bases are shared.  boundary-membership is checked only for a module of
+    rank 2.  False, never an exception, for a functional that is not a
+    list of {"row": label, "value": text} items, names a row outside the
+    system or names a row twice, or states a value other than the field's
+    own text of a scalar (so no zero denominator, sign, padding or
+    unreduced fraction), for a missing or an extra key, and for any stated
+    head field other than the system's, in value or in type."""
     cert = report.certificate
     items = cert.get("null_functional") if isinstance(cert, dict) else None
     if not isinstance(items, list) or not all(
@@ -402,16 +407,16 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
         return False
     field = N.algebra.field
     if cert.get("kind") == "boundary-membership" and N.rank == 2:
-        builder, system = _rank2_system, _boundary_columns
+        method, system = METHOD_RANK2, _boundary_columns
     elif cert.get("kind") == "gamma-system":
-        builder, system = _assemble_global_system, _gamma_columns
+        method, system = METHOD_GLOBAL, _gamma_columns
     else:
         return False
     obstruction = obstruction_values(N)
-    matrix, _, _, head, _ = builder(N, obstruction)
+    head = _certificate_head(N, method, obstruction)
     # repr compares JSON values type-exactly: 4.0, True and [4.0, 4] are not 4
-    if any(repr(cert.get(key)) != repr(value)
-           for key, value in head(linalg.rank(matrix)).items()):
+    if cert.keys() != head.keys() | {"null_functional", "pairing"} or any(
+            repr(cert[key]) != repr(value) for key, value in head.items()):
         return False
     rows, columns, rhs = system(N, obstruction)
     stated = {}

@@ -88,7 +88,6 @@ def test_criterion_2_nonliftable_example(nonliftable_problem):
     assert not linear_solve(block, target).consistent
     assert rank2.certificate["target_dim"] == 6
     assert rank2.certificate["source_dim"] == 4
-    assert rank2.certificate["rank"] == 4
 
 
 @_criterion(3, "splitting-identities")

@@ -4,8 +4,9 @@ from math import comb
 
 import pytest
 
-from dglift import (BaseRing, ConstructionError, CycleViolation, ForwardReference, FreeDGAlgebra,
-                    GradingViolation, PrimeField, QQ, Variable, parse_ring)
+from dglift import (AlgebraElement, BaseRing, ConstructionError, CycleViolation,
+                    ForwardReference, FreeDGAlgebra, GradingViolation, PrimeField, QQ,
+                    Variable, parse_ring)
 from dglift.randomgen import random_algebra, random_algebra_element, standard_rings
 
 
@@ -23,8 +24,8 @@ def B(ring):
 
 def test_example_algebra_accepted(B):
     assert [v.name for v in B.vars] == ["X", "Y"]
-    assert B.diffs[0] == B.from_ring(B.ring.gen("x"))
-    assert B.diffs[1] == B.gen("X") * B.ring.gen("y")
+    assert B.diffs[0] == B.from_ring(B.ring.gen("x")).coeffs
+    assert B.diffs[1] == (B.gen("X") * B.ring.gen("y")).coeffs
 
 
 def test_cycle_violation_without_the_relation():
@@ -286,7 +287,8 @@ def former_mono_diff(A, mono):
         if e:
             head = mono[:i] + (0 if v.is_odd else e - 1,) + A.unit_mono[i + 1:]
             tail = A.unit_mono[:i + 1] + mono[i + 1:]
-            term = A.mono_element(head) * A.diffs[i] * A.mono_element(tail)
+            term = (A.mono_element(head) * AlgebraElement(A, A.diffs[i])
+                    * A.mono_element(tail))
             total = total + (-term if prefix_parity else term)
             prefix_parity = (prefix_parity + e * v.degree) % 2
     return total
@@ -312,9 +314,8 @@ def test_monomial_differentials_match_the_element_level_expansion(field):
     for n in range(13):
         for mono in A.monomial_basis(n):
             expected = former_mono_diff(A, mono)
-            assert A.mono_diff(mono) == expected
             # the same terms in the same order
-            assert list(A.mono_diff(mono).coeffs.items()) == list(expected.coeffs.items())
+            assert list(A.mono_diff(mono).items()) == list(expected.coeffs.items())
             checked += 1
             nonzero += bool(expected)
     assert checked > 200 and nonzero > 150

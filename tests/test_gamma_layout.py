@@ -5,7 +5,8 @@ every unknown and equation has a tensor key ("γ" or "eq", label, (label,
 m1, m2, ring monomial)), and ``linalg.block_matrix`` places each image by
 hashing those keys.  The builder now writes by integer block offsets; it
 must give the same matrix (entries in the same order in each row), the
-same right-hand side, the same row names and the same witness.
+same right-hand side, the same row names and the same witness, and the
+certificate head, read from the bases alone, must state its shape.
 """
 
 import random
@@ -14,7 +15,8 @@ from pathlib import Path
 from dglift import linalg, parse_problem
 from dglift.envelope import diagonal_key_diff, diagonal_key_left, diagonal_key_right
 from dglift.errors import DGLiftError
-from dglift.obstruction import _assemble_global_system, gamma_layout, obstruction_values
+from dglift.obstruction import (METHOD_GLOBAL, _assemble_global_system,
+                                _certificate_head, gamma_layout, obstruction_values)
 from dglift.randomgen import random_algebra, random_module, random_scalar, standard_rings
 from dglift.semifree import TensorJElement
 
@@ -85,15 +87,15 @@ def random_modules():
 
 def assert_same_system(N, rng):
     obstruction = obstruction_values(N)
-    matrix, rhs, read_witness, head, row_label = _assemble_global_system(N, obstruction)
+    matrix, rhs, read_witness, row_label = _assemble_global_system(N, obstruction)
     keyed, keyed_rhs, keyed_witness, labels = keyed_gamma_system(N, obstruction)
     assert matrix.shape == keyed.shape
     assert [list(row.items()) for row in matrix.entries] == [
         list(row.items()) for row in keyed.entries]
     assert rhs == keyed_rhs
     assert [row_label(i) for i in range(matrix.shape[0])] == labels
-    assert head(3) == {"kind": "gamma-system", "unknowns": keyed.shape[1],
-                       "equations": keyed.shape[0], "rank": 3}
+    assert _certificate_head(N, METHOD_GLOBAL, obstruction) == {
+        "kind": "gamma-system", "unknowns": keyed.shape[1], "equations": keyed.shape[0]}
     field = N.algebra.field
     solution = [random_scalar(rng, field) for _ in range(matrix.shape[1])]
     witness = read_witness(solution)

@@ -17,7 +17,11 @@ operation log; 16 of the 40 koszul-fp digests were written again when
 the solver began to take the sparsest row as pivot, which changed those
 null functionals and nothing else.  The koszul-qq digests, which pin
 the Koszul family's null functionals over QQ, were written at the commit
-before ``BlockMatrix`` stopped carrying basis labels.
+before ``BlockMatrix`` stopped carrying basis labels.  When certificates
+stopped stating the rank of their system, the entries of every output
+holding a certificate were written again (the two golden check-lift
+reports, 13 frontend digests, 22 koszul-fp and 22 koszul-qq digests);
+each report lost its rank line and nothing else.
 """
 
 import contextlib

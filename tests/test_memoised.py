@@ -3,6 +3,7 @@
 import gc
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from dglift.coefficients import BaseRing
 from dglift.lincomb import memoised
 
 from conftest import golden_text
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class Counter:
@@ -83,6 +86,25 @@ def test_a_table_does_not_keep_its_owner_alive():
         refs = [weakref.ref(owner), weakref.ref(ring), weakref.ref(module)]
         del owner, ring, problem, module
         assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("path", ["golden/nonliftable.dgp",
+                                  "perfbench/corpus/koszul-fp/k00.dgp"])
+def test_an_algebra_and_its_ring_die_with_their_problem(path):
+    # the algebra keeps each dX, and mono_diff each d(monomial), as a
+    # coefficient dict, not as an element whose parent is the algebra
+    gc.disable()
+    try:
+        problem = parse_problem((ROOT / path).read_text(encoding="utf-8"))
+        for module in problem.modules.values():
+            check_lift(module)
+            check_lift(module, method="global")
+        assert problem.algebra._memo_mono_diff
+        refs = [weakref.ref(problem.algebra), weakref.ref(problem.ring)]
+        del problem, module
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
 

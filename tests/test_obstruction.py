@@ -90,7 +90,6 @@ def test_nonliftable_example_decision(module_m):
     assert report.method == METHOD_RANK2
     assert report.certificate["source_dim"] == 4
     assert report.certificate["target_dim"] == 6
-    assert report.certificate["rank"] == 4
     assert verify_certificate(M, report)
     report_global = check_lift(M, method="global")
     assert report_global.decision == NOT_LIFTABLE
@@ -324,7 +323,7 @@ def test_malformed_certificate_values_are_rejected(module_m, method):
         _assert_each_value_rejected_as(module_m, report, bad)
 
 
-# both certificates of M state dimensions and a rank of 0
+# both certificates of M state a dimension of 0
 ZERO_HEADS = """ring R = QQ[x:1,y:1]/(x^2, x*y)
 algebra B = R<X:1 | dX = 2*y^2>
 module M over B = <e1:2:2, e2:4:5 | de1 = 0, de2 = 2*e1*X*x>
@@ -332,16 +331,27 @@ module M over B = <e1:2:2, e2:4:5 | de1 = 0, de2 = 2*e1*X*x>
 
 
 @pytest.mark.parametrize("method", ["rank2", "global"])
-def test_certificate_with_another_rank_is_rejected(module_m, method):
+def test_certificate_with_a_key_outside_its_head_is_rejected(module_m, method):
     from copy import deepcopy
+
+    from dglift.linalg import rank
+    from dglift.obstruction import _assemble_global_system, _rank2_system
 
     report = check_lift(module_m, method=method)
     assert verify_certificate(module_m, report)
-    rank = report.certificate["rank"]
-    for bad in (rank - 1, rank + 1, 999, str(rank), None):
+    builder = _rank2_system if method == "rank2" else _assemble_global_system
+    true_rank = rank(builder(module_m, obstruction_values(module_m))[0])
+    # a stated rank, even the true one, an unknown key, and each head key
+    # left out
+    for extra in ({"rank": true_rank}, {"rank": None}, {"comment": "x"}):
         tampered = deepcopy(report)
-        tampered.certificate["rank"] = bad
-        assert not verify_certificate(module_m, tampered)
+        tampered.certificate.update(extra)
+        assert not verify_certificate(module_m, tampered), extra
+    for key in report.certificate:
+        if key not in ("null_functional", "pairing"):
+            tampered = deepcopy(report)
+            del tampered.certificate[key]
+            assert not verify_certificate(module_m, tampered), key
     # a head number of another JSON type is rejected, though Python calls it
     # equal: 4.0 for 4, False for 0, in a field or in a bidegree list
     small = parse_problem(ZERO_HEADS).modules["M"]
@@ -488,3 +498,31 @@ def test_a_wrong_key_map_cannot_certify_itself(monkeypatch, image):
              if truth and not report.liftable]
     assert wrong
     assert not any(verify_certificate(N, report) for N, report in wrong)
+
+
+def test_the_checker_calls_no_builder_and_no_elimination(monkeypatch):
+    """verify_certificate reads the head from the bases and builds its
+    columns from elements: with both builders and every elimination made
+    to raise, it still accepts each certificate of these modules."""
+    from pathlib import Path
+
+    from dglift import linalg, obstruction
+
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+    texts = [golden_text(name) for name in ("nonliftable.dgp", "combined.dgp")]
+    texts += [(corpus / "koszul-fp" / name).read_text(encoding="utf-8")
+              for name in ("k00.dgp", "k05.dgp", "k09.dgp")]
+    reports = [(N, check_lift(N, method=method)) for text in texts
+               for N in parse_problem(text).modules.values()
+               for method in (("rank2", "global") if N.rank == 2 else ("global",))]
+    reports = [(N, report) for N, report in reports if not report.liftable]
+    assert len(reports) == 7
+
+    def forbidden(*args):
+        raise AssertionError("the checker called a builder or an elimination")
+
+    for name in ("_assemble_global_system", "_rank2_system"):
+        monkeypatch.setattr(obstruction, name, forbidden)
+    for name in ("rank", "linear_solve", "kernel_basis", "_eliminate"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    assert all(verify_certificate(N, report) for N, report in reports)

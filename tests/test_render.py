@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from dglift import DGLiftError, parse_problem
+from dglift import AlgebraElement, DGLiftError, parse_problem
 from dglift.randomgen import (random_algebra, random_algebra_element,
                               random_module, random_module_element,
                               standard_rings)
@@ -140,7 +140,7 @@ def test_renderer_matches_the_former_ones_on_the_corpus():
         assert repr(B.ring.zero()) == former_ring_element(B.ring.zero()) == "0"
         assert repr(B.zero()) == former_algebra_element(B.zero())
         for d in B.diffs:
-            assert_algebra_element(d)
+            assert_algebra_element(AlgebraElement(B, d))
         for N in problem.modules.values():
             assert_module(N)
             assert repr(N.zero()) == former_module_element(N.zero()) == "0"
