@@ -21,7 +21,10 @@ before ``BlockMatrix`` stopped carrying basis labels.  When certificates
 stopped stating the rank of their system, the entries of every output
 holding a certificate were written again (the two golden check-lift
 reports, 13 frontend digests, 22 koszul-fp and 22 koszul-qq digests);
-each report lost its rank line and nothing else.
+each report lost its rank line and nothing else.  The check-lift
+digests of every frontend file, 129 of which take the rank-2 path, were
+written at the commit before the rank-2 corollary stopped building a
+system of its own and began to solve the γ-system.
 """
 
 import contextlib
@@ -37,9 +40,8 @@ from dglift.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
-FRONTEND = ROOT / "perfbench" / "corpus" / "frontend"
-KOSZUL = {family: ROOT / "perfbench" / "corpus" / family
-          for family in ("koszul-fp", "koszul-qq")}
+CORPUS = {family: ROOT / "perfbench" / "corpus" / family
+          for family in ("frontend", "koszul-fp", "koszul-qq")}
 
 GOLDEN_FILES = ("liftable.dgp", "nonliftable.dgp", "combined.dgp")
 GOLDEN_COMMANDS = {
@@ -52,8 +54,8 @@ GOLDEN_COMMANDS = {
 FRONTEND_COMMANDS = ("validate", "obstruction", "check-lift", "homology")
 # 23 evenly spaced pool files, and f006, which the parser rejects
 FRONTEND_SAMPLE = ["f%03d.dgp" % (17 * k) for k in range(23)] + ["f006.dgp"]
-KOSZUL_FILES = {family: sorted(p.name for p in folder.glob("*.dgp"))
-                for family, folder in KOSZUL.items()}
+CORPUS_FILES = {family: sorted(p.name for p in folder.glob("*.dgp"))
+                for family, folder in CORPUS.items()}
 
 
 def normalise(text):
@@ -80,7 +82,7 @@ def golden_case(name, command):
 def frontend_case(name):
     out = {}
     for command in FRONTEND_COMMANDS:
-        result = run(FRONTEND / name, command, "json")
+        result = run(CORPUS["frontend"] / name, command, "json")
         if result["exit"]:
             out[command] = {"exit": result["exit"], "stderr": result["stderr"]}
         else:
@@ -89,8 +91,8 @@ def frontend_case(name):
     return out
 
 
-def koszul_case(family, name):
-    result = run(KOSZUL[family] / name, "check-lift", "json")
+def check_lift_case(family, name):
+    result = run(CORPUS[family] / name, "check-lift", "json")
     digest = hashlib.sha256(result["stdout"].encode("utf-8")).hexdigest()
     return {"exit": result["exit"], "stderr": result["stderr"], "sha256": digest}
 
@@ -101,8 +103,11 @@ def collect_outputs():
                           for command in GOLDEN_COMMANDS}
                    for name in GOLDEN_FILES},
         "frontend": {name: frontend_case(name) for name in FRONTEND_SAMPLE},
-        **{family: {name: koszul_case(family, name) for name in names}
-           for family, names in KOSZUL_FILES.items()},
+        "frontend-check-lift": {name: check_lift_case("frontend", name)
+                                for name in CORPUS_FILES["frontend"]},
+        **{family: {name: check_lift_case(family, name)
+                    for name in CORPUS_FILES[family]}
+           for family in ("koszul-fp", "koszul-qq")},
     }
 
 
@@ -123,19 +128,32 @@ def test_frontend_sample_digests(pinned, name):
 
 
 def test_koszul_corpus_is_complete(pinned):
-    for family, names in KOSZUL_FILES.items():
-        assert len(names) == 40
-        assert sorted(pinned[family]) == names
+    for family in ("koszul-fp", "koszul-qq"):
+        assert len(CORPUS_FILES[family]) == 40
+        assert sorted(pinned[family]) == CORPUS_FILES[family]
 
 
-@pytest.mark.parametrize("name", KOSZUL_FILES["koszul-fp"])
+def test_frontend_corpus_is_complete(pinned):
+    assert len(CORPUS_FILES["frontend"]) == 400
+    assert sorted(pinned["frontend-check-lift"]) == CORPUS_FILES["frontend"]
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES["koszul-fp"])
 def test_koszul_certificate_digests(pinned, name):
-    assert koszul_case("koszul-fp", name) == pinned["koszul-fp"][name]
+    assert check_lift_case("koszul-fp", name) == pinned["koszul-fp"][name]
 
 
-@pytest.mark.parametrize("name", KOSZUL_FILES["koszul-qq"])
+@pytest.mark.parametrize("name", CORPUS_FILES["koszul-qq"])
 def test_koszul_qq_certificate_digests(pinned, name):
-    assert koszul_case("koszul-qq", name) == pinned["koszul-qq"][name]
+    assert check_lift_case("koszul-qq", name) == pinned["koszul-qq"][name]
+
+
+def test_frontend_check_lift_digests(pinned):
+    """Every frontend file's check-lift report; a failure names the files
+    whose report changed."""
+    differ = [name for name in CORPUS_FILES["frontend"]
+              if check_lift_case("frontend", name) != pinned["frontend-check-lift"][name]]
+    assert differ == []
 
 
 def test_frontend_sample_keeps_the_parser_defect(pinned):
