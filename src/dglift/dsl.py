@@ -342,9 +342,9 @@ def _parse_expression(ts, env, algebra):
 def parse_algebra_element(problem, text):
     """Evaluate an expression (no module labels) in the problem's algebra."""
     B = problem.algebra
-    ts = _Tokens(_tokenize(text, 0), 0)
+    ts = _Tokens(_tokenize(text, None), None)
     if ts.done():
-        raise ParseError("empty expression", 0)
+        raise ParseError("empty expression")
     parts = _parse_expression(ts, _env(B.ring, B.vars), B)
     ts.expect_done()
     return parts.get(None, B.zero())
@@ -405,7 +405,7 @@ def _relation_monomial(parts, field, ts):
 
 def parse_ring(text):
     """The ring sub-grammar: `QQ`, `FF(p)`, `QQ[x:1,y:1]/(x*y, ...)`."""
-    ts = _Tokens(_tokenize(text.strip(), 0), 0)
+    ts = _Tokens(_tokenize(text.strip(), None), None)
     ring = _parse_ring_tokens(ts)
     ts.expect_done()
     return ring

@@ -333,10 +333,6 @@ def diagonal_basis(B, n, w):
             for key in diagonal_block_keys(B, n, w)]
 
 
-def diagonal_vec(element, keys):
-    return linalg.coordinates(element.terms(), keys, element.parent.field)
-
-
 def diagonal_label(B, key):
     m1, m2, rm = key
     txt = "σ(%s)" % pair_text(B, m1, m2)

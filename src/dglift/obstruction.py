@@ -15,9 +15,9 @@ solving
 The decision runs by one of three methods:
 
 * trivial      -- zero differential: gamma = 0 works outright;
-* rank2        -- two basis elements with d(e') = e b: since J_0 = 0
-                  forces gamma_e = 0, solvability reduces to delta(b)
-                  being a boundary in J, decided in one bidegree block;
+* rank2        -- two basis elements with d(e') = e b: J_0 = 0 shrinks
+                  the global system to one block, (-1)^{|e|} d_J, so
+                  N lifts iff delta(b) is a boundary in J;
 * global       -- all gamma coordinates are unknowns of one simultaneous
                   linear system over the ground field, assembled from the
                   bidegree blocks of N (x) J and solved by deterministic
@@ -25,22 +25,22 @@ The decision runs by one of three methods:
 
 The system is solved globally rather than basis element by basis element:
 a greedy choice of gamma_mu can block a later equation even when a
-simultaneous solution exists.  The right-hand side of either system is
-the obstruction cocycle itself, read from the values ``check_lift`` has
-already computed.  Each system has one builder, which returns the matrix,
-the right-hand side, a reader from a solution to the gamma family and a
-namer of the matrix rows; ``check_lift`` solves once.  LIFTABLE reports
-carry the gamma family; NOT_LIFTABLE reports carry a machine-checkable
-inconsistency certificate: a head read from the bases alone
-(``_certificate_head``), and a left null functional of the system, its
-rows named, with nonzero pairing against the right-hand side.  The
+simultaneous solution exists.  Its right-hand side is the obstruction
+cocycle itself, read from the values ``check_lift`` has already computed.
+One builder serves both methods: it returns the matrix, the right-hand
+side and a reader from a solution to the gamma family; ``check_lift``
+solves once and names the rows, the rank-2 rows by their J keys alone.
+LIFTABLE reports carry the gamma family; NOT_LIFTABLE reports carry a
+machine-checkable inconsistency certificate: a head read from the bases
+alone (``_certificate_head``), and a left null functional of the system,
+its rows named, with nonzero pairing against the right-hand side.  The
 γ-system is laid out by integer block offsets (``gamma_layout``): the
 rows of equation lam at the label nu start at one integer, the unknowns
 of gamma_mu at nu at another, and a J basis key sits at its index in
 ``diagonal_block_keys``; the builder writes by those positions, and its
-right-hand side, witness reader and row namer, and the checker's rows
+right-hand side and witness reader, the row names, and the checker's rows
 and unknowns, read the same layout, the one enumeration of the system.
-``verify_certificate`` calls neither builder and eliminates nothing: it
+``verify_certificate`` calls no builder and eliminates nothing: it
 compares the same head, and pairs the functional with columns built by
 element arithmetic in N (x) B^e and B^e (d(t) and t b for t in N (x) J,
 d(j) for j in J, each brought back by sigma), so a wrong sign in the
@@ -52,8 +52,8 @@ from bisect import bisect_right
 
 from . import linalg
 from .envelope import (DiagonalElement, delta, diagonal_block_keys,
-                       diagonal_diff_block, diagonal_key_diff, diagonal_key_left,
-                       diagonal_key_right, diagonal_label, diagonal_vec, sigma)
+                       diagonal_key_diff, diagonal_key_left, diagonal_key_right,
+                       diagonal_label, sigma)
 from .errors import ConstructionError
 from .lincomb import memoised
 from .semifree import SemifreeModule, TensorJElement
@@ -192,30 +192,6 @@ def _rank2_target(N: SemifreeModule, obstruction):
     return e, ep, n, w, obstruction[ep].coeffs.get(e) or DiagonalElement(N.algebra, {})
 
 
-def _rank2_system(N: SemifreeModule, obstruction):
-    """Boundary-membership test for a two-element basis with d(e') = e b:
-    is delta(b), the obstruction value of e' at e, a boundary in J?
-
-    Valid in both directions because B_0 = R makes J_0 = 0, which pins
-    gamma_e to zero and gamma_e' to e (x) c.  The system is the diagonal
-    block from (n + 1, w) against the coordinates of delta(b) in (n, w),
-    the bidegree of b.
-    """
-    B = N.algebra
-    e, ep, n, w, target = _rank2_target(N, obstruction)
-    matrix = diagonal_diff_block(B, n + 1, w)
-
-    def read_witness(solution):
-        c = DiagonalElement.from_terms(
-            B, zip(diagonal_block_keys(B, n + 1, w), solution))
-        return {e: N.tensor_zero(),
-                ep: TensorJElement(N, {e: -c if N.degrees[0] % 2 else c})}
-
-    rows = diagonal_block_keys(B, n, w)
-    return (matrix, diagonal_vec(target, rows), read_witness,
-            lambda i: diagonal_label(B, rows[i]))
-
-
 def _certificate_head(N: SemifreeModule, method, obstruction):
     """The head of a certificate of N's ``method`` system, read from its
     bases alone: the γ-system's numbers of unknowns and equations, or the
@@ -283,6 +259,10 @@ class GammaBlocks:
         return "eq_%s[%s⊗%s]" % (self.labels[l], self.labels[k],
                                  diagonal_label(self.algebra, key))
 
+    def key_name(self, i):
+        """The name of the J basis key at index i alone."""
+        return diagonal_label(self.algebra, self.block_of(i)[2])
+
 
 @memoised
 def gamma_layout(N: SemifreeModule):
@@ -313,7 +293,10 @@ def _assemble_global_system(N: SemifreeModule, obstruction):
     blocks: the column of t at block (mu, nu)'s offset plus j's index; no
     tensor key is built.  The pieces land on distinct entries, and each
     row receives its entries in column order.  The right-hand side of
-    equation lam is the obstruction value of e_lam.
+    equation lam is the obstruction value of e_lam.  Both methods solve
+    this system: for a basis e, e' with d(e') = e b, J_0 = 0 empties every
+    block but e (x) J_(n+1, w) -> e (x) J_(n, w), (n, w) the bidegree of b,
+    where the matrix is (-1)^{|e|} d_J and the right-hand side delta(b).
     """
     B = N.algebra
     labels = N.labels
@@ -354,7 +337,7 @@ def _assemble_global_system(N: SemifreeModule, obstruction):
         return {lab: TensorJElement.from_terms(N, t) for lab, t in terms.items()}
 
     matrix = linalg.BlockMatrix(entries, (equations.size, unknowns.size), B.field)
-    return matrix, rhs, read_witness, equations.name
+    return matrix, rhs, read_witness
 
 
 def check_lift(N: SemifreeModule, method="auto") -> ObstructionReport:
@@ -367,17 +350,17 @@ def check_lift(N: SemifreeModule, method="auto") -> ObstructionReport:
         return ObstructionReport(LIFTABLE, METHOD_TRIVIAL, obstruction, witness, None)
     if method == "trivial":
         raise ValueError("trivial method needs a zero differential")
-    if method == "rank2" or (method == "auto" and N.rank == 2):
-        if N.rank != 2:
-            raise ValueError("rank2 method needs exactly two basis elements")
-        tag, system = METHOD_RANK2, _rank2_system
-    else:
-        tag, system = METHOD_GLOBAL, _assemble_global_system
-    matrix, rhs, read_witness, row_label = system(N, obstruction)
+    if method == "rank2" and N.rank != 2:
+        raise ValueError("rank2 method needs exactly two basis elements")
+    rank2 = method == "rank2" or (method == "auto" and N.rank == 2)
+    tag = METHOD_RANK2 if rank2 else METHOD_GLOBAL
+    matrix, rhs, read_witness = _assemble_global_system(N, obstruction)
     result = linalg.linear_solve(matrix, rhs)
     if result.consistent:
         return ObstructionReport(LIFTABLE, tag, obstruction,
                                  read_witness(result.solution), None)
+    equations = gamma_layout(N)[1]
+    row_label = equations.key_name if rank2 else equations.name
     cert = _certificate_head(N, tag, obstruction)
     cert["null_functional"] = [{"row": row_label(i), "value": str(c)}
                                for i, c in result.null_row.items()]

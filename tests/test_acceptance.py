@@ -15,8 +15,8 @@ from dglift import (QQ, check_lift, delta, verify_certificate,
                     verify_witness)
 from dglift.cli import main
 from dglift.coefficients import principal_intersection_dim
-from dglift.envelope import diagonal_block_keys, diagonal_diff_block, diagonal_vec
-from dglift.linalg import linear_solve, kernel_basis, rank
+from dglift.envelope import diagonal_block_keys, diagonal_diff_block
+from dglift.linalg import coordinates, linear_solve, kernel_basis, rank
 from dglift.obstruction import LIFTABLE, METHOD_TRIVIAL, NOT_LIFTABLE
 from dglift.semifree import SemifreeModule, TensorJElement
 
@@ -82,8 +82,8 @@ def test_criterion_2_nonliftable_example(nonliftable_problem):
     assert columns == [minus(v(0)), plus(v(1), v(3)), plus(v(2), minus(v(4))),
                        v(5)]
     x = B.ring.gen("x")
-    target = diagonal_vec(delta(B.gen("X") * B.gen("Y") * x),
-                          diagonal_block_keys(B, 3, 4))
+    target = coordinates(delta(B.gen("X") * B.gen("Y") * x).terms(),
+                         diagonal_block_keys(B, 3, 4), f)
     assert target == v(4)  # the fifth coordinate
     assert not linear_solve(block, target).consistent
     assert rank2.certificate["target_dim"] == 6

@@ -2,7 +2,7 @@
 
 ``perfbench/tracing.py`` wraps named functions and methods of dglift; a
 rename there would break ``perfbench/run.py --trace 1``.  This test loads
-the tracer from its file (read only), installs it, runs one op, and
+the tracer from its file (read only), installs it, runs two ops, and
 checks that uninstalling restores every original.
 """
 
@@ -43,10 +43,12 @@ def test_tracer_installs_and_uninstalls_against_the_package():
     try:
         wrapped = target_objects(tracing)
         assert all(wrapped[name] is not originals[name] for name in originals)
+        path = str(ROOT / "golden" / "combined.dgp")
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["check-lift", str(ROOT / "golden" / "combined.dgp"),
-                             "--witness"])
-        assert code == 0
+            # check-lift builds no J differential block; homology does
+            codes = [cli.main(["check-lift", path, "--witness"]),
+                     cli.main(["homology", path, "--bidegree", "3,4"])]
+        assert codes == [0, 0]
     finally:
         tracer.uninstall()
     assert target_objects(tracing) == originals

@@ -74,6 +74,14 @@ def test_delta_command(capsys):
     assert "delta(X*Y*y) = -1^o⊗X*Y · y + (X*Y)^o⊗1 · y" in out
 
 
+def test_command_line_expression_error_names_no_line(capsys):
+    """An --element expression has no source line, so its parse error
+    states none."""
+    code, out, err = run_main(capsys, "delta", str(GOLDEN / "liftable.dgp"),
+                              "--element", "1/0")
+    assert (code, out, err) == (2, "", "dglift: zero denominator\n")
+
+
 def test_validate_command(capsys):
     code, out, _ = run_main(capsys, "validate", str(GOLDEN / "combined.dgp"))
     assert code == 0

@@ -319,7 +319,7 @@ def test_divided_power_products_are_bounded_before_they_are_built():
             == expected * problem.algebra.divided_power("Y", 600000)
     if hasattr(sys, "get_int_max_str_digits"):
         qq = parse_problem("ring R = QQ\nalgebra B = R<Y:2>\n")
-        with pytest.raises(ParseError, match="line 0: coefficient exceeds the"):
+        with pytest.raises(ParseError, match="^coefficient exceeds the"):
             parse_algebra_element(qq, "Y^(300000)*Y^(300000)")
     assert time.perf_counter() - start < 1
 

@@ -87,13 +87,14 @@ def random_modules():
 
 def assert_same_system(N, rng):
     obstruction = obstruction_values(N)
-    matrix, rhs, read_witness, row_label = _assemble_global_system(N, obstruction)
+    matrix, rhs, read_witness = _assemble_global_system(N, obstruction)
     keyed, keyed_rhs, keyed_witness, labels = keyed_gamma_system(N, obstruction)
     assert matrix.shape == keyed.shape
     assert [list(row.items()) for row in matrix.entries] == [
         list(row.items()) for row in keyed.entries]
     assert rhs == keyed_rhs
-    assert [row_label(i) for i in range(matrix.shape[0])] == labels
+    equations = gamma_layout(N)[1]
+    assert [equations.name(i) for i in range(matrix.shape[0])] == labels
     assert _certificate_head(N, METHOD_GLOBAL, obstruction) == {
         "kind": "gamma-system", "unknowns": keyed.shape[1], "equations": keyed.shape[0]}
     field = N.algebra.field

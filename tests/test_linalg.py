@@ -11,12 +11,12 @@ from dglift import linalg
 from dglift.coefficients import ModP, RingElement, multiplication_block
 from dglift.envelope import (DiagonalElement, EnvelopeElement, diagonal_block_keys,
                              diagonal_diff_block, diagonal_homology_dim,
-                             diagonal_label, diagonal_vec, sigma)
+                             diagonal_label, sigma)
 from dglift.free_dga import AlgebraElement
 from dglift.linalg import apply_matrix
 from dglift.obstruction import (METHOD_RANK2, _assemble_global_system,
-                                _certificate_head, _rank2_system,
-                                criterion_rhs, obstruction_values)
+                                _certificate_head, criterion_rhs, gamma_layout,
+                                obstruction_values)
 from dglift.randomgen import random_diagonal_element
 from dglift.semifree import ModuleElement, TensorJElement
 
@@ -153,10 +153,10 @@ def test_example_boundary_system_inconsistent_for_the_x_target(example_algebra):
     keys = diagonal_block_keys(B, 3, 4)
     x, y = B.ring.gen("x"), B.ring.gen("y")
     X, Y = B.gen("X"), B.gen("Y")
-    target_x = diagonal_vec(delta(X * Y * x), keys)
+    target_x = linalg.coordinates(delta(X * Y * x).terms(), keys, QQ)
     result = linear_solve(block, target_x)
     assert not result.consistent
-    target_y = diagonal_vec(delta(X * Y * y), keys)
+    target_y = linalg.coordinates(delta(X * Y * y).terms(), keys, QQ)
     result = linear_solve(block, target_y)
     assert result.consistent
     assert result.solution == [QQ.zero, QQ.zero, QQ.zero, QQ.one]
@@ -474,21 +474,50 @@ def test_block_builders_match_the_dense_reference():
                     B.field))
                 blocks += 2
             obstruction = obstruction_values(N)
-            matrix, _, _, row_label = _assemble_global_system(N, obstruction)
+            matrix, _, _ = _assemble_global_system(N, obstruction)
             reference, labels = reference_gamma_system(N)
             assert_block_equals(matrix, reference)
-            assert [row_label(i) for i in range(len(labels))] == labels
+            equations = gamma_layout(N)[1]
+            assert [equations.name(i) for i in range(len(labels))] == labels
             blocks += 1
-            if N.rank == 2 and N.structure:
-                # the rank-2 rows are the J basis of delta(b)'s bidegree, and
-                # the head read from the bases states the matrix's shape
-                matrix, _, _, row_label = _rank2_system(N, obstruction)
-                head = _certificate_head(N, METHOD_RANK2, obstruction)
-                assert matrix.shape == (head["target_dim"], head["source_dim"])
-                n, w = head["target_bidegree"]
-                assert [row_label(i) for i in range(matrix.shape[0])] == [
-                    diagonal_label(B, k) for k in diagonal_block_keys(B, n, w)]
     assert blocks > 1000
+
+
+def test_the_rank2_system_is_the_gamma_system_in_its_smallest_case():
+    """For a basis e, e' with d(e') = e b, b of bidegree (n, w), J_0 = 0
+    leaves one block of the γ-system.  Its matrix is (-1)^{|e|} times the
+    J differential from (n + 1, w); its right-hand side is delta(b)'s
+    coordinates in J_(n, w); its rows, named by their J keys alone, are
+    the J basis of (n, w); and the rank-2 head states its shape.  Checked
+    on every such module of the golden files and the corpora."""
+    paths = sorted(GOLDEN.glob("*.dgp")) + sorted(CORPUS.glob("*/*.dgp"))
+    modules = []
+    for path in paths:
+        try:
+            problem = parse_problem(path.read_text(encoding="utf-8"))
+        except DGLiftError:  # the parser's known rejections
+            continue
+        modules += [N for N in problem.modules.values() if N.rank == 2 and N.structure]
+    for N in modules:
+        B = N.algebra
+        (_, b), = N.columns[1]
+        n, w = N.degrees[1] - N.degrees[0] - 1, N.weights[1] - N.weights[0]
+        obstruction = obstruction_values(N)
+        matrix, rhs, _ = _assemble_global_system(N, obstruction)
+        reference = diagonal_diff_block(B, n + 1, w)
+        if N.degrees[0] % 2:
+            reference = BlockMatrix([{j: -x for j, x in row.items()}
+                                     for row in reference.entries], reference.shape, B.field)
+        assert_block_equals(matrix, reference)
+        keys = diagonal_block_keys(B, n, w)
+        assert rhs == linalg.coordinates(delta(b).terms(), keys, B.field)
+        equations = gamma_layout(N)[1]
+        assert [equations.key_name(i) for i in range(equations.size)] == [
+            diagonal_label(B, key) for key in keys]
+        head = _certificate_head(N, METHOD_RANK2, obstruction)
+        assert matrix.shape == (head["target_dim"], head["source_dim"])
+    assert len(modules) == 158
+    assert sum(N.degrees[0] % 2 for N in modules) == 45
 
 
 def test_gamma_rhs_is_the_obstruction():
@@ -500,7 +529,7 @@ def test_gamma_rhs_is_the_obstruction():
     checked = 0
     for problem in problems:
         for N in problem.modules.values():
-            matrix, rhs, _, _ = _assemble_global_system(N, obstruction_values(N))
+            matrix, rhs, _ = _assemble_global_system(N, obstruction_values(N))
             equations = [("eq", lam, k) for lam, n, w in
                          zip(N.labels, N.degrees, N.weights)
                          for k in N.tensor_keys(n - 1, w)]
@@ -544,7 +573,7 @@ def test_solver_matches_the_dense_oracle_on_real_systems():
     for name, problem in oracle_problems():
         field = problem.algebra.field
         for N in problem.modules.values():
-            matrix, rhs, _, _ = _assemble_global_system(N, obstruction_values(N))
+            matrix, rhs, _ = _assemble_global_system(N, obstruction_values(N))
             rows = matrix.rows
             ref_rank, ref_solution, ref_null, ref_pairing = dense_solve(
                 rows, matrix.shape[1], rhs, field)

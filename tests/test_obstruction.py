@@ -335,12 +335,12 @@ def test_certificate_with_a_key_outside_its_head_is_rejected(module_m, method):
     from copy import deepcopy
 
     from dglift.linalg import rank
-    from dglift.obstruction import _assemble_global_system, _rank2_system
+    from dglift.obstruction import _assemble_global_system
 
     report = check_lift(module_m, method=method)
     assert verify_certificate(module_m, report)
-    builder = _rank2_system if method == "rank2" else _assemble_global_system
-    true_rank = rank(builder(module_m, obstruction_values(module_m))[0])
+    # both methods solve the one γ-system
+    true_rank = rank(_assemble_global_system(module_m, obstruction_values(module_m))[0])
     # a stated rank, even the true one, an unknown key, and each head key
     # left out
     for extra in ({"rank": true_rank}, {"rank": None}, {"comment": "x"}):
@@ -502,11 +502,12 @@ def test_a_wrong_key_map_cannot_certify_itself(monkeypatch, image):
 
 def test_the_checker_calls_no_builder_and_no_elimination(monkeypatch):
     """verify_certificate reads the head from the bases and builds its
-    columns from elements: with both builders and every elimination made
-    to raise, it still accepts each certificate of these modules."""
+    columns from elements: with the γ-system builder, the J differential
+    block and every elimination made to raise, it still accepts each
+    certificate of these modules."""
     from pathlib import Path
 
-    from dglift import linalg, obstruction
+    from dglift import envelope, linalg, obstruction
 
     corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
     texts = [golden_text(name) for name in ("nonliftable.dgp", "combined.dgp")]
@@ -521,8 +522,8 @@ def test_the_checker_calls_no_builder_and_no_elimination(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the checker called a builder or an elimination")
 
-    for name in ("_assemble_global_system", "_rank2_system"):
-        monkeypatch.setattr(obstruction, name, forbidden)
+    monkeypatch.setattr(obstruction, "_assemble_global_system", forbidden)
+    monkeypatch.setattr(envelope, "diagonal_diff_block", forbidden)
     for name in ("rank", "linear_solve", "kernel_basis", "_eliminate"):
         monkeypatch.setattr(linalg, name, forbidden)
     assert all(verify_certificate(N, report) for N, report in reports)
