@@ -7,12 +7,14 @@ ring generator multiplies the structure coefficient:
   d(up) = u*X*Y*x   does not: delta(X*Y*x) is a nonzero class in H_3(J).
 
 Both answers are re-checkable: the witness satisfies its defining identity
-exactly, the certificate is a null functional of the boundary system that
-pairs nonzero against the target.
+exactly, the certificate is a null functional of the gamma-system that
+pairs nonzero against its right-hand side, the obstruction.
 """
 
-from dglift import (check_lift, parse_problem, verify_certificate,
-                    verify_witness)
+from dglift import (check_lift, delta, linear_solve, parse_problem,
+                    verify_certificate, verify_witness)
+from dglift.envelope import diagonal_block_keys, diagonal_diff_block
+from dglift.linalg import coordinates
 
 liftable = parse_problem("""
 ring R = QQ[x:1,y:1]/(x*y)
@@ -39,9 +41,14 @@ for key, value in report.certificate.items():
     print("  %s: %s" % (key, value))
 print("  certificate verifies:", verify_certificate(M, report))
 
-# both methods solve the one gamma-system; only the certificate's form differs
-print("\nglobal solve agrees:",
-      check_lift(M, method="global").decision == report.decision)
+# the rank-2 corollary read off J alone: delta(X*Y*x), in J of bidegree (3, 4),
+# is not in the image of d_J from (4, 4); the gamma-system says the same
+B = M.algebra
+target = coordinates(delta(B.gen("X") * B.gen("Y") * B.ring.gen("x")).terms(),
+                     diagonal_block_keys(B, 3, 4), B.field)
+boundary = linear_solve(diagonal_diff_block(B, 4, 4), target).consistent
+print("\ndelta(b) is a boundary in J:", boundary,
+      "- agrees:", boundary == report.liftable)
 
 # a module with zero differential lifts for free
 trivial = parse_problem("""

@@ -12,28 +12,31 @@ solving
 
     d(gamma_lam) = sum_{mu<lam} (gamma_mu b[mu][lam] + e_mu (x) delta(b[mu][lam])).
 
-The decision runs by one of three methods:
+The decision is tagged with one of three methods:
 
-* trivial      -- zero differential: gamma = 0 works outright;
-* rank2        -- two basis elements with d(e') = e b: J_0 = 0 shrinks
-                  the global system to one block, (-1)^{|e|} d_J, so
-                  N lifts iff delta(b) is a boundary in J;
-* global       -- all gamma coordinates are unknowns of one simultaneous
-                  linear system over the ground field, assembled from the
-                  bidegree blocks of N (x) J and solved by deterministic
-                  elimination (free variables pinned to zero).
+* trivial          -- zero differential: gamma = 0 works outright, and no
+                      system is built;
+* rank2-corollary  -- two basis elements with d(e') = e b: J_0 = 0 shrinks
+                      the γ-system to one block, (-1)^{|e|} d_J, so N
+                      lifts iff delta(b) is a boundary in J;
+* global-solve     -- any other module: all gamma coordinates are unknowns
+                      of one simultaneous linear system over the ground
+                      field, assembled from the bidegree blocks of N (x) J
+                      and solved by deterministic elimination (free
+                      variables pinned to zero).
 
 The system is solved globally rather than basis element by basis element:
 a greedy choice of gamma_mu can block a later equation even when a
 simultaneous solution exists.  Its right-hand side is the obstruction
 cocycle itself, read from the values ``check_lift`` has already computed.
-One builder serves both methods: it returns the matrix, the right-hand
-side and a reader from a solution to the gamma family; ``check_lift``
-solves once and names the rows, the rank-2 rows by their J keys alone.
-LIFTABLE reports carry the gamma family; NOT_LIFTABLE reports carry a
-machine-checkable inconsistency certificate: a head read from the bases
-alone (``_certificate_head``), and a left null functional of the system,
-its rows named, with nonzero pairing against the right-hand side.  The
+One builder serves both of the last two: it returns the matrix, the
+right-hand side and a reader from a solution to the gamma family;
+``check_lift`` solves once and names the rows (``GammaBlocks.name``).
+LIFTABLE reports carry the gamma family; NOT_LIFTABLE reports carry one
+kind of machine-checkable inconsistency certificate, "gamma-system",
+whatever the method: a head read from the bases alone
+(``_certificate_head``), and a left null functional of the system, its
+rows named, with nonzero pairing against the right-hand side.  The
 γ-system is laid out by integer block offsets (``gamma_layout``): the
 rows of equation lam at the label nu start at one integer, the unknowns
 of gamma_mu at nu at another, and a J basis key sits at its index in
@@ -42,18 +45,17 @@ right-hand side and witness reader, the row names, and the checker's rows
 and unknowns, read the same layout, the one enumeration of the system.
 ``verify_certificate`` calls no builder and eliminates nothing: it
 compares the same head, and pairs the functional with columns built by
-element arithmetic in N (x) B^e and B^e (d(t) and t b for t in N (x) J,
-d(j) for j in J, each brought back by sigma), so a wrong sign in the
-builder's images, or in the J key maps that the builder and
-DiagonalElement arithmetic share, cannot certify itself.
+element arithmetic in N (x) B^e (d(t) and t b for t in N (x) J, each
+brought back by sigma), so a wrong sign in the builder's images, or in
+the J key maps that the builder and DiagonalElement arithmetic share,
+cannot certify itself.
 """
 
 from bisect import bisect_right
 
 from . import linalg
-from .envelope import (DiagonalElement, delta, diagonal_block_keys,
-                       diagonal_key_diff, diagonal_key_left, diagonal_key_right,
-                       diagonal_label, sigma)
+from .envelope import (delta, diagonal_block_keys, diagonal_key_diff,
+                       diagonal_key_left, diagonal_key_right, diagonal_label)
 from .errors import ConstructionError
 from .lincomb import memoised
 from .semifree import SemifreeModule, TensorJElement
@@ -184,27 +186,12 @@ class ObstructionReport:
         return self.decision == LIFTABLE
 
 
-def _rank2_target(N: SemifreeModule, obstruction):
-    """(e, e', n, w, delta(b)) for a two-element basis with d(e') = e b:
-    delta(b), the obstruction value of e' at e, lies in J_(n, w)."""
-    e, ep = N.labels
-    n, w = N.degrees[1] - N.degrees[0] - 1, N.weights[1] - N.weights[0]
-    return e, ep, n, w, obstruction[ep].coeffs.get(e) or DiagonalElement(N.algebra, {})
-
-
-def _certificate_head(N: SemifreeModule, method, obstruction):
-    """The head of a certificate of N's ``method`` system, read from its
-    bases alone: the γ-system's numbers of unknowns and equations, or the
-    rank-2 blocks' bidegrees, dimensions and target."""
-    if method == METHOD_GLOBAL:
-        unknowns, equations = gamma_layout(N)
-        return {"kind": "gamma-system", "unknowns": unknowns.size,
-                "equations": equations.size}
-    _, _, n, w, target = _rank2_target(N, obstruction)
-    source, rows = (diagonal_block_keys(N.algebra, k, w) for k in (n + 1, n))
-    return {"kind": "boundary-membership", "source_bidegree": [n + 1, w],
-            "target_bidegree": [n, w], "source_dim": len(source),
-            "target_dim": len(rows), "target": str(target)}
+def _certificate_head(N: SemifreeModule):
+    """The head of a certificate of N's γ-system, read from its bases
+    alone: the numbers of unknowns and equations."""
+    unknowns, equations = gamma_layout(N)
+    return {"kind": "gamma-system", "unknowns": unknowns.size,
+            "equations": equations.size}
 
 
 class GammaBlocks:
@@ -259,10 +246,6 @@ class GammaBlocks:
         return "eq_%s[%s⊗%s]" % (self.labels[l], self.labels[k],
                                  diagonal_label(self.algebra, key))
 
-    def key_name(self, i):
-        """The name of the J basis key at index i alone."""
-        return diagonal_label(self.algebra, self.block_of(i)[2])
-
 
 @memoised
 def gamma_layout(N: SemifreeModule):
@@ -293,10 +276,11 @@ def _assemble_global_system(N: SemifreeModule, obstruction):
     blocks: the column of t at block (mu, nu)'s offset plus j's index; no
     tensor key is built.  The pieces land on distinct entries, and each
     row receives its entries in column order.  The right-hand side of
-    equation lam is the obstruction value of e_lam.  Both methods solve
-    this system: for a basis e, e' with d(e') = e b, J_0 = 0 empties every
-    block but e (x) J_(n+1, w) -> e (x) J_(n, w), (n, w) the bidegree of b,
-    where the matrix is (-1)^{|e|} d_J and the right-hand side delta(b).
+    equation lam is the obstruction value of e_lam.  The rank-2 corollary
+    is this system in its smallest case: for a basis e, e' with
+    d(e') = e b, J_0 = 0 empties every block but e (x) J_(n+1, w) ->
+    e (x) J_(n, w), (n, w) the bidegree of b, where the matrix is
+    (-1)^{|e|} d_J and the right-hand side delta(b).
     """
     B = N.algebra
     labels = N.labels
@@ -340,29 +324,21 @@ def _assemble_global_system(N: SemifreeModule, obstruction):
     return matrix, rhs, read_witness
 
 
-def check_lift(N: SemifreeModule, method="auto") -> ObstructionReport:
+def check_lift(N: SemifreeModule) -> ObstructionReport:
     """Decide whether N lifts naively, with a verifiable witness either way."""
     obstruction = obstruction_values(N)
-    if method not in ("auto", "trivial", "rank2", "global"):
-        raise ValueError("unknown method %r" % method)
-    if method in ("auto", "trivial") and not N.structure:
+    if not N.structure:
         witness = {lab: N.tensor_zero() for lab in N.labels}
         return ObstructionReport(LIFTABLE, METHOD_TRIVIAL, obstruction, witness, None)
-    if method == "trivial":
-        raise ValueError("trivial method needs a zero differential")
-    if method == "rank2" and N.rank != 2:
-        raise ValueError("rank2 method needs exactly two basis elements")
-    rank2 = method == "rank2" or (method == "auto" and N.rank == 2)
-    tag = METHOD_RANK2 if rank2 else METHOD_GLOBAL
+    tag = METHOD_RANK2 if N.rank == 2 else METHOD_GLOBAL
     matrix, rhs, read_witness = _assemble_global_system(N, obstruction)
     result = linalg.linear_solve(matrix, rhs)
     if result.consistent:
         return ObstructionReport(LIFTABLE, tag, obstruction,
                                  read_witness(result.solution), None)
     equations = gamma_layout(N)[1]
-    row_label = equations.key_name if rank2 else equations.name
-    cert = _certificate_head(N, tag, obstruction)
-    cert["null_functional"] = [{"row": row_label(i), "value": str(c)}
+    cert = _certificate_head(N)
+    cert["null_functional"] = [{"row": equations.name(i), "value": str(c)}
                                for i, c in result.null_row.items()]
     cert["pairing"] = str(result.pairing)
     return ObstructionReport(NOT_LIFTABLE, tag, obstruction, None, cert)
@@ -374,42 +350,35 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
     The keys must be those of ``_certificate_head`` and "null_functional"
     and "pairing", each head field the head's.  No builder is called and
     nothing eliminated: each column of A is built by element arithmetic
-    through B^e (``_gamma_columns``, ``_boundary_columns``), and only the
-    bases are shared.  boundary-membership is checked only for a module of
-    rank 2.  False, never an exception, for a functional that is not a
-    list of {"row": label, "value": text} items, names a row outside the
-    system or names a row twice, or states a value other than the field's
-    own text of a scalar (so no zero denominator, sign, padding or
-    unreduced fraction), for a missing or an extra key, and for any stated
-    head field other than the system's, in value or in type."""
+    through B^e (``_gamma_columns``), and only the bases are shared.
+    False, never an exception, for a functional that is not a list of
+    {"row": label, "value": text} items, names a row outside the system
+    or names a row twice, or states a value other than the field's own
+    text of a scalar (so no zero denominator, sign, padding or unreduced
+    fraction), for a missing or an extra key, in the certificate or in an
+    item, and for any stated head field other than the system's, in value
+    or in type."""
     cert = report.certificate
     items = cert.get("null_functional") if isinstance(cert, dict) else None
     if not isinstance(items, list) or not all(
-            isinstance(item, dict) and isinstance(item.get("row"), str)
-            for item in items):
+            isinstance(item, dict) and item.keys() == {"row", "value"}
+            and isinstance(item["row"], str) for item in items):
         return False
-    field = N.algebra.field
-    if cert.get("kind") == "boundary-membership" and N.rank == 2:
-        method, system = METHOD_RANK2, _boundary_columns
-    elif cert.get("kind") == "gamma-system":
-        method, system = METHOD_GLOBAL, _gamma_columns
-    else:
-        return False
-    obstruction = obstruction_values(N)
-    head = _certificate_head(N, method, obstruction)
-    # repr compares JSON values type-exactly: 4.0, True and [4.0, 4] are not 4
+    head = _certificate_head(N)
+    # repr compares JSON values type-exactly: 4.0 and True are not 4
     if cert.keys() != head.keys() | {"null_functional", "pairing"} or any(
             repr(cert[key]) != repr(value) for key, value in head.items()):
         return False
-    rows, columns, rhs = system(N, obstruction)
+    field = N.algebra.field
+    rows, columns, rhs = _gamma_columns(N, obstruction_values(N))
     stated = {}
     for item in items:
-        key = rows.get(item["row"])
-        ui = _parse_scalar(field, item.get("value"))
-        if key is None or key in stated or ui is None:
+        row = rows.get(item["row"])
+        ui = _parse_scalar(field, item["value"])
+        if row is None or row in stated or ui is None:
             return False
-        stated[key] = ui
-    u = {key: ui for key, ui in stated.items() if ui}
+        stated[row] = ui
+    u = {row: ui for row, ui in stated.items() if ui}
     for column in columns(u):
         if sum((u[k] * s for k, s in column if k in u), field.zero):
             return False
@@ -450,22 +419,6 @@ def _gamma_columns(N: SemifreeModule, obstruction):
     return ({equations.name(i): i for i in range(equations.size)}, columns,
             [(equations.position(lam, k), s) for lam, lab in enumerate(labels)
              for k, s in obstruction[lab].terms()])
-
-
-def _boundary_columns(N: SemifreeModule, obstruction):
-    """The rank-2 boundary system from elements, in the form of
-    ``_gamma_columns``: the column of each J basis vector j of the source
-    block is d(j), computed in B^e and brought back by sigma."""
-    B = N.algebra
-    _, _, n, w, target = _rank2_target(N, obstruction)
-
-    def columns(u):
-        for key in diagonal_block_keys(B, n + 1, w):
-            j = DiagonalElement.from_terms(B, [(key, B.field.one)])
-            yield sigma(j.to_envelope().diff()).terms()
-
-    return ({diagonal_label(B, key): key for key in diagonal_block_keys(B, n, w)},
-            columns, list(target.terms()))
 
 
 def _parse_scalar(field, text):

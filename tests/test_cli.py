@@ -42,10 +42,12 @@ def test_check_lift_nonliftable(capsys):
     (entry,) = doc["results"]
     assert entry["decision"] == "NOT_LIFTABLE"
     cert = entry["certificate"]
-    assert cert["kind"] == "boundary-membership"
-    assert cert["source_bidegree"] == [4, 4]
-    assert cert["target_bidegree"] == [3, 4]
-    assert cert["target_dim"] == 6 and "rank" not in cert
+    assert entry["method"] == "rank2-corollary"
+    assert cert["kind"] == "gamma-system"
+    assert cert["unknowns"] == 4
+    assert cert["equations"] == 6 and "rank" not in cert
+    assert [item["row"] for item in cert["null_functional"]] == [
+        "eq_up[u⊗σ(Y^o⊗X)·x]", "eq_up[u⊗σ((X*Y)^o⊗1)·x]"]
     assert "witness" not in entry
 
 

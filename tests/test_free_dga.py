@@ -260,7 +260,7 @@ def test_equal_algebras_do_not_share_caches():
                       "diagonal_block_keys")
     ring_tables = ("mono_reduced", "mono_mul", "graded_basis")
     before = {name: dict(t or {}) for name, t in tables(B, algebra_tables).items()}
-    check_lift(M, method="global")
+    check_lift(M)
     keys = diagonal_block_keys(A, 3, 4)
     assert keys is diagonal_block_keys(A, 3, 4)
     assert (3, 4) in A._memo_diagonal_block_keys and A._memo_mono_mul
@@ -269,7 +269,7 @@ def test_equal_algebras_do_not_share_caches():
     assert all(tables(A.ring, ring_tables).values())
     assert M._memo_gamma_layout
     assert {name: dict(t or {}) for name, t in tables(B, algebra_tables).items()} == before
-    check_lift(M2, method="global")
+    check_lift(M2)
     for owner, other, names in ((A, B, algebra_tables), (A.ring, B.ring, ring_tables),
                                 (M, M2, ("gamma_layout",))):
         mine, theirs = tables(owner, names), tables(other, names)

@@ -15,8 +15,8 @@ from pathlib import Path
 from dglift import linalg, parse_problem
 from dglift.envelope import diagonal_key_diff, diagonal_key_left, diagonal_key_right
 from dglift.errors import DGLiftError
-from dglift.obstruction import (METHOD_GLOBAL, _assemble_global_system,
-                                _certificate_head, gamma_layout, obstruction_values)
+from dglift.obstruction import (_assemble_global_system, _certificate_head,
+                                gamma_layout, obstruction_values)
 from dglift.randomgen import random_algebra, random_module, random_scalar, standard_rings
 from dglift.semifree import TensorJElement
 
@@ -95,7 +95,7 @@ def assert_same_system(N, rng):
     assert rhs == keyed_rhs
     equations = gamma_layout(N)[1]
     assert [equations.name(i) for i in range(matrix.shape[0])] == labels
-    assert _certificate_head(N, METHOD_GLOBAL, obstruction) == {
+    assert _certificate_head(N) == {
         "kind": "gamma-system", "unknowns": keyed.shape[1], "equations": keyed.shape[0]}
     field = N.algebra.field
     solution = [random_scalar(rng, field) for _ in range(matrix.shape[1])]

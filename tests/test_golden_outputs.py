@@ -24,7 +24,14 @@ reports, 13 frontend digests, 22 koszul-fp and 22 koszul-qq digests);
 each report lost its rank line and nothing else.  The check-lift
 digests of every frontend file, 129 of which take the rank-2 path, were
 written at the commit before the rank-2 corollary stopped building a
-system of its own and began to solve the γ-system.
+system of its own and began to solve the γ-system.  When rank-2 modules
+began to carry the γ-system certificate, the entries holding a
+rank-2-corollary certificate were written again (the two golden
+check-lift reports, frontend samples f085, f187, f221 and f255, 67
+frontend check-lift digests, and k18, k21 and k22 of both Koszul
+corpora); each certificate took the γ-system head and row names, with
+its values, their order and its pairing unchanged, and nothing else in
+any report changed.
 """
 
 import contextlib

@@ -10,13 +10,11 @@ from dglift import (BlockMatrix, CompositionNonzero, DGLiftError, PrimeField, QQ
 from dglift import linalg
 from dglift.coefficients import ModP, RingElement, multiplication_block
 from dglift.envelope import (DiagonalElement, EnvelopeElement, diagonal_block_keys,
-                             diagonal_diff_block, diagonal_homology_dim,
-                             diagonal_label, sigma)
+                             diagonal_diff_block, diagonal_homology_dim, sigma)
 from dglift.free_dga import AlgebraElement
 from dglift.linalg import apply_matrix
-from dglift.obstruction import (METHOD_RANK2, _assemble_global_system,
-                                _certificate_head, criterion_rhs, gamma_layout,
-                                obstruction_values)
+from dglift.obstruction import (_assemble_global_system, _certificate_head,
+                                criterion_rhs, gamma_layout, obstruction_values)
 from dglift.randomgen import random_diagonal_element
 from dglift.semifree import ModuleElement, TensorJElement
 
@@ -487,9 +485,9 @@ def test_the_rank2_system_is_the_gamma_system_in_its_smallest_case():
     """For a basis e, e' with d(e') = e b, b of bidegree (n, w), J_0 = 0
     leaves one block of the γ-system.  Its matrix is (-1)^{|e|} times the
     J differential from (n + 1, w); its right-hand side is delta(b)'s
-    coordinates in J_(n, w); its rows, named by their J keys alone, are
-    the J basis of (n, w); and the rank-2 head states its shape.  Checked
-    on every such module of the golden files and the corpora."""
+    coordinates in J_(n, w); and the certificate head counts the J bases
+    of (n + 1, w) and (n, w).  Checked on every such module of the golden
+    files and the corpora."""
     paths = sorted(GOLDEN.glob("*.dgp")) + sorted(CORPUS.glob("*/*.dgp"))
     modules = []
     for path in paths:
@@ -511,11 +509,9 @@ def test_the_rank2_system_is_the_gamma_system_in_its_smallest_case():
         assert_block_equals(matrix, reference)
         keys = diagonal_block_keys(B, n, w)
         assert rhs == linalg.coordinates(delta(b).terms(), keys, B.field)
-        equations = gamma_layout(N)[1]
-        assert [equations.key_name(i) for i in range(equations.size)] == [
-            diagonal_label(B, key) for key in keys]
-        head = _certificate_head(N, METHOD_RANK2, obstruction)
-        assert matrix.shape == (head["target_dim"], head["source_dim"])
+        assert _certificate_head(N) == {
+            "kind": "gamma-system", "equations": len(keys),
+            "unknowns": len(diagonal_block_keys(B, n + 1, w))}
     assert len(modules) == 158
     assert sum(N.degrees[0] % 2 for N in modules) == 45
 

@@ -81,7 +81,7 @@ def test_a_table_does_not_keep_its_owner_alive():
         # the γ-system's layout, memoised on its module, keeps no module
         problem = parse_problem(golden_text("nonliftable.dgp"))
         module = problem.modules["M"]
-        check_lift(module, method="global")
+        check_lift(module)
         assert module._memo_gamma_layout
         refs = [weakref.ref(owner), weakref.ref(ring), weakref.ref(module)]
         del owner, ring, problem, module
@@ -100,7 +100,6 @@ def test_an_algebra_and_its_ring_die_with_their_problem(path):
         problem = parse_problem((ROOT / path).read_text(encoding="utf-8"))
         for module in problem.modules.values():
             check_lift(module)
-            check_lift(module, method="global")
         assert problem.algebra._memo_mono_diff
         refs = [weakref.ref(problem.algebra), weakref.ref(problem.ring)]
         del problem, module

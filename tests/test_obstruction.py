@@ -7,14 +7,14 @@ from dglift import (Connection, SemifreeModule, TensorJElement,
                     obstruction_apply, obstruction_values, parse_problem,
                     psi_apply, psi_values, verify_certificate, verify_witness)
 from dglift.obstruction import (LIFTABLE, METHOD_GLOBAL, METHOD_RANK2,
-                                METHOD_TRIVIAL, NOT_LIFTABLE)
+                                METHOD_TRIVIAL, NOT_LIFTABLE, _certificate_head)
 from dglift.randomgen import (example_algebras, random_algebra, random_gamma,
                               random_module, random_module_element,
                               random_partial_solution, standard_rings)
 
 from conftest import golden_text
-from invariants import (suite_connections, suite_decision, suite_homotopy,
-                        suite_obstruction)
+from invariants import (delta_b_is_a_boundary, suite_connections, suite_decision,
+                        suite_homotopy, suite_obstruction)
 
 
 def test_obstruction_of_the_liftable_example(module_n):
@@ -88,21 +88,18 @@ def test_nonliftable_example_decision(module_m):
     report = check_lift(M)
     assert report.decision == NOT_LIFTABLE
     assert report.method == METHOD_RANK2
-    assert report.certificate["source_dim"] == 4
-    assert report.certificate["target_dim"] == 6
+    assert report.certificate["kind"] == "gamma-system"
+    assert report.certificate["unknowns"] == 4
+    assert report.certificate["equations"] == 6
     assert verify_certificate(M, report)
-    report_global = check_lift(M, method="global")
-    assert report_global.decision == NOT_LIFTABLE
-    assert report_global.method == METHOD_GLOBAL
-    assert verify_certificate(M, report_global)
+    assert not delta_b_is_a_boundary(M)
 
 
 def test_both_methods_agree_on_the_liftable_example(module_n):
-    rank2 = check_lift(module_n, method="rank2")
-    globally = check_lift(module_n, method="global")
-    assert rank2.decision == globally.decision == LIFTABLE
-    assert verify_witness(module_n, globally.witness)
-    assert globally.witness["ep"] == rank2.witness["ep"]
+    """The γ-system's decision and the rank-2 criterion read off J alone."""
+    report = check_lift(module_n)
+    assert report.decision == LIFTABLE and delta_b_is_a_boundary(module_n)
+    assert verify_witness(module_n, report.witness)
 
 
 def test_trivial_cases(example_algebra):
@@ -200,6 +197,8 @@ def test_partial_sum_cycles_along_partial_solutions():
 
 
 def test_rank2_and_global_decisions_agree():
+    """On random rank-2 modules, the γ-system's decision is the rank-2
+    criterion: LIFTABLE exactly when delta(b) is a boundary in J."""
     rng = random.Random(46)
     pool = _pool(rng)
     seen = {LIFTABLE: 0, NOT_LIFTABLE: 0}
@@ -208,13 +207,14 @@ def test_rank2_and_global_decisions_agree():
         N = random_module(rng, B, max_rank=2)
         if N.rank != 2 or not N.structure:
             continue
-        a = check_lift(N, method="rank2")
-        b = check_lift(N, method="global")
-        assert a.decision == b.decision
-        seen[a.decision] += 1
-        if a.decision == LIFTABLE:
-            assert verify_witness(N, a.witness)
-            assert verify_witness(N, b.witness)
+        report = check_lift(N)
+        assert report.method == METHOD_RANK2
+        assert report.liftable == delta_b_is_a_boundary(N)
+        seen[report.decision] += 1
+        if report.liftable:
+            assert verify_witness(N, report.witness)
+        else:
+            assert verify_certificate(N, report)
     assert seen[LIFTABLE] > 0
 
 
@@ -263,6 +263,26 @@ def test_global_solve_succeeds_where_greedy_blocks():
     assert blocked_count >= 4  # greedy gets stuck almost always
 
 
+def _golden_with_module(text):
+    return parse_problem(golden_text("nonliftable.dgp")
+                         + "module P over B = %s\n" % text).modules["P"]
+
+
+# M with a third generator whose blocks are not empty: decided by the global
+# solve, with a γ-system of its own
+RANK_THREE = "<u:0, up:4, z:4:4 | du = 0, dup = u*X*Y*x, dz = 0>"
+
+
+def _nonliftable(module_m, method):
+    """M, decided by the rank-2 corollary, or the rank-3 module P, decided
+    by the global solve, with its NOT_LIFTABLE report."""
+    N = module_m if method == "rank2" else _golden_with_module(RANK_THREE)
+    report = check_lift(N)
+    assert report.method == {"rank2": METHOD_RANK2, "global": METHOD_GLOBAL}[method]
+    assert verify_certificate(N, report)
+    return N, report
+
+
 def test_certificate_with_one_value_changed_is_rejected(module_m):
     from copy import deepcopy
 
@@ -270,15 +290,14 @@ def test_certificate_with_one_value_changed_is_rejected(module_m):
 
     field = module_m.algebra.field
     for method in ("rank2", "global"):
-        report = check_lift(module_m, method=method)
-        assert verify_certificate(module_m, report)
+        N, report = _nonliftable(module_m, method)
         items = report.certificate["null_functional"]
         assert items
         for k in range(len(items)):
             tampered = deepcopy(report)
             item = tampered.certificate["null_functional"][k]
             item["value"] = str(_parse_scalar(field, item["value"]) + 1)
-            assert not verify_certificate(module_m, tampered)
+            assert not verify_certificate(N, tampered)
 
 
 def _with_functional(report, items):
@@ -299,34 +318,34 @@ def _assert_each_value_rejected_as(N, report, bad):
 
 @pytest.mark.parametrize("method", ["rank2", "global"])
 def test_certificate_naming_an_unknown_row_is_rejected(module_m, method):
-    report = check_lift(module_m, method=method)
+    N, report = _nonliftable(module_m, method)
     items = report.certificate["null_functional"]
     for extra in ({"row": "no such row", "value": "5"},
                   {"row": "no such row", "value": "0"}):
-        assert not verify_certificate(module_m,
-                                      _with_functional(report, items + [extra]))
+        assert not verify_certificate(N, _with_functional(report, items + [extra]))
 
 
 @pytest.mark.parametrize("method", ["rank2", "global"])
 def test_certificate_naming_a_row_twice_is_rejected(module_m, method):
-    report = check_lift(module_m, method=method)
+    N, report = _nonliftable(module_m, method)
     items = report.certificate["null_functional"]
     for tampered in (items + items, items + [dict(items[0], value="0")]):
-        assert not verify_certificate(module_m, _with_functional(report, tampered))
+        assert not verify_certificate(N, _with_functional(report, tampered))
 
 
 @pytest.mark.parametrize("method", ["rank2", "global"])
 def test_malformed_certificate_values_are_rejected(module_m, method):
-    report = check_lift(module_m, method=method)
+    N, report = _nonliftable(module_m, method)
     for bad in ("1/2/3", "abc", "", "1/", "/2", None, 1,
                 "+1", " 1", "01", "2/2", "0_1"):
-        _assert_each_value_rejected_as(module_m, report, bad)
+        _assert_each_value_rejected_as(N, report, bad)
 
 
-# both certificates of M state a dimension of 0
+# the certificates of M and of P state 0 unknowns; z adds no block to P's
 ZERO_HEADS = """ring R = QQ[x:1,y:1]/(x^2, x*y)
 algebra B = R<X:1 | dX = 2*y^2>
 module M over B = <e1:2:2, e2:4:5 | de1 = 0, de2 = 2*e1*X*x>
+module P over B = <e1:2:2, e2:4:5, z:9 | de1 = 0, de2 = 2*e1*X*x, dz = 0>
 """
 
 
@@ -337,36 +356,29 @@ def test_certificate_with_a_key_outside_its_head_is_rejected(module_m, method):
     from dglift.linalg import rank
     from dglift.obstruction import _assemble_global_system
 
-    report = check_lift(module_m, method=method)
-    assert verify_certificate(module_m, report)
-    # both methods solve the one γ-system
-    true_rank = rank(_assemble_global_system(module_m, obstruction_values(module_m))[0])
+    N, report = _nonliftable(module_m, method)
+    true_rank = rank(_assemble_global_system(N, obstruction_values(N))[0])
     # a stated rank, even the true one, an unknown key, and each head key
     # left out
     for extra in ({"rank": true_rank}, {"rank": None}, {"comment": "x"}):
         tampered = deepcopy(report)
         tampered.certificate.update(extra)
-        assert not verify_certificate(module_m, tampered), extra
+        assert not verify_certificate(N, tampered), extra
     for key in report.certificate:
         if key not in ("null_functional", "pairing"):
             tampered = deepcopy(report)
             del tampered.certificate[key]
-            assert not verify_certificate(module_m, tampered), key
+            assert not verify_certificate(N, tampered), key
     # a head number of another JSON type is rejected, though Python calls it
-    # equal: 4.0 for 4, False for 0, in a field or in a bidegree list
-    small = parse_problem(ZERO_HEADS).modules["M"]
-    for N in (module_m, small):
-        report = check_lift(N, method=method)
+    # equal: 4.0 for 4, False for 0
+    small = parse_problem(ZERO_HEADS).modules["M" if method == "rank2" else "P"]
+    assert check_lift(small).certificate["unknowns"] == 0
+    for N in (N, small):
+        report = check_lift(N)
         assert verify_certificate(N, report)
-        for key, value in report.certificate.items():
-            if key.endswith("_bidegree"):
-                bads = [value[:i] + [float(x)] + value[i + 1:]
-                        for i, x in enumerate(value)]
-            elif isinstance(value, int):
-                bads = [float(value)] + ([bool(value)] if value in (0, 1) else [])
-            else:
-                continue
-            for bad in bads:
+        for key in ("unknowns", "equations"):
+            value = report.certificate[key]
+            for bad in [float(value)] + ([bool(value)] if value in (0, 1) else []):
                 tampered = deepcopy(report)
                 tampered.certificate[key] = bad
                 assert not verify_certificate(N, tampered), (key, bad)
@@ -378,21 +390,23 @@ def test_certificate_with_a_key_outside_its_head_is_rejected(module_m, method):
 def test_zero_denominators_are_rejected(field, zeros, method):
     # "8" is 1 in FF(7) but not the text the field prints for it
     text = golden_text("nonliftable.dgp").replace("QQ", field)
-    M = parse_problem(text).modules["M"]
-    report = check_lift(M, method=method)
-    assert verify_certificate(M, report)
+    if method == "global":
+        text += "module P over B = %s\n" % RANK_THREE
+    N = parse_problem(text).modules["M" if method == "rank2" else "P"]
+    report = check_lift(N)
+    assert verify_certificate(N, report)
     for bad in zeros:
-        _assert_each_value_rejected_as(M, report, bad)
+        _assert_each_value_rejected_as(N, report, bad)
 
 
 @pytest.mark.parametrize("method", ["rank2", "global"])
 @pytest.mark.parametrize("shape", ["item without row", "list as row", "string as item",
-                                   "null functional", "no pairing"])
+                                   "item with an extra key", "null functional",
+                                   "no pairing"])
 def test_structurally_malformed_certificates_are_rejected(module_m, method, shape):
     from copy import deepcopy
 
-    report = check_lift(module_m, method=method)
-    assert verify_certificate(module_m, report)
+    N, report = _nonliftable(module_m, method)
     tampered = deepcopy(report)
     cert = tampered.certificate
     first = cert["null_functional"][0]
@@ -402,41 +416,47 @@ def test_structurally_malformed_certificates_are_rejected(module_m, method, shap
         first["row"] = [first["row"]]
     elif shape == "string as item":
         cert["null_functional"][0] = first["row"]
+    elif shape == "item with an extra key":
+        first["junk"] = 1
     elif shape == "null functional":
         cert["null_functional"] = None
     else:
         del cert["pairing"]
-    assert not verify_certificate(module_m, tampered)
+    assert not verify_certificate(N, tampered)
 
 
-def test_boundary_certificate_with_another_target_bidegree_is_rejected(module_m):
+def test_certificate_with_another_head_value_is_rejected(module_m):
     from copy import deepcopy
 
-    report = check_lift(module_m, method="rank2")
-    n, w = report.certificate["target_bidegree"]
-    for bad in ("abc", None, [n], [n, w, 0], ["a", "b"], [n + 1, w], [n, w + 1]):
+    report = check_lift(module_m)
+    for key in ("unknowns", "equations"):
+        for bad in (report.certificate[key] - 1, report.certificate[key] + 1,
+                    str(report.certificate[key]), None):
+            tampered = deepcopy(report)
+            tampered.certificate[key] = bad
+            assert not verify_certificate(module_m, tampered), (key, bad)
+    for kind in ("boundary-membership", "GAMMA-SYSTEM", None):
         tampered = deepcopy(report)
-        tampered.certificate["target_bidegree"] = bad
-        assert not verify_certificate(module_m, tampered)
-
-
-def _golden_with_module(text):
-    return parse_problem(golden_text("nonliftable.dgp")
-                         + "module P over B = %s\n" % text).modules["P"]
+        tampered.certificate["kind"] = kind
+        assert not verify_certificate(module_m, tampered), kind
 
 
 def test_boundary_certificate_on_a_rank_one_module_is_rejected(module_m):
-    report = check_lift(module_m, method="rank2")
+    report = check_lift(module_m)
     assert not verify_certificate(_golden_with_module("<e:0 | de = 0>"), report)
 
 
 def test_boundary_certificate_on_a_rank_three_module_is_rejected(module_m):
-    # check_lift decides this module by the global solve, not by the rank-2
-    # corollary, whatever block its first two labels would give
-    P = _golden_with_module("<u:0, up:4, z:9 | du = 0, dup = u*X*Y*x, dz = 0>")
+    """M's certificate names rows of M's γ-system.  On P, whose z adds
+    blocks, it fails the head; on P0, whose z adds none, P0's γ-system is
+    M's, and the certificate is a true proof that P0 does not lift."""
+    P = _golden_with_module(RANK_THREE)
     assert check_lift(P).method == METHOD_GLOBAL
-    report = check_lift(module_m, method="rank2")
+    report = check_lift(module_m)
     assert not verify_certificate(P, report)
+    P0 = _golden_with_module("<u:0, up:4, z:9 | du = 0, dup = u*X*Y*x, dz = 0>")
+    assert _certificate_head(P0) == _certificate_head(module_m)
+    assert verify_certificate(P0, report)
 
 
 def _negated(key_map):
@@ -464,10 +484,10 @@ def test_certificates_of_a_wrong_gamma_system_are_rejected(monkeypatch, image):
               for k in range(10)]
     modules = [N for text in texts for N in parse_problem(text).modules.values()]
     for N in modules:
-        report = check_lift(N, method="global")
+        report = check_lift(N)
         assert report.liftable or verify_certificate(N, report)
     monkeypatch.setattr(obstruction, image, _negated(getattr(obstruction, image)))
-    reports = [(N, check_lift(N, method="global")) for N in modules]
+    reports = [(N, check_lift(N)) for N in modules]
     assert any(not report.liftable and not verify_certificate(N, report)
                for N, report in reports)
 
@@ -504,7 +524,8 @@ def test_the_checker_calls_no_builder_and_no_elimination(monkeypatch):
     """verify_certificate reads the head from the bases and builds its
     columns from elements: with the γ-system builder, the J differential
     block and every elimination made to raise, it still accepts each
-    certificate of these modules."""
+    certificate of these modules, two of them decided by the rank-2
+    corollary."""
     from pathlib import Path
 
     from dglift import envelope, linalg, obstruction
@@ -513,11 +534,11 @@ def test_the_checker_calls_no_builder_and_no_elimination(monkeypatch):
     texts = [golden_text(name) for name in ("nonliftable.dgp", "combined.dgp")]
     texts += [(corpus / "koszul-fp" / name).read_text(encoding="utf-8")
               for name in ("k00.dgp", "k05.dgp", "k09.dgp")]
-    reports = [(N, check_lift(N, method=method)) for text in texts
-               for N in parse_problem(text).modules.values()
-               for method in (("rank2", "global") if N.rank == 2 else ("global",))]
+    reports = [(N, check_lift(N)) for text in texts
+               for N in parse_problem(text).modules.values()]
     reports = [(N, report) for N, report in reports if not report.liftable]
-    assert len(reports) == 7
+    assert len(reports) == 5
+    assert sum(report.method == METHOD_RANK2 for _, report in reports) == 2
 
     def forbidden(*args):
         raise AssertionError("the checker called a builder or an elimination")
