@@ -328,6 +328,7 @@ class RingElement(LinComb):
 
     __slots__ = ()
     ring = LinComb.parent
+    central = (Fraction, ModP)
 
     def __init__(self, ring, coeffs):
         # the ideal reduction: monomials divisible by a relation are zero
@@ -338,25 +339,18 @@ class RingElement(LinComb):
         return 0, self.parent.mono_weight(exps)
 
     def __mul__(self, other):
-        if isinstance(other, RingElement):
-            self._check(other)
-            out = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    prod = self.parent.mono_mul(e1, e2)
-                    if prod is not None:
-                        merge(out, prod, c1 * c2)
-            return self._raw(self.parent, out)
-        if isinstance(other, int):
-            other = self.parent.field.of(other)
-        if isinstance(other, (Fraction, ModP)):
-            return self.scale(other)
-        return NotImplemented
+        if not isinstance(other, RingElement):
+            return self._scale_by(other)
+        self._check(other)
+        out = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                prod = self.parent.mono_mul(e1, e2)
+                if prod is not None:
+                    merge(out, prod, c1 * c2)
+        return self._raw(self.parent, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ModP)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = LinComb._scale_by
 
     def weight(self):
         """Internal degree of a homogeneous element (0 for the zero element)."""

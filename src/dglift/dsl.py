@@ -31,8 +31,9 @@ differentials are not used, so a dX homogeneous only under them is
 rejected (corpus file f006, a known defect); measuring with the weights
 already settled would fix it.
 
-Every construction error raised by the algebra layers is re-raised with
-the source line of the declaration that caused it.
+A repeated dX or d<label> is a parse error.  Every construction error
+raised by the algebra layers is re-raised with the source line of the
+declaration that caused it.
 """
 
 import re
@@ -462,6 +463,8 @@ def _parse_algebra_decl(ts, ring_name, ring):
             dname = ts.expect_name()
             if not dname.startswith("d") or dname[1:] not in declared:
                 raise ts.error("d<variable>", dname)
+            if dname[1:] in diffs:
+                raise ParseError("%s is declared twice" % dname, ts.line)
             ts.expect_sym("=")
             # only ring generators and variables are in scope: no label
             diffs[dname[1:]] = _parse_expression(ts, env, parsing).get(None)
@@ -508,6 +511,8 @@ def _parse_module_decl(ts, algebra_name, B):
             dname = ts.expect_name()
             if not dname.startswith("d") or dname[1:] not in set(labels):
                 raise ts.error("d<basis label>", dname)
+            if dname[1:] in diffs:
+                raise ParseError("%s is declared twice" % dname, ts.line)
             ts.expect_sym("=")
             parts = _parse_expression(ts, env, B)
             if None in parts:

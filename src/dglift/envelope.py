@@ -20,15 +20,17 @@ just its raw coefficients at pairs with m1 != 1, so conversion both ways
 is lossless.  The universal derivation delta(b) = b^o (x) 1 - 1^o (x) b
 lands in J and, in sigma coordinates, simply re-reads the monomials of b
 as pairs (m, 1).
+
+Both are ``LinComb`` elements: ints, field scalars and ring elements act
+through its one scalar rule, and its one renderer prints each term as
+`m1^o⊗m2`, then ` · r` for a ring monomial r != 1; J prints in B^e.
 """
 
-from fractions import Fraction
-
 from . import linalg
-from .coefficients import ModP, RingElement
+from .coefficients import RingElement
 from .errors import ConstructionError
 from .free_dga import AlgebraElement
-from .lincomb import LinComb, join_signed, memoised, merge
+from .lincomb import LinComb, memoised, merge
 
 
 def pair_text(algebra, m1, m2):
@@ -39,29 +41,6 @@ def pair_text(algebra, m1, m2):
     return "%s^o⊗%s" % (left, algebra.render_mono(m2))
 
 
-def render_pair_terms(algebra, coeffs):
-    """Deterministic `m1^o(x)m2 . r` rendering shared by B^e and J."""
-    if not coeffs:
-        return "0"
-    items = sorted(coeffs.items(),
-                   key=lambda kv: (algebra.mono_key(kv[0][0]),
-                                   algebra.mono_key(kv[0][1])))
-    parts = []
-    for (m1, m2), c in items:
-        pair = pair_text(algebra, m1, m2)
-        for rm, s in c.sorted_terms():
-            r_txt = algebra.ring.render_mono(rm)
-            txt = str(s)
-            body = pair if r_txt == "1" else "%s · %s" % (pair, r_txt)
-            if txt == "1":
-                parts.append(body)
-            elif txt == "-1":
-                parts.append("-" + body)
-            else:
-                parts.append("%s·%s" % (txt, body))
-    return join_signed(parts)
-
-
 class _PairIndexed(LinComb):
     """Pair-indexed maps (m1, m2) -> ring coefficient, read as m1^o (x) m2 . r."""
 
@@ -69,6 +48,8 @@ class _PairIndexed(LinComb):
     algebra = LinComb.parent
     coeff_class = RingElement
     key_width = 2
+    central = AlgebraElement.central
+    times = "·"
 
     def _key_bidegree(self, pair):
         B = self.parent
@@ -76,13 +57,18 @@ class _PairIndexed(LinComb):
         return (B.mono_degree(m1) + B.mono_degree(m2),
                 B.mono_weight(m1) + B.mono_weight(m2))
 
-    def _scalar_mul(self, other):
-        """Scaling by a central ring element or scalar; NotImplemented otherwise."""
-        if isinstance(other, int):
-            other = self.parent.ring.scalar(other)
-        if isinstance(other, (RingElement, Fraction, ModP)):
-            return self.scale(other)
-        return NotImplemented
+    def text_terms(self):
+        """(factor texts, scalar) pairs in print order, one factor each:
+        `m1^o⊗m2`, then ` · r` when the ring monomial r is not 1."""
+        B = self.parent
+        key, render = B.mono_key, B.ring.render_mono
+        out = []
+        for pair in sorted(self.coeffs, key=lambda p: (key(p[0]), key(p[1]))):
+            txt = pair_text(B, *pair)
+            for rm, s in self.coeffs[pair].sorted_terms():
+                r = render(rm)
+                out.append(((txt if r == "1" else txt + " · " + r,), s))
+        return out
 
 
 class EnvelopeElement(_PairIndexed):
@@ -112,7 +98,7 @@ class EnvelopeElement(_PairIndexed):
             return EnvelopeElement(B, out)
         if isinstance(other, AlgebraElement):
             return self * rho(other)  # right action: b1^o(x)b2 . b = b1^o(x)b2 b
-        return self._scalar_mul(other)
+        return self._scale_by(other)
 
     def __rmul__(self, other):
         # left action b . (b1^o (x) b2) = (b b1)^o (x) b2
@@ -126,7 +112,7 @@ class EnvelopeElement(_PairIndexed):
                         scalar, mono = hit
                         merge(out, (mono, m2), (cb * c).scale(scalar))
             return EnvelopeElement(B, out)
-        return self._scalar_mul(other)
+        return self._scale_by(other)
 
     def diff(self):
         B = self.parent
@@ -138,9 +124,6 @@ class EnvelopeElement(_PairIndexed):
             for nu, cv in B.mono_diff(m2).items():
                 merge(out, (m1, nu), (cv * c).scale(sign))
         return EnvelopeElement(B, out)
-
-    def __repr__(self):
-        return render_pair_terms(self.parent, self.coeffs)
 
 
 class DiagonalElement(_PairIndexed):
@@ -185,16 +168,16 @@ class DiagonalElement(_PairIndexed):
         if isinstance(other, EnvelopeElement):
             # J is a right ideal; the product stays in J
             return sigma(self.to_envelope() * other)
-        return self._scalar_mul(other)
+        return self._scale_by(other)
 
     def __rmul__(self, other):
         B = self.parent
         if isinstance(other, AlgebraElement):
             return self._extend(lambda key: diagonal_key_left(B, other, key))
-        return self._scalar_mul(other)
+        return self._scale_by(other)
 
-    def __repr__(self):
-        return repr(self.to_envelope())
+    def text_terms(self):  # printed as the element of B^e that it is
+        return self.to_envelope().text_terms()
 
 
 # -- the canonical splitting ----------------------------------------------------
@@ -203,14 +186,13 @@ class DiagonalElement(_PairIndexed):
 def pi(u: EnvelopeElement) -> AlgebraElement:
     """Multiplication map B^e -> B."""
     B = u.algebra
-    total = B.zero()
+    out = {}
     for (m1, m2), c in u.coeffs.items():
         hit = B.mono_mul(m1, m2)
-        if hit is None:
-            continue
-        scalar, mono = hit
-        total = total + AlgebraElement(B, {mono: c.scale(scalar)})
-    return total
+        if hit is not None:
+            scalar, mono = hit
+            merge(out, mono, c.scale(scalar))
+    return AlgebraElement._raw(B, out)
 
 
 def rho(b: AlgebraElement) -> EnvelopeElement:

@@ -18,12 +18,11 @@ counting inversions among odd letters; the differential expands by the
 Leibniz rule over the factors.  Elements are monomial -> RingElement maps.
 """
 
-from fractions import Fraction
 from math import comb, log10
 from operator import add, mul
 
 from . import linalg
-from .coefficients import (ModP, RingElement, TOO_LONG, digit_limit, element_text,
+from .coefficients import (RingElement, TOO_LONG, digit_limit, element_text,
                            exponent_vectors, too_long)
 from .lincomb import LinComb, memoised, merge
 from .errors import (ConstructionError, CycleViolation, ForwardReference,
@@ -287,33 +286,26 @@ class AlgebraElement(LinComb):
     __slots__ = ()
     algebra = LinComb.parent
     coeff_class = RingElement
+    central = (RingElement,) + RingElement.central  # degree 0, so central
 
     def _key_bidegree(self, mono):
         return self.parent.mono_degree(mono), self.parent.mono_weight(mono)
 
     def __mul__(self, other):
+        if not isinstance(other, AlgebraElement):
+            return self._scale_by(other)
+        self._check(other)
         B = self.parent
-        if isinstance(other, AlgebraElement):
-            self._check(other)
-            out = {}
-            for m1, c1 in self.coeffs.items():
-                for m2, c2 in other.coeffs.items():
-                    hit = B.mono_mul(m1, m2)
-                    if hit is not None:
-                        scalar, mono = hit
-                        merge(out, mono, (c1 * c2).scale(scalar))
-            return self._raw(B, out)
-        if isinstance(other, int):
-            other = B.field.of(other)
-        if isinstance(other, (RingElement, Fraction, ModP)):
-            return self.scale(other)
-        return NotImplemented
+        out = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                hit = B.mono_mul(m1, m2)
+                if hit is not None:
+                    scalar, mono = hit
+                    merge(out, mono, (c1 * c2).scale(scalar))
+        return self._raw(B, out)
 
-    def __rmul__(self, other):
-        # ring scalars and integers are central (degree 0)
-        if isinstance(other, (RingElement, int, Fraction, ModP)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = LinComb._scale_by
 
     def diff(self):
         B, out = self.parent, {}

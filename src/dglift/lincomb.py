@@ -17,7 +17,9 @@ bridge elements and coordinate vectors; the maps on one J basis key in
 ``envelope`` yield terms of the same shape without building an element.
 ``text_terms()``, where a subclass defines it, is the printed form of
 ``terms()``: (factor texts, scalar) pairs in print order, which the one
-renderer ``render_terms`` writes for R, B and N.
+renderer ``render_terms`` writes for R, B, N, B^e and J.  ``_scale_by``
+is the one scalar rule, every ``__rmul__`` and the fallback of ``__mul__``:
+an int, read in the ground field, or a ``central`` scalar goes to ``scale``.
 """
 
 from functools import wraps
@@ -60,31 +62,24 @@ def merge(out, key, add):
         out.pop(key, None)
 
 
-def join_signed(parts):
-    """Join pre-rendered terms with ' + ' / ' - ' by their leading sign."""
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
-
-
-def render_terms(terms):
+def render_terms(terms, times="*"):
     """`scalar*f1*f2...` per (factor texts, scalar) term, factors "1" dropped
-    and a scalar 1 or -1 elided, joined by sign; "0" for no terms."""
-    parts = []
+    and a scalar 1 or -1 elided, joined by sign; "0" for no terms.  ``times``
+    joins a scalar to its factors: "·" for B^e and J."""
+    text = ""
     for factors, s in terms:
-        mono = "*".join(f for f in factors if f != "1") or "1"
+        mono = "*".join([f for f in factors if f != "1"]) or "1"
         txt = str(s)
         if txt == "1":
-            parts.append(mono)
+            term = mono
         elif txt == "-1":
-            parts.append("-" + mono)
+            term = "-" + mono
         else:
-            parts.append(txt if mono == "1" else txt + "*" + mono)
-    return join_signed(parts) if parts else "0"
+            term = txt if mono == "1" else txt + times + mono
+        if text:
+            term = " - " + term[1:] if term[0] == "-" else " + " + term
+        text += term
+    return text or "0"
 
 
 class LinComb:
@@ -94,6 +89,8 @@ class LinComb:
     coeff_class = None     # None: coefficients are ground-field scalars
     coeff_parent = "ring"  # attribute of the parent that owns the coefficients
     key_width = 1          # flat key components taken by one own key
+    central = ()           # scalar classes that _scale_by multiplies by
+    times = "*"            # joins a printed scalar to its factors
 
     def __init__(self, parent, coeffs):
         self.parent = parent
@@ -136,12 +133,21 @@ class LinComb:
         return self + (-other)
 
     def __repr__(self):
-        return render_terms(self.text_terms())
+        return render_terms(self.text_terms(), self.times)
 
     def scale(self, s):
         """Multiply every coefficient on the right by s."""
         return self._raw(self.parent, {k: v for k, c in self.coeffs.items()
                                        if (v := c * s)})
+
+    def _scale_by(self, other):
+        """The one scalar rule: ``scale`` by an int, read in the ground
+        field, or by an instance of ``central``; NotImplemented otherwise."""
+        if isinstance(other, int):
+            other = self.parent.field.of(other)
+        if isinstance(other, self.central):
+            return self.scale(other)
+        return NotImplemented
 
     # -- grading ------------------------------------------------------------------
 

@@ -363,3 +363,78 @@ def test_module_entry_point(capsys):
     assert (done.returncode, normalise(done.stdout), done.stderr) \
         == (code, normalise(out), err)
     assert code == 0 and '"NOT_LIFTABLE"' in out
+
+
+RING = "ring R = QQ[x:1,y:1]\n"
+ALGEBRA = RING + "algebra B = R<X:1 | dX = x>\n"
+VALIDATE = ("validate",)
+DIGITS = "1" * 4000  # under the digit limit; a product of two is over it
+
+
+@pytest.mark.parametrize("text, command, code, message", [
+    pytest.param(*case, id="-".join(re.findall("[a-z]+", case[3].split(": ")[-1])[:6]))
+    for case in [
+        ("ring R = QQ[x:1]$\n", VALIDATE, 2, "line 1: unexpected character '$'"),
+        (RING + "algebra B = R<X:1 | dX = x^(2)>\n", VALIDATE, 2,
+         "line 2: divided powers only apply to even algebra variables"),
+        (ALGEBRA + "module N over B = <e:0, f:1 | df = e^2>\n", VALIDATE, 2,
+         "line 3: cannot raise 'label' to a power"),
+        (RING + "algebra B = R<X:1 | dX = x^-1>\n", VALIDATE, 2,
+         "line 2: negative exponent"),
+        (RING + "algebra B = R<Y:2 | dY = Y^(-1)>\n", VALIDATE, 2,
+         "line 2: negative divided power"),
+        (ALGEBRA, ("delta", "--element", ""), 2, "empty expression"),
+        ("ring R = QQ[x:1,x:1]\n", VALIDATE, 2, "line 1: duplicate ring generator"),
+        ("ring R = QQ[x:1]/(x - x)\n", VALIDATE, 2,
+         "line 1: a relation must be a single monomial"),
+        ("ring R = QQ[x:1,y:1]/(x+y)\n", VALIDATE, 2,
+         "line 1: a relation must be a monomial with coefficient 1"),
+        (RING + "algebra B = R<X:0>\n", VALIDATE, 2,
+         "line 2: variable X needs homological degree >= 1"),
+        (ALGEBRA + "module N under B = <e:0>\n", VALIDATE, 2,
+         "line 3: expected 'over', found 'under'"),
+        (ALGEBRA + "module N over B = <e:0 | dq = e>\n", VALIDATE, 2,
+         "line 3: expected d<basis label>, found 'dq'"),
+        (ALGEBRA + "module N over B = <e:0, f:1 | df = x>\n", VALIDATE, 2,
+         "line 3: df has a component without a basis label"),
+        (ALGEBRA + "module N over B = <e:0, f:1 | df = e*x + e*x^2>\n", VALIDATE, 2,
+         "line 3: the e-component of df is not internally homogeneous"),
+        (ALGEBRA + "module N over B = <e:0, f:1 | de = f*x>\n", VALIDATE, 2,
+         "line 3: de refers to f, which is not declared earlier"),
+        (ALGEBRA + "module N over B = <e:0, e2:0, g:1 | dg = e*x + e2*x^2>\n",
+         VALIDATE, 2, "line 3: components of dg force inconsistent internal degrees"),
+        (ALGEBRA + "module R over B = <e:0>\n", VALIDATE, 2,
+         "line 3: name 'R' is already in use"),
+        (RING + "module N over B = <e:0>\n", VALIDATE, 2,
+         "line 2: declare the algebra before any module"),
+        ("ring R = QQ\n", VALIDATE, 2, "a problem needs a ring and an algebra"),
+        (RING + "algebra B = R<X:1, X:1>\n", VALIDATE, 2,
+         "line 2: duplicate variable name"),
+        (RING + "algebra B = R<x:1>\n", VALIDATE, 2,
+         "line 2: variable name x clashes with a ring generator"),
+        (RING + "algebra B = R<X:1 | dX = %s*%s*x>\n" % (DIGITS, DIGITS), VALIDATE, 2,
+         "line 2: coefficient exceeds the %d-digit limit for integers"
+         % sys.get_int_max_str_digits()),
+        (ALGEBRA + "module N over B = <e:0, e:1>\n", VALIDATE, 1,
+         "line 3: duplicate basis label"),
+    ]])
+def test_declaration_errors_exit_with_one_line(tmp_path, capsys, text, command,
+                                               code, message):
+    path = tmp_path / "bad.dgp"
+    path.write_text(text)
+    assert run_main(capsys, command[0], str(path), *command[1:]) \
+        == (code, "", "dglift: %s\n" % message)
+
+
+def test_a_repeated_algebra_differential_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "twice.dgp"
+    path.write_text(RING + "algebra B = R<X:1 | dX = x, dX = 0>\n")
+    assert run_main(capsys, "validate", str(path)) \
+        == (2, "", "dglift: line 2: dX is declared twice\n")
+
+
+def test_a_repeated_module_differential_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "twice.dgp"
+    path.write_text(ALGEBRA + "module N over B = <e:0, f:1 | df = e*x, df = 0>\n")
+    assert run_main(capsys, "check-lift", str(path)) \
+        == (2, "", "dglift: line 3: df is declared twice\n")

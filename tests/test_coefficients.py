@@ -8,11 +8,16 @@ import pytest
 
 from dglift import (BaseRing, ConstructionError, DGLiftError, PrimeField, QQ,
                     parse_ring)
-from dglift.coefficients import (PRIME_LIMIT, TOO_LONG, ModP, element_text,
-                                 exponent_vectors, is_prime,
+from dglift.coefficients import (PRIME_LIMIT, TOO_LONG, ModP, RingElement,
+                                 element_text, exponent_vectors, is_prime,
                                  principal_intersection_dim, ring_mono_key,
                                  too_long)
-from dglift.randomgen import example_algebras, standard_rings
+from dglift.envelope import DiagonalElement, EnvelopeElement
+from dglift.free_dga import AlgebraElement
+from dglift.randomgen import (example_algebras, random_algebra,
+                              random_algebra_element, random_diagonal_element,
+                              random_envelope_element, random_scalar,
+                              standard_rings)
 
 
 @pytest.fixture
@@ -158,6 +163,52 @@ def test_prime_field_rejects_foreign_operands():
         with pytest.raises(TypeError):
             operation()
     assert 3 - ModP(1, 5) == ModP(2, 5)
+
+
+def random_ring_element(rng, ring, w):
+    return RingElement.from_terms(ring, [((m,), random_scalar(rng, ring.field))
+                                         for m in ring.graded_basis(w)])
+
+
+RANDOM_ELEMENT = {
+    RingElement: lambda rng, B, n, w: random_ring_element(rng, B.ring, w),
+    AlgebraElement: random_algebra_element,
+    EnvelopeElement: random_envelope_element,
+    DiagonalElement: random_diagonal_element,
+}
+
+
+@pytest.mark.parametrize("cls", list(RANDOM_ELEMENT), ids=lambda c: c.__name__)
+def test_scalars_multiply_by_the_one_scalar_rule(cls):
+    """From either side, an int, a field scalar (Fraction or ModP) and, for
+    the classes above R, a ring element multiply as ``scale`` by it; a
+    float, a str or None is a TypeError."""
+    rng = random.Random(44)
+    checked = 0
+    for ring in standard_rings():
+        field = ring.field
+        scalars = [(k, field.of(k)) for k in (0, 1, -1, 3, 7)]
+        scalars.append((Fraction(-2, 3),) * 2 if not field.char
+                       else (ModP(3, field.char),) * 2)
+        if cls is not RingElement:
+            scalars += [(r, r) for r in (ring.zero(), ring.one(),
+                                         random_ring_element(rng, ring, 1),
+                                         random_ring_element(rng, ring, 2))]
+        for B, n, w in itertools.product([random_algebra(rng, ring) for _ in range(3)],
+                                         range(4), range(6)):
+            el = RANDOM_ELEMENT[cls](rng, B, n, w)
+            if not el:
+                continue
+            assert type(el) is cls
+            for scalar, as_scale in scalars:
+                assert el * scalar == scalar * el == el.scale(as_scale)
+            for bad in (1.5, "2", None):
+                with pytest.raises(TypeError):
+                    el * bad
+                with pytest.raises(TypeError):
+                    bad * el
+            checked += 1
+    assert checked > 40
 
 
 def brute_force_exponents(degrees, total, caps):

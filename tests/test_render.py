@@ -1,17 +1,19 @@
 """The one term renderer against the former per-class renderers.
 
 ``RingElement``, ``AlgebraElement`` and ``ModuleElement`` each had their own
-``__repr__`` loop, and the problem printer its own ring text; they are kept
-here, as they were, as the reference for ``render_terms`` and
-``BaseRing.__repr__``.
+``__repr__`` loop, B^e and J their own ``render_pair_terms``, and the
+problem printer its own ring text; they are kept here, as they were, as
+the reference for ``render_terms`` and ``BaseRing.__repr__``.
 """
 
 import random
 from fractions import Fraction
 from pathlib import Path
 
-from dglift import AlgebraElement, DGLiftError, parse_problem
+from dglift import (AlgebraElement, DGLiftError, DiagonalElement,
+                    EnvelopeElement, parse_problem)
 from dglift.randomgen import (random_algebra, random_algebra_element,
+                              random_diagonal_element, random_envelope_element,
                               random_module, random_module_element,
                               standard_rings)
 
@@ -98,6 +100,35 @@ def former_module_element(el):
     return join_signed(parts)
 
 
+def former_pair_text(algebra, m1, m2):
+    left = algebra.render_mono(m1)
+    if "*" in left or "^" in left:
+        left = "(%s)" % left
+    return "%s^o⊗%s" % (left, algebra.render_mono(m2))
+
+
+def former_render_pair_terms(algebra, coeffs):
+    if not coeffs:
+        return "0"
+    items = sorted(coeffs.items(),
+                   key=lambda kv: (algebra.mono_key(kv[0][0]),
+                                   algebra.mono_key(kv[0][1])))
+    parts = []
+    for (m1, m2), c in items:
+        pair = former_pair_text(algebra, m1, m2)
+        for rm, s in c.sorted_terms():
+            r_txt = algebra.ring.render_mono(rm)
+            txt = str(s)
+            body = pair if r_txt == "1" else "%s · %s" % (pair, r_txt)
+            if txt == "1":
+                parts.append(body)
+            elif txt == "-1":
+                parts.append("-" + body)
+            else:
+                parts.append("%s·%s" % (txt, body))
+    return join_signed(parts)
+
+
 def former_ring_text(ring):
     if ring.is_field:
         return ring.field.name
@@ -163,3 +194,30 @@ def test_renderer_matches_the_former_ones_on_random_elements():
                 for w in range(5):
                     v = random_module_element(rng, N, n, w)
                     assert repr(v) == former_module_element(v)
+
+
+def assert_pair_indexed(el, scalar):
+    """repr of an element of B^e or J, and of it scaled, against the
+    former renderer; J printed as the element of B^e that it is."""
+    for u in (el, el * scalar):
+        raw = u.to_envelope() if isinstance(u, DiagonalElement) else u
+        assert repr(u) == str(u) == former_render_pair_terms(u.parent, raw.coeffs)
+
+
+def test_pair_renderer_matches_the_former_one_on_random_elements():
+    rng = random.Random(43)
+    checked = 0
+    for ring in standard_rings():
+        # a rational scalar over QQ, a scalar neither 1 nor -1 over F_5
+        scalar = Fraction(-1, 3) if not ring.field.char else ring.field.of(3)
+        for _ in range(6):
+            B = random_algebra(rng, ring)
+            assert repr(EnvelopeElement(B, {})) == repr(DiagonalElement(B, {})) == "0"
+            for n in range(4):
+                for w in range(5):
+                    u = random_envelope_element(rng, B, n, w)
+                    j = random_diagonal_element(rng, B, n, w)
+                    assert_pair_indexed(u, scalar)
+                    assert_pair_indexed(j, scalar)
+                    checked += bool(u) + bool(j)
+    assert checked > 200
