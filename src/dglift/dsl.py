@@ -31,9 +31,11 @@ differentials are not used, so a dX homogeneous only under them is
 rejected (corpus file f006, a known defect); measuring with the weights
 already settled would fix it.
 
-A repeated dX or d<label> is a parse error.  Every construction error
-raised by the algebra layers is re-raised with the source line of the
-declaration that caused it.
+One walk, `_read_diffs`, reads the `| d<name> = ...` part of algebra and
+module declarations alike and yields each differential as it is read, so
+a line's defects are reported in reading order; a repeated d<name> is a
+parse error.  Every construction error raised by the algebra layers is
+re-raised with the source line of the declaration that caused it.
 """
 
 import re
@@ -436,6 +438,26 @@ def _settle_weight(name, declared, forced, default, line):
     return forced
 
 
+def _read_diffs(ts, names, kind, env, algebra):
+    """The `| d<name> = expression, ...` part of a declaration: yields each
+    (name, {label or None: AlgebraElement}) as soon as it is read, a name
+    outside ``names`` or a repeated d<name> being a parse error."""
+    if not ts.eat_sym("|"):
+        return
+    seen = set()
+    while True:
+        dname = ts.expect_name()
+        if not dname.startswith("d") or dname[1:] not in names:
+            raise ts.error("d<%s>" % kind, dname)
+        if dname[1:] in seen:
+            raise ParseError("%s is declared twice" % dname, ts.line)
+        seen.add(dname[1:])
+        ts.expect_sym("=")
+        yield dname[1:], _parse_expression(ts, env, algebra)
+        if not ts.eat_sym(","):
+            return
+
+
 def _parse_algebra_decl(ts, ring_name, ring):
     name = ts.expect_name()
     ts.expect_sym("=")
@@ -444,10 +466,6 @@ def _parse_algebra_decl(ts, ring_name, ring):
         raise UndeclaredName("undeclared ring %r" % used, ts.line)
     ts.expect_sym("<")
     specs = [] if ts.at_sym("|", ">") else _parse_specs(ts)
-    for vname, degree, weight in specs:
-        if degree < 1:
-            raise ParseError("variable %s needs homological degree >= 1" % vname,
-                             ts.line)
     # the parse algebra: products ignore weights, but every dX is measured
     # with these, the declared weight else the homological degree (f006)
     try:
@@ -455,21 +473,9 @@ def _parse_algebra_decl(ts, ring_name, ring):
                                        for v, d, w in specs])
     except ConstructionError as exc:
         raise ParseError(str(exc), ts.line)
-    env = _env(ring, parsing.vars)
-    diffs = {}
-    if ts.eat_sym("|"):
-        declared = {s[0] for s in specs}
-        while True:
-            dname = ts.expect_name()
-            if not dname.startswith("d") or dname[1:] not in declared:
-                raise ts.error("d<variable>", dname)
-            if dname[1:] in diffs:
-                raise ParseError("%s is declared twice" % dname, ts.line)
-            ts.expect_sym("=")
-            # only ring generators and variables are in scope: no label
-            diffs[dname[1:]] = _parse_expression(ts, env, parsing).get(None)
-            if not ts.eat_sym(","):
-                break
+    # only ring generators and variables are in scope: no label
+    diffs = {v: parts.get(None) for v, parts in _read_diffs(
+        ts, {s[0] for s in specs}, "variable", _env(ring, parsing.vars), parsing)}
     ts.expect_sym(">")
     variables = []
     for vname, degree, weight in specs:
@@ -502,28 +508,16 @@ def _parse_module_decl(ts, algebra_name, B):
     ts.expect_sym("<")
     specs = _parse_specs(ts)
     labels = [s[0] for s in specs]
+    index = {lab: i for i, lab in enumerate(labels)}
+    env = _env(B.ring, B.vars)
+    env.update((lab, ("label", lab)) for lab in labels)
     diffs = {}
-    if ts.eat_sym("|"):
-        env = _env(B.ring, B.vars)
-        for lab in labels:
-            env[lab] = ("label", lab)
-        while True:
-            dname = ts.expect_name()
-            if not dname.startswith("d") or dname[1:] not in set(labels):
-                raise ts.error("d<basis label>", dname)
-            if dname[1:] in diffs:
-                raise ParseError("%s is declared twice" % dname, ts.line)
-            ts.expect_sym("=")
-            parts = _parse_expression(ts, env, B)
-            if None in parts:
-                raise ParseError(
-                    "d%s has a component without a basis label" % dname[1:], ts.line)
-            diffs[dname[1:]] = parts
-            if not ts.eat_sym(","):
-                break
+    for lab, parts in _read_diffs(ts, index, "basis label", env, B):
+        if None in parts:
+            raise ParseError("d%s has a component without a basis label" % lab, ts.line)
+        diffs[lab] = parts
     ts.expect_sym(">")
     # weights in basis order: each component of d(lab) forces w(mu) + its own
-    index = {lab: i for i, lab in enumerate(labels)}
     weights = []
     for lab, _, declared in specs:
         forced = None

@@ -21,7 +21,6 @@ Leibniz rule over the factors.  Elements are monomial -> RingElement maps.
 from math import comb, log10
 from operator import add, mul
 
-from . import linalg
 from .coefficients import (RingElement, TOO_LONG, digit_limit, element_text,
                            exponent_vectors, too_long)
 from .lincomb import LinComb, memoised, merge
@@ -273,11 +272,7 @@ class FreeDGAlgebra:
 
     def diff_block(self, n, w):
         """The differential as a matrix from the (n, w) piece to (n-1, w)."""
-        one = self.field.one
-        return linalg.block_matrix(
-            self.bidegree_basis(n, w), self.bidegree_basis(n - 1, w),
-            lambda key: AlgebraElement.from_terms(self, [(key, one)]).diff().terms(),
-            self.field)
+        return AlgebraElement.diff_block(self, self.bidegree_basis, n, w, self.field)
 
 
 class AlgebraElement(LinComb):

@@ -13,8 +13,10 @@ bare key with ``_key_bidegree``; everything linear lives here.
 (flat key tuple, scalar) whose keys match the bidegree block bases, so
 ``(label, m1, m2, ring monomial)`` for N (x) J.  ``from_terms()`` is its
 inverse.  With ``linalg.block_matrix`` and ``linalg.coordinates`` they
-bridge elements and coordinate vectors; the maps on one J basis key in
-``envelope`` yield terms of the same shape without building an element.
+bridge elements and coordinate vectors; ``diff_block``, the differential
+block of B, N and N (x) J, writes d of each unit basis element as a
+column, and the maps on one J basis key in ``envelope`` yield terms of
+the same shape without building an element.
 ``text_terms()``, where a subclass defines it, is the printed form of
 ``terms()``: (factor texts, scalar) pairs in print order, which the one
 renderer ``render_terms`` writes for R, B, N, B^e and J.  ``_scale_by``
@@ -24,6 +26,7 @@ an int, read in the ground field, or a ``central`` scalar goes to ``scale``.
 
 from functools import wraps
 
+from . import linalg
 from .errors import ConstructionError
 
 
@@ -201,3 +204,12 @@ class LinComb:
         sub_parent = getattr(parent, cls.coeff_parent)
         return cls(parent, {k: cls.coeff_class.from_terms(sub_parent, sub)
                             for k, sub in groups.items()})
+
+    @classmethod
+    def diff_block(cls, parent, basis, n, w, field):
+        """d from the (n, w) block to (n-1, w), ``basis(n, w)`` the keys of a
+        block: column j is d of the unit element at the j-th key."""
+        one = field.one
+        return linalg.block_matrix(
+            basis(n, w), basis(n - 1, w),
+            lambda key: cls.from_terms(parent, [(key, one)]).diff().terms(), field)

@@ -98,6 +98,18 @@ def obstruction_apply(N: SemifreeModule, v, mode="formula") -> TensorJElement:
     return total
 
 
+def nabla(N: SemifreeModule, gamma: dict, coeffs: dict) -> TensorJElement:
+    """sum over {label: b} of gamma_label b + e_label (x) delta(b), a missing
+    gamma_label read as zero: the connection law D(e b) = D(e) b + e (x) delta(b)."""
+    total = N.tensor_zero()
+    for lab, b in coeffs.items():
+        g = gamma.get(lab)
+        if g:
+            total = total + g * b
+        total = total + TensorJElement(N, {lab: delta(b)})
+    return total
+
+
 class Connection:
     """A degree-0 graded map N -> N (x) J with D(nb) = D(n)b + n (x) delta(b).
 
@@ -123,11 +135,7 @@ class Connection:
             self.gamma[lab] = g
 
     def __call__(self, v) -> TensorJElement:
-        N = self.module
-        total = N.tensor_zero()
-        for lab, b in v.coeffs.items():
-            total = total + self.gamma[lab] * b + TensorJElement(N, {lab: delta(b)})
-        return total
+        return nabla(self.module, self.gamma, v.coeffs)
 
     def __sub__(self, other):
         """The difference as a plain B-linear graded map (label values)."""
@@ -148,15 +156,9 @@ def psi_values(D: Connection) -> dict:
 
 
 def criterion_rhs(N: SemifreeModule, gamma: dict, lam: str) -> TensorJElement:
-    """sum_{mu<lam} (gamma_mu b[mu][lam] + e_mu (x) delta(b[mu][lam]))."""
-    total = N.tensor_zero()
-    for i, entry in N.columns[N.index[lam]]:
-        mu = N.labels[i]
-        g = gamma.get(mu)
-        if g:
-            total = total + g * entry
-        total = total + TensorJElement(N, {mu: delta(entry)})
-    return total
+    """sum_{mu<lam} (gamma_mu b[mu][lam] + e_mu (x) delta(b[mu][lam])), the
+    connection of gamma applied to d(e_lam)."""
+    return nabla(N, gamma, {N.labels[i]: entry for i, entry in N.columns[N.index[lam]]})
 
 
 def verify_witness(N: SemifreeModule, gamma: dict) -> bool:

@@ -110,18 +110,6 @@ def random_algebra(rng, ring, max_vars=3, max_degree=3):
     return FreeDGAlgebra(ring, vars_so_far, diff_data)
 
 
-def example_algebras():
-    """The two shipped free extensions (liftable and non-liftable settings)."""
-    out = []
-    for ring in (BaseRing(QQ, ("x", "y"), (1, 1), [(1, 1)]),
-                 BaseRing(QQ, ("x", "y"), (1, 1), [(2, 0), (1, 1)])):
-        x, y = ring.gen("x"), ring.gen("y")
-        out.append(FreeDGAlgebra(
-            ring, [Variable("X", 1, 1), Variable("Y", 2, 2)],
-            {"X": {(0, 0): x}, "Y": {(1, 0): y}}))
-    return out
-
-
 def random_module(rng, B, max_rank=4, max_degree=5, max_weight=5):
     """A random validated semifree module over B.
 
@@ -137,9 +125,7 @@ def random_module(rng, B, max_rank=4, max_degree=5, max_weight=5):
             degrees.append(rng.randint(0, 2))
             weights.append(rng.randint(0, 2))
             continue
-        partial = SemifreeModule(B, labels, degrees, weights,
-                                 {(labels[i], labels[j]): entry
-                                  for (i, j), entry in structure.items()})
+        partial = SemifreeModule(B, labels, degrees, weights, structure)
         degree = rng.randint(min(degrees), max_degree)
         column = None
         weight_choices = list(range(min(weights), max_weight + 1))
@@ -165,10 +151,8 @@ def random_module(rng, B, max_rank=4, max_degree=5, max_weight=5):
             degrees.append(degree)
             weights.append(w)
             for lab, el in entries.items():
-                structure[(labels.index(lab), len(labels) - 1)] = el
-    return SemifreeModule(B, labels, degrees, weights,
-                          {(labels[i], labels[j]): entry
-                           for (i, j), entry in structure.items()})
+                structure[(lab, label)] = el
+    return SemifreeModule(B, labels, degrees, weights, structure)
 
 
 def random_module_element(rng, N, n, w, density=0.7):

@@ -10,10 +10,9 @@ of d^2 = 0,
 
     sum_{nu < mu < lam} b[nu][mu] b[mu][lam] + (-1)^{|e_nu|} d(b[nu][lam]) = 0,
 
-reporting the first failing (nu, lam) pair.  It is read off the structure
-columns: for each entry b[mu][lam] of column lam, row nu gets b[nu][mu]
-b[mu][lam] for each entry of column mu, and row mu gets (-1)^{|e_mu|}
-d(b[mu][lam]).
+reporting the first failing (nu, lam) pair.  It is d of column lam, read
+as sum_mu e_mu b[mu][lam], by ``diff_by_index``, the one d on N: keyed by
+basis index, it also serves every labelled sum's ``diff``.
 
 Elements of N, of N (x) J, and (transiently) of N (x) B^e are maps from
 basis labels to coefficients in B, J, and B^e respectively.  The tensor
@@ -33,7 +32,7 @@ from .envelope import (DiagonalElement, EnvelopeElement, diagonal_block_keys,
                        diagonal_label, pi, rho, sigma)
 from .errors import (ConstructionError, DegreeMismatch,
                      DifferentialSquareNonzero, TriangularityViolation)
-from .free_dga import AlgebraElement
+from .free_dga import AlgebraElement, FreeDGAlgebra
 from .lincomb import LinComb, memoised, merge
 
 
@@ -75,12 +74,7 @@ class SemifreeModule:
             self.columns[j].append((i, b))
         # componentwise d^2 = 0: square[nu] is the e_nu component of d(d(e_lam))
         for lam, column in zip(self.labels, self.columns):
-            square = {}
-            for mu, b in column:
-                for nu, a in self.columns[mu]:
-                    merge(square, nu, a * b)
-                db = b.diff()
-                merge(square, mu, -db if self.degrees[mu] % 2 else db)
+            square = self.diff_by_index(column)
             if square:
                 nu = min(square)
                 pair = (self.labels[nu], lam)
@@ -107,6 +101,17 @@ class SemifreeModule:
         basis = ", ".join("%s:(%d,%d)" % (lab, n, w)
                           for lab, n, w in zip(self.labels, self.degrees, self.weights))
         return "SemifreeModule<%s>" % basis
+
+    def diff_by_index(self, items):
+        """d(sum_j e_j c_j) for (j, c_j) items as {i: coefficient}:
+        d(e_j c) = sum_i e_i b[i][j] c + (-1)^{|e_j|} e_j d(c)."""
+        out = {}
+        for j, c in items:
+            for i, entry in self.columns[j]:
+                merge(out, i, entry * c)
+            dc = c.diff()
+            merge(out, j, -dc if self.degrees[j] % 2 else dc)
+        return out
 
     def entry(self, mu_label, lam_label):
         key = (self.index[mu_label], self.index[lam_label])
@@ -148,27 +153,27 @@ class SemifreeModule:
 
     # -- bidegree blocks ----------------------------------------------------------
 
+    def labelled_basis(self, block, n, w):
+        """The keys of a labelled sum's (n, w) piece: (label,) + key for each
+        basis label e and each key of the coefficients' block(B, n - |e|, w - w(e))."""
+        B = self.algebra
+        return [(lab,) + key
+                for lab, d, wt in zip(self.labels, self.degrees, self.weights)
+                for key in block(B, n - d, w - wt)]
+
     def basis_of_bidegree(self, n, w):
         """(label, monomial, ring monomial) basis of N_(n, w)."""
-        return [(lab, mono, rm)
-                for lab, d, wt in zip(self.labels, self.degrees, self.weights)
-                for mono, rm in self.algebra.bidegree_basis(n - d, w - wt)]
+        return self.labelled_basis(FreeDGAlgebra.bidegree_basis, n, w)
 
     def diff_block(self, n, w) -> linalg.BlockMatrix:
         """The differential of N from the (n, w) block to (n-1, w)."""
-        B = self.algebra
-        one = B.field.one
-        return linalg.block_matrix(
-            self.basis_of_bidegree(n, w), self.basis_of_bidegree(n - 1, w),
-            lambda key: ModuleElement.from_terms(self, [(key, one)]).diff().terms(),
-            B.field)
+        return ModuleElement.diff_block(self, self.basis_of_bidegree, n, w,
+                                        self.algebra.field)
 
     @memoised
     def tensor_keys(self, n, w):
         """(label, m1, m2, ring monomial) index keys for (N (x) J)_(n, w)."""
-        return [(lab,) + key
-                for lab, d, wt in zip(self.labels, self.degrees, self.weights)
-                for key in diagonal_block_keys(self.algebra, n - d, w - wt)]
+        return self.labelled_basis(diagonal_block_keys, n, w)
 
     def tensor_vec(self, t, keys):
         return linalg.coordinates(t.terms(), keys, self.algebra.field)
@@ -179,11 +184,7 @@ class SemifreeModule:
 
     def tensor_diff_block(self, n, w) -> linalg.BlockMatrix:
         """The differential of N (x) J from the (n, w) block to (n-1, w)."""
-        one = self.algebra.field.one
-        return linalg.block_matrix(
-            self.tensor_keys(n, w), self.tensor_keys(n - 1, w),
-            lambda key: TensorJElement.from_terms(self, [(key, one)]).diff().terms(),
-            self.algebra.field)
+        return TensorJElement.diff_block(self, self.tensor_keys, n, w, self.algebra.field)
 
 
 class LabelledSum(LinComb):
@@ -213,14 +214,8 @@ class LabelledSum(LinComb):
     def diff(self):
         """d(e_lam c) = sum_mu e_mu b[mu][lam] c + (-1)^{|e_lam|} e_lam d(c)."""
         N = self.parent
-        out = {}
-        for lab, c in self.coeffs.items():
-            j = N.index[lab]
-            for i, entry in N.columns[j]:
-                merge(out, N.labels[i], entry * c)
-            dc = c.diff()
-            merge(out, lab, -dc if N.degrees[j] % 2 else dc)
-        return self._raw(N, out)
+        out = N.diff_by_index((N.index[lab], c) for lab, c in self.coeffs.items())
+        return self._raw(N, {N.labels[i]: c for i, c in out.items()})
 
     def __repr__(self):
         if not self.coeffs:

@@ -11,6 +11,14 @@ def golden_text(name):
     return (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def shipped_algebras():
+    """The algebras of the two shipped problems, B = R<X:1, Y:2 | dX = x,
+    dY = X*y> over QQ[x,y]/(x*y) (liftable.dgp), then over
+    QQ[x,y]/(x^2, x*y) (nonliftable.dgp)."""
+    return [parse_problem(golden_text(name)).algebra
+            for name in ("liftable.dgp", "nonliftable.dgp")]
+
+
 @pytest.fixture(scope="session")
 def liftable_problem():
     return parse_problem(golden_text("liftable.dgp"))

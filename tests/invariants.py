@@ -16,11 +16,13 @@ from dglift.linalg import coordinates, linear_solve
 from dglift.obstruction import (Connection, canonical_connection, check_lift,
                                 criterion_rhs, obstruction_apply, obstruction_values,
                                 psi_apply, verify_certificate, verify_witness)
-from dglift.randomgen import (example_algebras, random_algebra, random_algebra_element,
+from dglift.randomgen import (random_algebra, random_algebra_element,
                               random_envelope_element, random_gamma, random_module,
                               random_module_element, random_partial_solution,
                               standard_rings)
 from dglift.semifree import TensorJElement
+
+from conftest import shipped_algebras
 
 
 def delta_b_is_a_boundary(N):
@@ -35,7 +37,7 @@ def delta_b_is_a_boundary(N):
 
 
 def _algebra_pool(rng, extra_random=2):
-    pool = list(example_algebras())
+    pool = shipped_algebras()
     rings = standard_rings()
     for _ in range(extra_random):
         pool.append(random_algebra(rng, rings[rng.randrange(len(rings))]))
@@ -145,6 +147,8 @@ def suite_connections(seed=3, trials=100):
         D = Connection(N, gamma)
         for lab in N.labels:
             assert D(N.gen(lab)) == gamma[lab], "gamma correspondence broken on %r" % N
+            assert criterion_rhs(N, gamma, lab) == D(N.gen(lab).diff()), \
+                "the lifting identity is not the connection on d(e_lam) on %r" % N
         v = random_module_element(rng, N, rng.randint(0, 6), rng.randint(0, 6))
         b = random_algebra_element(rng, B, rng.randint(0, 4), rng.randint(0, 4))
         assert D(v * b) == D(v) * b + _tensor_delta_of(N, v, b), \

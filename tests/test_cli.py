@@ -371,8 +371,11 @@ VALIDATE = ("validate",)
 DIGITS = "1" * 4000  # under the digit limit; a product of two is over it
 
 
+# each case is named by the first words of its message, or by a fifth field
+# where a line with two defects repeats the message of a single-defect case
 @pytest.mark.parametrize("text, command, code, message", [
-    pytest.param(*case, id="-".join(re.findall("[a-z]+", case[3].split(": ")[-1])[:6]))
+    pytest.param(*case[:4], id=case[4] if case[4:] else
+                 "-".join(re.findall("[a-z]+", case[3].split(": ")[-1])[:6]))
     for case in [
         ("ring R = QQ[x:1]$\n", VALIDATE, 2, "line 1: unexpected character '$'"),
         (RING + "algebra B = R<X:1 | dX = x^(2)>\n", VALIDATE, 2,
@@ -391,12 +394,16 @@ DIGITS = "1" * 4000  # under the digit limit; a product of two is over it
          "line 1: a relation must be a monomial with coefficient 1"),
         (RING + "algebra B = R<X:0>\n", VALIDATE, 2,
          "line 2: variable X needs homological degree >= 1"),
+        (RING + "algebra B = R<X:1:0, Y:0>\n", VALIDATE, 2,
+         "line 2: variable X needs internal degree >= 1"),
         (ALGEBRA + "module N under B = <e:0>\n", VALIDATE, 2,
          "line 3: expected 'over', found 'under'"),
         (ALGEBRA + "module N over B = <e:0 | dq = e>\n", VALIDATE, 2,
          "line 3: expected d<basis label>, found 'dq'"),
         (ALGEBRA + "module N over B = <e:0, f:1 | df = x>\n", VALIDATE, 2,
          "line 3: df has a component without a basis label"),
+        (ALGEBRA + "module N over B = <e:0, f:1 | df = x, de = *>\n", VALIDATE, 2,
+         "line 3: df has a component without a basis label", "df-before-a-later-defect"),
         (ALGEBRA + "module N over B = <e:0, f:1 | df = e*x + e*x^2>\n", VALIDATE, 2,
          "line 3: the e-component of df is not internally homogeneous"),
         (ALGEBRA + "module N over B = <e:0, f:1 | de = f*x>\n", VALIDATE, 2,

@@ -14,10 +14,11 @@ from dglift.coefficients import (PRIME_LIMIT, TOO_LONG, ModP, RingElement,
                                  too_long)
 from dglift.envelope import DiagonalElement, EnvelopeElement
 from dglift.free_dga import AlgebraElement
-from dglift.randomgen import (example_algebras, random_algebra,
-                              random_algebra_element, random_diagonal_element,
-                              random_envelope_element, random_scalar,
-                              standard_rings)
+from dglift.randomgen import (random_algebra, random_algebra_element,
+                              random_diagonal_element, random_envelope_element,
+                              random_scalar, standard_rings)
+
+from conftest import shipped_algebras
 
 
 @pytest.fixture
@@ -223,7 +224,7 @@ def brute_force_exponents(degrees, total, caps):
 def test_exponent_vectors_match_brute_force():
     cases = [(ring.degrees, [None] * len(ring.degrees)) for ring in standard_rings()]
     cases += [([v.degree for v in B.vars], [1 if v.is_odd else None for v in B.vars])
-              for B in example_algebras()]
+              for B in shipped_algebras()]
     rng = random.Random(8)
     for _ in range(40):
         degrees = [rng.randint(1, 4) for _ in range(rng.randint(0, 4))]
@@ -239,7 +240,7 @@ def test_bases_are_the_filtered_sorted_enumerations():
         for w in range(-2, 9):
             assert ring.graded_basis(w) == sorted(brute_force_basis(ring, w),
                                                   key=ring_mono_key)
-    for B in example_algebras():
+    for B in shipped_algebras():
         degrees = [v.degree for v in B.vars]
         for n in range(-2, 9):
             # odd letters square to zero: exponent at most 1

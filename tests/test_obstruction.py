@@ -8,11 +8,11 @@ from dglift import (Connection, SemifreeModule, TensorJElement,
                     psi_apply, psi_values, verify_certificate, verify_witness)
 from dglift.obstruction import (LIFTABLE, METHOD_GLOBAL, METHOD_RANK2,
                                 METHOD_TRIVIAL, NOT_LIFTABLE, _certificate_head)
-from dglift.randomgen import (example_algebras, random_algebra, random_gamma,
+from dglift.randomgen import (random_algebra, random_gamma,
                               random_module, random_module_element,
                               random_partial_solution, standard_rings)
 
-from conftest import golden_text
+from conftest import golden_text, shipped_algebras
 from invariants import (delta_b_is_a_boundary, suite_connections, suite_decision,
                         suite_homotopy, suite_obstruction)
 
@@ -126,7 +126,7 @@ def test_verify_witness_examples(module_n):
 
 
 def _pool(rng):
-    pool = list(example_algebras())
+    pool = shipped_algebras()
     rings = standard_rings()
     pool.append(random_algebra(rng, rings[rng.randrange(len(rings))]))
     return pool

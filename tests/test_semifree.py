@@ -5,9 +5,11 @@ import pytest
 from dglift import (AlgebraElement, ConstructionError, DegreeMismatch,
                     DifferentialSquareNonzero, ModuleElement, SemifreeModule,
                     TensorJElement, TriangularityViolation, delta, rho)
-from dglift.randomgen import (example_algebras, random_algebra, random_module,
-                              random_module_element, standard_rings)
+from dglift.randomgen import (random_algebra, random_module, random_module_element,
+                              standard_rings)
 from dglift.semifree import TensorEnvElement
+
+from conftest import shipped_algebras
 
 
 def test_liftable_module_accepted(module_n):
@@ -107,7 +109,7 @@ def test_cross_kind_elements_never_compare_equal(module_n):
 
 
 def _random_pool(rng):
-    pool = list(example_algebras())
+    pool = shipped_algebras()
     rings = standard_rings()
     pool.append(random_algebra(rng, rings[rng.randrange(len(rings))]))
     return pool
