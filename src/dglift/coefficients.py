@@ -202,12 +202,17 @@ def mono_divides(small, big):
 def exponent_vectors(degrees, total, caps):
     """Every exponent vector e, in lexicographic order, with sum(e_i *
     degrees[i]) == total and e_i <= caps[i] (None: no cap), for positive
-    degrees; none when total < 0."""
+    degrees; none when total < 0.  The caps bound each loop, and the last
+    exponent is solved for, so a lone generator costs no loop at all."""
+    if total < 0 or not degrees:
+        return [()] if total == 0 else []
     found = [((), total)]
-    for d, cap in zip(degrees, caps):
+    for d, cap in zip(degrees[:-1], caps):
         found = [(prefix + (e,), rest - e * d) for prefix, rest in found
-                 for e in range(rest // d + 1) if cap is None or e <= cap]
-    return [prefix for prefix, rest in found if rest == 0]
+                 for e in range((rest // d if cap is None else min(cap, rest // d)) + 1)]
+    d, cap = degrees[-1], caps[-1]
+    return [prefix + (rest // d,) for prefix, rest in found
+            if rest % d == 0 and (cap is None or rest // d <= cap)]
 
 
 def ring_mono_key(exps):

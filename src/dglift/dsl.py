@@ -46,6 +46,7 @@ from .coefficients import (BaseRing, PrimeField, QQ, RingElement, TOO_LONG,
                            digit_limit, too_long)
 from .errors import ConstructionError, ParseError, UndeclaredName
 from .free_dga import AlgebraElement, FreeDGAlgebra, Variable
+from .lincomb import merge
 from .semifree import ModuleElement, SemifreeModule
 
 # one alternative per token kind; the last catches any other character
@@ -309,16 +310,11 @@ def _parse_sum(ts, env, ring, algebra):
         if s:
             by_am = out.setdefault(label, {})
             by_rm = by_am.setdefault(am, {})
-            if rm in by_rm:
-                s = by_rm[rm] + s
-            if s:
-                by_rm[rm] = s
-            else:
-                del by_rm[rm]
-                if not by_rm:
-                    del by_am[am]
-                    if not by_am:
-                        del out[label]
+            merge(by_rm, rm, s)
+            if not by_rm:
+                del by_am[am]
+                if not by_am:
+                    del out[label]
         if ts.eat_sym("+"):
             continue
         if ts.at_sym("-"):

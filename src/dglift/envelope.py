@@ -141,15 +141,13 @@ class DiagonalElement(_PairIndexed):
             raise ConstructionError("sigma coordinates require m1 != 1")
 
     def to_envelope(self):
-        B = self.parent
-        out = {}
-        for (m1, m2), c in self.coeffs.items():
-            merge(out, (m1, m2), c)
-            hit = B.mono_mul(m1, m2)
-            if hit is not None:
-                scalar, mono = hit
-                merge(out, (B.unit_mono, mono), c.scale(-scalar))
-        return EnvelopeElement(B, out)
+        """The raw pairs less rho(pi) of them: pi reads the pairs as an
+        element of B^e, and -pi is merged into the m1 = 1 slot."""
+        unit = self.parent.unit_mono
+        out = dict(self.coeffs)
+        for m, c in pi(self).coeffs.items():
+            merge(out, (unit, m), -c)
+        return EnvelopeElement._raw(self.parent, out)
 
     def _extend(self, key_terms):
         """The linear extension of a map on J basis vectors: the sum over
@@ -218,10 +216,8 @@ def sigma(u: EnvelopeElement) -> DiagonalElement:
 
 
 def delta(b: AlgebraElement) -> DiagonalElement:
-    """Universal derivation b -> b^o (x) 1 - 1^o (x) b, in sigma coordinates."""
-    B = b.algebra
-    return DiagonalElement(B, {(m, B.unit_mono): c for m, c in b.coeffs.items()
-                               if m != B.unit_mono})
+    """Universal derivation b -> b^o (x) 1 - 1^o (x) b = sigma(b^o (x) 1)."""
+    return sigma(op_inclusion(b))
 
 
 # -- graded bases of B^e and J ----------------------------------------------------
@@ -322,8 +318,12 @@ def diagonal_label(B, key):
     return txt if r_txt == "1" else txt + "·" + r_txt
 
 
+@memoised
 def diagonal_diff_block(B, n, w) -> linalg.BlockMatrix:
-    """The differential of J as a matrix from the (n, w) block to (n-1, w)."""
+    """The differential of J as a matrix from the (n, w) block to (n-1, w).
+
+    The block is cached on B and shared between callers: do not mutate it.
+    """
     return linalg.block_matrix(
         diagonal_block_keys(B, n, w), diagonal_block_keys(B, n - 1, w),
         lambda key: diagonal_key_diff(B, key), B.field)

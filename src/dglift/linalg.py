@@ -4,8 +4,9 @@ A ``BlockMatrix`` holds one representation: ``entries``, one {column:
 scalar} dict per row of its nonzero entries, each an exact scalar of the
 ambient field (Fraction for the rationals, ModP for prime fields), with
 its shape and field, and nothing else: a caller that names rows holds
-the basis keys it built the block from.  ``block_matrix`` writes the
-images of a map straight into the rows.  The dense ``rows`` are derived
+the basis keys it built the block from.  ``write_images`` writes the
+images of a map straight into rows, a ``block_matrix``'s or, at the
+offsets of a block, a larger system's.  The dense ``rows`` are derived
 on demand.  The one elimination routine, ``_eliminate``, is a sparse
 forward elimination on copies of the rows, with raw ints mod p over F_p:
 a column index names the rows that may hold each column, so a pivot step
@@ -61,35 +62,34 @@ class BlockMatrix:
         return dense
 
 
-def _position(pos, key):
+def write_images(entries, keys, image, pos, row=0, column=0, negate=False):
+    """Write the images of the source basis vectors ``keys`` into the rows
+    ``entries``: ``image(key)`` gives them as (target key, nonzero scalar)
+    terms with distinct keys, as ``LinComb.terms()`` does.  The j-th key's
+    image fills column ``column + j``, a target key k lands in row ``row +
+    pos[k]``, each scalar negated with ``negate``; a target key outside
+    ``pos`` is a ConstructionError."""
     try:
-        return pos[key]
+        for j, key in enumerate(keys, column):
+            for k, s in image(key):
+                entries[row + pos[k]][j] = -s if negate else s
     except KeyError:
         raise ConstructionError("element does not lie in the chosen block")
 
 
 def block_matrix(src_keys, dst_keys, image, field) -> BlockMatrix:
-    """The matrix of a linear map between two finite keyed bases.
-
-    ``image(key)`` gives the image of the source basis vector ``key`` as
-    (target key, nonzero scalar) terms with distinct keys, as
-    ``LinComb.terms()`` does; the keys only place each image.
-    """
-    pos = {k: i for i, k in enumerate(dst_keys)}
+    """The matrix of a linear map between two finite keyed bases, its
+    images written by ``write_images``."""
     entries = [{} for _ in dst_keys]
-    for j, key in enumerate(src_keys):
-        for k, s in image(key):
-            entries[_position(pos, k)][j] = s
+    write_images(entries, src_keys, image, {k: i for i, k in enumerate(dst_keys)})
     return BlockMatrix(entries, (len(dst_keys), len(src_keys)), field)
 
 
 def coordinates(terms, keys, field) -> list:
-    """Dense vector of (key, scalar) terms against the ordered basis ``keys``."""
-    pos = {k: i for i, k in enumerate(keys)}
-    vec = [field.zero] * len(keys)
-    for k, s in terms:
-        vec[_position(pos, k)] = s
-    return vec
+    """Dense vector of (key, scalar) terms against the ordered basis ``keys``:
+    the one column of the block whose image is ``terms``."""
+    column = block_matrix([None], keys, lambda _: terms, field).entries
+    return [row.get(0, field.zero) for row in column]
 
 
 class SolveResult:

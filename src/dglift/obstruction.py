@@ -54,10 +54,10 @@ cannot certify itself.
 from bisect import bisect_right
 
 from . import linalg
-from .envelope import (delta, diagonal_block_keys, diagonal_key_diff,
+from .envelope import (delta, diagonal_block_keys, diagonal_diff_block,
                        diagonal_key_left, diagonal_key_right, diagonal_label)
 from .errors import ConstructionError
-from .lincomb import memoised
+from .lincomb import memoised, merge
 from .semifree import SemifreeModule, TensorJElement
 
 LIFTABLE = "LIFTABLE"
@@ -71,20 +71,15 @@ METHOD_GLOBAL = "global-solve"
 def obstruction_values(N: SemifreeModule, mode="formula") -> dict:
     """The obstruction map on the basis, as {label: element of N (x) J}.
 
-    mode "formula" reads the structure matrix directly; mode "splitting"
-    computes sigma_N d rho_N.  The two agree exactly.
+    mode "formula" is the canonical connection (gamma = 0) on d(e_lam),
+    that is ``criterion_rhs`` with no gamma; mode "splitting" computes
+    sigma_N d rho_N.  The two agree exactly.
     """
-    out = {}
     if mode == "formula":
-        for lam, column in zip(N.labels, N.columns):
-            out[lam] = TensorJElement(N, {N.labels[i]: delta(entry)
-                                          for i, entry in column})
-    elif mode == "splitting":
-        for lam in N.labels:
-            out[lam] = N.sigma_n(N.rho_n(N.gen(lam)).diff())
-    else:
-        raise ValueError("unknown mode %r" % mode)
-    return out
+        return {lam: criterion_rhs(N, {}, lam) for lam in N.labels}
+    if mode == "splitting":
+        return {lam: N.sigma_n(N.rho_n(N.gen(lam)).diff()) for lam in N.labels}
+    raise ValueError("unknown mode %r" % mode)
 
 
 def obstruction_apply(N: SemifreeModule, v, mode="formula") -> TensorJElement:
@@ -101,13 +96,14 @@ def obstruction_apply(N: SemifreeModule, v, mode="formula") -> TensorJElement:
 def nabla(N: SemifreeModule, gamma: dict, coeffs: dict) -> TensorJElement:
     """sum over {label: b} of gamma_label b + e_label (x) delta(b), a missing
     gamma_label read as zero: the connection law D(e b) = D(e) b + e (x) delta(b)."""
-    total = N.tensor_zero()
+    out = {}
     for lab, b in coeffs.items():
         g = gamma.get(lab)
         if g:
-            total = total + g * b
-        total = total + TensorJElement(N, {lab: delta(b)})
-    return total
+            for k, c in (g * b).coeffs.items():
+                merge(out, k, c)
+        merge(out, lab, delta(b))
+    return TensorJElement._raw(N, out)
 
 
 class Connection:
@@ -229,13 +225,16 @@ class GammaBlocks:
         self.size = size
         self._starts = [block[0] for block in self.blocks]
 
+    def offsets(self, l, k):
+        """Block (l, k)'s J key positions and start."""
+        return self.positions[self.bidegree[l][k]], self.start[l][k]
+
     def position(self, l, key):
-        """The index of the tensor key (label, m1, m2, rm) in block l."""
-        try:
-            k = self.index[key[0]]
-            return self.start[l][k] + self.positions[self.bidegree[l][k]][key[1:]]
-        except KeyError:
-            raise ConstructionError("element does not lie in the chosen block")
+        """The index of the tensor key (label, m1, m2, rm) in block l.  Each
+        caller asks for a key of an element of block l's bidegree, so a
+        KeyError here is a fault of the program, not of its input."""
+        k = self.index[key[0]]
+        return self.start[l][k] + self.positions[self.bidegree[l][k]][key[1:]]
 
     def block_of(self, i):
         """(l, k, J key) at index i."""
@@ -273,41 +272,36 @@ def _assemble_global_system(N: SemifreeModule, obstruction):
     The column of t holds d(t) in equation mu, that is e_nu' (x) b[nu'][nu] j
     for each nu' in column nu and (-1)^{|e_nu|} e_nu (x) d(j), and
     -(e_nu (x) j b[mu][lam]) in every later equation lam.  Each piece is
-    the image of a J block under one J key map, each image key read as its
-    index in the target J block and written at the integer offsets of the
-    blocks: the column of t at block (mu, nu)'s offset plus j's index; no
-    tensor key is built.  The pieces land on distinct entries, and each
-    row receives its entries in column order.  The right-hand side of
-    equation lam is the obstruction value of e_lam.  The rank-2 corollary
-    is this system in its smallest case: for a basis e, e' with
-    d(e') = e b, J_0 = 0 empties every block but e (x) J_(n+1, w) ->
-    e (x) J_(n, w), (n, w) the bidegree of b, where the matrix is
-    (-1)^{|e|} d_J and the right-hand side delta(b).
+    written at the integer offsets of the blocks, the column of t at block
+    (mu, nu)'s offset plus j's index, and no tensor key is built: b j and
+    j b by ``linalg.write_images`` from the J key maps, and d(j) copied,
+    times (-1)^{|e_nu|}, from d_J's block (``diagonal_diff_block``,
+    memoised on B, the matrix ``homology`` reads).  The pieces land on
+    distinct entries, and each row receives its entries in column order.
+    The right-hand side of equation lam is the obstruction value of e_lam.
+    The rank-2 corollary is this system in its smallest case: for a basis
+    e, e' with d(e') = e b, J_0 = 0 empties every block but
+    e (x) J_(n+1, w) -> e (x) J_(n, w), (n, w) the bidegree of b, where the
+    matrix is (-1)^{|e|} d_J and the right-hand side delta(b).
     """
     B = N.algebra
     labels = N.labels
     unknowns, equations = gamma_layout(N)
     entries = [{} for _ in range(equations.size)]
     later = _later(N)
-
-    def write(keys, column, row, target, key_terms, negate):
-        pos = equations.positions[target]
-        try:
-            for c, key in enumerate(keys, column):
-                for k, s in key_terms(key):
-                    entries[row + pos[k]][c] = -s if negate else s
-        except KeyError:
-            raise ConstructionError("element does not lie in the chosen block")
-
     for column, mu, nu, keys in unknowns.blocks:
         for i, entry in N.columns[nu]:
-            write(keys, column, equations.start[mu][i], equations.bidegree[mu][i],
-                  lambda key: diagonal_key_left(B, entry, key), False)
-        write(keys, column, equations.start[mu][nu], equations.bidegree[mu][nu],
-              lambda key: diagonal_key_diff(B, key), N.degrees[nu] % 2)
+            linalg.write_images(entries, keys, lambda key: diagonal_key_left(B, entry, key),
+                                *equations.offsets(mu, i), column)
+        odd = N.degrees[nu] % 2
+        d_j = diagonal_diff_block(B, *unknowns.bidegree[mu][nu])
+        for i, targets in enumerate(d_j.entries, equations.start[mu][nu]):
+            row = entries[i]
+            for j, s in targets.items():
+                row[column + j] = -s if odd else s
         for lam, entry in later[mu]:
-            write(keys, column, equations.start[lam][nu], equations.bidegree[lam][nu],
-                  lambda key: diagonal_key_right(B, key, entry), True)
+            linalg.write_images(entries, keys, lambda key: diagonal_key_right(B, key, entry),
+                                *equations.offsets(lam, nu), column, True)
 
     rhs = [B.field.zero] * equations.size
     for lam, lab in enumerate(labels):
