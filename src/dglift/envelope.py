@@ -235,10 +235,14 @@ def envelope_basis(B, n, w):
 def diagonal_block_keys(B, n, w):
     """(m1, m2, ring monomial) keys of J_(n, w): each monomial m1 != 1 of
     degree d1 <= n, in order, times the basis of B_(n - d1, w - wt m1).
+    Every variable X has internal degree w_X >= 1, so a monomial of weight
+    at most w has degree at most max_X floor(w d_X / w_X), and no larger
+    d1 is visited: a huge n costs nothing at a small w.
 
     The list is cached on B and shared between callers: do not mutate it.
     """
-    return [(m1, m2, rm) for d1 in range(1, n + 1) for m1 in B.monomial_basis(d1)
+    top = min(n, max((w * d // wt for d, wt in zip(B.degrees, B.weights)), default=0))
+    return [(m1, m2, rm) for d1 in range(1, top + 1) for m1 in B.monomial_basis(d1)
             for m2, rm in B.bidegree_basis(n - d1, w - B.mono_weight(m1))]
 
 

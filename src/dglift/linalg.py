@@ -7,30 +7,44 @@ its shape and field, and nothing else: a caller that names rows holds
 the basis keys it built the block from.  ``write_images`` writes the
 images of a map straight into rows, a ``block_matrix``'s or, at the
 offsets of a block, a larger system's.  The dense ``rows`` are derived
-on demand.  The one elimination routine, ``_eliminate``, is a sparse
-forward elimination on copies of the rows, with raw ints mod p over F_p:
-a column index names the rows that may hold each column, so a pivot step
-touches only the rows below it that hold the pivot column, and no row
-above a pivot is ever cleared.  Solutions and kernel vectors are read
-off the echelon rows by back substitution, which gives the same unique
-vectors (free variables zero) that the fully reduced rows give.  A solve
-does not carry the transform T along: it logs its row operations, and
-only an inconsistent solve rebuilds the one row of T it returns, the
-last pivot row, by replaying the log backwards; that row, and every row
-of T below it, is the one a full Gauss-Jordan on the same pivot rows
+on demand.  The one elimination routine, ``Elimination.add``, is a
+sparse forward elimination on copies of the rows, with raw ints mod p over
+F_p: a column index names the rows that may hold each column, so a pivot
+step touches only the rows below it that hold the pivot column, and no
+row above a pivot is ever cleared.  It takes its rows in batches and can
+be resumed: a batch is appended below the rows already eliminated,
+cleared of the pivot columns found so far by their pivot rows, and then
+pivoted on its own remaining columns.  ``rank`` and ``kernel_basis`` feed
+one batch; ``linear_solve`` feeds one, or the next batch of an
+elimination its caller keeps, so that a system whose equations arrive in
+blocks is decided after each block and can stop at the first block that
+makes it inconsistent.  Solutions and kernel vectors are read off the
+echelon rows by back substitution, which gives the same unique vectors
+(free variables zero) that the fully reduced rows give.  A solve does not
+carry the transform T along: it logs its row operations, and only an
+inconsistent solve rebuilds the one row of T it returns, the pivot row of
+the target column, by replaying the log backwards; that row, and every
+row of T below it, is the one a full Gauss-Jordan on the same pivot rows
 gives.  A solve returns the solution, or that row as a sparse null
-functional with its nonzero pairing against the target, and nothing
-else: a caller that wants the rank asks ``rank``.
+functional with its nonzero pairing against the target, and nothing else:
+a caller that wants the rank asks ``rank``.
 
-Elimination is fully deterministic.  Columns are taken left to right, so
-the pivot columns, the rank, the solutions and the kernels do not depend
-on which row supplies a pivot.  The pivot row of a column is the
-sparsest row that holds it, the first of those on a tie, in the manner
-of Markowitz (Management Sci. 1957; Duff, Erisman and Reid, *Direct
-Methods for Sparse Matrices*, ch. 7): it makes less fill-in than the
-topmost row.  The null functional depends on the rows chosen, and is
-reproducible bit for bit.
+Elimination is fully deterministic.  Columns are taken left to right
+within a batch, and the pivot columns of rows eliminated in any batches
+are those of the reduced row echelon form of all of them, so the pivot
+columns, the rank, the solutions and the kernels do not depend on which
+row supplies a pivot, nor on how the rows were split into batches.  The
+pivot row of a new column is the sparsest row of its batch that holds
+it, the first of those on a tie, in the manner of Markowitz (Management
+Sci. 1957; Duff, Erisman and Reid, *Direct Methods for Sparse Matrices*,
+ch. 7): it makes less fill-in than the topmost row.  The null functional
+depends on the rows chosen, and so on the batches, and is reproducible
+bit for bit: the row operations of one pivot step commute, so the order
+in which a set of holders is read does not reach it.
 """
+
+import sys
+from heapq import heapify, heappop, heappush
 
 from .errors import CompositionNonzero, ConstructionError
 
@@ -96,16 +110,30 @@ class SolveResult:
     """``solution`` is a list, or None when the system is inconsistent;
     then ``null_row``, a sparse functional {row: scalar} in row order, and
     ``pairing`` say why: u = null_row has u A = 0 while ``pairing`` =
-    u . target is nonzero.  Both are None for a solution."""
+    u . target is nonzero.  Both are None for a solution.  A solve passes
+    its solution as a function of no arguments, called on the first read
+    of ``solution``, so that a caller feeding an elimination batch by
+    batch back-substitutes only where it reads a solution."""
 
     def __init__(self, solution, null_row, pairing):
-        self.solution = solution
+        self._solution = solution
         self.null_row = null_row
         self.pairing = pairing
 
     @property
+    def solution(self):
+        if callable(self._solution):
+            self._solution = self._solution()
+        return self._solution
+
+    @property
     def consistent(self):
-        return self.solution is not None
+        return self.null_row is None
+
+
+# The column key of the target in an augmented row: greater than every
+# column of a matrix, so taken last, however wide a batch is.
+TARGET = sys.maxsize
 
 
 def _raw_rows(entries, p):
@@ -130,87 +158,125 @@ def _scaled(row, s, p):
     return {j: x * s for j, x in row.items()}
 
 
-def _eliminate(rows, ncols, field, track):
-    """Sparse forward elimination of {column: scalar} rows, in place.
+class Elimination:
+    """A sparse forward elimination of {column: scalar} rows, fed in batches.
 
-    Returns (pivot columns, operation log or None).  Columns are taken left
-    to right; the pivot of column c is the row at or below r that holds c
-    with the fewest entries, the one of least index on a tie, swapped up
-    to row r and scaled to 1, and only the other rows at or below r that
-    hold c are cleared: the former row r among them, at its new place
-    when the swap moved it.  ``rows`` ends in echelon form: row k has a
-    unit entry at pivots[k] and nothing to its left, the rows below the
-    rank are empty.  ``holders[c]`` is the set of rows that may hold column
-    c: built from the input, extended on fill-in and swaps, and read once,
-    when c is reached; a stale entry fails ``c in rows[i]``.
-
-    With ``track`` the row operations are logged in order, as ("swap", r,
-    s), ("scale", r, inv) and ("sub", i, f, r) for row i -= f * row r; the
-    transform T with T . original = echelon is their product, and
-    ``_transform_row`` rebuilds any one row of it.  The last pivot row of
-    T and every row below it are those a full Gauss-Jordan gives, which
-    only adds operations on earlier pivot rows.  Over F_p the scalars are
-    raw ints mod p throughout.
+    ``rows`` holds every row fed so far, in place: the first
+    len(``pivots``) are the pivot rows, row k with a unit entry at column
+    ``pivots[k]`` and nothing before it in the column order, and the rows
+    after them are empty once their batch is done.  A pivot row is never
+    changed again, and a later batch only appends rows and pivots.  With
+    ``track`` the row operations are logged in ``log`` (see ``add``),
+    else ``log`` is None.  Over F_p the scalars are raw ints mod p
+    throughout.
     """
-    p = field.char
-    m = len(rows)
-    log = [] if track else None
-    holders = [set() for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j in row:
-            holders[j].add(i)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        # (entries, index) of each row at or below r that holds c
-        below = [(len(row), i) for i in holders[c]
-                 if i >= r and c in (row := rows[i])]
-        if not below:
-            continue
-        src = min(below)[1]
-        if src != r:
-            rows[r], rows[src] = rows[src], rows[r]
-            for j in rows[src]:
-                holders[j].add(src)
-            if track:
-                log.append(("swap", r, src))
-        pivot_row = rows[r]
-        inv = pow(pivot_row[c], -1, p) if p else field.one / pivot_row[c]
-        if inv != 1:
-            pivot_row = rows[r] = _scaled(pivot_row, inv, p)
-            if track:
-                log.append(("scale", r, inv))
-        for _, i in below:
-            if i == src:
-                continue
-            if i == r:  # the former row r, swapped down to src
-                i = src
-            row = rows[i]
-            f = row[c]
-            for j, b in pivot_row.items():  # row -= f * pivot_row
-                if j in row:
-                    a = (row[j] - f * b) % p if p else row[j] - f * b
-                    if a:
-                        row[j] = a
-                    else:
-                        del row[j]
+
+    def __init__(self, field, track=False):
+        self.field = field
+        self.rows, self.pivots = [], []
+        self.log = [] if track else None
+        self._holders = {}
+        self._pivot_row = {}
+
+    def add(self, rows):
+        """Append ``rows`` and eliminate them, column by column in
+        increasing order.
+
+        A column an earlier batch pivoted is cleared from the new rows by
+        its pivot row.  Any other column c takes its pivot from the rows
+        after the pivot rows: the one that holds c with the fewest
+        entries, the one of least index on a tie, swapped up to the next
+        pivot row r and scaled to 1; only the other rows after the pivot
+        rows that hold c are cleared, the former row r among them, at its
+        new place when the swap moved it.  ``_holders[c]`` is the set of
+        rows that may hold column c: built from the new rows, extended on
+        fill-in and swaps, and read once, when c is taken; a stale entry
+        fails ``c in rows[i]``.  The columns to take are kept in a heap,
+        which fill-in from an earlier batch's pivot row extends.  One
+        batch fed to a fresh elimination is the whole of a one-shot
+        elimination.
+
+        With ``track`` the row operations are logged in order, as ("swap",
+        r, s), ("scale", r, inv) and ("sub", i, f, r) for row i -= f * row
+        r; the transform T with T . original = echelon is their product,
+        and ``_transform_row`` rebuilds any one row of it.  The last pivot
+        row of T and every row below it are those a full Gauss-Jordan on
+        the same pivot rows gives, which only adds operations on earlier
+        pivot rows.
+        """
+        p = self.field.char
+        work, pivots, log = self.rows, self.pivots, self.log
+        holders, pivot_row = self._holders, self._pivot_row
+        for i, row in enumerate(rows, len(work)):
+            for j in row:
+                held = holders.get(j)
+                if held is None:
+                    holders[j] = {i}
                 else:
-                    row[j] = -f * b % p if p else -f * b
-                    holders[j].add(i)
-            if track:
-                log.append(("sub", i, f, r))
-        pivots.append(c)
-        r += 1
-    return pivots, log
+                    held.add(i)
+        work.extend(rows)
+        m = len(work)
+        r = len(pivots)
+        columns = list(holders)
+        heapify(columns)
+        while columns and r < m:
+            c = heappop(columns)
+            # (entries, index) of each row after the pivot rows that holds c
+            below = [(len(row), i) for i in holders.pop(c)
+                     if i >= r and c in (row := work[i])]
+            if not below:
+                continue
+            k = pivot_row.get(c)
+            if k is None:
+                k, src = r, min(below)[1]
+                if src != r:
+                    work[r], work[src] = work[src], work[r]
+                    for j in work[src]:
+                        if j != c:
+                            holders[j].add(src)
+                    if log is not None:
+                        log.append(("swap", r, src))
+                inv = pow(work[r][c], -1, p) if p else self.field.one / work[r][c]
+                if inv != 1:
+                    work[r] = _scaled(work[r], inv, p)
+                    if log is not None:
+                        log.append(("scale", r, inv))
+                # the former row r, swapped down to src, is cleared there
+                below = [src if i == r else i for _, i in below if i != src]
+                pivots.append(c)
+                pivot_row[c] = r
+                r += 1
+            else:
+                below = [i for _, i in below]
+            pivot = work[k]
+            for i in below:
+                row = work[i]
+                f = row[c]
+                for j, b in pivot.items():  # row -= f * pivot
+                    if j in row:
+                        a = (row[j] - f * b) % p if p else row[j] - f * b
+                        if a:
+                            row[j] = a
+                        else:
+                            del row[j]
+                    else:
+                        row[j] = -f * b % p if p else -f * b
+                        held = holders.get(j)
+                        if held is None:
+                            holders[j] = {i}
+                            heappush(columns, j)
+                        else:
+                            held.add(i)
+                if log is not None:
+                    log.append(("sub", i, f, k))
 
 
 def _back_substitute(rows, pivots, x, p):
     """Extend ``x``, raw scalars on non-pivot columns, to the pivot
-    columns so that every echelon row of ``_eliminate`` pairs with it to
-    zero: the last pivot first, each from the values already set."""
-    for k in range(len(pivots) - 1, -1, -1):
+    columns so that each pivot row of an ``Elimination`` pairs with it to
+    zero: the greatest pivot column first, each from the values already
+    set."""
+    for k in sorted(range(len(pivots)), key=pivots.__getitem__, reverse=True):
         s = sum(a * x[j] for j, a in rows[k].items() if j in x)
         if p:
             s %= p
@@ -220,7 +286,8 @@ def _back_substitute(rows, pivots, x, p):
 
 
 def _transform_row(log, q, m, field):
-    """Row q of the transform T of an ``_eliminate`` log, as a sparse row.
+    """Row q of the transform T of an ``Elimination`` log over m rows, as
+    a sparse row.
 
     e_q . T is e_q times the logged operations' matrices, last operation
     first, so the log is replayed backwards on a row vector v: a swap
@@ -245,9 +312,15 @@ def _transform_row(log, q, m, field):
     return {j: x for j, x in enumerate(v) if x}
 
 
+def _echelon(matrix: BlockMatrix) -> Elimination:
+    """The matrix's rows eliminated in one batch, without a log."""
+    elimination = Elimination(matrix.field)
+    elimination.add(_raw_rows(matrix.entries, matrix.field.char))
+    return elimination
+
+
 def rank(matrix: BlockMatrix) -> int:
-    rows = _raw_rows(matrix.entries, matrix.field.char)
-    return len(_eliminate(rows, matrix.shape[1], matrix.field, False)[0])
+    return len(_echelon(matrix).pivots)
 
 
 def kernel_basis(matrix: BlockMatrix) -> list:
@@ -255,21 +328,26 @@ def kernel_basis(matrix: BlockMatrix) -> list:
     one per free column, which it sets to 1 and every other free column
     to 0."""
     field = matrix.field
-    p = field.char
     ncols = matrix.shape[1]
-    echelon = _raw_rows(matrix.entries, p)
-    pivots, _ = _eliminate(echelon, ncols, field, False)
-    pivot_set = set(pivots)
-    return [_dense(_back_substitute(echelon, pivots, {free: 1}, p), ncols, field)
+    echelon = _echelon(matrix)
+    pivot_set = set(echelon.pivots)
+    return [_dense(_back_substitute(echelon.rows, echelon.pivots, {free: 1}, field.char),
+                   ncols, field)
             for free in range(ncols) if free not in pivot_set]
 
 
-def linear_solve(matrix: BlockMatrix, target: list) -> SolveResult:
+def linear_solve(matrix: BlockMatrix, target: list, elimination=None) -> SolveResult:
     """Solve matrix . x = target by deterministic elimination.
 
     Free variables are set to zero, so the returned solution is the unique
     one selected by the fixed basis order.  On failure the null row refers
     to the original (unreduced) rows.
+
+    ``elimination``, a tracking ``Elimination`` that earlier calls fed,
+    makes the rows of matrix and target its next batch: the result is that
+    of every row fed so far, the null row numbering them in the order they
+    came.  Each batch's matrix spans every column an earlier batch holds,
+    and the solution has matrix.shape[1] entries.
     """
     field = matrix.field
     p = field.char
@@ -277,20 +355,29 @@ def linear_solve(matrix: BlockMatrix, target: list) -> SolveResult:
     if len(target) != m:
         raise ValueError("target length %d does not match %d matrix rows"
                          % (len(target), m))
+    if elimination is None:
+        elimination = Elimination(field, track=True)
     augmented = _raw_rows(matrix.entries, p)
     for row, t in zip(augmented, target):
         if t:
-            row[ncols] = t.v if p else t
-    pivots, log = _eliminate(augmented, ncols + 1, field, True)
-    if pivots and pivots[-1] == ncols:
-        # a pivot in the augmented column exhibits the inconsistency
-        row = _transform_row(log, len(pivots) - 1, m, field)
+            row[TARGET] = t.v if p else t
+    elimination.add(augmented)
+    rows, pivots = elimination.rows, elimination.pivots[:]
+    q = elimination._pivot_row.get(TARGET)
+    if q is not None:
+        # a pivot in the target column exhibits the inconsistency; T takes
+        # the targets to that row's one entry, so it is u . target
+        row = _transform_row(elimination.log, q, len(rows), field)
         u = {i: field.of(x) for i, x in row.items()}
-        return SolveResult(None, u, sum((x * target[i] for i, x in u.items()), field.zero))
-    # x[ncols] = -1 puts the target on the right: A x = target
-    x = _back_substitute(augmented, pivots, {ncols: p - 1 if p else -1}, p)
-    del x[ncols]
-    return SolveResult(_dense(x, ncols, field), None, None)
+        return SolveResult(None, u, field.of(rows[q][TARGET]))
+
+    def solve():
+        # x[TARGET] = -1 puts the target on the right: A x = target
+        x = _back_substitute(rows, pivots, {TARGET: p - 1 if p else -1}, p)
+        del x[TARGET]
+        return _dense(x, ncols, field)
+
+    return SolveResult(solve, None, None)
 
 
 def apply_matrix(matrix: BlockMatrix, vec: list) -> list:

@@ -25,26 +25,41 @@ The decision is tagged with one of three methods:
                       and solved by deterministic elimination (free
                       variables pinned to zero).
 
-The system is solved globally rather than basis element by basis element:
-a greedy choice of gamma_mu can block a later equation even when a
-simultaneous solution exists.  Its right-hand side is the obstruction
-cocycle itself, read from the values ``check_lift`` has already computed.
-One builder serves both of the last two: it returns the matrix, the
-right-hand side and a reader from a solution to the gamma family;
-``check_lift`` solves once and names the rows (``GammaBlocks.name``).
-LIFTABLE reports carry the gamma family; NOT_LIFTABLE reports carry one
-kind of machine-checkable inconsistency certificate, "gamma-system",
-whatever the method: a head read from the bases alone
-(``_certificate_head``), and a left null functional of the system, its
-rows named, with nonzero pairing against the right-hand side.  The
-γ-system is laid out by integer block offsets (``gamma_layout``): the
-rows of equation lam at the label nu start at one integer, the unknowns
-of gamma_mu at nu at another, and a J basis key sits at its index in
-``diagonal_block_keys``; the builder writes by those positions, and its
-right-hand side and witness reader, the row names, and the checker's rows
-and unknowns, read the same layout, the one enumeration of the system.
-``verify_certificate`` calls no builder and eliminates nothing: it
-compares the same head, and pairs the functional with columns built by
+No gamma_mu is ever chosen label by label: a greedy choice of gamma_mu
+can block a later equation even when a simultaneous solution exists.
+Every gamma coordinate stays a free unknown to the end, and only the
+equations arrive label by label.  N's differential is strictly
+triangular, so the equation of e_lam reads gamma_mu for mu <= lam alone:
+the γ-system is block lower-triangular in label order (the block
+triangular form of Pothen and Fan, ACM TOMS 1990, here given by N's
+filtration), and the equations of the labels up to lam, in the unknowns
+of those labels, are a leading block of it.  ``check_lift`` writes the
+equations of one label at a time (``_equation_block``), their right-hand
+side the obstruction value of e_lam, and feeds them to one elimination
+that it resumes label by label (``linalg.linear_solve`` with a
+``linalg.Elimination``): each block is reduced by the pivots found so
+far, then pivoted on its remaining columns.  The first label whose
+equations make the system inconsistent decides NOT_LIFTABLE, and nothing
+of a later label is laid out, written or eliminated; else the solution
+after the last label, free variables zero, is the one a single solve of
+the whole system gives.  LIFTABLE reports carry the gamma family;
+NOT_LIFTABLE reports carry one kind of machine-checkable inconsistency
+certificate, "gamma-system", whatever the method: a head read from the
+bases alone (``_certificate_head``), which names that first obstructed
+label, "obstructed_at", and counts the unknowns and equations of the
+labels up to it, and a left null functional of those equations, its rows
+named (``GammaBlocks.name``), with nonzero pairing against their
+right-hand side.  Those equations hold no unknown of a later label, so
+the functional annihilates every column of the whole system.  The
+γ-system is laid out by integer block offsets (``gamma_layout``), one
+label at a time: the rows of equation lam at the label nu start at one
+integer, the unknowns of gamma_mu at nu at another, and a J basis key
+sits at its index in ``diagonal_block_keys``; the builder writes by those
+positions, and its right-hand side and witness reader, the row names,
+and the checker's rows and unknowns, read the same layout, the one
+enumeration of the system.  ``verify_certificate`` calls no builder and
+eliminates nothing: it compares the same head, and pairs the functional
+with the columns of the unknowns up to the stated label, built by
 element arithmetic in N (x) B^e (d(t) and t b for t in N (x) J, each
 brought back by sigma), so a wrong sign in the builder's images, or in
 the J key maps that the builder and DiagonalElement arithmetic share,
@@ -52,6 +67,7 @@ cannot certify itself.
 """
 
 from bisect import bisect_right
+from operator import itemgetter
 
 from . import linalg
 from .envelope import (delta, diagonal_block_keys, diagonal_diff_block,
@@ -184,12 +200,14 @@ class ObstructionReport:
         return self.decision == LIFTABLE
 
 
-def _certificate_head(N: SemifreeModule):
-    """The head of a certificate of N's γ-system, read from its bases
-    alone: the numbers of unknowns and equations."""
+def _certificate_head(N: SemifreeModule, label):
+    """The head of a certificate that N's γ-system is inconsistent on the
+    equations of the labels up to ``label``, read from the bases alone:
+    the label, and the numbers of unknowns and equations of those labels."""
+    lam = N.index[label]
     unknowns, equations = gamma_layout(N)
-    return {"kind": "gamma-system", "unknowns": unknowns.size,
-            "equations": equations.size}
+    return {"kind": "gamma-system", "obstructed_at": label,
+            "unknowns": unknowns.through(lam), "equations": equations.through(lam)}
 
 
 class GammaBlocks:
@@ -197,33 +215,47 @@ class GammaBlocks:
 
     Block (l, k) is e_k (x) J_(n, w) with (n, w) = (|e_l| - |e_k| - shift,
     w_l - w_k): with shift 0 the unknowns of gamma_l, with shift 1 the
-    coordinates of equation l.  The blocks run in the order of (l, k),
-    block (l, k) from the integer ``start[l][k]``, and within a block the
-    J basis key j sits at its index in ``diagonal_block_keys(B, n, w)``,
-    ``positions[n, w][j]``.  ``blocks`` lists the nonempty blocks as
-    (start, l, k, J keys).  It keeps N's algebra, labels and label index
-    but not N, which memoises it, so that N is freed by reference counting
+    coordinates of equation l.  The labels are laid out in order, each
+    when first asked for (``through``): block (l, k) from the integer
+    ``start[l][k]``, label l's blocks from ``bounds[l]`` to
+    ``bounds[l + 1]``, and within a block the J basis key j sits at its
+    index in ``diagonal_block_keys(B, n, w)``, ``positions[n, w][j]``.
+    ``blocks`` lists the nonempty blocks laid out so far as (start, l, k,
+    J keys), ``label_blocks[l]`` those of label l.  Laying out a label
+    adds blocks and changes none, so every holder of the memoised layout
+    may extend it.  It keeps N's algebra, labels and label index but not
+    N, which memoises it, so that N is freed by reference counting
     alone."""
 
     def __init__(self, N: SemifreeModule, shift):
-        B = self.algebra = N.algebra
+        self.algebra = N.algebra
         self.labels, self.index = N.labels, N.index
         self.bidegree = [[(n - shift - d, w - wt) for d, wt in zip(N.degrees, N.weights)]
                          for n, w in zip(N.degrees, N.weights)]
-        self.start, self.blocks, self.positions = [], [], {}
-        size = 0
-        for l, row in enumerate(self.bidegree):
-            self.start.append([])
+        self.start, self.blocks, self.label_blocks, self.positions = [], [], [], {}
+        self.bounds = [0]
+        self._starts = []
+
+    def through(self, l):
+        """Lay out the labels up to l, those not laid out yet; the number
+        of indices their blocks take."""
+        B = self.algebra
+        for row in self.bidegree[len(self.start):l + 1]:
+            size, starts, blocks = self.bounds[-1], [], []
             for k, (n, w) in enumerate(row):
                 keys = diagonal_block_keys(B, n, w)
                 if (n, w) not in self.positions:
                     self.positions[n, w] = {key: i for i, key in enumerate(keys)}
-                self.start[l].append(size)
+                starts.append(size)
                 if keys:
-                    self.blocks.append((size, l, k, keys))
+                    blocks.append((size, len(self.start), k, keys))
                     size += len(keys)
-        self.size = size
-        self._starts = [block[0] for block in self.blocks]
+            self.start.append(starts)
+            self.label_blocks.append(blocks)
+            self.blocks.extend(blocks)
+            self._starts.extend(block[0] for block in blocks)
+            self.bounds.append(size)
+        return self.bounds[l + 1]
 
     def offsets(self, l, k):
         """Block (l, k)'s J key positions and start."""
@@ -263,110 +295,127 @@ def _later(N: SemifreeModule):
     return later
 
 
-def _assemble_global_system(N: SemifreeModule, obstruction):
-    """One simultaneous linear system in all gamma coordinates.
+def _equation_block(N: SemifreeModule, lam, obstruction):
+    """The equations of e_lam in the γ-system, as (matrix, right-hand side).
 
     Unknown block mu: the (|e_mu|, w_mu) piece of N (x) J, whose basis
     element t = e_nu (x) j sits in block (mu, nu) of ``gamma_layout``'s
     unknowns.  Equation block lam: the piece one homological degree lower.
     The column of t holds d(t) in equation mu, that is e_nu' (x) b[nu'][nu] j
     for each nu' in column nu and (-1)^{|e_nu|} e_nu (x) d(j), and
-    -(e_nu (x) j b[mu][lam]) in every later equation lam.  Each piece is
-    written at the integer offsets of the blocks, the column of t at block
-    (mu, nu)'s offset plus j's index, and no tensor key is built: b j and
-    j b by ``linalg.write_images`` from the J key maps, and d(j) copied,
-    times (-1)^{|e_nu|}, from d_J's block (``diagonal_diff_block``,
-    memoised on B, the matrix ``homology`` reads).  The pieces land on
-    distinct entries, and each row receives its entries in column order.
-    The right-hand side of equation lam is the obstruction value of e_lam.
-    The rank-2 corollary is this system in its smallest case: for a basis
-    e, e' with d(e') = e b, J_0 = 0 empties every block but
-    e (x) J_(n+1, w) -> e (x) J_(n, w), (n, w) the bidegree of b, where the
-    matrix is (-1)^{|e|} d_J and the right-hand side delta(b).
+    -(e_nu (x) j b[mu][lam]) in every later equation lam.  So the rows of
+    equation lam, numbered from its first, hold d(t) for the unknowns of
+    gamma_lam and -(t b[mu][lam]) for those of each gamma_mu with
+    b[mu][lam] != 0, mu < lam, and the matrix spans the unknowns of the
+    labels up to lam.  Each piece is written at the integer offsets of
+    the blocks, the column of t at block (mu, nu)'s offset plus j's index,
+    and no tensor key is built: b j and j b by ``linalg.write_images``
+    from the J key maps, and d(j) copied, times (-1)^{|e_nu|}, from d_J's
+    block (``diagonal_diff_block``, memoised on B, the matrix ``homology``
+    reads).  The pieces land on distinct entries, and each row receives
+    its entries in column order.  The right-hand side is the obstruction
+    value of e_lam.  The rank-2 corollary is the system in its smallest
+    case: for a basis e, e' with d(e') = e b, J_0 = 0 empties every block
+    but e (x) J_(n+1, w) -> e (x) J_(n, w), (n, w) the bidegree of b, where
+    the matrix is (-1)^{|e|} d_J and the right-hand side delta(b).
     """
     B = N.algebra
-    labels = N.labels
     unknowns, equations = gamma_layout(N)
-    entries = [{} for _ in range(equations.size)]
-    later = _later(N)
-    for column, mu, nu, keys in unknowns.blocks:
+    ncols = unknowns.through(lam)
+    equations.through(lam)
+    first = equations.bounds[lam]
+    entries = [{} for _ in range(equations.bounds[lam + 1] - first)]
+    for mu, entry in sorted(N.columns[lam], key=itemgetter(0)):
+        for column, _, nu, keys in unknowns.label_blocks[mu]:
+            positions, start = equations.offsets(lam, nu)
+            linalg.write_images(entries, keys, lambda key: diagonal_key_right(B, key, entry),
+                                positions, start - first, column, True)
+    for column, _, nu, keys in unknowns.label_blocks[lam]:
         for i, entry in N.columns[nu]:
+            positions, start = equations.offsets(lam, i)
             linalg.write_images(entries, keys, lambda key: diagonal_key_left(B, entry, key),
-                                *equations.offsets(mu, i), column)
+                                positions, start - first, column)
         odd = N.degrees[nu] % 2
-        d_j = diagonal_diff_block(B, *unknowns.bidegree[mu][nu])
-        for i, targets in enumerate(d_j.entries, equations.start[mu][nu]):
+        d_j = diagonal_diff_block(B, *unknowns.bidegree[lam][nu])
+        for i, targets in enumerate(d_j.entries, equations.start[lam][nu] - first):
             row = entries[i]
             for j, s in targets.items():
                 row[column + j] = -s if odd else s
-        for lam, entry in later[mu]:
-            linalg.write_images(entries, keys, lambda key: diagonal_key_right(B, key, entry),
-                                *equations.offsets(lam, nu), column, True)
+    rhs = [B.field.zero] * len(entries)
+    for key, s in obstruction[N.labels[lam]].terms():
+        rhs[equations.position(lam, key) - first] = s
+    return linalg.BlockMatrix(entries, (len(entries), ncols), B.field), rhs
 
-    rhs = [B.field.zero] * equations.size
-    for lam, lab in enumerate(labels):
-        for key, s in obstruction[lab].terms():
-            rhs[equations.position(lam, key)] = s
 
-    def read_witness(solution):
-        terms = {lab: [] for lab in labels}
-        for column, mu, nu, keys in unknowns.blocks:
-            head = (labels[nu],)
-            terms[labels[mu]].extend(
-                zip([head + key for key in keys], solution[column:column + len(keys)]))
-        return {lab: TensorJElement.from_terms(N, t) for lab, t in terms.items()}
-
-    matrix = linalg.BlockMatrix(entries, (equations.size, unknowns.size), B.field)
-    return matrix, rhs, read_witness
+def _read_witness(N: SemifreeModule, solution):
+    """The gamma family of a solution of N's whole γ-system."""
+    labels = N.labels
+    terms = {lab: [] for lab in labels}
+    for column, mu, nu, keys in gamma_layout(N)[0].blocks:
+        head = (labels[nu],)
+        terms[labels[mu]].extend(
+            zip([head + key for key in keys], solution[column:column + len(keys)]))
+    return {lab: TensorJElement.from_terms(N, t) for lab, t in terms.items()}
 
 
 def check_lift(N: SemifreeModule) -> ObstructionReport:
-    """Decide whether N lifts naively, with a verifiable witness either way."""
+    """Decide whether N lifts naively, with a verifiable witness either way:
+    the equations of one label at a time, until the first label at which
+    the γ-system is inconsistent, or to the last."""
     obstruction = obstruction_values(N)
     if not N.structure:
         witness = {lab: N.tensor_zero() for lab in N.labels}
         return ObstructionReport(LIFTABLE, METHOD_TRIVIAL, obstruction, witness, None)
     tag = METHOD_RANK2 if N.rank == 2 else METHOD_GLOBAL
-    matrix, rhs, read_witness = _assemble_global_system(N, obstruction)
-    result = linalg.linear_solve(matrix, rhs)
-    if result.consistent:
-        return ObstructionReport(LIFTABLE, tag, obstruction,
-                                 read_witness(result.solution), None)
-    equations = gamma_layout(N)[1]
-    cert = _certificate_head(N)
-    cert["null_functional"] = [{"row": equations.name(i), "value": str(c)}
-                               for i, c in result.null_row.items()]
-    cert["pairing"] = str(result.pairing)
-    return ObstructionReport(NOT_LIFTABLE, tag, obstruction, None, cert)
+    elimination = linalg.Elimination(N.algebra.field, track=True)
+    for lam, label in enumerate(N.labels):
+        result = linalg.linear_solve(*_equation_block(N, lam, obstruction), elimination)
+        if not result.consistent:
+            equations = gamma_layout(N)[1]
+            cert = _certificate_head(N, label)
+            cert["null_functional"] = [{"row": equations.name(i), "value": str(c)}
+                                       for i, c in result.null_row.items()]
+            cert["pairing"] = str(result.pairing)
+            return ObstructionReport(NOT_LIFTABLE, tag, obstruction, None, cert)
+    return ObstructionReport(LIFTABLE, tag, obstruction,
+                             _read_witness(N, result.solution), None)
 
 
 def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
     """Re-check the certified inconsistency: u . A = 0 and u . rhs != 0.
 
     The keys must be those of ``_certificate_head`` and "null_functional"
-    and "pairing", each head field the head's.  No builder is called and
-    nothing eliminated: each column of A is built by element arithmetic
-    through B^e (``_gamma_columns``), and only the bases are shared.
-    False, never an exception, for a functional that is not a list of
-    {"row": label, "value": text} items, names a row outside the system
-    or names a row twice, or states a value other than the field's own
-    text of a scalar (so no zero denominator, sign, padding or unreduced
-    fraction), for a missing or an extra key, in the certificate or in an
-    item, and for any stated head field other than the system's, in value
-    or in type."""
+    and "pairing", each head field the head's for the stated label
+    "obstructed_at", and every named row an equation of a label up to it.
+    No builder is called and nothing eliminated: the column of each
+    unknown of those labels is built by element arithmetic through B^e
+    (``_gamma_columns``), and only the bases are shared.  The unknowns of
+    a later label mu hold d(t) in equation mu and t b in equations after
+    it, so they miss every named row and pair with u to zero.  False,
+    never an exception, for a functional that is not a list of {"row":
+    label, "value": text} items, names a row outside those equations or
+    names a row twice, or states a value other than the field's own text
+    of a scalar (so no zero denominator, sign, padding or unreduced
+    fraction), for a stated label that is not a text naming a basis
+    element of N, for a missing or an extra key, in the certificate or in
+    an item, and for any stated head field other than the system's, in
+    value or in type."""
     cert = report.certificate
     items = cert.get("null_functional") if isinstance(cert, dict) else None
     if not isinstance(items, list) or not all(
             isinstance(item, dict) and item.keys() == {"row", "value"}
             and isinstance(item["row"], str) for item in items):
         return False
-    head = _certificate_head(N)
+    label = cert.get("obstructed_at")
+    if not isinstance(label, str) or label not in N.index:
+        return False
+    head = _certificate_head(N, label)
     # repr compares JSON values type-exactly: 4.0 and True are not 4
     if cert.keys() != head.keys() | {"null_functional", "pairing"} or any(
             repr(cert[key]) != repr(value) for key, value in head.items()):
         return False
     field = N.algebra.field
-    rows, columns, rhs = _gamma_columns(N, obstruction_values(N))
+    rows, columns, rhs = _gamma_columns(N, N.index[label])
     stated = {}
     for item in items:
         row = rows.get(item["row"])
@@ -382,39 +431,43 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
     return bool(pairing) and str(pairing) == cert.get("pairing")
 
 
-def _gamma_columns(N: SemifreeModule, obstruction):
-    """The γ-system from elements: ({row label: row index}, columns,
-    right-hand side terms), the rows and unknowns those of ``gamma_layout``.
+def _gamma_columns(N: SemifreeModule, top):
+    """The equations of the labels up to ``top`` from elements: ({row
+    label: row index}, columns, right-hand side terms), the rows and
+    unknowns those of ``gamma_layout``.
 
     ``columns(u)`` yields the column of each unknown t = e_nu (x) j of
-    block mu as (row index, scalar) terms: d(t) in equation mu and
-    -(t b[mu][lam]) in each later equation lam.  Both are computed in
-    N (x) B^e and brought back by sigma, so they do not use the J key maps
-    the builder does.  A column all of whose equations miss the support
-    of u pairs with u to zero and is skipped."""
+    block mu <= top as (row index, scalar) terms: d(t) in equation mu and
+    -(t b[mu][lam]) in each later equation lam <= top.  Both are computed
+    in N (x) B^e and brought back by sigma, so they do not use the J key
+    maps the builder does.  A column all of whose equations miss the
+    support of u pairs with u to zero and is skipped."""
     unknowns, equations = gamma_layout(N)
     labels, later = N.labels, _later(N)
     one = N.algebra.field.one
+    unknowns.through(top)
+    size = equations.through(top)
 
     def columns(u):
         hit = {equations.block_of(i)[0] for i in u}
-        for _, mu, nu, keys in unknowns.blocks:
+        for mu in range(top + 1):
             entries = [(lam, entry) for lam, entry in later[mu] if lam in hit]
             if mu not in hit and not entries:
                 continue
-            for key in keys:
-                t = N.iota_n(TensorJElement.from_terms(N, [((labels[nu],) + key, one)]))
-                column = ([(equations.position(mu, k), s)
-                           for k, s in N.sigma_n(t.diff()).terms()]
-                          if mu in hit else [])
-                for lam, entry in entries:
-                    column.extend((equations.position(lam, k), -s)
-                                  for k, s in N.sigma_n(t * entry).terms())
-                yield column
+            for _, _, nu, keys in unknowns.label_blocks[mu]:
+                for key in keys:
+                    t = N.iota_n(TensorJElement.from_terms(N, [((labels[nu],) + key, one)]))
+                    column = ([(equations.position(mu, k), s)
+                               for k, s in N.sigma_n(t.diff()).terms()]
+                              if mu in hit else [])
+                    for lam, entry in entries:
+                        column.extend((equations.position(lam, k), -s)
+                                      for k, s in N.sigma_n(t * entry).terms())
+                    yield column
 
-    return ({equations.name(i): i for i in range(equations.size)}, columns,
-            [(equations.position(lam, k), s) for lam, lab in enumerate(labels)
-             for k, s in obstruction[lab].terms()])
+    return ({equations.name(i): i for i in range(size)}, columns,
+            [(equations.position(lam, k), s) for lam in range(top + 1)
+             for k, s in criterion_rhs(N, {}, labels[lam]).terms()])
 
 
 def _parse_scalar(field, text):

@@ -43,3 +43,20 @@ def module_n(liftable_problem):
 @pytest.fixture(scope="session")
 def module_m(nonliftable_problem):
     return nonliftable_problem.modules["M"]
+
+
+def gamma_system(N):
+    """N's whole γ-system as (matrix, right-hand side): the equations of
+    each label from ``obstruction._equation_block``, stacked in label
+    order, over the unknowns of every label."""
+    from dglift.linalg import BlockMatrix
+    from dglift.obstruction import _equation_block, gamma_layout, obstruction_values
+
+    obstruction = obstruction_values(N)
+    entries, rhs = [], []
+    for lam in range(N.rank):
+        block, block_rhs = _equation_block(N, lam, obstruction)
+        entries += block.entries
+        rhs += block_rhs
+    ncols = gamma_layout(N)[0].through(N.rank - 1)
+    return BlockMatrix(entries, (len(entries), ncols), N.algebra.field), rhs

@@ -1,12 +1,16 @@
 """The γ-system's block-offset builder against the keyed builder it replaced.
 
-``keyed_gamma_system`` is the former ``obstruction._assemble_global_system``:
-every unknown and equation has a tensor key ("γ" or "eq", label, (label,
-m1, m2, ring monomial)), and ``linalg.block_matrix`` places each image by
-hashing those keys.  The builder now writes by integer block offsets; it
-must give the same matrix (entries in the same order in each row), the
-same right-hand side, the same row names and the same witness, and the
-certificate head, read from the bases alone, must state its shape.
+``keyed_gamma_system`` is the keyed form of the builder: every unknown
+and equation has a tensor key ("γ" or "eq", label, (label, m1, m2, ring
+monomial)), and ``linalg.block_matrix`` places each image by hashing
+those keys.  The builder writes by integer block offsets, the equations
+of one label at a time; stacked in label order, its blocks must give the
+same matrix (entries in the same order in each row), the same right-hand
+side, the same row names and the same witness, and the certificate head
+at the last label, read from the bases alone, must state its shape.  The
+decision stops at the first inconsistent label, which is sound because
+the system is block lower-triangular in label order: a test pins that
+on every module of the golden files and the corpora.
 """
 
 import random
@@ -15,12 +19,12 @@ from pathlib import Path
 from dglift import linalg, parse_problem
 from dglift.envelope import diagonal_key_diff, diagonal_key_left, diagonal_key_right
 from dglift.errors import DGLiftError
-from dglift.obstruction import (_assemble_global_system, _certificate_head,
-                                gamma_layout, obstruction_values)
+from dglift.obstruction import (_certificate_head, _read_witness, gamma_layout,
+                                obstruction_values)
 from dglift.randomgen import random_algebra, random_module, random_scalar, standard_rings
 from dglift.semifree import TensorJElement
 
-from conftest import GOLDEN
+from conftest import GOLDEN, gamma_system
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
@@ -87,7 +91,7 @@ def random_modules():
 
 def assert_same_system(N, rng):
     obstruction = obstruction_values(N)
-    matrix, rhs, read_witness = _assemble_global_system(N, obstruction)
+    matrix, rhs = gamma_system(N)
     keyed, keyed_rhs, keyed_witness, labels = keyed_gamma_system(N, obstruction)
     assert matrix.shape == keyed.shape
     assert [list(row.items()) for row in matrix.entries] == [
@@ -95,11 +99,13 @@ def assert_same_system(N, rng):
     assert rhs == keyed_rhs
     equations = gamma_layout(N)[1]
     assert [equations.name(i) for i in range(matrix.shape[0])] == labels
-    assert _certificate_head(N) == {
-        "kind": "gamma-system", "unknowns": keyed.shape[1], "equations": keyed.shape[0]}
+    last = N.labels[-1]
+    assert _certificate_head(N, last) == {
+        "kind": "gamma-system", "obstructed_at": last,
+        "unknowns": keyed.shape[1], "equations": keyed.shape[0]}
     field = N.algebra.field
     solution = [random_scalar(rng, field) for _ in range(matrix.shape[1])]
-    witness = read_witness(solution)
+    witness = _read_witness(N, solution)
     expected = keyed_witness(solution)
     assert list(witness) == list(expected)
     assert all(witness[lab] == expected[lab] for lab in N.labels)
@@ -124,9 +130,13 @@ def test_the_layout_numbers_rows_and_columns_block_by_block():
     N = problem.modules["M"]
     unknowns, equations = gamma_layout(N)
     assert gamma_layout(N)[0] is unknowns
+    # nothing is laid out before a label is asked for
+    assert unknowns.blocks == equations.blocks == [] and unknowns.through(-1) == 0
     for side, shift in ((unknowns, 0), (equations, 1)):
         size = 0
         for l, (n, w) in enumerate(zip(N.degrees, N.weights)):
+            assert side.bounds[l] == size
+            side.through(l)
             for k, (d, wt) in enumerate(zip(N.degrees, N.weights)):
                 assert side.start[l][k] == size
                 assert side.bidegree[l][k] == (n - shift - d, w - wt)
@@ -136,4 +146,25 @@ def test_the_layout_numbers_rows_and_columns_block_by_block():
                         assert side.position(l, key) == size
                         assert side.block_of(size) == (l, k, key[1:])
                         size += 1
-        assert side.size == size
+        assert side.through(N.rank - 1) == side.bounds[-1] == size
+
+
+def test_the_system_is_block_lower_triangular_in_label_order():
+    """Every entry of equation block (l, k) lies in an unknown block
+    (mu, nu) with mu <= l and nu >= k, on every module of the golden files
+    and the corpora that parses.  So the equations of the labels up to
+    lam hold no unknown of a later label, which is what lets the decision
+    stop at the first inconsistent label and its certificate name only
+    those equations."""
+    paths = sorted(GOLDEN.glob("*.dgp")) + sorted(CORPUS.glob("*/*.dgp"))
+    checked = 0
+    for N in parsed_modules(paths):
+        matrix, _ = gamma_system(N)
+        unknowns, equations = gamma_layout(N)
+        for i, row in enumerate(matrix.entries):
+            l, k, _ = equations.block_of(i)
+            for j in row:
+                mu, nu, _ = unknowns.block_of(j)
+                assert mu <= l and nu >= k, (N, equations.name(i), j)
+                checked += 1
+    assert checked > 10000

@@ -31,7 +31,14 @@ check-lift reports, frontend samples f085, f187, f221 and f255, 67
 frontend check-lift digests, and k18, k21 and k22 of both Koszul
 corpora); each certificate took the γ-system head and row names, with
 its values, their order and its pairing unchanged, and nothing else in
-any report changed.
+any report changed.  When the decision began to stop at the first label
+whose equations make the γ-system inconsistent, the entries holding a
+certificate were written again (the two golden check-lift reports, 13
+frontend samples, 203 frontend check-lift digests, and 22 digests of
+each Koszul corpus): each certificate gained "obstructed_at", its head
+counts the unknowns and equations of the labels up to it, and its null
+functional, a left null vector of those equations only, names none of a
+later label; outside the certificates every byte stayed the same.
 """
 
 import contextlib

@@ -13,12 +13,11 @@ from dglift.envelope import (DiagonalElement, EnvelopeElement, diagonal_block_ke
                              diagonal_diff_block, diagonal_homology_dim, sigma)
 from dglift.free_dga import AlgebraElement
 from dglift.linalg import apply_matrix
-from dglift.obstruction import (_assemble_global_system, _certificate_head,
-                                criterion_rhs, gamma_layout, obstruction_values)
+from dglift.obstruction import _certificate_head, criterion_rhs, gamma_layout
 from dglift.randomgen import random_diagonal_element
 from dglift.semifree import ModuleElement, TensorJElement
 
-from conftest import GOLDEN
+from conftest import GOLDEN, gamma_system
 
 
 def dense_block(rows, ncols, field):
@@ -99,11 +98,12 @@ def test_a_sparser_row_below_is_swapped_up_and_the_former_row_cleared(field):
     The same happens at column 1 with rows 1 and 2."""
     rows = [[1, 1, 1], [2, 0, 0], [0, 1, 0]]
     m = matrix(rows, field)
-    work = linalg._raw_rows(m.entries, field.char)
-    pivots, log = linalg._eliminate(work, 3, field, True)
-    assert pivots == [0, 1, 2]
-    assert [op for op in log if op[0] == "swap"] == [("swap", 0, 1), ("swap", 1, 2)]
-    assert [linalg._dense(row, 3, field) for row in work] == [
+    elimination = linalg.Elimination(field, track=True)
+    elimination.add(linalg._raw_rows(m.entries, field.char))
+    assert elimination.pivots == [0, 1, 2]
+    assert [op for op in elimination.log if op[0] == "swap"] == [
+        ("swap", 0, 1), ("swap", 1, 2)]
+    assert [linalg._dense(row, 3, field) for row in elimination.rows] == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     x = [field.of(1), field.of(2), field.of(3)]
     result = linear_solve(m, apply_matrix(m, x))
@@ -213,7 +213,7 @@ def test_prime_field_solves():
 
 
 def dense_eliminate(rows, ncols, field, track):
-    """The former dense ``linalg._eliminate``, kept here as the reference,
+    """The former dense elimination, kept here as the reference,
     with the sparse solver's row rule: the pivot of column c is the row at
     or below r that holds c with the fewest nonzero entries (every column
     of the row counts, an augmented one too), the first such row on a tie.
@@ -326,10 +326,11 @@ def test_sparse_solver_matches_dense_oracle(field):
         _, ref_pivots, ref_transform = dense_eliminate(
             rows, ncols, field, True)
         assert m.rows == rows
-        sparse = linalg._raw_rows(m.entries, field.char)
-        pivots, log = linalg._eliminate(sparse, ncols, field, True)
+        elimination = linalg.Elimination(field, track=True)
+        elimination.add(linalg._raw_rows(m.entries, field.char))
+        pivots, log = elimination.pivots, elimination.log
         assert pivots == ref_pivots
-        echelon = [linalg._dense(row, ncols, field) for row in sparse]
+        echelon = [linalg._dense(row, ncols, field) for row in elimination.rows]
         # echelon form: a unit pivot with zeros to its left, zero rows below
         for row, pc in zip(echelon, pivots):
             assert row[pc] == 1 and not any(row[:pc])
@@ -405,9 +406,9 @@ def assert_block_equals(block, reference):
 
 
 def reference_gamma_system(N):
-    """The former ``_assemble_global_system``: a TensorJElement per unknown,
-    differentiated, and multiplied by each later structure entry.  Returns
-    the block and the labels of its rows."""
+    """The γ-system as the first builder wrote it: a TensorJElement per
+    unknown, differentiated, and multiplied by each later structure entry.
+    Returns the block and the labels of its rows."""
     field = N.algebra.field
     unknowns, equations = [], []
     for lab, n, w in zip(N.labels, N.degrees, N.weights):
@@ -471,8 +472,7 @@ def test_block_builders_match_the_dense_reference():
                     lambda key: TensorJElement.from_terms(N, [(key, one)]).diff().terms(),
                     B.field))
                 blocks += 2
-            obstruction = obstruction_values(N)
-            matrix, _, _ = _assemble_global_system(N, obstruction)
+            matrix, _ = gamma_system(N)
             reference, labels = reference_gamma_system(N)
             assert_block_equals(matrix, reference)
             equations = gamma_layout(N)[1]
@@ -500,8 +500,7 @@ def test_the_rank2_system_is_the_gamma_system_in_its_smallest_case():
         B = N.algebra
         (_, b), = N.columns[1]
         n, w = N.degrees[1] - N.degrees[0] - 1, N.weights[1] - N.weights[0]
-        obstruction = obstruction_values(N)
-        matrix, rhs, _ = _assemble_global_system(N, obstruction)
+        matrix, rhs = gamma_system(N)
         reference = diagonal_diff_block(B, n + 1, w)
         if N.degrees[0] % 2:
             reference = BlockMatrix([{j: -x for j, x in row.items()}
@@ -509,8 +508,8 @@ def test_the_rank2_system_is_the_gamma_system_in_its_smallest_case():
         assert_block_equals(matrix, reference)
         keys = diagonal_block_keys(B, n, w)
         assert rhs == linalg.coordinates(delta(b).terms(), keys, B.field)
-        assert _certificate_head(N) == {
-            "kind": "gamma-system", "equations": len(keys),
+        assert _certificate_head(N, N.labels[1]) == {
+            "kind": "gamma-system", "obstructed_at": N.labels[1], "equations": len(keys),
             "unknowns": len(diagonal_block_keys(B, n + 1, w))}
     assert len(modules) == 158
     assert sum(N.degrees[0] % 2 for N in modules) == 45
@@ -525,7 +524,7 @@ def test_gamma_rhs_is_the_obstruction():
     checked = 0
     for problem in problems:
         for N in problem.modules.values():
-            matrix, rhs, _ = _assemble_global_system(N, obstruction_values(N))
+            matrix, rhs = gamma_system(N)
             equations = [("eq", lam, k) for lam, n, w in
                          zip(N.labels, N.degrees, N.weights)
                          for k in N.tensor_keys(n - 1, w)]
@@ -569,7 +568,7 @@ def test_solver_matches_the_dense_oracle_on_real_systems():
     for name, problem in oracle_problems():
         field = problem.algebra.field
         for N in problem.modules.values():
-            matrix, rhs, _ = _assemble_global_system(N, obstruction_values(N))
+            matrix, rhs = gamma_system(N)
             rows = matrix.rows
             ref_rank, ref_solution, ref_null, ref_pairing = dense_solve(
                 rows, matrix.shape[1], rhs, field)

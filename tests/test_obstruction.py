@@ -12,7 +12,7 @@ from dglift.randomgen import (random_algebra, random_gamma,
                               random_module, random_module_element,
                               random_partial_solution, standard_rings)
 
-from conftest import golden_text, shipped_algebras
+from conftest import gamma_system, golden_text, shipped_algebras
 from invariants import (delta_b_is_a_boundary, suite_connections, suite_decision,
                         suite_homotopy, suite_obstruction)
 
@@ -354,10 +354,9 @@ def test_certificate_with_a_key_outside_its_head_is_rejected(module_m, method):
     from copy import deepcopy
 
     from dglift.linalg import rank
-    from dglift.obstruction import _assemble_global_system
 
     N, report = _nonliftable(module_m, method)
-    true_rank = rank(_assemble_global_system(N, obstruction_values(N))[0])
+    true_rank = rank(gamma_system(N)[0])
     # a stated rank, even the true one, an unknown key, and each head key
     # left out
     for extra in ({"rank": true_rank}, {"rank": None}, {"comment": "x"}):
@@ -447,16 +446,24 @@ def test_boundary_certificate_on_a_rank_one_module_is_rejected(module_m):
 
 
 def test_boundary_certificate_on_a_rank_three_module_is_rejected(module_m):
-    """M's certificate names rows of M's γ-system.  On P, whose z adds
-    blocks, it fails the head; on P0, whose z adds none, P0's γ-system is
-    M's, and the certificate is a true proof that P0 does not lift."""
-    P = _golden_with_module(RANK_THREE)
-    assert check_lift(P).method == METHOD_GLOBAL
+    """M's certificate names rows of M's γ-system, obstructed at up.  On
+    Q, whose z comes before up and adds blocks to the equations up to up,
+    it fails the head.  On P, whose z comes after up, and on P0, whose z
+    adds no block at all, the equations up to up are M's, and the
+    certificate is a true proof that the module does not lift."""
     report = check_lift(module_m)
-    assert not verify_certificate(P, report)
+    assert report.certificate["obstructed_at"] == "up"
+    Q = _golden_with_module("<u:0, z:4:4, up:4 | du = 0, dz = 0, dup = u*X*Y*x>")
+    assert check_lift(Q).method == METHOD_GLOBAL
+    assert _certificate_head(Q, "up") != _certificate_head(module_m, "up")
+    assert not verify_certificate(Q, report)
+    P = _golden_with_module(RANK_THREE)
     P0 = _golden_with_module("<u:0, up:4, z:9 | du = 0, dup = u*X*Y*x, dz = 0>")
-    assert _certificate_head(P0) == _certificate_head(module_m)
-    assert verify_certificate(P0, report)
+    for N in (P, P0):
+        assert check_lift(N).method == METHOD_GLOBAL
+        assert _certificate_head(N, "up") == _certificate_head(module_m, "up")
+        assert verify_certificate(N, report)
+    assert _certificate_head(P, "z") != _certificate_head(P0, "z")
 
 
 def _negated(key_map):
@@ -555,8 +562,8 @@ def test_the_checker_calls_no_builder_and_no_elimination(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the checker called a builder or an elimination")
 
-    monkeypatch.setattr(obstruction, "_assemble_global_system", forbidden)
+    monkeypatch.setattr(obstruction, "_equation_block", forbidden)
     monkeypatch.setattr(envelope, "diagonal_diff_block", forbidden)
-    for name in ("rank", "linear_solve", "kernel_basis", "_eliminate"):
+    for name in ("rank", "linear_solve", "kernel_basis", "Elimination"):
         monkeypatch.setattr(linalg, name, forbidden)
     assert all(verify_certificate(N, report) for N, report in reports)
