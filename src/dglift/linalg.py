@@ -110,25 +110,16 @@ class SolveResult:
     """``solution`` is a list, or None when the system is inconsistent;
     then ``null_row``, a sparse functional {row: scalar} in row order, and
     ``pairing`` say why: u = null_row has u A = 0 while ``pairing`` =
-    u . target is nonzero.  Both are None for a solution.  A solve passes
-    its solution as a function of no arguments, called on the first read
-    of ``solution``, so that a caller feeding an elimination batch by
-    batch back-substitutes only where it reads a solution."""
+    u . target is nonzero.  Both are None for a solution."""
 
     def __init__(self, solution, null_row, pairing):
-        self._solution = solution
+        self.solution = solution
         self.null_row = null_row
         self.pairing = pairing
 
     @property
-    def solution(self):
-        if callable(self._solution):
-            self._solution = self._solution()
-        return self._solution
-
-    @property
     def consistent(self):
-        return self.null_row is None
+        return self.solution is not None
 
 
 # The column key of the target in an augmented row: greater than every
@@ -362,7 +353,7 @@ def linear_solve(matrix: BlockMatrix, target: list, elimination=None) -> SolveRe
         if t:
             row[TARGET] = t.v if p else t
     elimination.add(augmented)
-    rows, pivots = elimination.rows, elimination.pivots[:]
+    rows = elimination.rows
     q = elimination._pivot_row.get(TARGET)
     if q is not None:
         # a pivot in the target column exhibits the inconsistency; T takes
@@ -370,14 +361,10 @@ def linear_solve(matrix: BlockMatrix, target: list, elimination=None) -> SolveRe
         row = _transform_row(elimination.log, q, len(rows), field)
         u = {i: field.of(x) for i, x in row.items()}
         return SolveResult(None, u, field.of(rows[q][TARGET]))
-
-    def solve():
-        # x[TARGET] = -1 puts the target on the right: A x = target
-        x = _back_substitute(rows, pivots, {TARGET: p - 1 if p else -1}, p)
-        del x[TARGET]
-        return _dense(x, ncols, field)
-
-    return SolveResult(solve, None, None)
+    # x[TARGET] = -1 puts the target on the right: A x = target
+    x = _back_substitute(rows, elimination.pivots, {TARGET: p - 1 if p else -1}, p)
+    del x[TARGET]
+    return SolveResult(_dense(x, ncols, field), None, None)
 
 
 def apply_matrix(matrix: BlockMatrix, vec: list) -> list:

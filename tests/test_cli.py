@@ -306,32 +306,50 @@ def test_divided_power_binomials_in_a_module_end_quickly(tmp_path, capsys):
         assert time.perf_counter() - start < 1
 
 
-def test_a_ring_exponent_near_a_billion_ends_quickly(tmp_path):
-    """The last exponent of a graded basis is solved for, not looped over,
-    so a basis in internal degree 10^9 over one generator costs nothing.
-    Each command runs in a child with a timeout and a 1 GB address-space
-    cap: the loop builds a list of 10^9 vectors, and a regression must
-    fail rather than fill the machine's memory."""
+def run_capped(argv, timeout=30):
+    """``python -m dglift`` with argv in a child, with a timeout and a 1 GB
+    address-space cap: a regression that loops or allocates without bound
+    fails rather than fill the machine's memory."""
     import os
     import resource
     import subprocess
     from pathlib import Path
 
-    path = tmp_path / "exponent.dgp"
-    path.write_text("ring R = QQ[x:1]\nalgebra B = R<X:1:1>\n"
-                    "module N over B = <e:0, f:2 | df = e*X*x^999999999>\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+    return subprocess.run([sys.executable, "-m", "dglift"] + argv, env=env,
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=cap)
+
+
+def test_a_ring_exponent_near_a_billion_ends_quickly(tmp_path):
+    """The last exponent of a graded basis is solved for, not looped over,
+    so a basis in internal degree 10^9 over one generator costs nothing.
+    Each command runs in a capped child (``run_capped``): the loop builds a
+    list of 10^9 vectors."""
+    path = tmp_path / "exponent.dgp"
+    path.write_text("ring R = QQ[x:1]\nalgebra B = R<X:1:1>\n"
+                    "module N over B = <e:0, f:2 | df = e*X*x^999999999>\n")
     for argv, answer in [(["check-lift", str(path)], '"decision": "NOT_LIFTABLE"'),
                          (["homology", str(path), "--bidegree", "3,1000000000"],
                           '"dimension": 0')]:
-        done = subprocess.run([sys.executable, "-m", "dglift"] + argv, env=env,
-                              capture_output=True, text=True, timeout=30,
-                              preexec_fn=cap)
+        done = run_capped(argv)
         assert done.returncode == 0 and answer in done.stdout, done.stderr
+
+
+def test_a_homology_degree_near_ten_million_ends_quickly(tmp_path):
+    """J_(n, w) holds no monomial m1 of degree above max_X floor(w d_X /
+    w_X), every variable having internal degree at least 1, so the
+    degrees of m1 are looped over only up to that bound: homology in
+    degree 10^7 at weight 2 costs nothing.  Looping over every degree up
+    to n took seconds per 10^6 and a memo entry per degree."""
+    path = tmp_path / "degree.dgp"
+    path.write_text("ring R = QQ[x:1]\nalgebra B = R<X:1:1>\nmodule N over B = <e:0>\n")
+    done = run_capped(["homology", str(path), "--bidegree", "10000000,2"], timeout=10)
+    assert done.returncode == 0 and '"dimension": 0' in done.stdout, done.stderr
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

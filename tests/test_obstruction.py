@@ -567,3 +567,93 @@ def test_the_checker_calls_no_builder_and_no_elimination(monkeypatch):
     for name in ("rank", "linear_solve", "kernel_basis", "Elimination"):
         monkeypatch.setattr(linalg, name, forbidden)
     assert all(verify_certificate(N, report) for N, report in reports)
+
+
+def _early_stop():
+    """A Koszul module whose γ-system is already inconsistent on the
+    equations of a proper prefix of its labels, with more equations
+    after it, and its report."""
+    from pathlib import Path
+
+    from dglift.obstruction import gamma_layout
+
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+    for path in sorted((corpus / "koszul-fp").glob("*.dgp")):
+        for N in parse_problem(path.read_text(encoding="utf-8")).modules.values():
+            report = check_lift(N)
+            if report.liftable:
+                continue
+            equations = gamma_layout(N)[1]
+            if equations.through(N.rank - 1) > report.certificate["equations"]:
+                assert verify_certificate(N, report)
+                return N, report
+    raise AssertionError("no Koszul module stops before its last equation")
+
+
+@pytest.mark.parametrize("stated", [None, 1, True, ["up"], {"up": 1}])
+def test_certificate_with_an_obstructed_at_other_than_text_is_rejected(module_m, stated):
+    from copy import deepcopy
+
+    for N, report in ((module_m, check_lift(module_m)), _early_stop()):
+        tampered = deepcopy(report)
+        tampered.certificate["obstructed_at"] = stated
+        assert not verify_certificate(N, tampered)
+
+
+def test_certificate_obstructed_at_a_label_outside_the_module_is_rejected(module_m):
+    from copy import deepcopy
+
+    report = check_lift(module_m)
+    for stated in ("", "z", "UP", "up ", "eq_up"):
+        tampered = deepcopy(report)
+        tampered.certificate["obstructed_at"] = stated
+        assert not verify_certificate(module_m, tampered), stated
+
+
+def test_certificate_naming_a_row_after_obstructed_at_is_rejected():
+    """The functional may name only equations of the labels up to the
+    stated one: a row of a later label is rejected, with a zero value or
+    not, though the unknowns up to the label never reach it."""
+    from dglift.obstruction import gamma_layout
+
+    N, report = _early_stop()
+    equations = gamma_layout(N)[1]
+    later = equations.name(report.certificate["equations"])
+    items = report.certificate["null_functional"]
+    for value in ("0", "1"):
+        extra = {"row": later, "value": value}
+        assert not verify_certificate(N, _with_functional(report, items + [extra]))
+
+
+def test_certificate_stating_the_whole_system_is_rejected():
+    """The head counts the unknowns and equations up to obstructed_at, not
+    those of the whole system."""
+    from copy import deepcopy
+
+    N, report = _early_stop()
+    tampered = deepcopy(report)
+    tampered.certificate.update(_whole_system_head(N))
+    assert not verify_certificate(N, tampered)
+
+
+def _whole_system_head(N):
+    from dglift.obstruction import gamma_layout
+
+    unknowns, equations = gamma_layout(N)
+    return {"unknowns": unknowns.through(N.rank - 1),
+            "equations": equations.through(N.rank - 1)}
+
+
+def test_certificate_without_obstructed_at_is_rejected(module_m):
+    """A certificate without "obstructed_at" is rejected: with the head of
+    the equations up to that label, and in the former format, whose head
+    counted the whole system, although its functional, naming equations of
+    that prefix only, annihilates the whole system too."""
+    from copy import deepcopy
+
+    for N, report in ((module_m, check_lift(module_m)), _early_stop()):
+        for head in ({}, _whole_system_head(N)):
+            tampered = deepcopy(report)
+            del tampered.certificate["obstructed_at"]
+            tampered.certificate.update(head)
+            assert not verify_certificate(N, tampered), head
