@@ -44,7 +44,7 @@ in which a set of holders is read does not reach it.
 """
 
 import sys
-from heapq import heapify, heappop, heappush
+from bisect import insort
 
 from .errors import CompositionNonzero, ConstructionError
 
@@ -182,8 +182,9 @@ class Elimination:
         new place when the swap moved it.  ``_holders[c]`` is the set of
         rows that may hold column c: built from the new rows, extended on
         fill-in and swaps, and read once, when c is taken; a stale entry
-        fails ``c in rows[i]``.  The columns to take are kept in a heap,
-        which fill-in from an earlier batch's pivot row extends.  One
+        fails ``c in rows[i]``.  The columns to take are those of the new
+        rows, and those that fill-in from an earlier batch's pivot row
+        adds.  One
         batch fed to a fresh elimination is the whole of a one-shot
         elimination.
 
@@ -208,10 +209,10 @@ class Elimination:
         work.extend(rows)
         m = len(work)
         r = len(pivots)
-        columns = list(holders)
-        heapify(columns)
+        # -c for each column c to take, ascending, so the least c pops first
+        columns = sorted(-j for j in holders)
         while columns and r < m:
-            c = heappop(columns)
+            c = -columns.pop()
             # (entries, index) of each row after the pivot rows that holds c
             below = [(len(row), i) for i in holders.pop(c)
                      if i >= r and c in (row := work[i])]
@@ -255,7 +256,7 @@ class Elimination:
                         held = holders.get(j)
                         if held is None:
                             holders[j] = {i}
-                            heappush(columns, j)
+                            insort(columns, -j)
                         else:
                             held.add(i)
                 if log is not None:
