@@ -233,15 +233,17 @@ class Elimination:
                     work[r] = _scaled(work[r], inv, p)
                     if log is not None:
                         log.append(("scale", r, inv))
-                # the former row r, swapped down to src, is cleared there
-                below = [src if i == r else i for _, i in below if i != src]
                 pivots.append(c)
                 pivot_row[c] = r
                 r += 1
             else:
-                below = [i for _, i in below]
+                src = -1  # no row is the pivot, and none was swapped
             pivot = work[k]
-            for i in below:
+            for _, i in below:
+                if i == src:
+                    continue
+                if i == k:  # the former row k, swapped down to src
+                    i = src
                 row = work[i]
                 f = row[c]
                 for j, b in pivot.items():  # row -= f * pivot
@@ -253,12 +255,11 @@ class Elimination:
                             del row[j]
                     else:
                         row[j] = -f * b % p if p else -f * b
-                        held = holders.get(j)
-                        if held is None:
+                        try:
+                            holders[j].add(i)
+                        except KeyError:  # a column only an earlier pivot row held
                             holders[j] = {i}
                             insort(columns, -j)
-                        else:
-                            held.add(i)
                 if log is not None:
                     log.append(("sub", i, f, k))
 
