@@ -183,10 +183,9 @@ class Elimination:
         rows that may hold column c: built from the new rows, extended on
         fill-in and swaps, and read once, when c is taken; a stale entry
         fails ``c in rows[i]``.  The columns to take are those of the new
-        rows, and those that fill-in from an earlier batch's pivot row
-        adds.  One
-        batch fed to a fresh elimination is the whole of a one-shot
-        elimination.
+        rows and those that fill-in from an earlier batch's pivot row
+        adds.  One batch fed to a fresh elimination is the whole of a
+        one-shot elimination.
 
         With ``track`` the row operations are logged in order, as ("swap",
         r, s), ("scale", r, inv) and ("sub", i, f, r) for row i -= f * row
@@ -237,7 +236,7 @@ class Elimination:
                 pivot_row[c] = r
                 r += 1
             else:
-                src = -1  # no row is the pivot, and none was swapped
+                src = -1  # the pivot row is an earlier one: no row below moved
             pivot = work[k]
             for _, i in below:
                 if i == src:

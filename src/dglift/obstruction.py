@@ -38,11 +38,12 @@ equations of one label at a time (``_equation_block``), their right-hand
 side the obstruction value of e_lam, and feeds them to one elimination
 that it resumes label by label (``linalg.linear_solve`` with a
 ``linalg.Elimination``): each block is reduced by the pivots found so
-far, then pivoted on its remaining columns.  The first label whose
-equations make the system inconsistent decides NOT_LIFTABLE, and nothing
-of a later label is laid out, written or eliminated; else the solution
-after the last label, free variables zero, is the one a single solve of
-the whole system gives.  LIFTABLE reports carry the gamma family;
+far, then pivoted on its remaining columns; a label without equations
+is skipped.  The first label whose equations make the system
+inconsistent decides NOT_LIFTABLE, and nothing of a later label is laid
+out, written or eliminated; else the solution after the last label,
+free variables zero, is the one a single solve of the whole system
+gives.  LIFTABLE reports carry the gamma family;
 NOT_LIFTABLE reports carry one kind of machine-checkable inconsistency
 certificate, "gamma-system", whatever the method: a head read from the
 bases alone (``_certificate_head``), which names that first obstructed
@@ -348,7 +349,9 @@ def _equation_block(N: SemifreeModule, lam, obstruction):
 
 
 def _read_witness(N: SemifreeModule, solution):
-    """The gamma family of a solution of N's whole γ-system."""
+    """The gamma family of a solution of N's γ-system up to the last label
+    with an equation: the unknowns after it hold in no equation, so they
+    are free, and zero."""
     labels = N.labels
     terms = {lab: [] for lab in labels}
     for column, mu, nu, keys in gamma_layout(N)[0].blocks:
@@ -367,18 +370,21 @@ def check_lift(N: SemifreeModule) -> ObstructionReport:
         witness = {lab: N.tensor_zero() for lab in N.labels}
         return ObstructionReport(LIFTABLE, METHOD_TRIVIAL, obstruction, witness, None)
     tag = METHOD_RANK2 if N.rank == 2 else METHOD_GLOBAL
+    equations = gamma_layout(N)[1]
     elimination = linalg.Elimination(N.algebra.field, track=True)
+    solution = []
     for lam, label in enumerate(N.labels):
+        if equations.through(lam) == equations.bounds[lam]:
+            continue  # e_lam has no equation, so nothing to eliminate
         result = linalg.linear_solve(*_equation_block(N, lam, obstruction), elimination)
         if not result.consistent:
-            equations = gamma_layout(N)[1]
             cert = _certificate_head(N, label)
             cert["null_functional"] = [{"row": equations.name(i), "value": str(c)}
                                        for i, c in result.null_row.items()]
             cert["pairing"] = str(result.pairing)
             return ObstructionReport(NOT_LIFTABLE, tag, obstruction, None, cert)
-    return ObstructionReport(LIFTABLE, tag, obstruction,
-                             _read_witness(N, result.solution), None)
+        solution = result.solution
+    return ObstructionReport(LIFTABLE, tag, obstruction, _read_witness(N, solution), None)
 
 
 def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
