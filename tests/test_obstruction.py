@@ -613,7 +613,7 @@ def test_certificate_obstructed_at_a_label_outside_the_module_is_rejected(module
 def test_certificate_naming_a_row_after_obstructed_at_is_rejected():
     """The functional may name only equations of the labels up to the
     stated one: a row of a later label is rejected, with a zero value or
-    not, though the unknowns up to the label never reach it."""
+    not."""
     from dglift.obstruction import gamma_layout
 
     N, report = _early_stop()
