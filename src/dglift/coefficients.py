@@ -199,20 +199,33 @@ def mono_divides(small, big):
     return all(map(le, small, big))
 
 
-def exponent_vectors(degrees, total, caps):
+def exponent_vectors(degrees, total, relations):
     """Every exponent vector e, in lexicographic order, with sum(e_i *
-    degrees[i]) == total and e_i <= caps[i] (None: no cap), for positive
-    degrees; none when total < 0.  The caps bound each loop, and the last
+    degrees[i]) == total that no relation (a nonzero exponent vector)
+    divides, for positive degrees; none when total < 0.  A relation is
+    tested where its last generator is placed, the prefix it lives on then
+    being complete: divisibility is monotone in that exponent, so when the
+    prefix is divisible by the relation's other exponents the loop ends
+    below the relation's last one.  No excluded vector is built.  The last
     exponent is solved for, so a lone generator costs no loop at all."""
     if total < 0 or not degrees:
         return [()] if total == 0 else []
+    placed = [[] for _ in degrees]  # the relations by their last generator
+    for rel in relations:
+        i = max(j for j, e in enumerate(rel) if e)
+        placed[i].append((rel[:i], rel[i]))
+
+    def bound(prefix, e, rels):
+        # the least of e and the exponents below those of the relations on prefix
+        return min([e] + [top - 1 for head, top in rels if mono_divides(head, prefix)])
+
     found = [((), total)]
-    for d, cap in zip(degrees[:-1], caps):
+    for d, rels in zip(degrees[:-1], placed):
         found = [(prefix + (e,), rest - e * d) for prefix, rest in found
-                 for e in range((rest // d if cap is None else min(cap, rest // d)) + 1)]
-    d, cap = degrees[-1], caps[-1]
+                 for e in range(bound(prefix, rest // d, rels) + 1)]
+    d, rels = degrees[-1], placed[-1]
     return [prefix + (rest // d,) for prefix, rest in found
-            if rest % d == 0 and (cap is None or rest // d <= cap)]
+            if rest % d == 0 and bound(prefix, rest // d, rels) == rest // d]
 
 
 def ring_mono_key(exps):
@@ -324,8 +337,8 @@ class BaseRing:
     @memoised
     def graded_basis(self, w):
         """Ordered monomial basis of the internal-degree-w piece."""
-        return sorted(filter(self.mono_reduced, exponent_vectors(
-            self.degrees, w, (None,) * len(self.degrees))), key=ring_mono_key)
+        return sorted(exponent_vectors(self.degrees, w, self.relations),
+                      key=ring_mono_key)
 
 
 class RingElement(LinComb):

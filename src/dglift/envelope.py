@@ -23,7 +23,14 @@ as pairs (m, 1).
 
 Both are ``LinComb`` elements: ints, field scalars and ring elements act
 through its one scalar rule, and its one renderer prints each term as
-`m1^o⊗m2`, then ` · r` for a ring monomial r != 1; J prints in B^e.
+`m1^o⊗m2`, then ` · r` for a ring monomial r != 1; J prints in B^e.  B^e
+multiplies by its product rule over ``pair_mul``, which holds the twist,
+and differentiates by its linear rule over ``pair_diff``.  B acts on the
+left as op_inclusion(b) . u, since (b^o (x) 1)(b1^o (x) b2) = (b b1)^o (x) b2,
+and on the right as u . rho(b); pi is the linear rule over ``mono_mul``.
+No element rule of B or B^e calls the maps on one J basis key below, which
+only ``DiagonalElement`` extends, so the certificate checker, computing in
+N (x) B^e, shares only the bases with the builder of the gamma-system.
 """
 
 from . import linalg
@@ -79,51 +86,44 @@ class EnvelopeElement(_PairIndexed):
     def __mul__(self, other):
         B = self.parent
         if isinstance(other, EnvelopeElement):
-            self._check(other)
-            out = {}
-            for (m1, m2), c in self.coeffs.items():
-                d1 = B.mono_degree(m1)
-                d2 = B.mono_degree(m2)
-                for (n1, n2), c2 in other.coeffs.items():
-                    twist = -1 if (B.mono_degree(n1) * (d1 + d2)) % 2 else 1
-                    left = B.mono_mul(n1, m1)
-                    if left is None:
-                        continue
-                    s_l, ml = left
-                    right = B.mono_mul(m2, n2)
-                    if right is None:
-                        continue
-                    s_r, mr = right
-                    merge(out, (ml, mr), (c * c2).scale(s_l * s_r * B.field.of(twist)))
-            return EnvelopeElement(B, out)
+            return self._product(other, lambda p, q: pair_mul(B, p, q))
         if isinstance(other, AlgebraElement):
             return self * rho(other)  # right action: b1^o(x)b2 . b = b1^o(x)b2 b
         return self._scale_by(other)
 
     def __rmul__(self, other):
-        # left action b . (b1^o (x) b2) = (b b1)^o (x) b2
-        B = self.parent
         if isinstance(other, AlgebraElement):
-            out = {}
-            for (m1, m2), c in self.coeffs.items():
-                for m, cb in other.coeffs.items():
-                    hit = B.mono_mul(m, m1)
-                    if hit is not None:
-                        scalar, mono = hit
-                        merge(out, (mono, m2), (cb * c).scale(scalar))
-            return EnvelopeElement(B, out)
+            return op_inclusion(other) * self  # (b^o(x)1)(b1^o(x)b2) = (b b1)^o(x)b2
         return self._scale_by(other)
 
     def diff(self):
         B = self.parent
-        out = {}
-        for (m1, m2), c in self.coeffs.items():
-            for mu, cu in B.mono_diff(m1).items():
-                merge(out, (mu, m2), cu * c)
-            sign = B.field.of(-1 if B.mono_degree(m1) % 2 else 1)
-            for nu, cv in B.mono_diff(m2).items():
-                merge(out, (m1, nu), (cv * c).scale(sign))
-        return EnvelopeElement(B, out)
+        return self._raw(B, self._linear(lambda pair: pair_diff(B, pair)))
+
+
+def pair_mul(B, p, q):
+    """(scalar, pair) for the twisted product of the pairs p = (m1, m2)
+    and q = (n1, n2), (-1)^{|n1|(|m1|+|m2|)} (n1 m1)^o (x) m2 n2, or None
+    when it vanishes."""
+    (m1, m2), (n1, n2) = p, q
+    left = B.mono_mul(n1, m1)
+    right = None if left is None else B.mono_mul(m2, n2)
+    if right is None:
+        return None
+    s = left[0] * right[0]
+    odd = B.mono_degree(n1) * (B.mono_degree(m1) + B.mono_degree(m2)) % 2
+    return (-s if odd else s), (left[1], right[1])
+
+
+def pair_diff(B, pair):
+    """(pair, ring coefficient) terms of d(m1^o (x) m2) by the Leibniz
+    rule: d(m1)^o (x) m2 + (-1)^{|m1|} m1^o (x) d(m2)."""
+    m1, m2 = pair
+    for mu, cu in B.mono_diff(m1).items():
+        yield (mu, m2), cu
+    odd = B.mono_degree(m1) % 2
+    for nu, cv in B.mono_diff(m2).items():
+        yield (m1, nu), -cv if odd else cv
 
 
 class DiagonalElement(_PairIndexed):
@@ -182,15 +182,10 @@ class DiagonalElement(_PairIndexed):
 
 
 def pi(u: EnvelopeElement) -> AlgebraElement:
-    """Multiplication map B^e -> B."""
+    """Multiplication map B^e -> B, m1^o (x) m2 -> m1 m2."""
     B = u.algebra
-    out = {}
-    for (m1, m2), c in u.coeffs.items():
-        hit = B.mono_mul(m1, m2)
-        if hit is not None:
-            scalar, mono = hit
-            merge(out, mono, c.scale(scalar))
-    return AlgebraElement._raw(B, out)
+    return AlgebraElement._raw(B, u._linear(
+        lambda pair: [] if (hit := B.mono_mul(*pair)) is None else [hit[::-1]]))
 
 
 def rho(b: AlgebraElement) -> EnvelopeElement:

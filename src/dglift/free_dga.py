@@ -260,9 +260,9 @@ class FreeDGAlgebra:
     @memoised
     def monomial_basis(self, n):
         """Monomials of homological degree n, in the fixed order."""
-        return sorted(exponent_vectors(
-            self.degrees, n, [1 if odd else None for odd in self.odd]),
-            key=self.mono_key)
+        squares = [self.unit_mono[:i] + (2,) + self.unit_mono[i + 1:]
+                   for i, odd in enumerate(self.odd) if odd]
+        return sorted(exponent_vectors(self.degrees, n, squares), key=self.mono_key)
 
     @memoised
     def bidegree_basis(self, n, w):
@@ -289,25 +289,13 @@ class AlgebraElement(LinComb):
     def __mul__(self, other):
         if not isinstance(other, AlgebraElement):
             return self._scale_by(other)
-        self._check(other)
-        B = self.parent
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                hit = B.mono_mul(m1, m2)
-                if hit is not None:
-                    scalar, mono = hit
-                    merge(out, mono, (c1 * c2).scale(scalar))
-        return self._raw(B, out)
+        return self._product(other, self.parent.mono_mul)
 
     __rmul__ = LinComb._scale_by
 
     def diff(self):
-        B, out = self.parent, {}
-        for mono, c in self.coeffs.items():
-            for m, s in B.mono_diff(mono).items():
-                merge(out, m, s * c)
-        return self._raw(B, out)
+        B = self.parent
+        return self._raw(B, self._linear(lambda mono: B.mono_diff(mono).items()))
 
     def text_terms(self):
         """(factor texts, scalar) pairs in print order."""

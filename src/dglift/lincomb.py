@@ -22,6 +22,12 @@ the same shape without building an element.
 renderer ``render_terms`` writes for R, B, N, B^e and J.  ``_scale_by``
 is the one scalar rule, every ``__rmul__`` and the fallback of ``__mul__``:
 an int, read in the ground field, or a ``central`` scalar goes to ``scale``.
+``_product`` is the one product rule, the bilinear extension of a product
+of keys giving (scalar, key) or None, and ``_linear`` the one linear rule,
+the linear extension of a map from a key to (key, coefficient) terms: B
+and B^e multiply and differentiate through them, and pi is one.  R
+multiplies its field scalars itself, and J extends the maps on its basis
+keys over flat keys.
 """
 
 from functools import wraps
@@ -151,6 +157,29 @@ class LinComb:
         if isinstance(other, self.central):
             return self.scale(other)
         return NotImplemented
+
+    def _product(self, other, key_mul):
+        """The one product rule: the bilinear extension of ``key_mul(k1,
+        k2)``, (scalar, key) or None when the product of two keys vanishes.
+        Coefficients multiply self's on the left, then scale by the scalar."""
+        self._check(other)
+        out = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                hit = key_mul(k1, k2)
+                if hit is not None:
+                    merge(out, hit[1], (c1 * c2).scale(hit[0]))
+        return self._raw(self.parent, out)
+
+    def _linear(self, key_map):
+        """The one linear rule: the linear extension of ``key_map(key)``,
+        (key, coefficient) pairs, as a coefficient dict: self's coefficient
+        at a key multiplies each coefficient of its image from the right."""
+        out = {}
+        for k, c in self.coeffs.items():
+            for k2, t in key_map(k):
+                merge(out, k2, t * c)
+        return out
 
     # -- grading ------------------------------------------------------------------
 

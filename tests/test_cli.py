@@ -340,6 +340,22 @@ def test_a_ring_exponent_near_a_billion_ends_quickly(tmp_path):
         assert done.returncode == 0 and answer in done.stdout, done.stderr
 
 
+def test_a_ring_basis_builds_no_monomial_a_relation_divides(tmp_path):
+    """A ring basis is enumerated with its relations, never built whole and
+    then filtered: R_1999 over three generators with every product of two
+    of them zero holds 3 monomials, not the 2 million of the polynomial
+    ring.  Each command runs in a capped child (``run_capped``)."""
+    path = tmp_path / "relations.dgp"
+    path.write_text("ring R = QQ[x:1,y:1,z:1]/(x*y, y*z, x*z)\n"
+                    "algebra B = R<X:1 | dX = x>\n"
+                    "module N over B = <e:0, f:2 | df = e*X*y^1999>\n")
+    for argv, answer in [(["check-lift", str(path)], '"decision": "NOT_LIFTABLE"'),
+                         (["homology", str(path), "--bidegree", "1,2000"],
+                          '"dimension": 2')]:
+        done = run_capped(argv, timeout=10)
+        assert done.returncode == 0 and answer in done.stdout, done.stderr
+
+
 def test_a_homology_degree_near_ten_million_ends_quickly(tmp_path):
     """J_(n, w) holds no monomial m1 of degree above max_X floor(w d_X /
     w_X), every variable having internal degree at least 1, so the

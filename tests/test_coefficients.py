@@ -230,13 +230,29 @@ def test_exponent_vectors_match_brute_force():
         degrees = [rng.randint(1, 4) for _ in range(rng.randint(0, 4))]
         cases.append((degrees, [rng.choice([None, 0, 1, 2]) for _ in degrees]))
     for degrees, caps in cases:
+        # a cap c is the relation x_i^(c+1)
+        relations = [tuple(cap + 1 if j == i else 0 for j in range(len(degrees)))
+                     for i, cap in enumerate(caps) if cap is not None]
         for total in range(-3, 11):
-            assert exponent_vectors(degrees, total, caps) \
+            assert exponent_vectors(degrees, total, relations) \
                 == brute_force_exponents(degrees, total, caps), (degrees, caps, total)
 
 
+def random_relations_ring(rng):
+    """A ring on 3 or 4 generators of degree 1 to 3 whose relations mix pure
+    powers and products of two or more generators."""
+    m = rng.randint(3, 4)
+    relations = [tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(m))
+                 for _ in range(rng.randint(1, 5))]
+    i, power = rng.randrange(m), rng.randint(2, 4)
+    relations.append(tuple(power if j == i else 0 for j in range(m)))
+    return BaseRing(rng.choice([QQ, PrimeField(3)]), "xyzw"[:m],
+                    [rng.randint(1, 3) for _ in range(m)], [r for r in relations if any(r)])
+
+
 def test_bases_are_the_filtered_sorted_enumerations():
-    for ring in standard_rings():
+    rng = random.Random(24)
+    for ring in standard_rings() + [random_relations_ring(rng) for _ in range(30)]:
         for w in range(-2, 9):
             assert ring.graded_basis(w) == sorted(brute_force_basis(ring, w),
                                                   key=ring_mono_key)

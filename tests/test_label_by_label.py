@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from dglift import check_lift, linalg, parse_problem, verify_certificate
+from dglift import check_lift, envelope, linalg, parse_problem, verify_certificate
 from dglift.envelope import diagonal_diff_block, diagonal_key_left, diagonal_key_right
 from dglift.obstruction import _later, gamma_layout, obstruction_values
 from dglift.semifree import TensorJElement
@@ -123,3 +123,23 @@ def test_a_liftable_witness_is_the_full_solve(decided):
         assert all(report.witness[lab] == expected[lab] for lab in N.labels)
         checked += 1
     assert checked >= 20
+
+
+def test_the_checker_reaches_no_j_key_map(decided, monkeypatch):
+    """The certificate checker and the splitting sigma_N d rho_N compute in
+    N (x) B^e by the element rules of B and B^e, never by the maps on one J
+    basis key that the builder extends: with those maps raising, every
+    certificate still re-verifies and every splitting still runs, equal
+    to the obstruction the decision used."""
+    def unreachable(*args):
+        raise AssertionError("a J key map was reached")
+
+    for name in ("diagonal_key_diff", "diagonal_key_left", "diagonal_key_right"):
+        monkeypatch.setattr(envelope, name, unreachable)
+    certified = 0
+    for N, report in decided:
+        assert obstruction_values(N, "splitting") == report.obstruction
+        if not report.liftable:
+            assert verify_certificate(N, report)
+            certified += 1
+    assert certified == 46
