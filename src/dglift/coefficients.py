@@ -336,9 +336,9 @@ class BaseRing:
 
     @memoised
     def graded_basis(self, w):
-        """Ordered monomial basis of the internal-degree-w piece."""
-        return sorted(exponent_vectors(self.degrees, w, self.relations),
-                      key=ring_mono_key)
+        """Ordered monomial basis of the internal-degree-w piece: the
+        enumeration's lexicographic order reversed, ``ring_mono_key``'s."""
+        return exponent_vectors(self.degrees, w, self.relations)[::-1]
 
 
 class RingElement(LinComb):

@@ -28,9 +28,13 @@ multiplies by its product rule over ``pair_mul``, which holds the twist,
 and differentiates by its linear rule over ``pair_diff``.  B acts on the
 left as op_inclusion(b) . u, since (b^o (x) 1)(b1^o (x) b2) = (b b1)^o (x) b2,
 and on the right as u . rho(b); pi is the linear rule over ``mono_mul``.
-No element rule of B or B^e calls the maps on one J basis key below, which
-only ``DiagonalElement`` extends, so the certificate checker, computing in
-N (x) B^e, shares only the bases with the builder of the gamma-system.
+J is a DG sub-bimodule of B^e, so ``DiagonalElement`` computes in B^e:
+d(j), b . j, j . b and j . u are sigma of B^e's on ``to_envelope(j)``,
+exactly, since sigma keeps precisely the m1 != 1 coordinates of an element
+of J.  No element rule calls the maps on one J basis key below, which only
+the builder of the gamma-system and ``diagonal_diff_block`` read, so the
+witness and certificate checkers, computing by element rules, share only
+the bases with the builder.
 """
 
 from . import linalg
@@ -149,29 +153,19 @@ class DiagonalElement(_PairIndexed):
             merge(out, (unit, m), -c)
         return EnvelopeElement._raw(self.parent, out)
 
-    def _extend(self, key_terms):
-        """The linear extension of a map on J basis vectors: the sum over
-        the terms (key, s) of self of s times ``key_terms(key)``."""
-        return DiagonalElement.from_terms(self.parent, [
-            (k, t * s) for key, s in self.terms() for k, t in key_terms(key)])
-
+    # J is a DG sub-bimodule of B^e: d, b . j and j . b are B^e's, and
+    # sigma reads the result back
     def diff(self):
-        B = self.parent
-        return self._extend(lambda key: diagonal_key_diff(B, key))
+        return sigma(self.to_envelope().diff())
 
     def __mul__(self, other):
-        B = self.parent
-        if isinstance(other, AlgebraElement):
-            return self._extend(lambda key: diagonal_key_right(B, key, other))
-        if isinstance(other, EnvelopeElement):
-            # J is a right ideal; the product stays in J
+        if isinstance(other, (AlgebraElement, EnvelopeElement)):
             return sigma(self.to_envelope() * other)
         return self._scale_by(other)
 
     def __rmul__(self, other):
-        B = self.parent
         if isinstance(other, AlgebraElement):
-            return self._extend(lambda key: diagonal_key_left(B, other, key))
+            return sigma(other * self.to_envelope())
         return self._scale_by(other)
 
     def text_terms(self):  # printed as the element of B^e that it is
@@ -246,7 +240,8 @@ def diagonal_block_keys(B, n, w):
 # b . j and j . b for one such key, each key at most once: distinct
 # monomials have distinct products with a fixed monomial, and the two
 # groups of d(j) and of b . j differ in the degree or the unit-ness of a
-# slot.  ``DiagonalElement`` extends them linearly.
+# slot.  The gamma-system builder and the d_J block write from them; no
+# element rule reads them.
 
 
 def _shifted(R, c, rm):

@@ -259,10 +259,11 @@ class FreeDGAlgebra:
 
     @memoised
     def monomial_basis(self, n):
-        """Monomials of homological degree n, in the fixed order."""
+        """Monomials of homological degree n, in the fixed order: the
+        enumeration's lexicographic order is ``mono_key``'s at one degree."""
         squares = [self.unit_mono[:i] + (2,) + self.unit_mono[i + 1:]
                    for i, odd in enumerate(self.odd) if odd]
-        return sorted(exponent_vectors(self.degrees, n, squares), key=self.mono_key)
+        return exponent_vectors(self.degrees, n, squares)
 
     @memoised
     def bidegree_basis(self, n, w):

@@ -26,8 +26,8 @@ an int, read in the ground field, or a ``central`` scalar goes to ``scale``.
 of keys giving (scalar, key) or None, and ``_linear`` the one linear rule,
 the linear extension of a map from a key to (key, coefficient) terms: B
 and B^e multiply and differentiate through them, and pi is one.  R
-multiplies its field scalars itself, and J extends the maps on its basis
-keys over flat keys.
+multiplies its field scalars itself, and J, a sub-bimodule of B^e,
+computes in B^e and reads the result back by sigma.
 """
 
 from functools import wraps

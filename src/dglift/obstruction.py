@@ -61,10 +61,11 @@ and the checker's rows and unknowns, read the same layout, the one
 enumeration of the system.  ``verify_certificate`` calls no builder and
 eliminates nothing: it compares the same head, and pairs the functional
 with the columns of the unknowns up to the stated label, built by
-element arithmetic in N (x) B^e (d(t) and t b for t in N (x) J, each
-brought back by sigma), so a wrong sign in the builder's images, or in
-the J key maps that the builder and DiagonalElement arithmetic share,
-cannot certify itself.
+element arithmetic (d(t) and t b for t in N (x) J, whose J coefficients
+compute in B^e and are read back by sigma), so a wrong sign in the
+builder's images, or in the J key maps it writes them from, cannot
+certify itself.  ``verify_witness`` checks the defining identity by the
+same element rules, so such a sign cannot verify its own witness either.
 """
 
 from bisect import bisect_right
@@ -445,9 +446,10 @@ def _gamma_columns(N: SemifreeModule, top):
     ``columns(u)`` yields the column of each unknown t = e_nu (x) j of
     block mu <= top as (row index, scalar) terms: d(t) in equation mu and
     -(t b[mu][lam]) in each later equation lam <= top.  Both are computed
-    in N (x) B^e and brought back by sigma, so they do not use the J key
-    maps the builder does.  A column all of whose equations miss the
-    support of u pairs with u to zero and is skipped."""
+    by the element rules of N (x) J, whose J coefficients compute in B^e,
+    so they do not use the J key maps the builder does.  A column all of
+    whose equations miss the support of u pairs with u to zero and is
+    skipped."""
     unknowns, equations = gamma_layout(N)
     labels, later = N.labels, _later(N)
     one = N.algebra.field.one
@@ -462,13 +464,12 @@ def _gamma_columns(N: SemifreeModule, top):
                 continue
             for _, _, nu, keys in unknowns.label_blocks[mu]:
                 for key in keys:
-                    t = N.iota_n(TensorJElement.from_terms(N, [((labels[nu],) + key, one)]))
-                    column = ([(equations.position(mu, k), s)
-                               for k, s in N.sigma_n(t.diff()).terms()]
+                    t = TensorJElement.from_terms(N, [((labels[nu],) + key, one)])
+                    column = ([(equations.position(mu, k), s) for k, s in t.diff().terms()]
                               if mu in hit else [])
                     for lam, entry in entries:
                         column.extend((equations.position(lam, k), -s)
-                                      for k, s in N.sigma_n(t * entry).terms())
+                                      for k, s in (t * entry).terms())
                     yield column
 
     return ({equations.name(i): i for i in range(size)}, columns,

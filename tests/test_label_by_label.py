@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from dglift import check_lift, envelope, linalg, parse_problem, verify_certificate
+from dglift import (Connection, check_lift, envelope, linalg, parse_problem, psi_values,
+                    verify_certificate, verify_witness)
 from dglift.envelope import diagonal_diff_block, diagonal_key_left, diagonal_key_right
 from dglift.obstruction import _later, gamma_layout, obstruction_values
 from dglift.semifree import TensorJElement
@@ -126,20 +127,26 @@ def test_a_liftable_witness_is_the_full_solve(decided):
 
 
 def test_the_checker_reaches_no_j_key_map(decided, monkeypatch):
-    """The certificate checker and the splitting sigma_N d rho_N compute in
-    N (x) B^e by the element rules of B and B^e, never by the maps on one J
-    basis key that the builder extends: with those maps raising, every
-    certificate still re-verifies and every splitting still runs, equal
-    to the obstruction the decision used."""
+    """The witness and certificate checkers and the splitting sigma_N d rho_N
+    compute by the element rules of B, B^e and J, which computes in B^e,
+    never by the maps on one J basis key that the builder writes from: with
+    those maps raising, every witness and certificate still re-verifies,
+    the connection of every witness is a DG connection (psi = 0), and
+    every splitting still runs, equal to the obstruction the decision
+    used."""
     def unreachable(*args):
         raise AssertionError("a J key map was reached")
 
     for name in ("diagonal_key_diff", "diagonal_key_left", "diagonal_key_right"):
         monkeypatch.setattr(envelope, name, unreachable)
-    certified = 0
+    certified = verified = 0
     for N, report in decided:
         assert obstruction_values(N, "splitting") == report.obstruction
-        if not report.liftable:
+        if report.liftable:
+            assert verify_witness(N, report.witness)
+            assert not any(psi_values(Connection(N, report.witness)).values())
+            verified += 1
+        else:
             assert verify_certificate(N, report)
             certified += 1
-    assert certified == 46
+    assert (certified, verified) == (46, 22)

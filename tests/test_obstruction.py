@@ -509,10 +509,9 @@ def test_certificates_of_a_wrong_gamma_system_are_rejected(monkeypatch, image):
                                    "diagonal_key_diff"])
 def test_a_wrong_key_map_cannot_certify_itself(monkeypatch, image):
     """The checker computes its columns through B^e, not through the J key
-    maps.  With one of them negated where the builder reads it (d(j)
-    through the d_J blocks) and where DiagonalElement arithmetic extends
-    it, some modules turn wrongly NOT_LIFTABLE, and every one of their
-    certificates fails the check."""
+    maps.  With one of them negated in each module that binds it (d(j)
+    through the d_J blocks), some modules turn wrongly NOT_LIFTABLE, and
+    every one of their certificates fails the check."""
     from pathlib import Path
 
     from dglift import envelope, obstruction
@@ -537,6 +536,35 @@ def test_a_wrong_key_map_cannot_certify_itself(monkeypatch, image):
              if truth and not report.liftable]
     assert wrong
     assert not any(verify_certificate(N, report) for N, report in wrong)
+
+
+@pytest.mark.parametrize("image", ["diagonal_key_left", "diagonal_key_right",
+                                   "diagonal_key_diff"])
+def test_a_wrong_key_map_cannot_verify_its_own_witness(monkeypatch, image):
+    """verify_witness checks d(gamma) through DiagonalElement arithmetic,
+    which computes in B^e, not through the J key maps.  With one of them
+    negated where the builder reads it, some witness is solved from the
+    wrong system, and the check rejects it.  The four frontend files hold
+    the only modules whose witness reads the left action."""
+    from pathlib import Path
+
+    from dglift import envelope, obstruction
+
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+    texts = [golden_text(name) for name in ("liftable.dgp", "nonliftable.dgp",
+                                            "combined.dgp")]
+    texts += [path.read_text(encoding="utf-8")
+              for path in sorted((corpus / "koszul-fp").glob("*.dgp"))]
+    texts += [(corpus / "frontend" / ("%s.dgp" % name)).read_text(encoding="utf-8")
+              for name in ("f003", "f011", "f012", "f018")]
+    negated = _negated(getattr(envelope, image))
+    # d_J blocks are memoised on each algebra: parse afresh after patching
+    for binding in (envelope,) if image == "diagonal_key_diff" else (envelope, obstruction):
+        monkeypatch.setattr(binding, image, negated)
+    modules = [N for text in texts for N in parse_problem(text).modules.values()]
+    reports = [(N, check_lift(N)) for N in modules]
+    assert any(report.liftable and not verify_witness(N, report.witness)
+               for N, report in reports)
 
 
 def test_the_checker_calls_no_builder_and_no_elimination(monkeypatch):
