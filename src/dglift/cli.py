@@ -46,9 +46,11 @@ def emit_report(doc, fmt="json") -> str:
 def _emit_text(doc):
     lines = ["dglift %s" % doc["version"]]
     for entry in doc["results"]:
-        if "decision" in entry:
-            lines.append("module %s: %s (method: %s)"
-                         % (entry["module"], entry["decision"], entry["method"]))
+        if "module" in entry:
+            head = "module %s:" % entry["module"]
+            if "decision" in entry:
+                head += " %s (method: %s)" % (entry["decision"], entry["method"])
+            lines.append(head)
             lines.append("  obstruction:")
             for item in entry["obstruction"]:
                 lines.append("    %s: %s" % (item["basis"], item["value"]))

@@ -295,7 +295,6 @@ class BaseRing:
     def mono_weight(self, exps):
         return sum(map(mul, exps, self.degrees))
 
-    @memoised
     def mono_reduced(self, exps):
         return not any(mono_divides(rel, exps) for rel in self.relations)
 

@@ -31,10 +31,11 @@ and on the right as u . rho(b); pi is the linear rule over ``mono_mul``.
 J is a DG sub-bimodule of B^e, so ``DiagonalElement`` computes in B^e:
 d(j), b . j, j . b and j . u are sigma of B^e's on ``to_envelope(j)``,
 exactly, since sigma keeps precisely the m1 != 1 coordinates of an element
-of J.  No element rule calls the maps on one J basis key below, which only
-the builder of the gamma-system and ``diagonal_diff_block`` read, so the
-witness and certificate checkers, computing by element rules, share only
-the bases with the builder.
+of J.  No element rule calls the maps on one J basis key below.  Only the
+builder of the gamma-system and ``diagonal_diff_block``, the matrix of d_J
+that ``homology`` reads, write from them, each on its own call, so no
+matrix is shared between the two; the witness and certificate checkers,
+computing by element rules, share only the bases with the builder.
 """
 
 from . import linalg
@@ -312,12 +313,10 @@ def diagonal_label(B, key):
     return txt if r_txt == "1" else txt + "·" + r_txt
 
 
-@memoised
 def diagonal_diff_block(B, n, w) -> linalg.BlockMatrix:
-    """The differential of J as a matrix from the (n, w) block to (n-1, w).
-
-    The block is cached on B and shared between callers: do not mutate it.
-    """
+    """The differential of J as a matrix from the (n, w) block to (n-1, w),
+    written from ``diagonal_key_diff`` as the γ-system builder writes its
+    d(j) piece."""
     return linalg.block_matrix(
         diagonal_block_keys(B, n, w), diagonal_block_keys(B, n - 1, w),
         lambda key: diagonal_key_diff(B, key), B.field)

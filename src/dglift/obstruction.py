@@ -69,10 +69,9 @@ same element rules, so such a sign cannot verify its own witness either.
 """
 
 from bisect import bisect_right
-from operator import itemgetter
 
 from . import linalg
-from .envelope import (delta, diagonal_block_keys, diagonal_diff_block,
+from .envelope import (delta, diagonal_block_keys, diagonal_key_diff,
                        diagonal_key_left, diagonal_key_right, diagonal_label)
 from .errors import ConstructionError
 from .lincomb import memoised, merge
@@ -309,17 +308,17 @@ def _equation_block(N: SemifreeModule, lam, obstruction):
     equation lam, numbered from its first, hold d(t) for the unknowns of
     gamma_lam and -(t b[mu][lam]) for those of each gamma_mu with
     b[mu][lam] != 0, mu < lam, and the matrix spans the unknowns of the
-    labels up to lam.  Each piece is written at the integer offsets of
-    the blocks, the column of t at block (mu, nu)'s offset plus j's index,
-    and no tensor key is built: b j and j b by ``linalg.write_images``
-    from the J key maps, and d(j) copied, times (-1)^{|e_nu|}, from d_J's
-    block (``diagonal_diff_block``, memoised on B, the matrix ``homology``
-    reads).  The pieces land on distinct entries, and each row receives
-    its entries in column order.  The right-hand side is the obstruction
-    value of e_lam.  The rank-2 corollary is the system in its smallest
-    case: for a basis e, e' with d(e') = e b, J_0 = 0 empties every block
-    but e (x) J_(n+1, w) -> e (x) J_(n, w), (n, w) the bidegree of b, where
-    the matrix is (-1)^{|e|} d_J and the right-hand side delta(b).
+    labels up to lam.  Each piece is written by ``linalg.write_images``
+    from a J key map at the integer offsets of the blocks, the column of t
+    at block (mu, nu)'s offset plus j's index, and no tensor key is built:
+    b j, j b, and d(j) times (-1)^{|e_nu|}.  The pieces land on distinct
+    entries; the order of a row's entries reaches no output, since no
+    result of the elimination depends on it.  The right-hand side is the
+    obstruction value of e_lam.  The rank-2 corollary is the system in its
+    smallest case: for a basis e, e' with d(e') = e b, J_0 = 0 empties
+    every block but e (x) J_(n+1, w) -> e (x) J_(n, w), (n, w) the
+    bidegree of b, where the matrix is (-1)^{|e|} d_J and the right-hand
+    side delta(b).
     """
     B = N.algebra
     unknowns, equations = gamma_layout(N)
@@ -327,7 +326,7 @@ def _equation_block(N: SemifreeModule, lam, obstruction):
     equations.through(lam)
     first = equations.bounds[lam]
     entries = [{} for _ in range(equations.bounds[lam + 1] - first)]
-    for mu, entry in sorted(N.columns[lam], key=itemgetter(0)):
+    for mu, entry in N.columns[lam]:
         for column, _, nu, keys in unknowns.label_blocks[mu]:
             positions, start = equations.offsets(lam, nu)
             linalg.write_images(entries, keys, lambda key: diagonal_key_right(B, key, entry),
@@ -337,12 +336,9 @@ def _equation_block(N: SemifreeModule, lam, obstruction):
             positions, start = equations.offsets(lam, i)
             linalg.write_images(entries, keys, lambda key: diagonal_key_left(B, entry, key),
                                 positions, start - first, column)
-        odd = N.degrees[nu] % 2
-        d_j = diagonal_diff_block(B, *unknowns.bidegree[lam][nu])
-        for i, targets in enumerate(d_j.entries, equations.start[lam][nu] - first):
-            row = entries[i]
-            for j, s in targets.items():
-                row[column + j] = -s if odd else s
+        positions, start = equations.offsets(lam, nu)
+        linalg.write_images(entries, keys, lambda key: diagonal_key_diff(B, key),
+                            positions, start - first, column, N.degrees[nu] % 2)
     rhs = [B.field.zero] * len(entries)
     for key, s in obstruction[N.labels[lam]].terms():
         rhs[equations.position(lam, key) - first] = s

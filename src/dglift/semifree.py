@@ -33,7 +33,7 @@ from .envelope import (DiagonalElement, EnvelopeElement, diagonal_block_keys,
 from .errors import (ConstructionError, DegreeMismatch,
                      DifferentialSquareNonzero, TriangularityViolation)
 from .free_dga import AlgebraElement, FreeDGAlgebra
-from .lincomb import LinComb, memoised, merge
+from .lincomb import LinComb, merge
 
 
 class SemifreeModule:
@@ -170,7 +170,6 @@ class SemifreeModule:
         return ModuleElement.diff_block(self, self.basis_of_bidegree, n, w,
                                         self.algebra.field)
 
-    @memoised
     def tensor_keys(self, n, w):
         """(label, m1, m2, ring monomial) index keys for (N (x) J)_(n, w)."""
         return self.labelled_basis(diagonal_block_keys, n, w)

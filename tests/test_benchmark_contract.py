@@ -46,8 +46,6 @@ def test_tracer_installs_and_uninstalls_against_the_package():
         path = str(ROOT / "golden" / "combined.dgp")
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cli.main(["check-lift", path, "--witness"])]
-            # the γ-system copies the d(j) piece from J's differential blocks
-            assert "envelope.diagonal_diff_block" in {span[0] for span in tracer.spans}
             codes.append(cli.main(["homology", path, "--bidegree", "3,4"]))
         assert codes == [0, 0]
     finally:

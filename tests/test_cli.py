@@ -59,6 +59,24 @@ def test_check_lift_combined_runs_all_modules(capsys):
     assert decisions == {"N": "LIFTABLE", "M": "NOT_LIFTABLE"}
 
 
+def test_obstruction_text_prints_every_module(capsys):
+    """The text report of ``obstruction`` lists each module and, under it,
+    each basis element with its obstruction value, as the JSON report has
+    them."""
+    path = str(GOLDEN / "combined.dgp")
+    _, out, _ = run_main(capsys, "obstruction", path)
+    code, text, _ = run_main(capsys, "obstruction", path, "--format", "text")
+    assert code == 0
+    expected = []
+    for entry in json.loads(out)["results"]:
+        expected += ["module %s:" % entry["module"], "  obstruction:"]
+        expected += ["    %s: %s" % (item["basis"], item["value"])
+                     for item in entry["obstruction"]]
+    assert [e["module"] for e in json.loads(out)["results"]] == ["N", "M"]
+    assert text.splitlines()[1:-1] == expected
+    assert "    up: u ⊗ (-1^o⊗X*Y · x + (X*Y)^o⊗1 · x)" in expected
+
+
 def test_homology_command(capsys):
     code, out, _ = run_main(capsys, "homology", str(GOLDEN / "nonliftable.dgp"),
                             "--bidegree", "3,4")

@@ -38,7 +38,10 @@ frontend samples, 203 frontend check-lift digests, and 22 digests of
 each Koszul corpus): each certificate gained "obstructed_at", its head
 counts the unknowns and equations of the labels up to it, and its null
 functional, a left null vector of those equations only, names none of a
-later label; outside the certificates every byte stayed the same.
+later label; outside the certificates every byte stayed the same.  When
+the text report of ``obstruction`` began to print its modules, which it
+had dropped, the three golden ``obstruction`` text reports were written
+again, and nothing else.
 """
 
 import contextlib

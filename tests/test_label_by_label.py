@@ -2,7 +2,9 @@
 
 ``one_shot_gamma_system`` is the builder that wrote N's whole γ-system at
 once, before the decision took the equations one label at a time; it is
-kept here as the reference.  For a NOT_LIFTABLE module the stated label
+kept here as the reference, its d(j) piece copied from ``diagonal_diff_block``,
+the d_J matrix that ``homology`` reads.  Each label's equations must be
+that label's rows of it.  For a NOT_LIFTABLE module the stated label
 "obstructed_at" must be the least label lam whose equations, with those
 of every earlier label, are inconsistent: the rows of labels up to lam of
 the whole system, solved in one batch by ``linear_solve``.  For a
@@ -17,7 +19,7 @@ import pytest
 from dglift import (Connection, check_lift, envelope, linalg, parse_problem, psi_values,
                     verify_certificate, verify_witness)
 from dglift.envelope import diagonal_diff_block, diagonal_key_left, diagonal_key_right
-from dglift.obstruction import _later, gamma_layout, obstruction_values
+from dglift.obstruction import _equation_block, _later, gamma_layout, obstruction_values
 from dglift.semifree import TensorJElement
 
 from conftest import GOLDEN
@@ -66,17 +68,37 @@ def one_shot_gamma_system(N, obstruction):
     return matrix, rhs, read_witness
 
 
-def corpus_modules():
+def corpus_modules(structured=True):
     paths = (sorted(GOLDEN.glob("*.dgp")) + sorted((CORPUS / "koszul-fp").glob("*.dgp"))
              + sorted((CORPUS / "koszul-qq").glob("*.dgp")))
     return [N for path in paths
             for N in parse_problem(path.read_text(encoding="utf-8")).modules.values()
-            if N.structure]
+            if N.structure or not structured]
 
 
 @pytest.fixture(scope="module")
 def decided():
     return [(N, check_lift(N)) for N in corpus_modules()]
+
+
+def test_each_label_block_is_its_rows_of_the_reference():
+    """The builder writes d(j) from ``diagonal_key_diff``, and the reference
+    copies it from ``diagonal_diff_block``, the matrix ``homology`` reads:
+    the equations of each label, matrix and right-hand side, must be that
+    label's rows of the whole system, entry for entry, on every module."""
+    labels = 0
+    for N in corpus_modules(structured=False):
+        obstruction = obstruction_values(N)
+        matrix, rhs, _ = one_shot_gamma_system(N, obstruction)
+        unknowns, equations = gamma_layout(N)
+        for lam in range(N.rank):
+            block, block_rhs = _equation_block(N, lam, obstruction)
+            first, end = equations.bounds[lam], equations.bounds[lam + 1]
+            assert block.shape == (end - first, unknowns.bounds[lam + 1])
+            assert block.entries == matrix.entries[first:end], (N, N.labels[lam])
+            assert block_rhs == rhs[first:end], (N, N.labels[lam])
+            labels += 1
+    assert labels == 298  # of 84 modules: 4 golden, 40 of each Koszul corpus
 
 
 def test_obstructed_at_is_the_least_inconsistent_prefix(decided):

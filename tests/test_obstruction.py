@@ -478,11 +478,11 @@ def test_certificates_of_a_wrong_gamma_system_are_rejected(monkeypatch, image):
     """The checker builds each column by element arithmetic, not from the
     key-level images the solver's builder reads.  With one of the
     builder's images negated (b . j in d(t), the later terms t b, or
-    the sign of d(j) in the d_J blocks it copies), the solver certifies a
-    wrong system, and some of those certificates fail the check."""
+    the sign of d(j)), the solver certifies a wrong system, and some of
+    those certificates fail the check."""
     from pathlib import Path
 
-    from dglift import envelope, obstruction
+    from dglift import obstruction
 
     corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
     texts = [golden_text(name) for name in ("liftable.dgp", "nonliftable.dgp",
@@ -496,10 +496,7 @@ def test_certificates_of_a_wrong_gamma_system_are_rejected(monkeypatch, image):
     for N in parse_modules():
         report = check_lift(N)
         assert report.liftable or verify_certificate(N, report)
-    # d_J blocks are built in envelope and memoised on each algebra, so the
-    # sign of d(j) is patched there, and the modules are parsed afresh
-    binding = envelope if image == "diagonal_key_diff" else obstruction
-    monkeypatch.setattr(binding, image, _negated(getattr(binding, image)))
+    monkeypatch.setattr(obstruction, image, _negated(getattr(obstruction, image)))
     reports = [(N, check_lift(N)) for N in parse_modules()]
     assert any(not report.liftable and not verify_certificate(N, report)
                for N, report in reports)
@@ -509,9 +506,9 @@ def test_certificates_of_a_wrong_gamma_system_are_rejected(monkeypatch, image):
                                    "diagonal_key_diff"])
 def test_a_wrong_key_map_cannot_certify_itself(monkeypatch, image):
     """The checker computes its columns through B^e, not through the J key
-    maps.  With one of them negated in each module that binds it (d(j)
-    through the d_J blocks), some modules turn wrongly NOT_LIFTABLE, and
-    every one of their certificates fails the check."""
+    maps.  With one of them negated in each module that binds it, some
+    modules turn wrongly NOT_LIFTABLE, and every one of their certificates
+    fails the check."""
     from pathlib import Path
 
     from dglift import envelope, obstruction
@@ -527,8 +524,7 @@ def test_a_wrong_key_map_cannot_certify_itself(monkeypatch, image):
 
     liftable = [check_lift(N).liftable for N in parse_modules()]
     negated = _negated(getattr(envelope, image))
-    # d_J blocks are memoised on each algebra: parse afresh after patching
-    for binding in (envelope,) if image == "diagonal_key_diff" else (envelope, obstruction):
+    for binding in (envelope, obstruction):
         monkeypatch.setattr(binding, image, negated)
     modules = parse_modules()
     wrong = [(N, report) for N, report, truth
@@ -558,8 +554,7 @@ def test_a_wrong_key_map_cannot_verify_its_own_witness(monkeypatch, image):
     texts += [(corpus / "frontend" / ("%s.dgp" % name)).read_text(encoding="utf-8")
               for name in ("f003", "f011", "f012", "f018")]
     negated = _negated(getattr(envelope, image))
-    # d_J blocks are memoised on each algebra: parse afresh after patching
-    for binding in (envelope,) if image == "diagonal_key_diff" else (envelope, obstruction):
+    for binding in (envelope, obstruction):
         monkeypatch.setattr(binding, image, negated)
     modules = [N for text in texts for N in parse_problem(text).modules.values()]
     reports = [(N, check_lift(N)) for N in modules]
