@@ -14,20 +14,23 @@ step touches only the rows below it that hold the pivot column, and no
 row above a pivot is ever cleared.  It takes its rows in batches and can
 be resumed: a batch is appended below the rows already eliminated,
 cleared of the pivot columns found so far by their pivot rows, and then
-pivoted on its own remaining columns.  ``rank`` and ``kernel_basis`` feed
-one batch; ``linear_solve`` feeds one, or the next batch of an
-elimination its caller keeps, so that a system whose equations arrive in
-blocks is decided after each block and can stop at the first block that
-makes it inconsistent.  Solutions and kernel vectors are read off the
-echelon rows by back substitution, which gives the same unique vectors
-(free variables zero) that the fully reduced rows give.  A solve does not
-carry the transform T along: it logs its row operations, and only an
-inconsistent solve rebuilds the one row of T it returns, the pivot row of
-the target column, by replaying the log backwards; that row, and every
-row of T below it, is the one a full Gauss-Jordan on the same pivot rows
-gives.  A solve returns the solution, or that row as a sparse null
-functional with its nonzero pairing against the target, and nothing else:
-a caller that wants the rank asks ``rank``.
+pivoted on its own remaining columns.  One index, {pivot column: pivot
+row} in the order found, serves the resumed batches, the back
+substitution and the solve's test of the target column.  ``rank`` and
+``kernel_basis`` feed one batch; ``linear_solve`` feeds one, or the next
+batch of an elimination its caller keeps, so that a system whose
+equations arrive in blocks is decided after each block and can stop at
+the first block that makes it inconsistent.  Solutions and kernel
+vectors are read off the echelon rows by back substitution, which gives
+the same unique vectors (free variables zero) that the fully reduced
+rows give.  A solve does not carry the transform T along: it logs its
+row operations, and only an inconsistent solve rebuilds the one row of T
+it returns, the pivot row of the target column, by replaying the log
+backwards; that row, and every row of T below it, is the one a full
+Gauss-Jordan on the same pivot rows gives.  A solve returns the
+solution, or that row as a sparse null functional with its nonzero
+pairing against the target, and nothing else: a caller that wants the
+rank asks ``rank``.
 
 Elimination is fully deterministic.  Columns are taken left to right
 within a batch, and the pivot columns of rows eliminated in any batches
@@ -153,10 +156,12 @@ class Elimination:
     """A sparse forward elimination of {column: scalar} rows, fed in batches.
 
     ``rows`` holds every row fed so far, in place: the first
-    len(``pivots``) are the pivot rows, row k with a unit entry at column
-    ``pivots[k]`` and nothing before it in the column order, and the rows
-    after them are empty once their batch is done.  A pivot row is never
-    changed again, and a later batch only appends rows and pivots.  With
+    len(``pivots``) are the pivot rows, and the rows after them are empty
+    once their batch is done.  ``pivots`` maps each pivot column c to its
+    pivot row, which has a unit entry at c and nothing before it in the
+    column order; it lists them in the order found, the k-th column's
+    pivot row being row k.  A pivot row is never changed again, and a
+    later batch only appends rows and pivots.  With
     ``track`` the row operations are logged in ``log`` (see ``add``),
     else ``log`` is None.  Over F_p the scalars are raw ints mod p
     throughout.
@@ -164,10 +169,9 @@ class Elimination:
 
     def __init__(self, field, track=False):
         self.field = field
-        self.rows, self.pivots = [], []
+        self.rows, self.pivots = [], {}
         self.log = [] if track else None
         self._holders = {}
-        self._pivot_row = {}
 
     def add(self, rows):
         """Append ``rows`` and eliminate them, column by column in
@@ -197,7 +201,7 @@ class Elimination:
         """
         p = self.field.char
         work, pivots, log = self.rows, self.pivots, self.log
-        holders, pivot_row = self._holders, self._pivot_row
+        holders = self._holders
         for i, row in enumerate(rows, len(work)):
             for j in row:
                 held = holders.get(j)
@@ -217,7 +221,7 @@ class Elimination:
                      if i >= r and c in (row := work[i])]
             if not below:
                 continue
-            k = pivot_row.get(c)
+            k = pivots.get(c)
             if k is None:
                 k, src = r, min(below)[1]
                 if src != r:
@@ -232,8 +236,7 @@ class Elimination:
                     work[r] = _scaled(work[r], inv, p)
                     if log is not None:
                         log.append(("scale", r, inv))
-                pivots.append(c)
-                pivot_row[c] = r
+                pivots[c] = r
                 r += 1
             else:
                 src = -1  # the pivot row is an earlier one: no row below moved
@@ -268,12 +271,12 @@ def _back_substitute(rows, pivots, x, p):
     columns so that each pivot row of an ``Elimination`` pairs with it to
     zero: the greatest pivot column first, each from the values already
     set."""
-    for k in sorted(range(len(pivots)), key=pivots.__getitem__, reverse=True):
+    for c, k in sorted(pivots.items(), reverse=True):
         s = sum(a * x[j] for j, a in rows[k].items() if j in x)
         if p:
             s %= p
         if s:
-            x[pivots[k]] = -s % p if p else -s
+            x[c] = -s % p if p else -s
     return x
 
 
@@ -322,10 +325,9 @@ def kernel_basis(matrix: BlockMatrix) -> list:
     field = matrix.field
     ncols = matrix.shape[1]
     echelon = _echelon(matrix)
-    pivot_set = set(echelon.pivots)
     return [_dense(_back_substitute(echelon.rows, echelon.pivots, {free: 1}, field.char),
                    ncols, field)
-            for free in range(ncols) if free not in pivot_set]
+            for free in range(ncols) if free not in echelon.pivots]
 
 
 def linear_solve(matrix: BlockMatrix, target: list, elimination=None) -> SolveResult:
@@ -355,7 +357,7 @@ def linear_solve(matrix: BlockMatrix, target: list, elimination=None) -> SolveRe
             row[TARGET] = t.v if p else t
     elimination.add(augmented)
     rows = elimination.rows
-    q = elimination._pivot_row.get(TARGET)
+    q = elimination.pivots.get(TARGET)
     if q is not None:
         # a pivot in the target column exhibits the inconsistency; T takes
         # the targets to that row's one entry, so it is u . target

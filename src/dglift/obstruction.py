@@ -57,15 +57,19 @@ label at a time: the rows of equation lam at the label nu start at one
 integer, the unknowns of gamma_mu at nu at another, and a J basis key
 sits at its index in ``diagonal_block_keys``; the builder writes by those
 positions, and its right-hand side and witness reader, the row names,
-and the checker's rows and unknowns, read the same layout, the one
-enumeration of the system.  ``verify_certificate`` calls no builder and
-eliminates nothing: it compares the same head, and pairs the functional
-with the columns of the unknowns up to the stated label, built by
-element arithmetic (d(t) and t b for t in N (x) J, whose J coefficients
-compute in B^e and are read back by sigma), so a wrong sign in the
-builder's images, or in the J key maps it writes them from, cannot
-certify itself.  ``verify_witness`` checks the defining identity by the
-same element rules, so such a sign cannot verify its own witness either.
+and the checker's rows and unknowns, read the same enumeration of the
+system.  A layout is a local: ``check_lift`` makes one and passes it to
+the builder, the head and the witness reader, and ``verify_certificate``
+makes its own and lays out the stated prefix at once, so no layout
+outlives its call and the checker reads none of the decision's state.
+``verify_certificate`` calls no builder and eliminates nothing: it
+compares the same head, and pairs the functional with the columns of the
+unknowns up to the stated label, built by element arithmetic (d(t) and
+t b for t in N (x) J, whose J coefficients compute in B^e and are read
+back by sigma), so a wrong sign in the builder's images, or in the J key
+maps it writes them from, cannot certify itself.  ``verify_witness``
+checks the defining identity by the same element rules, so such a sign
+cannot verify its own witness either.
 """
 
 from bisect import bisect_right
@@ -74,7 +78,7 @@ from . import linalg
 from .envelope import (delta, diagonal_block_keys, diagonal_key_diff,
                        diagonal_key_left, diagonal_key_right, diagonal_label)
 from .errors import ConstructionError
-from .lincomb import memoised, merge
+from .lincomb import merge
 from .semifree import SemifreeModule, TensorJElement
 
 LIFTABLE = "LIFTABLE"
@@ -175,7 +179,10 @@ def criterion_rhs(N: SemifreeModule, gamma: dict, lam: str) -> TensorJElement:
 
 
 def verify_witness(N: SemifreeModule, gamma: dict) -> bool:
-    """Exact check of the defining identity of a lifting family."""
+    """Exact check of the defining identity of a lifting family.  False
+    for a family that names a label N does not have."""
+    if not gamma.keys() <= N.index.keys():
+        return False
     for lam in N.labels:
         g = gamma.get(lam, N.tensor_zero())
         if g.diff() != criterion_rhs(N, gamma, lam):
@@ -201,12 +208,14 @@ class ObstructionReport:
         return self.decision == LIFTABLE
 
 
-def _certificate_head(N: SemifreeModule, label):
-    """The head of a certificate that N's γ-system is inconsistent on the
-    equations of the labels up to ``label``, read from the bases alone:
-    the label, and the numbers of unknowns and equations of those labels."""
-    lam = N.index[label]
-    unknowns, equations = gamma_layout(N)
+def _certificate_head(layout, label):
+    """The head of a certificate that the γ-system laid out by ``layout``,
+    a ``gamma_layout`` pair, is inconsistent on the equations of the
+    labels up to ``label``, read from the bases alone: the label, and the
+    numbers of unknowns and equations of those labels, laid out here if
+    they are not yet."""
+    unknowns, equations = layout
+    lam = unknowns.module.index[label]
     return {"kind": "gamma-system", "obstructed_at": label,
             "unknowns": unknowns.through(lam), "equations": equations.through(lam)}
 
@@ -221,26 +230,22 @@ class GammaBlocks:
     ``start[l][k]``, label l's blocks from ``bounds[l]`` to
     ``bounds[l + 1]``, and within a block the J basis key j sits at its
     index in ``diagonal_block_keys(B, n, w)``, ``positions[n, w][j]``.
-    ``blocks`` lists the nonempty blocks laid out so far as (start, l, k,
-    J keys), ``label_blocks[l]`` those of label l.  Laying out a label
-    adds blocks and changes none, so every holder of the memoised layout
-    may extend it.  It keeps N's algebra, labels and label index but not
-    N, which memoises it, so that N is freed by reference counting
-    alone."""
+    ``label_blocks[l]`` lists label l's nonempty blocks as (start, k, J
+    keys), the one list of the blocks.  Laying out a label adds blocks
+    and changes none.  A layout is a local of the one decision or check
+    that lays it out, and dies with it."""
 
     def __init__(self, N: SemifreeModule, shift):
-        self.algebra = N.algebra
-        self.labels, self.index = N.labels, N.index
+        self.module = N
         self.bidegree = [[(n - shift - d, w - wt) for d, wt in zip(N.degrees, N.weights)]
                          for n, w in zip(N.degrees, N.weights)]
-        self.start, self.blocks, self.label_blocks, self.positions = [], [], [], {}
+        self.start, self.label_blocks, self.positions = [], [], {}
         self.bounds = [0]
-        self._starts = []
 
     def through(self, l):
         """Lay out the labels up to l, those not laid out yet; the number
         of indices their blocks take."""
-        B = self.algebra
+        B = self.module.algebra
         for row in self.bidegree[len(self.start):l + 1]:
             size, starts, blocks = self.bounds[-1], [], []
             for k, (n, w) in enumerate(row):
@@ -249,12 +254,10 @@ class GammaBlocks:
                     self.positions[n, w] = {key: i for i, key in enumerate(keys)}
                 starts.append(size)
                 if keys:
-                    blocks.append((size, len(self.start), k, keys))
+                    blocks.append((size, k, keys))
                     size += len(keys)
             self.start.append(starts)
             self.label_blocks.append(blocks)
-            self.blocks.extend(blocks)
-            self._starts.extend(block[0] for block in blocks)
             self.bounds.append(size)
         return self.bounds[l + 1]
 
@@ -266,24 +269,29 @@ class GammaBlocks:
         """The index of the tensor key (label, m1, m2, rm) in block l.  Each
         caller asks for a key of an element of block l's bidegree, so a
         KeyError here is a fault of the program, not of its input."""
-        k = self.index[key[0]]
+        k = self.module.index[key[0]]
         return self.start[l][k] + self.positions[self.bidegree[l][k]][key[1:]]
 
     def block_of(self, i):
-        """(l, k, J key) at index i."""
-        start, l, k, keys = self.blocks[bisect_right(self._starts, i) - 1]
-        return l, k, keys[i - start]
+        """(l, k, J key) at index i, laid out: the label is the last whose
+        blocks start at or before i, and the block the last of its blocks
+        that does, since an empty block starts where the next one does."""
+        l = bisect_right(self.bounds, i) - 1
+        k = bisect_right(self.start[l], i) - 1
+        keys = diagonal_block_keys(self.module.algebra, *self.bidegree[l][k])
+        return l, k, keys[i - self.start[l][k]]
 
     def name(self, i):
         """The name of equation row i."""
         l, k, key = self.block_of(i)
-        return "eq_%s[%s⊗%s]" % (self.labels[l], self.labels[k],
-                                 diagonal_label(self.algebra, key))
+        N = self.module
+        return "eq_%s[%s⊗%s]" % (N.labels[l], N.labels[k], diagonal_label(N.algebra, key))
 
 
-@memoised
 def gamma_layout(N: SemifreeModule):
-    """The unknowns and the equations of N's γ-system, as GammaBlocks."""
+    """The unknowns and the equations of N's γ-system, as GammaBlocks,
+    nothing laid out yet: a fresh pair on each call, which its caller
+    passes on and extends with ``through``."""
     return GammaBlocks(N, 0), GammaBlocks(N, 1)
 
 
@@ -296,11 +304,13 @@ def _later(N: SemifreeModule):
     return later
 
 
-def _equation_block(N: SemifreeModule, lam, obstruction):
-    """The equations of e_lam in the γ-system, as (matrix, right-hand side).
+def _equation_block(N: SemifreeModule, layout, lam, obstruction):
+    """The equations of e_lam in the γ-system, as (matrix, right-hand
+    side), at the offsets of ``layout``, N's ``gamma_layout``, which it
+    lays out through lam.
 
     Unknown block mu: the (|e_mu|, w_mu) piece of N (x) J, whose basis
-    element t = e_nu (x) j sits in block (mu, nu) of ``gamma_layout``'s
+    element t = e_nu (x) j sits in block (mu, nu) of the layout's
     unknowns.  Equation block lam: the piece one homological degree lower.
     The column of t holds d(t) in equation mu, that is e_nu' (x) b[nu'][nu] j
     for each nu' in column nu and (-1)^{|e_nu|} e_nu (x) d(j), and
@@ -321,17 +331,17 @@ def _equation_block(N: SemifreeModule, lam, obstruction):
     side delta(b).
     """
     B = N.algebra
-    unknowns, equations = gamma_layout(N)
+    unknowns, equations = layout
     ncols = unknowns.through(lam)
     equations.through(lam)
     first = equations.bounds[lam]
     entries = [{} for _ in range(equations.bounds[lam + 1] - first)]
     for mu, entry in N.columns[lam]:
-        for column, _, nu, keys in unknowns.label_blocks[mu]:
+        for column, nu, keys in unknowns.label_blocks[mu]:
             positions, start = equations.offsets(lam, nu)
             linalg.write_images(entries, keys, lambda key: diagonal_key_right(B, key, entry),
                                 positions, start - first, column, True)
-    for column, _, nu, keys in unknowns.label_blocks[lam]:
+    for column, nu, keys in unknowns.label_blocks[lam]:
         for i, entry in N.columns[nu]:
             positions, start = equations.offsets(lam, i)
             linalg.write_images(entries, keys, lambda key: diagonal_key_left(B, entry, key),
@@ -345,16 +355,17 @@ def _equation_block(N: SemifreeModule, lam, obstruction):
     return linalg.BlockMatrix(entries, (len(entries), ncols), B.field), rhs
 
 
-def _read_witness(N: SemifreeModule, solution):
-    """The gamma family of a solution of N's γ-system up to the last label
-    with an equation: the unknowns after it hold in no equation, so they
-    are free, and zero."""
+def _read_witness(N: SemifreeModule, layout, solution):
+    """The gamma family of a solution of N's γ-system, laid out by
+    ``layout``, up to the last label with an equation: the unknowns after
+    it hold in no equation, so they are free, and zero."""
     labels = N.labels
     terms = {lab: [] for lab in labels}
-    for column, mu, nu, keys in gamma_layout(N)[0].blocks:
-        head = (labels[nu],)
-        terms[labels[mu]].extend(
-            zip([head + key for key in keys], solution[column:column + len(keys)]))
+    for lab, blocks in zip(labels, layout[0].label_blocks):
+        for column, nu, keys in blocks:
+            head = (labels[nu],)
+            terms[lab].extend(
+                zip([head + key for key in keys], solution[column:column + len(keys)]))
     return {lab: TensorJElement.from_terms(N, t) for lab, t in terms.items()}
 
 
@@ -363,25 +374,28 @@ def check_lift(N: SemifreeModule) -> ObstructionReport:
     the equations of one label at a time, until the first label at which
     the γ-system is inconsistent, or to the last."""
     obstruction = obstruction_values(N)
-    if not N.structure:
+    if not any(N.columns):
         witness = {lab: N.tensor_zero() for lab in N.labels}
         return ObstructionReport(LIFTABLE, METHOD_TRIVIAL, obstruction, witness, None)
     tag = METHOD_RANK2 if N.rank == 2 else METHOD_GLOBAL
-    equations = gamma_layout(N)[1]
+    layout = gamma_layout(N)
+    equations = layout[1]
     elimination = linalg.Elimination(N.algebra.field, track=True)
     solution = []
     for lam, label in enumerate(N.labels):
         if equations.through(lam) == equations.bounds[lam]:
             continue  # e_lam has no equation, so nothing to eliminate
-        result = linalg.linear_solve(*_equation_block(N, lam, obstruction), elimination)
+        result = linalg.linear_solve(*_equation_block(N, layout, lam, obstruction),
+                                     elimination)
         if not result.consistent:
-            cert = _certificate_head(N, label)
+            cert = _certificate_head(layout, label)
             cert["null_functional"] = [{"row": equations.name(i), "value": str(c)}
                                        for i, c in result.null_row.items()]
             cert["pairing"] = str(result.pairing)
             return ObstructionReport(NOT_LIFTABLE, tag, obstruction, None, cert)
         solution = result.solution
-    return ObstructionReport(LIFTABLE, tag, obstruction, _read_witness(N, solution), None)
+    witness = _read_witness(N, layout, solution)
+    return ObstructionReport(LIFTABLE, tag, obstruction, witness, None)
 
 
 def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
@@ -412,13 +426,14 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
     label = cert.get("obstructed_at")
     if not isinstance(label, str) or label not in N.index:
         return False
-    head = _certificate_head(N, label)
+    layout = gamma_layout(N)
+    head = _certificate_head(layout, label)
     # repr compares JSON values type-exactly: 4.0 and True are not 4
     if cert.keys() != head.keys() | {"null_functional", "pairing"} or any(
             repr(cert[key]) != repr(value) for key, value in head.items()):
         return False
     field = N.algebra.field
-    rows, columns, rhs = _gamma_columns(N, N.index[label])
+    rows, columns, rhs = _gamma_columns(N, layout, N.index[label])
     stated = {}
     for item in items:
         row = rows.get(item["row"])
@@ -434,10 +449,11 @@ def verify_certificate(N: SemifreeModule, report: ObstructionReport) -> bool:
     return bool(pairing) and str(pairing) == cert.get("pairing")
 
 
-def _gamma_columns(N: SemifreeModule, top):
+def _gamma_columns(N: SemifreeModule, layout, top):
     """The equations of the labels up to ``top`` from elements: ({row
     label: row index}, columns, right-hand side terms), the rows and
-    unknowns those of ``gamma_layout``.
+    unknowns those of ``layout``, N's ``gamma_layout`` laid out through
+    ``top``.
 
     ``columns(u)`` yields the column of each unknown t = e_nu (x) j of
     block mu <= top as (row index, scalar) terms: d(t) in equation mu and
@@ -446,11 +462,10 @@ def _gamma_columns(N: SemifreeModule, top):
     so they do not use the J key maps the builder does.  A column all of
     whose equations miss the support of u pairs with u to zero and is
     skipped."""
-    unknowns, equations = gamma_layout(N)
+    unknowns, equations = layout
     labels, later = N.labels, _later(N)
     one = N.algebra.field.one
-    unknowns.through(top)
-    size = equations.through(top)
+    size = equations.bounds[top + 1]
 
     def columns(u):
         hit = {equations.block_of(i)[0] for i in u}
@@ -458,7 +473,7 @@ def _gamma_columns(N: SemifreeModule, top):
             entries = [(lam, entry) for lam, entry in later[mu] if lam in hit]
             if mu not in hit and not entries:
                 continue
-            for _, _, nu, keys in unknowns.label_blocks[mu]:
+            for _, nu, keys in unknowns.label_blocks[mu]:
                 for key in keys:
                     t = TensorJElement.from_terms(N, [((labels[nu],) + key, one)])
                     column = ([(equations.position(mu, k), s) for k, s in t.diff().terms()]

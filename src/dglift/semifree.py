@@ -49,7 +49,9 @@ class SemifreeModule:
         self.weights = tuple(weights)
         if len(self.degrees) != len(self.labels) or len(self.weights) != len(self.labels):
             raise ConstructionError("need one bidegree per basis label")
-        entries = {}
+        # columns[j]: the (i, b[i][j]) entries of d(e_j), in structure order,
+        # the one copy of d on the basis
+        self.columns = [[] for _ in self.labels]
         for (mu, lam), b in structure.items():
             if not b:
                 continue
@@ -66,11 +68,6 @@ class SemifreeModule:
                 raise DegreeMismatch(
                     "entry for (%s, %s) has internal degree %d, expected %d"
                     % (mu, lam, w, self.weights[j] - self.weights[i]))
-            entries[(i, j)] = b
-        self.structure = entries
-        # columns[j]: the (i, b[i][j]) entries of d(e_j), in structure order
-        self.columns = [[] for _ in self.labels]
-        for (i, j), b in entries.items():
             self.columns[j].append((i, b))
         # componentwise d^2 = 0: square[nu] is the e_nu component of d(d(e_lam))
         for lam, column in zip(self.labels, self.columns):
@@ -94,8 +91,8 @@ class SemifreeModule:
                 and self.labels == other.labels
                 and self.degrees == other.degrees
                 and self.weights == other.weights
-                and {k: v.coeffs for k, v in self.structure.items()}
-                == {k: v.coeffs for k, v in other.structure.items()})
+                and [{i: b.coeffs for i, b in column} for column in self.columns]
+                == [{i: b.coeffs for i, b in column} for column in other.columns])
 
     def __repr__(self):
         basis = ", ".join("%s:(%d,%d)" % (lab, n, w)
@@ -114,8 +111,9 @@ class SemifreeModule:
         return out
 
     def entry(self, mu_label, lam_label):
-        key = (self.index[mu_label], self.index[lam_label])
-        return self.structure.get(key)
+        """b[mu][lam], or None when it is zero."""
+        i = self.index[mu_label]
+        return next((b for k, b in self.columns[self.index[lam_label]] if k == i), None)
 
     # -- elements of N ---------------------------------------------------------
 

@@ -53,10 +53,11 @@ def gamma_system(N):
     from dglift.obstruction import _equation_block, gamma_layout, obstruction_values
 
     obstruction = obstruction_values(N)
+    layout = gamma_layout(N)
     entries, rhs = [], []
     for lam in range(N.rank):
-        block, block_rhs = _equation_block(N, lam, obstruction)
+        block, block_rhs = _equation_block(N, layout, lam, obstruction)
         entries += block.entries
         rhs += block_rhs
-    ncols = gamma_layout(N)[0].through(N.rank - 1)
+    ncols = layout[0].through(N.rank - 1)
     return BlockMatrix(entries, (len(entries), ncols), N.algebra.field), rhs

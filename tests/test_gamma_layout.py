@@ -5,7 +5,8 @@ and equation has a tensor key ("γ" or "eq", label, (label, m1, m2, ring
 monomial)), and ``linalg.block_matrix`` places each image by hashing
 those keys.  The builder writes by integer block offsets, the equations
 of one label at a time; stacked in label order, its blocks must give the
-same matrix (entries in the same order in each row), the same right-hand
+same matrix (the same entries in each row, in whatever order, since the
+order of a row's entries reaches no output), the same right-hand
 side, the same row names and the same witness, and the certificate head
 at the last label, read from the bases alone, must state its shape.  The
 decision stops at the first inconsistent label, which is sound because
@@ -16,7 +17,7 @@ on every module of the golden files and the corpora.
 import random
 from pathlib import Path
 
-from dglift import linalg, parse_problem
+from dglift import check_lift, linalg, obstruction, parse_problem, verify_certificate
 from dglift.envelope import diagonal_key_diff, diagonal_key_left, diagonal_key_right
 from dglift.errors import DGLiftError
 from dglift.obstruction import (_certificate_head, _read_witness, gamma_layout,
@@ -94,18 +95,17 @@ def assert_same_system(N, rng):
     matrix, rhs = gamma_system(N)
     keyed, keyed_rhs, keyed_witness, labels = keyed_gamma_system(N, obstruction)
     assert matrix.shape == keyed.shape
-    assert [list(row.items()) for row in matrix.entries] == [
-        list(row.items()) for row in keyed.entries]
+    assert matrix.entries == keyed.entries
     assert rhs == keyed_rhs
-    equations = gamma_layout(N)[1]
-    assert [equations.name(i) for i in range(matrix.shape[0])] == labels
+    layout = gamma_layout(N)
     last = N.labels[-1]
-    assert _certificate_head(N, last) == {
+    assert _certificate_head(layout, last) == {
         "kind": "gamma-system", "obstructed_at": last,
         "unknowns": keyed.shape[1], "equations": keyed.shape[0]}
+    assert [layout[1].name(i) for i in range(matrix.shape[0])] == labels
     field = N.algebra.field
     solution = [random_scalar(rng, field) for _ in range(matrix.shape[1])]
-    witness = _read_witness(N, solution)
+    witness = _read_witness(N, layout, solution)
     expected = keyed_witness(solution)
     assert list(witness) == list(expected)
     assert all(witness[lab] == expected[lab] for lab in N.labels)
@@ -129,9 +129,9 @@ def test_the_layout_numbers_rows_and_columns_block_by_block():
     problem = parse_problem((GOLDEN / "nonliftable.dgp").read_text(encoding="utf-8"))
     N = problem.modules["M"]
     unknowns, equations = gamma_layout(N)
-    assert gamma_layout(N)[0] is unknowns
     # nothing is laid out before a label is asked for
-    assert unknowns.blocks == equations.blocks == [] and unknowns.through(-1) == 0
+    assert unknowns.label_blocks == equations.label_blocks == []
+    assert unknowns.through(-1) == 0
     for side, shift in ((unknowns, 0), (equations, 1)):
         size = 0
         for l, (n, w) in enumerate(zip(N.degrees, N.weights)):
@@ -161,6 +161,8 @@ def test_the_system_is_block_lower_triangular_in_label_order():
     for N in parsed_modules(paths):
         matrix, _ = gamma_system(N)
         unknowns, equations = gamma_layout(N)
+        unknowns.through(N.rank - 1)
+        equations.through(N.rank - 1)
         for i, row in enumerate(matrix.entries):
             l, k, _ = equations.block_of(i)
             for j in row:
@@ -168,3 +170,77 @@ def test_the_system_is_block_lower_triangular_in_label_order():
                 assert mu <= l and nu >= k, (N, equations.name(i), j)
                 checked += 1
     assert checked > 10000
+
+
+def all_paths():
+    return sorted(GOLDEN.glob("*.dgp")) + sorted(CORPUS.glob("*/*.dgp"))
+
+
+def test_a_decision_lays_out_its_system_once_and_keeps_no_table(monkeypatch):
+    """``check_lift`` calls ``gamma_layout`` once for a module with a
+    differential, and passes that layout on, and never for a trivial one;
+    the layout dies with the decision, so N keeps no table afterwards."""
+    layout = obstruction.gamma_layout
+    calls = []
+
+    def counted(N):
+        calls.append(N)
+        return layout(N)
+
+    monkeypatch.setattr(obstruction, "gamma_layout", counted)
+    decided = {True: 0, False: 0}
+    for N in parsed_modules(all_paths()):
+        calls.clear()
+        check_lift(N)
+        structured = any(N.columns)
+        assert calls == ([N] if structured else []), N
+        assert not [name for name in vars(N) if name.startswith("_memo_")], N
+        decided[structured] += 1
+    assert decided == {True: 657, False: 592}  # the 1,249 modules that parse
+
+
+def test_a_layout_extended_label_by_label_is_the_one_laid_out_at_once():
+    """The decision lays out one label at a time, the checker the stated
+    prefix at once: on every module of the golden files and the corpora,
+    both give the same bounds, starts, blocks, key positions, block of
+    every index and row names."""
+    checked = 0
+    for N in parsed_modules(all_paths()):
+        stepwise, at_once = gamma_layout(N), gamma_layout(N)
+        for lam in range(N.rank):
+            for side in stepwise:
+                side.through(lam)
+        for side in at_once:
+            side.through(N.rank - 1)
+        for one, other in zip(stepwise, at_once):
+            assert one.bounds == other.bounds
+            assert one.start == other.start
+            assert one.label_blocks == other.label_blocks
+            assert one.positions == other.positions
+            size = other.bounds[-1]
+            assert [one.block_of(i) for i in range(size)] == [
+                other.block_of(i) for i in range(size)]
+            checked += size
+        size = at_once[1].bounds[-1]
+        assert [stepwise[1].name(i) for i in range(size)] == [
+            at_once[1].name(i) for i in range(size)]
+    assert checked > 10000
+
+
+def test_every_certificate_verifies_on_a_freshly_parsed_copy():
+    """The checker lays out its own system: a certificate re-verifies on a
+    copy of its problem parsed anew, which shares no state with the module
+    the decision ran on."""
+    certified = 0
+    for path in all_paths():
+        text = path.read_text(encoding="utf-8")
+        try:
+            problem, fresh = parse_problem(text), parse_problem(text)
+        except DGLiftError:  # the frontend pool's known parser rejections
+            continue
+        for name, N in problem.modules.items():
+            report = check_lift(N)
+            if not report.liftable:
+                assert verify_certificate(fresh.modules[name], report), (path.name, name)
+                certified += 1
+    assert certified == 315

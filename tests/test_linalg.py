@@ -100,7 +100,7 @@ def test_a_sparser_row_below_is_swapped_up_and_the_former_row_cleared(field):
     m = matrix(rows, field)
     elimination = linalg.Elimination(field, track=True)
     elimination.add(linalg._raw_rows(m.entries, field.char))
-    assert elimination.pivots == [0, 1, 2]
+    assert list(elimination.pivots) == [0, 1, 2]
     assert [op for op in elimination.log if op[0] == "swap"] == [
         ("swap", 0, 1), ("swap", 1, 2)]
     assert [linalg._dense(row, 3, field) for row in elimination.rows] == [
@@ -328,8 +328,9 @@ def test_sparse_solver_matches_dense_oracle(field):
         assert m.rows == rows
         elimination = linalg.Elimination(field, track=True)
         elimination.add(linalg._raw_rows(m.entries, field.char))
-        pivots, log = elimination.pivots, elimination.log
+        pivots, log = list(elimination.pivots), elimination.log
         assert pivots == ref_pivots
+        assert list(elimination.pivots.values()) == list(range(len(pivots)))
         echelon = [linalg._dense(row, ncols, field) for row in elimination.rows]
         # echelon form: a unit pivot with zeros to its left, zero rows below
         for row, pc in zip(echelon, pivots):
@@ -476,6 +477,7 @@ def test_block_builders_match_the_dense_reference():
             reference, labels = reference_gamma_system(N)
             assert_block_equals(matrix, reference)
             equations = gamma_layout(N)[1]
+            equations.through(N.rank - 1)
             assert [equations.name(i) for i in range(len(labels))] == labels
             blocks += 1
     assert blocks > 1000
@@ -495,7 +497,7 @@ def test_the_rank2_system_is_the_gamma_system_in_its_smallest_case():
             problem = parse_problem(path.read_text(encoding="utf-8"))
         except DGLiftError:  # the parser's known rejections
             continue
-        modules += [N for N in problem.modules.values() if N.rank == 2 and N.structure]
+        modules += [N for N in problem.modules.values() if N.rank == 2 and any(N.columns)]
     for N in modules:
         B = N.algebra
         (_, b), = N.columns[1]
@@ -508,7 +510,7 @@ def test_the_rank2_system_is_the_gamma_system_in_its_smallest_case():
         assert_block_equals(matrix, reference)
         keys = diagonal_block_keys(B, n, w)
         assert rhs == linalg.coordinates(delta(b).terms(), keys, B.field)
-        assert _certificate_head(N, N.labels[1]) == {
+        assert _certificate_head(gamma_layout(N), N.labels[1]) == {
             "kind": "gamma-system", "obstructed_at": N.labels[1], "equations": len(keys),
             "unknowns": len(diagonal_block_keys(B, n + 1, w))}
     assert len(modules) == 158

@@ -155,8 +155,9 @@ def assert_module(N):
     for lab in N.labels:
         d = N.gen(lab).diff()
         assert repr(d) == former_module_element(d)
-    for entry in N.structure.values():
-        assert_algebra_element(entry)
+    for column in N.columns:
+        for _, entry in column:
+            assert_algebra_element(entry)
 
 
 def test_renderer_matches_the_former_ones_on_the_corpus():

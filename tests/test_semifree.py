@@ -141,10 +141,11 @@ def test_random_invalid_structures_rejected():
             break
         B = pool[rng.randrange(len(pool))]
         base = random_module(rng, B, max_rank=3)
-        if not base.structure:
+        entries = {(i, j): b for j, column in enumerate(base.columns) for i, b in column}
+        if not entries:
             continue
         # perturb one entry by a random same-bidegree element
-        (i, j), entry = sorted(base.structure.items())[0]
+        (i, j), entry = sorted(entries.items())[0]
         n, w = entry.bidegree()
         from dglift.randomgen import random_algebra_element
         noise = random_algebra_element(rng, B, n, w, density=1.0)
@@ -152,7 +153,7 @@ def test_random_invalid_structures_rejected():
         if not candidate or candidate == entry:
             continue
         structure = {(base.labels[a], base.labels[b]): e
-                     for (a, b), e in base.structure.items()}
+                     for (a, b), e in entries.items()}
         structure[(base.labels[i], base.labels[j])] = candidate
         try:
             built = SemifreeModule(B, base.labels, base.degrees, base.weights,
@@ -268,7 +269,7 @@ def test_d_squared_check_matches_the_former_check_on_the_corpus():
         for N in problem.modules.values():
             modules += 1
             structure = {(N.labels[i], N.labels[j]): b
-                         for (i, j), b in N.structure.items()}
+                         for j, column in enumerate(N.columns) for i, b in column}
             new, ref = _both_d_squared_checks(N, structure)
             assert new is None and ref is None
             B = N.algebra
