@@ -16,7 +16,7 @@ this module is ordered that way.
 
 import sys
 from fractions import Fraction
-from operator import add, le, mul
+from operator import add, le, mul, neg
 
 from . import linalg
 from .errors import ConstructionError
@@ -106,6 +106,11 @@ class RationalField:
     def of(self, n):
         return Fraction(n)
 
+    @staticmethod
+    def raw(s):
+        """The elimination's own scalar of the field scalar s: s itself."""
+        return s
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -161,6 +166,12 @@ class PrimeField:
 
     def of(self, n):
         return ModP(n, self.char)
+
+    @staticmethod
+    def raw(s):
+        """The elimination's own scalar of the field scalar s: its residue,
+        the int 0 <= s.v < p."""
+        return s.v
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.char == self.char
@@ -230,7 +241,7 @@ def exponent_vectors(degrees, total, relations):
 
 def ring_mono_key(exps):
     # descending lexicographic; ties cannot occur
-    return tuple(-e for e in exps)
+    return tuple(map(neg, exps))
 
 
 class BaseRing:
@@ -312,6 +323,12 @@ class BaseRing:
                 parts.append("%s^%d" % (name, e))
         return "*".join(parts) if parts else "1"
 
+    @memoised
+    def mono_print(self, exps):
+        """(sort key, text) of a monomial, as the printers order and write
+        it: by weight, then ``ring_mono_key``."""
+        return (self.mono_weight(exps), ring_mono_key(exps)), self.render_mono(exps)
+
     # -- elements ------------------------------------------------------------
 
     def element(self, coeffs):
@@ -374,14 +391,15 @@ class RingElement(LinComb):
         return self.bidegree()[1]
 
     def sorted_terms(self):
-        return sorted(self.coeffs.items(),
-                      key=lambda item: (self.parent.mono_weight(item[0]),
-                                        ring_mono_key(item[0])))
+        """The (monomial, scalar) terms in print order (``mono_print``)."""
+        key = self.parent.mono_print
+        return sorted(self.coeffs.items(), key=lambda item: key(item[0]))
 
     def text_terms(self):
         """(factor texts, scalar) pairs in print order."""
-        ring = self.parent
-        return [((ring.render_mono(e),), c) for e, c in self.sorted_terms()]
+        printed = self.parent.mono_print
+        return [((text,), c) for (_, text), c in sorted(
+            (printed(e), c) for e, c in self.coeffs.items())]
 
 
 def multiplication_block(ring, a, w_src):
@@ -391,14 +409,13 @@ def multiplication_block(ring, a, w_src):
 
 def _products_block(ring, factors, w):
     """The block [a_1 | a_2 | ...] of multiplication by the homogeneous
-    factors, each from R_{w - |a_i|} into R_w; source keys are (i, monomial)."""
-    one = ring.field.one
+    factors, each from R_{w - |a_i|} into R_w: a column per factor and
+    monomial of its source."""
+    one, raw = ring.field.one, ring.field.raw
     return linalg.block_matrix(
-        [(i, m) for i, a in enumerate(factors)
-         for m in ring.graded_basis(w - a.weight())],
-        [(m,) for m in ring.graded_basis(w)],
-        lambda key: (RingElement.from_terms(ring, [(key[1:], one)])
-                     * factors[key[0]]).terms(), ring.field)
+        [[((e,), raw(s)) for e, s in (ring.element({m: one}) * a).coeffs.items()]
+         for a in factors for m in ring.graded_basis(w - a.weight())],
+        [(m,) for m in ring.graded_basis(w)], ring.field)
 
 
 def principal_intersection_dim(ring, a, b, w):

@@ -45,12 +45,26 @@ from .free_dga import AlgebraElement
 from .lincomb import LinComb, memoised, merge
 
 
-def pair_text(algebra, m1, m2):
-    """`m1^o⊗m2`, the left monomial bracketed when it is a product or power."""
-    left = algebra.render_mono(m1)
+def pair_text(left, right):
+    """`m1^o⊗m2` from the texts of m1 and m2, the left monomial bracketed
+    when it is a product or power."""
     if "*" in left or "^" in left:
         left = "(%s)" % left
-    return "%s^o⊗%s" % (left, algebra.render_mono(m2))
+    return "%s^o⊗%s" % (left, right)
+
+
+def pair_text_terms(B, terms):
+    """(factor texts, scalar) pairs of (m1, m2, ring monomial, scalar)
+    terms of B^e, in print order: by m1, then m2, then the ring monomial,
+    each in its ``mono_print`` order, and each `m1^o⊗m2`, then ` · r`
+    when the ring monomial r is not 1."""
+    printed, ring_printed = B.mono_print, B.ring.mono_print
+    out = []
+    for (_, t1), (_, t2), (_, r), s in sorted(
+            (printed(m1), printed(m2), ring_printed(rm), s) for m1, m2, rm, s in terms):
+        txt = pair_text(t1, t2)
+        out.append(((txt if r == "1" else txt + " · " + r,), s))
+    return out
 
 
 class _PairIndexed(LinComb):
@@ -72,15 +86,8 @@ class _PairIndexed(LinComb):
     def text_terms(self):
         """(factor texts, scalar) pairs in print order, one factor each:
         `m1^o⊗m2`, then ` · r` when the ring monomial r is not 1."""
-        B = self.parent
-        key, render = B.mono_key, B.ring.render_mono
-        out = []
-        for pair in sorted(self.coeffs, key=lambda p: (key(p[0]), key(p[1]))):
-            txt = pair_text(B, *pair)
-            for rm, s in self.coeffs[pair].sorted_terms():
-                r = render(rm)
-                out.append(((txt if r == "1" else txt + " · " + r,), s))
-        return out
+        return pair_text_terms(self.parent, [(m1, m2, rm, s) for (m1, m2), c in self.coeffs.items()
+                                             for rm, s in c.coeffs.items()])
 
 
 class EnvelopeElement(_PairIndexed):
@@ -169,8 +176,21 @@ class DiagonalElement(_PairIndexed):
             return sigma(other * self.to_envelope())
         return self._scale_by(other)
 
-    def text_terms(self):  # printed as the element of B^e that it is
-        return self.to_envelope().text_terms()
+    def text_terms(self):
+        """The text terms of the element of B^e that it is, ``to_envelope``'s,
+        read from the sigma keys: its pairs, and the m1 = 1 pairs of -pi of
+        them, merged by monomial and ring monomial."""
+        B = self.parent
+        unit, mul = B.unit_mono, B.mono_mul
+        terms, minus_pi = [], {}
+        for (m1, m2), c in self.coeffs.items():
+            hit = mul(m1, m2)
+            for rm, s in c.coeffs.items():
+                terms.append((m1, m2, rm, s))
+                if hit is not None:
+                    merge(minus_pi, (hit[1], rm), -(s * hit[0]))
+        terms += [(unit, m, rm, s) for (m, rm), s in minus_pi.items()]
+        return pair_text_terms(B, terms)
 
 
 # -- the canonical splitting ----------------------------------------------------
@@ -237,67 +257,111 @@ def diagonal_block_keys(B, n, w):
 
 
 # Each J basis vector j = sigma(m1^o (x) m2) . rm, m1 != 1, has the key
-# (m1, m2, rm).  The three maps below give the (key, scalar) terms of d(j),
-# b . j and j . b for one such key, each key at most once: distinct
-# monomials have distinct products with a fixed monomial, and the two
-# groups of d(j) and of b . j differ in the degree or the unit-ness of a
-# slot.  The gamma-system builder and the d_J block write from them; no
-# element rule reads them.
+# (m1, m2, rm).  The three maps below take a list of such keys, a block's,
+# and give for each key the (key, raw scalar) terms of d(j), b . j or
+# j . b as a list, each key at most once: distinct monomials have distinct
+# products with a fixed monomial, and the two groups of d(j) and of b . j
+# differ in the degree or the unit-ness of a slot.  The scalars are the
+# elimination's own (``field.raw``), so the gamma-system builder and the
+# d_J block write them as they come; no element rule reads these maps.
 
 
-def _shifted(R, c, rm):
-    """(ring monomial, scalar) terms of the ring element c times rm: the
-    terms of c itself when rm is 1, since c is in normal form."""
-    if rm == R.unit_mono:
-        return c.coeffs.items()
-    mul = R.mono_mul
-    return [(prod, s) for e, s in c.coeffs.items() if (prod := mul(e, rm)) is not None]
+def _raw_coeffs(B, coeffs):
+    """[(monomial, raw ring terms)] of a {monomial: ring element} map:
+    each coefficient as its (ring monomial, raw scalar) terms."""
+    raw = B.field.raw
+    return [(m, [(e, raw(s)) for e, s in c.coeffs.items()]) for m, c in coeffs.items()]
 
 
-def diagonal_key_diff(B, key):
-    """d(j): sigma commutes with the differentials, so differentiate the
-    raw pair and drop the components with m1 = 1 that sigma kills."""
-    m1, m2, rm = key
-    R, unit = B.ring, B.unit_mono
-    for mu, cu in B.mono_diff(m1).items():
-        if mu != unit:
-            for prod, s in _shifted(R, cu, rm):
-                yield (mu, m2, prod), s
-    odd = B.mono_degree(m1) % 2
-    for nu, cv in B.mono_diff(m2).items():
-        for prod, s in _shifted(R, cv, rm):
-            yield (m1, nu, prod), -s if odd else s
+def _times(R, coeffs, rm, p, t=None):
+    """[(monomial, ring monomial, raw scalar)] of the {monomial: ring
+    element} map ``coeffs`` times the ring monomial rm and, if given, the
+    raw scalar t: each coefficient's own terms when rm is 1, since it is
+    in normal form."""
+    raw, unit, mul = R.field.raw, R.unit_mono, R.mono_mul
+    out = []
+    for m, c in coeffs.items():
+        for e, s in c.coeffs.items():
+            if rm != unit:
+                e = mul(e, rm)
+                if e is None:
+                    continue
+            s = raw(s)
+            if t is not None:
+                s = s * t % p if p else s * t
+            out.append((m, e, s))
+    return out
 
 
-def diagonal_key_left(B, b, key):
-    """b . j = sigma((b m1)^o (x) m2) . rm - sigma(b^o (x) m1 m2) . rm."""
-    m1, m2, rm = key
-    R, unit = B.ring, B.unit_mono
-    inner = B.mono_mul(m1, m2)
-    for m, cb in b.coeffs.items():
-        terms = _shifted(R, cb, rm)
-        hit = B.mono_mul(m, m1)
-        if hit is not None:
-            scalar, mono = hit
-            for prod, s in terms:
-                yield (mono, m2, prod), s * scalar
-        if m != unit and inner is not None:
-            scalar, mono = inner
-            for prod, s in terms:
-                yield (m, mono, prod), -(s * scalar)
+def diagonal_key_diff(B, keys, negate=False):
+    """d(j) for each key j, negated with ``negate``: sigma commutes with
+    the differentials, so differentiate the raw pair and drop the
+    components with m1 = 1 that sigma kills."""
+    R, unit, field = B.ring, B.unit_mono, B.field
+    p = field.char
+    plus, minus = field.raw(field.one), field.raw(-field.one)
+    if negate:
+        plus, minus = minus, plus
+    # d(m1)^o (x) m2 by (m1, rm), and d(m2) by (m2, rm, sign), over the block
+    first, second = {}, {}
+    images = []
+    for m1, m2, rm in keys:
+        d1 = first.get((m1, rm))
+        if d1 is None:
+            d1 = first[m1, rm] = [term for term in _times(R, B.mono_diff(m1), rm, p, plus)
+                                  if term[0] != unit]
+        t = minus if B.mono_degree(m1) % 2 else plus
+        d2 = second.get((m2, rm, t))
+        if d2 is None:
+            d2 = second[m2, rm, t] = _times(R, B.mono_diff(m2), rm, p, t)
+        images.append([((mu, m2, e), s) for mu, e, s in d1]
+                      + [((m1, nu, e), s) for nu, e, s in d2])
+    return images
 
 
-def diagonal_key_right(B, key, b):
-    """j . b: the right action keeps sigma coordinates, the second slot
-    multiplies."""
-    m1, m2, rm = key
-    R = B.ring
-    for m, cb in b.coeffs.items():
-        hit = B.mono_mul(m2, m)
-        if hit is not None:
-            scalar, mono = hit
-            for prod, s in _shifted(R, cb, rm):
-                yield (m1, mono, prod), s * scalar
+def diagonal_key_left(B, b, keys):
+    """b . j = sigma((b m1)^o (x) m2) . rm - sigma(b^o (x) m1 m2) . rm for
+    each key j."""
+    R, unit, mul, raw = B.ring, B.unit_mono, B.mono_mul, B.field.raw
+    p = B.field.char
+    rest = {m: c for m, c in b.coeffs.items() if m != unit}
+    # (b m1) . rm by (m1, rm), and b's terms off the unit times rm by rm
+    first, second = {}, {}
+    images = []
+    for m1, m2, rm in keys:
+        left = first.get((m1, rm))
+        if left is None:
+            left = first[m1, rm] = [
+                (hit[1], e, s) for m, c in b.coeffs.items() if (hit := mul(m, m1))
+                for _, e, s in _times(R, {m: c}, rm, p, raw(hit[0]))]
+        image = [((mono, m2, e), s) for mono, e, s in left]
+        inner = mul(m1, m2) if rest else None
+        if inner is not None:
+            t = raw(-inner[0])
+            terms = second.get(rm)
+            if terms is None:
+                terms = second[rm] = _times(R, rest, rm, p)
+            mono = inner[1]
+            image += [((m, mono, e), s * t % p if p else s * t) for m, e, s in terms]
+        images.append(image)
+    return images
+
+
+def diagonal_key_right(B, keys, b):
+    """j . b for each key j: the right action keeps sigma coordinates, the
+    second slot multiplies."""
+    mul, raw = B.mono_mul, B.field.raw
+    p = B.field.char
+    products = {}  # m2 . b . rm by (m2, rm), over the block
+    images = []
+    for m1, m2, rm in keys:
+        right = products.get((m2, rm))
+        if right is None:
+            right = products[m2, rm] = [
+                (hit[1], e, s) for m, c in b.coeffs.items() if (hit := mul(m2, m))
+                for _, e, s in _times(B.ring, {m: c}, rm, p, raw(hit[0]))]
+        images.append([((m1, mono, e), s) for mono, e, s in right])
+    return images
 
 
 def diagonal_basis(B, n, w):
@@ -308,8 +372,8 @@ def diagonal_basis(B, n, w):
 
 def diagonal_label(B, key):
     m1, m2, rm = key
-    txt = "σ(%s)" % pair_text(B, m1, m2)
-    r_txt = B.ring.render_mono(rm)
+    txt = "σ(%s)" % pair_text(B.mono_print(m1)[1], B.mono_print(m2)[1])
+    r_txt = B.ring.mono_print(rm)[1]
     return txt if r_txt == "1" else txt + "·" + r_txt
 
 
@@ -317,9 +381,8 @@ def diagonal_diff_block(B, n, w) -> linalg.BlockMatrix:
     """The differential of J as a matrix from the (n, w) block to (n-1, w),
     written from ``diagonal_key_diff`` as the γ-system builder writes its
     d(j) piece."""
-    return linalg.block_matrix(
-        diagonal_block_keys(B, n, w), diagonal_block_keys(B, n - 1, w),
-        lambda key: diagonal_key_diff(B, key), B.field)
+    return linalg.block_matrix(diagonal_key_diff(B, diagonal_block_keys(B, n, w)),
+                               diagonal_block_keys(B, n - 1, w), B.field)
 
 
 def diagonal_homology_dim(B, n, w) -> int:

@@ -200,6 +200,12 @@ class FreeDGAlgebra:
         return "*".join(parts) if parts else "1"
 
     @memoised
+    def mono_print(self, mono):
+        """(sort key, text) of a monomial, as the printers order and write
+        it: ``mono_key`` and ``render_mono``."""
+        return self.mono_key(mono), self.render_mono(mono)
+
+    @memoised
     def mono_diff(self, mono):
         """d of a single monomial, as a coefficient dict {monomial: ring
         element}, by the Leibniz rule over its factors:
@@ -300,7 +306,7 @@ class AlgebraElement(LinComb):
 
     def text_terms(self):
         """(factor texts, scalar) pairs in print order."""
-        B = self.parent
-        return [((B.render_mono(mono),) + texts, s)
-                for mono in sorted(self.coeffs, key=B.mono_key)
-                for texts, s in self.coeffs[mono].text_terms()]
+        printed = self.parent.mono_print
+        return [((text,) + texts, s)
+                for (_, text), c in sorted((printed(m), c) for m, c in self.coeffs.items())
+                for texts, s in c.text_terms()]

@@ -1,17 +1,18 @@
 """Exact sparse linear algebra over a ground field.
 
 A ``BlockMatrix`` holds one representation: ``entries``, one {column:
-scalar} dict per row of its nonzero entries, each an exact scalar of the
-ambient field (Fraction for the rationals, ModP for prime fields), with
-its shape and field, and nothing else: a caller that names rows holds
-the basis keys it built the block from.  ``write_images`` writes the
-images of a map straight into rows, a ``block_matrix``'s or, at the
-offsets of a block, a larger system's.  The dense ``rows`` are derived
-on demand.  The one elimination routine, ``Elimination.add``, is a
-sparse forward elimination on copies of the rows, with raw ints mod p over
-F_p: a column index names the rows that may hold each column, so a pivot
-step touches only the rows below it that hold the pivot column, and no
-row above a pivot is ever cleared.  It takes its rows in batches and can
+scalar} dict per row of its nonzero entries, each the elimination's own
+raw scalar of the ambient field (``field.raw``: an int 0 < v < p over
+F_p, a Fraction over the rationals), with its shape and field, and
+nothing else: a caller that names rows holds the basis keys it built the
+block from.  ``write_images`` writes images, given as lists of terms,
+straight into rows, a ``block_matrix``'s or, at the offsets of a block, a
+larger system's.  The dense ``rows`` are derived on demand.  The one
+elimination routine, ``Elimination.add``, is a sparse forward elimination
+on copies of the rows, in those raw scalars: a column index names the
+rows that may hold each column, so a pivot step touches only the rows
+below it that hold the pivot column, and no row above a pivot is ever
+cleared.  It takes its rows in batches and can
 be resumed: a batch is appended below the rows already eliminated,
 cleared of the pivot columns found so far by their pivot rows, and then
 pivoted on its own remaining columns.  One index, {pivot column: pivot
@@ -23,7 +24,8 @@ equations arrive in blocks is decided after each block and can stop at
 the first block that makes it inconsistent.  Solutions and kernel
 vectors are read off the echelon rows by back substitution, which gives
 the same unique vectors (free variables zero) that the fully reduced
-rows give.  A solve does not carry the transform T along: it logs its
+rows give, and are returned as field scalars.  A solve does not carry
+the transform T along: it logs its
 row operations, and only an inconsistent solve rebuilds the one row of T
 it returns, the pivot row of the target column, by replaying the log
 backwards; that row, and every row of T below it, is the one a full
@@ -56,9 +58,9 @@ class BlockMatrix:
     """A matrix block between two finite bases.
 
     ``entries[i][j]`` is the coefficient of the i-th target basis vector in
-    the image of the j-th source basis vector; a missing entry is zero.
-    ``shape`` is (targets, sources).  ``block_matrix`` builds a block from
-    a map between keyed bases.
+    the image of the j-th source basis vector, a raw scalar of ``field``;
+    a missing entry is zero.  ``shape`` is (targets, sources).
+    ``block_matrix`` builds a block from the images of a basis.
     """
 
     def __init__(self, entries, shape, field):
@@ -68,8 +70,8 @@ class BlockMatrix:
 
     @property
     def rows(self):
-        """The dense rows, built from ``entries`` on each read."""
-        zero, ncols = self.field.zero, self.shape[1]
+        """The dense rows of raw scalars, built from ``entries`` on each read."""
+        zero, ncols = self.field.raw(self.field.zero), self.shape[1]
         dense = []
         for entries in self.entries:
             row = [zero] * ncols
@@ -79,34 +81,37 @@ class BlockMatrix:
         return dense
 
 
-def write_images(entries, keys, image, pos, row=0, column=0, negate=False):
-    """Write the images of the source basis vectors ``keys`` into the rows
-    ``entries``: ``image(key)`` gives them as (target key, nonzero scalar)
-    terms with distinct keys, as ``LinComb.terms()`` does.  The j-th key's
-    image fills column ``column + j``, a target key k lands in row ``row +
-    pos[k]``, each scalar negated with ``negate``; a target key outside
-    ``pos`` is a ConstructionError."""
+def write_images(entries, images, pos, row=0, column=0):
+    """Write ``images``, one list of (target key, nonzero scalar) terms
+    with distinct keys per source basis vector, into the rows ``entries``:
+    the j-th image fills column ``column + j``, and a target key k lands
+    in row ``row + pos[k]``; a target key outside ``pos`` is a
+    ConstructionError.  The scalars are written as given."""
     try:
-        for j, key in enumerate(keys, column):
-            for k, s in image(key):
-                entries[row + pos[k]][j] = -s if negate else s
+        for j, terms in enumerate(images, column):
+            for k, s in terms:
+                entries[row + pos[k]][j] = s
     except KeyError:
         raise ConstructionError("element does not lie in the chosen block")
 
 
-def block_matrix(src_keys, dst_keys, image, field) -> BlockMatrix:
-    """The matrix of a linear map between two finite keyed bases, its
-    images written by ``write_images``."""
+def block_matrix(images, dst_keys, field) -> BlockMatrix:
+    """The matrix of a linear map on a finite basis, given by the images
+    of its basis vectors in raw scalars, into the keyed basis
+    ``dst_keys``, written by ``write_images``."""
     entries = [{} for _ in dst_keys]
-    write_images(entries, src_keys, image, {k: i for i, k in enumerate(dst_keys)})
-    return BlockMatrix(entries, (len(dst_keys), len(src_keys)), field)
+    write_images(entries, images, {k: i for i, k in enumerate(dst_keys)})
+    return BlockMatrix(entries, (len(dst_keys), len(images)), field)
 
 
 def coordinates(terms, keys, field) -> list:
-    """Dense vector of (key, scalar) terms against the ordered basis ``keys``:
-    the one column of the block whose image is ``terms``."""
-    column = block_matrix([None], keys, lambda _: terms, field).entries
-    return [row.get(0, field.zero) for row in column]
+    """Dense vector of (key, field scalar) terms against the ordered basis
+    ``keys``, in raw scalars: the one column of the block whose image is
+    ``terms``, a right-hand side for ``linear_solve``."""
+    raw = field.raw
+    column = block_matrix([[(k, raw(s)) for k, s in terms]], keys, field).entries
+    zero = raw(field.zero)
+    return [row.get(0, zero) for row in column]
 
 
 class SolveResult:
@@ -128,14 +133,6 @@ class SolveResult:
 # The column key of the target in an augmented row: greater than every
 # column of a matrix, so taken last, however wide a batch is.
 TARGET = sys.maxsize
-
-
-def _raw_rows(entries, p):
-    """Copies of {column: scalar} rows for elimination.  Over F_p the
-    scalars are the raw ints 0 < v < p of the ModP entries."""
-    if p:
-        return [{j: x.v for j, x in row.items()} for row in entries]
-    return [dict(row) for row in entries]
 
 
 def _dense(row, n, field):
@@ -310,7 +307,7 @@ def _transform_row(log, q, m, field):
 def _echelon(matrix: BlockMatrix) -> Elimination:
     """The matrix's rows eliminated in one batch, without a log."""
     elimination = Elimination(matrix.field)
-    elimination.add(_raw_rows(matrix.entries, matrix.field.char))
+    elimination.add([dict(row) for row in matrix.entries])
     return elimination
 
 
@@ -331,7 +328,8 @@ def kernel_basis(matrix: BlockMatrix) -> list:
 
 
 def linear_solve(matrix: BlockMatrix, target: list, elimination=None) -> SolveResult:
-    """Solve matrix . x = target by deterministic elimination.
+    """Solve matrix . x = target by deterministic elimination, target a
+    list of raw scalars like the matrix's entries.
 
     Free variables are set to zero, so the returned solution is the unique
     one selected by the fixed basis order.  On failure the null row refers
@@ -351,10 +349,11 @@ def linear_solve(matrix: BlockMatrix, target: list, elimination=None) -> SolveRe
                          % (len(target), m))
     if elimination is None:
         elimination = Elimination(field, track=True)
-    augmented = _raw_rows(matrix.entries, p)
+    # copies: the elimination works in place, and the matrix keeps its rows
+    augmented = [dict(row) for row in matrix.entries]
     for row, t in zip(augmented, target):
         if t:
-            row[TARGET] = t.v if p else t
+            row[TARGET] = t
     elimination.add(augmented)
     rows = elimination.rows
     q = elimination.pivots.get(TARGET)
@@ -383,12 +382,13 @@ def homology_dim(d_in: BlockMatrix, d_out: BlockMatrix) -> int:
     """
     if d_out.shape[1] != d_in.shape[0]:
         raise ValueError("blocks do not share the middle basis")
+    p = d_out.field.char
     for out_row in d_out.entries:
         product = {}
         for k, a in out_row.items():
             for j, b in d_in.entries[k].items():
                 product[j] = product.get(j, 0) + a * b
-        if any(product.values()):
+        if any(x % p if p else x for x in product.values()):
             raise CompositionNonzero("blocks do not compose to zero")
     cycles = d_out.shape[1] - rank(d_out)
     return cycles - rank(d_in)

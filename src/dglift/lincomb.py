@@ -238,7 +238,7 @@ class LinComb:
     def diff_block(cls, parent, basis, n, w, field):
         """d from the (n, w) block to (n-1, w), ``basis(n, w)`` the keys of a
         block: column j is d of the unit element at the j-th key."""
-        one = field.one
+        one, raw = field.one, field.raw
         return linalg.block_matrix(
-            basis(n, w), basis(n - 1, w),
-            lambda key: cls.from_terms(parent, [(key, one)]).diff().terms(), field)
+            [[(k, raw(s)) for k, s in cls.from_terms(parent, [(key, one)]).diff().terms()]
+             for key in basis(n, w)], basis(n - 1, w), field)

@@ -229,46 +229,54 @@ class GammaBlocks:
     when first asked for (``through``): block (l, k) from the integer
     ``start[l][k]``, label l's blocks from ``bounds[l]`` to
     ``bounds[l + 1]``, and within a block the J basis key j sits at its
-    index in ``diagonal_block_keys(B, n, w)``, ``positions[n, w][j]``.
-    ``label_blocks[l]`` lists label l's nonempty blocks as (start, k, J
-    keys), the one list of the blocks.  Laying out a label adds blocks
-    and changes none.  A layout is a local of the one decision or check
-    that lays it out, and dies with it."""
+    index in ``diagonal_block_keys(B, n, w)``.  ``label_blocks[l]`` lists
+    label l's nonempty blocks as (start, k, J keys), the one list of the
+    blocks.  A block with n < 1 or w < 1 is empty by bidegree (m1 != 1
+    has both degrees positive), and no keys are listed for it.  Only the
+    equations side, which the builder writes into, indexes its keys:
+    ``positions[n, w][j]`` for each nonempty block laid out.  Laying out
+    a label adds blocks and changes none.  A layout is a local of the one
+    decision or check that lays it out, and dies with it."""
 
     def __init__(self, N: SemifreeModule, shift):
         self.module = N
         self.bidegree = [[(n - shift - d, w - wt) for d, wt in zip(N.degrees, N.weights)]
                          for n, w in zip(N.degrees, N.weights)]
-        self.start, self.label_blocks, self.positions = [], [], {}
+        self.start, self.label_blocks = [], []
+        self.positions = {} if shift else None
         self.bounds = [0]
 
     def through(self, l):
         """Lay out the labels up to l, those not laid out yet; the number
         of indices their blocks take."""
-        B = self.module.algebra
+        B, positions = self.module.algebra, self.positions
         for row in self.bidegree[len(self.start):l + 1]:
             size, starts, blocks = self.bounds[-1], [], []
             for k, (n, w) in enumerate(row):
-                keys = diagonal_block_keys(B, n, w)
-                if (n, w) not in self.positions:
-                    self.positions[n, w] = {key: i for i, key in enumerate(keys)}
                 starts.append(size)
+                if n < 1 or w < 1:
+                    continue
+                keys = diagonal_block_keys(B, n, w)
                 if keys:
                     blocks.append((size, k, keys))
                     size += len(keys)
+                    if positions is not None and (n, w) not in positions:
+                        positions[n, w] = {key: i for i, key in enumerate(keys)}
             self.start.append(starts)
             self.label_blocks.append(blocks)
             self.bounds.append(size)
         return self.bounds[l + 1]
 
     def offsets(self, l, k):
-        """Block (l, k)'s J key positions and start."""
-        return self.positions[self.bidegree[l][k]], self.start[l][k]
+        """Block (l, k)'s J key positions and start, on the equations side
+        of a laid-out label; an empty block has no positions."""
+        return self.positions.get(self.bidegree[l][k], {}), self.start[l][k]
 
     def position(self, l, key):
-        """The index of the tensor key (label, m1, m2, rm) in block l.  Each
-        caller asks for a key of an element of block l's bidegree, so a
-        KeyError here is a fault of the program, not of its input."""
+        """The index of the tensor key (label, m1, m2, rm) in block l, on
+        the equations side.  Each caller asks for a key of an element of
+        block l's bidegree, so a KeyError here is a fault of the program,
+        not of its input."""
         k = self.module.index[key[0]]
         return self.start[l][k] + self.positions[self.bidegree[l][k]][key[1:]]
 
@@ -331,27 +339,29 @@ def _equation_block(N: SemifreeModule, layout, lam, obstruction):
     side delta(b).
     """
     B = N.algebra
+    raw = B.field.raw
     unknowns, equations = layout
     ncols = unknowns.through(lam)
     equations.through(lam)
     first = equations.bounds[lam]
     entries = [{} for _ in range(equations.bounds[lam + 1] - first)]
     for mu, entry in N.columns[lam]:
+        minus = -entry
         for column, nu, keys in unknowns.label_blocks[mu]:
             positions, start = equations.offsets(lam, nu)
-            linalg.write_images(entries, keys, lambda key: diagonal_key_right(B, key, entry),
-                                positions, start - first, column, True)
+            linalg.write_images(entries, diagonal_key_right(B, keys, minus),
+                                positions, start - first, column)
     for column, nu, keys in unknowns.label_blocks[lam]:
         for i, entry in N.columns[nu]:
             positions, start = equations.offsets(lam, i)
-            linalg.write_images(entries, keys, lambda key: diagonal_key_left(B, entry, key),
+            linalg.write_images(entries, diagonal_key_left(B, entry, keys),
                                 positions, start - first, column)
         positions, start = equations.offsets(lam, nu)
-        linalg.write_images(entries, keys, lambda key: diagonal_key_diff(B, key),
-                            positions, start - first, column, N.degrees[nu] % 2)
-    rhs = [B.field.zero] * len(entries)
+        linalg.write_images(entries, diagonal_key_diff(B, keys, N.degrees[nu] % 2),
+                            positions, start - first, column)
+    rhs = [raw(B.field.zero)] * len(entries)
     for key, s in obstruction[N.labels[lam]].terms():
-        rhs[equations.position(lam, key) - first] = s
+        rhs[equations.position(lam, key) - first] = raw(s)
     return linalg.BlockMatrix(entries, (len(entries), ncols), B.field), rhs
 
 

@@ -48,14 +48,14 @@ def keyed_gamma_system(N, obstruction):
         nu, jkey = tkey[0], tkey[1:]
         k_nu = N.index[nu]
         for i, entry in N.columns[k_nu]:
-            for k, s in diagonal_key_left(B, entry, jkey):
+            for k, s in diagonal_key_left(B, entry, [jkey])[0]:
                 yield ("eq", mu, (N.labels[i],) + k), s
         odd = N.degrees[k_nu] % 2
-        for k, s in diagonal_key_diff(B, jkey):
-            yield ("eq", mu, (nu,) + k), -s if odd else s
+        for k, s in diagonal_key_diff(B, [jkey], odd)[0]:
+            yield ("eq", mu, (nu,) + k), s
         for lam, entry in later[mu]:
-            for k, s in diagonal_key_right(B, jkey, entry):
-                yield ("eq", lam, (nu,) + k), -s
+            for k, s in diagonal_key_right(B, [jkey], -entry)[0]:
+                yield ("eq", lam, (nu,) + k), s
 
     def read_witness(solution):
         terms = {lab: [] for lab in N.labels}
@@ -63,7 +63,7 @@ def keyed_gamma_system(N, obstruction):
             terms[lab].append((key, s))
         return {lab: TensorJElement.from_terms(N, t) for lab, t in terms.items()}
 
-    matrix = linalg.block_matrix(unknowns, equations, image, field)
+    matrix = linalg.block_matrix([list(image(key)) for key in unknowns], equations, field)
     rhs = linalg.coordinates([(("eq", lam, k), s) for lam in N.labels
                               for k, s in obstruction[lam].terms()],
                              equations, field)
@@ -143,10 +143,14 @@ def test_the_layout_numbers_rows_and_columns_block_by_block():
                 keys = N.tensor_keys(n - shift, w)
                 for key in keys:
                     if key[0] == N.labels[k]:
-                        assert side.position(l, key) == size
+                        if shift:  # only the equations side, which the builder writes
+                            assert side.position(l, key) == size
                         assert side.block_of(size) == (l, k, key[1:])
                         size += 1
         assert side.through(N.rank - 1) == side.bounds[-1] == size
+    # the unknowns side indexes no key, and no block empty by bidegree is indexed
+    assert unknowns.positions is None
+    assert equations.positions and all(n >= 1 and w >= 1 for n, w in equations.positions)
 
 
 def test_the_system_is_block_lower_triangular_in_label_order():

@@ -39,24 +39,25 @@ def one_shot_gamma_system(N, obstruction):
     later = _later(N)
     blocks = [(column, mu, nu, keys) for mu, blocks in enumerate(unknowns.label_blocks)
               for column, nu, keys in blocks]
+    field = B.field
     for column, mu, nu, keys in blocks:
         for i, entry in N.columns[nu]:
-            linalg.write_images(entries, keys, lambda key: diagonal_key_left(B, entry, key),
+            linalg.write_images(entries, diagonal_key_left(B, entry, keys),
                                 *equations.offsets(mu, i), column)
         odd = N.degrees[nu] % 2
         d_j = diagonal_diff_block(B, *unknowns.bidegree[mu][nu])
         for i, targets in enumerate(d_j.entries, equations.start[mu][nu]):
             row = entries[i]
             for j, s in targets.items():
-                row[column + j] = -s if odd else s
+                row[column + j] = field.raw(-field.of(s)) if odd else s
         for lam, entry in later[mu]:
-            linalg.write_images(entries, keys, lambda key: diagonal_key_right(B, key, entry),
-                                *equations.offsets(lam, nu), column, True)
+            linalg.write_images(entries, diagonal_key_right(B, keys, -entry),
+                                *equations.offsets(lam, nu), column)
 
-    rhs = [B.field.zero] * nrows
+    rhs = [field.raw(field.zero)] * nrows
     for lam, lab in enumerate(labels):
         for key, s in obstruction[lab].terms():
-            rhs[equations.position(lam, key)] = s
+            rhs[equations.position(lam, key)] = field.raw(s)
 
     def read_witness(solution):
         terms = {lab: [] for lab in labels}

@@ -21,9 +21,15 @@ from conftest import GOLDEN, gamma_system
 
 
 def dense_block(rows, ncols, field):
-    """A block with the given dense rows, through the one constructor."""
-    return BlockMatrix([{j: x for j, x in enumerate(row) if x} for row in rows],
+    """A block with the given dense rows of field scalars, through the one
+    constructor, which holds them as raw scalars."""
+    return BlockMatrix([{j: field.raw(x) for j, x in enumerate(row) if x} for row in rows],
                        (len(rows), ncols), field)
+
+
+def solve(m, target):
+    """``linear_solve`` with a right-hand side of field scalars."""
+    return linear_solve(m, [m.field.raw(t) for t in target])
 
 
 def matrix(rows, field=QQ):
@@ -55,7 +61,7 @@ def oracle_rank(rows, field):
 def test_identity_solve():
     m = matrix([[1, 0], [0, 1]])
     v = [QQ.of(3), QQ.of(-2)]
-    result = linear_solve(m, v)
+    result = solve(m, v)
     assert result.solution == v
 
 
@@ -67,7 +73,7 @@ def test_solution_verifies_by_multiplication():
         m = matrix(rows)
         x = [QQ.of(rng.randint(-3, 3)) for _ in range(ncols)]
         v = apply_matrix(m, x)
-        result = linear_solve(m, v)
+        result = solve(m, v)
         assert result.consistent
         assert apply_matrix(m, result.solution) == v
 
@@ -80,7 +86,7 @@ def test_certificate_verifies_by_pairing():
         rows = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)]
         m = matrix(rows)
         v = [QQ.of(rng.randint(-3, 3)) for _ in range(nrows)]
-        result = linear_solve(m, v)
+        result = solve(m, v)
         if result.consistent:
             continue
         u = result.null_row
@@ -99,19 +105,19 @@ def test_a_sparser_row_below_is_swapped_up_and_the_former_row_cleared(field):
     rows = [[1, 1, 1], [2, 0, 0], [0, 1, 0]]
     m = matrix(rows, field)
     elimination = linalg.Elimination(field, track=True)
-    elimination.add(linalg._raw_rows(m.entries, field.char))
+    elimination.add([dict(row) for row in m.entries])
     assert list(elimination.pivots) == [0, 1, 2]
     assert [op for op in elimination.log if op[0] == "swap"] == [
         ("swap", 0, 1), ("swap", 1, 2)]
     assert [linalg._dense(row, 3, field) for row in elimination.rows] == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     x = [field.of(1), field.of(2), field.of(3)]
-    result = linear_solve(m, apply_matrix(m, x))
+    result = solve(m, apply_matrix(m, x))
     assert result.solution == x
     # rank 2 with the same swap: row 2 = row 0 + row 1
     deficient = matrix([[1, 1, 1], [2, 0, 0], [3, 1, 1]], field)
     target = [field.zero, field.zero, field.one]
-    result = linear_solve(deficient, target)
+    result = solve(deficient, target)
     assert rank(deficient) == 2
     assert kernel_basis(deficient) == [[field.zero, -field.one, field.one]]
     u = result.null_row
@@ -204,7 +210,7 @@ def test_prime_field_solves():
     rows = [[F.of(2), F.of(1)], [F.of(1), F.of(2)]]  # det = 3, invertible mod 5
     m = dense_block(rows, 2, F)
     v = [F.of(1), F.of(2)]
-    result = linear_solve(m, v)
+    result = solve(m, v)
     assert result.consistent
     assert apply_matrix(m, result.solution) == v
 
@@ -327,7 +333,7 @@ def test_sparse_solver_matches_dense_oracle(field):
             rows, ncols, field, True)
         assert m.rows == rows
         elimination = linalg.Elimination(field, track=True)
-        elimination.add(linalg._raw_rows(m.entries, field.char))
+        elimination.add([dict(row) for row in m.entries])
         pivots, log = list(elimination.pivots), elimination.log
         assert pivots == ref_pivots
         assert list(elimination.pivots.values()) == list(range(len(pivots)))
@@ -353,7 +359,7 @@ def test_sparse_solver_matches_dense_oracle(field):
         for target in (hit, noise):
             ref_rank, ref_solution, ref_null, ref_pairing = dense_solve(
                 rows, ncols, target, field)
-            result = linear_solve(m, target)
+            result = solve(m, target)
             assert ref_rank == len(pivots)
             assert result.solution == ref_solution
             assert (result.null_row is None) == (ref_null is None)
@@ -366,7 +372,7 @@ def test_sparse_solver_matches_dense_oracle(field):
                 assert result.pairing == ref_pairing != 0
                 scalars += list(result.null_row.values()) + [result.pairing]
             assert all(type(x) is scalar for x in scalars)
-        assert linear_solve(m, hit).consistent
+        assert solve(m, hit).consistent
 
 
 # -- oracle: the dense block builder and the element-level images it replaced
@@ -505,8 +511,9 @@ def test_the_rank2_system_is_the_gamma_system_in_its_smallest_case():
         matrix, rhs = gamma_system(N)
         reference = diagonal_diff_block(B, n + 1, w)
         if N.degrees[0] % 2:
-            reference = BlockMatrix([{j: -x for j, x in row.items()}
-                                     for row in reference.entries], reference.shape, B.field)
+            field = B.field
+            reference = BlockMatrix([{j: field.raw(-field.of(x)) for j, x in row.items()}
+                                     for row in reference.entries], reference.shape, field)
         assert_block_equals(matrix, reference)
         keys = diagonal_block_keys(B, n, w)
         assert rhs == linalg.coordinates(delta(b).terms(), keys, B.field)
@@ -539,11 +546,16 @@ def test_gamma_rhs_is_the_obstruction():
     assert checked >= 60
 
 
+def element(B, terms):
+    """The element of J with the given (key, raw scalar) terms."""
+    return DiagonalElement.from_terms(B, [(key, B.field.of(s)) for key, s in terms])
+
+
 def test_diagonal_arithmetic_matches_the_envelope():
-    """The maps on one J basis key, which the γ-system builder and d_J
-    write from, against d, b . u and u . b through B^e on the key's basis
-    vector u: J sits in B^e, which the maps preserve, and sigma reads J's
-    coordinates back."""
+    """The J key maps, which the γ-system builder and d_J write from, each
+    applied to a block's keys at once, against d, b . u and u . b through
+    B^e on each key's basis vector u: J sits in B^e, which the maps
+    preserve, and sigma reads J's coordinates back."""
     checked = 0
     for name, problem in oracle_problems():
         B = problem.algebra
@@ -552,15 +564,19 @@ def test_diagonal_arithmetic_matches_the_envelope():
             entries = [b for column in N.columns for _, b in column]
             for n, w in {(n - dn, w) for n, w in zip(N.degrees, N.weights)
                          for dn in (0, 1)}:
-                for key in diagonal_block_keys(B, n, w):
+                keys = diagonal_block_keys(B, n, w)
+                images = {"diff": diagonal_key_diff(B, keys),
+                          "minus diff": diagonal_key_diff(B, keys, True)}
+                for i, b in enumerate(entries):
+                    images["left", i] = diagonal_key_left(B, b, keys)
+                    images["right", i] = diagonal_key_right(B, keys, b)
+                for k, key in enumerate(keys):
                     u = DiagonalElement.from_terms(B, [(key, one)]).to_envelope()
-                    assert DiagonalElement.from_terms(
-                        B, diagonal_key_diff(B, key)) == sigma(u.diff())
-                    for b in entries:
-                        assert DiagonalElement.from_terms(
-                            B, diagonal_key_left(B, b, key)) == sigma(b * u)
-                        assert DiagonalElement.from_terms(
-                            B, diagonal_key_right(B, key, b)) == sigma(u * b)
+                    assert element(B, images["diff"][k]) == sigma(u.diff())
+                    assert element(B, images["minus diff"][k]) == -sigma(u.diff())
+                    for i, b in enumerate(entries):
+                        assert element(B, images["left", i][k]) == sigma(b * u)
+                        assert element(B, images["right", i][k]) == sigma(u * b)
                     checked += 1
     assert checked > 500
 

@@ -482,8 +482,10 @@ def test_boundary_certificate_on_a_rank_three_module_is_rejected(module_m):
 
 
 def _negated(key_map):
-    def negated(*args):
-        return ((k, -s) for k, s in key_map(*args))
+    """``key_map`` with every scalar of every image negated."""
+    def negated(B, *args):
+        raw, of = B.field.raw, B.field.of
+        return [[(k, raw(-of(s))) for k, s in image] for image in key_map(B, *args)]
     return negated
 
 
