@@ -293,29 +293,30 @@ def _times(R, coeffs, rm, p, t=None):
     return out
 
 
+@memoised
+def _diff_times(B, m, rm, t):
+    """[(monomial, ring monomial, raw scalar)] of d(m) . rm . t, for the
+    monomial m, the ring monomial rm and the raw sign t of ``diagonal_key_diff``."""
+    return _times(B.ring, B.mono_diff(m), rm, B.field.char, t)
+
+
 def diagonal_key_diff(B, keys, negate=False):
     """d(j) for each key j, negated with ``negate``: sigma commutes with
     the differentials, so differentiate the raw pair and drop the
     components with m1 = 1 that sigma kills."""
-    R, unit, field = B.ring, B.unit_mono, B.field
-    p = field.char
+    unit, field = B.unit_mono, B.field
     plus, minus = field.raw(field.one), field.raw(-field.one)
     if negate:
         plus, minus = minus, plus
-    # d(m1)^o (x) m2 by (m1, rm), and d(m2) by (m2, rm, sign), over the block
-    first, second = {}, {}
     images = []
+    last = None
     for m1, m2, rm in keys:
-        d1 = first.get((m1, rm))
-        if d1 is None:
-            d1 = first[m1, rm] = [term for term in _times(R, B.mono_diff(m1), rm, p, plus)
-                                  if term[0] != unit]
-        t = minus if B.mono_degree(m1) % 2 else plus
-        d2 = second.get((m2, rm, t))
-        if d2 is None:
-            d2 = second[m2, rm, t] = _times(R, B.mono_diff(m2), rm, p, t)
-        images.append([((mu, m2, e), s) for mu, e, s in d1]
-                      + [((m1, nu, e), s) for nu, e, s in d2])
+        if m1 != last:  # the keys run m1 by m1
+            last = m1
+            t = minus if B.mono_degree(m1) % 2 else plus
+        images.append([((mu, m2, e), s) for mu, e, s in _diff_times(B, m1, rm, plus)
+                       if mu != unit]
+                      + [((m1, nu, e), s) for nu, e, s in _diff_times(B, m2, rm, t)])
     return images
 
 

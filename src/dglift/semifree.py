@@ -110,11 +110,6 @@ class SemifreeModule:
             merge(out, j, -dc if self.degrees[j] % 2 else dc)
         return out
 
-    def entry(self, mu_label, lam_label):
-        """b[mu][lam], or None when it is zero."""
-        i = self.index[mu_label]
-        return next((b for k, b in self.columns[self.index[lam_label]] if k == i), None)
-
     # -- elements of N ---------------------------------------------------------
 
     def element(self, coeffs):
@@ -144,10 +139,6 @@ class SemifreeModule:
     def pi_n(self, t):
         """N (x) B^e -> N, e_lam (x) (b1^o (x) b2) -> e_lam b1 b2."""
         return ModuleElement(self, {lab: pi(u) for lab, u in t.coeffs.items()})
-
-    def iota_n(self, t):
-        return TensorEnvElement(self, {lab: j.to_envelope()
-                                       for lab, j in t.coeffs.items()})
 
     # -- bidegree blocks ----------------------------------------------------------
 

@@ -3,8 +3,20 @@ from pathlib import Path
 import pytest
 
 from dglift import parse_problem
+from dglift.semifree import TensorEnvElement
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+
+
+def entry(N, mu_label, lam_label):
+    """b[mu][lam] of the module N, or None when it is zero."""
+    i = N.index[mu_label]
+    return next((b for k, b in N.columns[N.index[lam_label]] if k == i), None)
+
+
+def iota_n(N, t):
+    """The inclusion N (x) J -> N (x) B^e, slotwise."""
+    return TensorEnvElement(N, {lab: j.to_envelope() for lab, j in t.coeffs.items()})
 
 
 def golden_text(name):

@@ -9,6 +9,8 @@ from dglift import (CycleViolation, DGLiftError, DifferentialSquareNonzero,
                     parse_problem, parse_ring, print_problem)
 from dglift.dsl import ProblemDescription, default_module_weights
 
+from conftest import entry
+
 LIFTABLE = """ring R = QQ[x:1,y:1]/(x*y)
 algebra B = R<X:1, Y:2 | dX = x, dY = X*y>
 module N over B = <e:0, ep:4 | de = 0, dep = e*X*Y*y>
@@ -26,13 +28,13 @@ def test_parse_liftable_example():
     N = p.modules["N"]
     assert N.degrees == (0, 4) and N.weights == (0, 4)
     B = p.algebra
-    assert N.entry("e", "ep") == B.gen("X") * B.gen("Y") * B.ring.gen("y")
+    assert entry(N, "e", "ep") == B.gen("X") * B.gen("Y") * B.ring.gen("y")
 
 
 def test_parse_nonliftable_example():
     p = parse_problem(NONLIFTABLE)
     M = p.modules["M"]
-    assert M.entry("u", "up").bidegree() == (3, 4)
+    assert entry(M, "u", "up").bidegree() == (3, 4)
 
 
 def test_comments_and_blank_lines():

@@ -11,11 +11,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from dglift import (AlgebraElement, DGLiftError, DiagonalElement,
-                    EnvelopeElement, parse_problem)
+                    EnvelopeElement, check_lift, parse_problem)
 from dglift.randomgen import (random_algebra, random_algebra_element,
                               random_diagonal_element, random_envelope_element,
                               random_module, random_module_element,
                               standard_rings)
+
+from conftest import GOLDEN, golden_text
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
@@ -222,3 +224,45 @@ def test_pair_renderer_matches_the_former_one_on_random_elements():
                     assert_pair_indexed(j, scalar)
                     checked += bool(u) + bool(j)
     assert checked > 200
+
+
+def test_j_text_from_keys_matches_the_envelope_text_on_every_value():
+    """A J element prints from its sigma keys, with no B^e element built;
+    every obstruction and witness value of every module of golden/ and
+    perfbench/corpus/ must print as the former renderer prints the element
+    of B^e that it is."""
+    paths = sorted(GOLDEN.glob("*.dgp")) + sorted(CORPUS.glob("*/*.dgp"))
+    values = with_pi = 0
+    for path in paths:
+        try:
+            problem = parse_problem(path.read_text(encoding="utf-8"))
+        except DGLiftError:  # the parser's known rejections
+            continue
+        for N in problem.modules.values():
+            report = check_lift(N)
+            for family in (report.obstruction, report.witness or {}):
+                for t in family.values():
+                    for j in t.coeffs.values():
+                        u = j.to_envelope()
+                        assert str(j) == former_render_pair_terms(N.algebra, u.coeffs)
+                        values += 1
+                        with_pi += any(m1 == N.algebra.unit_mono for m1, _ in u.coeffs)
+    assert (values, with_pi) == (706, 701)  # nonzero J coefficients; with an m1 = 1 part
+
+
+def test_j_text_merges_the_pi_part_and_drops_what_cancels():
+    """sigma(X^o⊗Y) - sigma(Y^o⊗X), X odd and Y even, has pi(X Y) - pi(Y X)
+    = 0, so the m1 = 1 part of the element of B^e vanishes; with ring
+    coefficients x and y on the first pair, only the y part survives."""
+    B = parse_problem(golden_text("liftable.dgp")).algebra
+    R, one = B.ring, B.field.one
+    X, Y, unit = (1, 0), (0, 1), R.unit_mono
+    x, y = (1, 0), (0, 1)
+    cancelling = DiagonalElement.from_terms(B, [((X, Y, unit), one), ((Y, X, unit), -one)])
+    assert not any(m1 == B.unit_mono for m1, _ in cancelling.to_envelope().coeffs)
+    assert str(cancelling) == "X^o⊗Y - Y^o⊗X"
+    partial = DiagonalElement.from_terms(
+        B, [((X, Y, x), one), ((X, Y, y), one), ((Y, X, x), -one)])
+    for j in (cancelling, partial, partial * Fraction(2, 3)):
+        assert str(j) == former_render_pair_terms(B, j.to_envelope().coeffs)
+    assert str(partial) == "-1^o⊗X*Y · y + X^o⊗Y · x + X^o⊗Y · y - Y^o⊗X · x"

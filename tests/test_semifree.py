@@ -9,7 +9,7 @@ from dglift.randomgen import (random_algebra, random_module, random_module_eleme
                               standard_rings)
 from dglift.semifree import TensorEnvElement
 
-from conftest import shipped_algebras
+from conftest import entry, iota_n, shipped_algebras
 
 
 def test_liftable_module_accepted(module_n):
@@ -20,7 +20,7 @@ def test_liftable_module_accepted(module_n):
 
 def test_nonliftable_module_accepted(module_m):
     assert module_m.labels == ("u", "up")
-    b = module_m.entry("u", "up")
+    b = entry(module_m, "u", "up")
     assert b.bidegree() == (3, 4)
 
 
@@ -80,7 +80,7 @@ def test_rho_fails_to_be_a_chain_map_on_the_example(module_n):
     B = N.algebra
     y = B.ring.gen("y")
     gap = N.rho_n(N.gen("ep")).diff() - N.rho_n(N.gen("ep").diff())
-    expected = N.iota_n(TensorJElement(N, {"e": delta(B.gen("X") * B.gen("Y") * y)}))
+    expected = iota_n(N, TensorJElement(N, {"e": delta(B.gen("X") * B.gen("Y") * y)}))
     assert gap == expected
     assert gap  # nonzero: rho_n does not commute with the differentials
 
@@ -192,9 +192,9 @@ def test_splitting_identities_on_random_tensor_elements():
         from dglift.randomgen import random_gamma
         gamma = random_gamma(rng, N)
         for t in gamma.values():
-            assert N.sigma_n(N.iota_n(t)) == t
-            lifted = N.iota_n(t)
-            assert N.iota_n(N.sigma_n(lifted)) + N.rho_n(N.pi_n(lifted)) == lifted
+            assert N.sigma_n(iota_n(N, t)) == t
+            lifted = iota_n(N, t)
+            assert iota_n(N, N.sigma_n(lifted)) + N.rho_n(N.pi_n(lifted)) == lifted
         checked += 1
 
 
