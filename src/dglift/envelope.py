@@ -206,13 +206,13 @@ def pi(u: EnvelopeElement) -> AlgebraElement:
 def rho(b: AlgebraElement) -> EnvelopeElement:
     """Algebra section b -> 1^o (x) b."""
     B = b.algebra
-    return EnvelopeElement(B, {(B.unit_mono, m): c for m, c in b.coeffs.items()})
+    return EnvelopeElement._raw(B, {(B.unit_mono, m): c for m, c in b.coeffs.items()})
 
 
 def op_inclusion(b: AlgebraElement) -> EnvelopeElement:
     """The opposite-side inclusion b -> b^o (x) 1."""
     B = b.algebra
-    return EnvelopeElement(B, {(m, B.unit_mono): c for m, c in b.coeffs.items()})
+    return EnvelopeElement._raw(B, {(m, B.unit_mono): c for m, c in b.coeffs.items()})
 
 
 def sigma(u: EnvelopeElement) -> DiagonalElement:
@@ -221,8 +221,8 @@ def sigma(u: EnvelopeElement) -> DiagonalElement:
     In pair coordinates this keeps exactly the coefficients at m1 != 1.
     """
     B = u.algebra
-    return DiagonalElement(B, {k: c for k, c in u.coeffs.items()
-                               if k[0] != B.unit_mono})
+    return DiagonalElement._raw(B, {k: c for k, c in u.coeffs.items()
+                                    if k[0] != B.unit_mono})
 
 
 def delta(b: AlgebraElement) -> DiagonalElement:
@@ -266,38 +266,28 @@ def diagonal_block_keys(B, n, w):
 # d_J block write them as they come; no element rule reads these maps.
 
 
-def _raw_coeffs(B, coeffs):
-    """[(monomial, raw ring terms)] of a {monomial: ring element} map:
-    each coefficient as its (ring monomial, raw scalar) terms."""
-    raw = B.field.raw
-    return [(m, [(e, raw(s)) for e, s in c.coeffs.items()]) for m, c in coeffs.items()]
-
-
-def _times(R, coeffs, rm, p, t=None):
-    """[(monomial, ring monomial, raw scalar)] of the {monomial: ring
-    element} map ``coeffs`` times the ring monomial rm and, if given, the
-    raw scalar t: each coefficient's own terms when rm is 1, since it is
-    in normal form."""
-    raw, unit, mul = R.field.raw, R.unit_mono, R.mono_mul
+def _ring_times(R, c, rm, t, p):
+    """The (ring monomial, raw scalar) terms of the ring element c times
+    the ring monomial rm and the raw scalar t, over F_p for p > 0: c's own
+    monomials when rm is 1, since c is in normal form."""
+    raw, mul = R.field.raw, R.mono_mul
     out = []
-    for m, c in coeffs.items():
-        for e, s in c.coeffs.items():
-            if rm != unit:
-                e = mul(e, rm)
-                if e is None:
-                    continue
-            s = raw(s)
-            if t is not None:
-                s = s * t % p if p else s * t
-            out.append((m, e, s))
+    for e, s in c.coeffs.items():
+        if rm != R.unit_mono:
+            e = mul(e, rm)
+            if e is None:
+                continue
+        out.append((e, raw(s) * t % p if p else raw(s) * t))
     return out
 
 
 @memoised
 def _diff_times(B, m, rm, t):
     """[(monomial, ring monomial, raw scalar)] of d(m) . rm . t, for the
-    monomial m, the ring monomial rm and the raw sign t of ``diagonal_key_diff``."""
-    return _times(B.ring, B.mono_diff(m), rm, B.field.char, t)
+    monomial m, the ring monomial rm and the raw sign t: the pieces that
+    ``diagonal_key_diff`` assembles, shared by every block of one call."""
+    R, p = B.ring, B.field.char
+    return [(mu, e, s) for mu, c in B.mono_diff(m).items() for e, s in _ring_times(R, c, rm, t, p)]
 
 
 def diagonal_key_diff(B, keys, negate=False):
@@ -324,9 +314,10 @@ def diagonal_key_left(B, b, keys):
     """b . j = sigma((b m1)^o (x) m2) . rm - sigma(b^o (x) m1 m2) . rm for
     each key j."""
     R, unit, mul, raw = B.ring, B.unit_mono, B.mono_mul, B.field.raw
-    p = B.field.char
-    rest = {m: c for m, c in b.coeffs.items() if m != unit}
-    # (b m1) . rm by (m1, rm), and b's terms off the unit times rm by rm
+    one, p = raw(B.field.one), B.field.char
+    rest = [(m, c) for m, c in b.coeffs.items() if m != unit]
+    # (b m1) . rm by (m1, rm), and b's terms off the unit times rm by rm,
+    # over the block
     first, second = {}, {}
     images = []
     for m1, m2, rm in keys:
@@ -334,33 +325,32 @@ def diagonal_key_left(B, b, keys):
         if left is None:
             left = first[m1, rm] = [
                 (hit[1], e, s) for m, c in b.coeffs.items() if (hit := mul(m, m1))
-                for _, e, s in _times(R, {m: c}, rm, p, raw(hit[0]))]
+                for e, s in _ring_times(R, c, rm, raw(hit[0]), p)]
         image = [((mono, m2, e), s) for mono, e, s in left]
         inner = mul(m1, m2) if rest else None
         if inner is not None:
-            t = raw(-inner[0])
             terms = second.get(rm)
             if terms is None:
-                terms = second[rm] = _times(R, rest, rm, p)
-            mono = inner[1]
+                terms = second[rm] = [(m, e, s) for m, c in rest
+                                      for e, s in _ring_times(R, c, rm, one, p)]
+            mono, t = inner[1], raw(-inner[0])
             image += [((m, mono, e), s * t % p if p else s * t) for m, e, s in terms]
         images.append(image)
     return images
 
 
-def diagonal_key_right(B, keys, b):
-    """j . b for each key j: the right action keeps sigma coordinates, the
-    second slot multiplies."""
-    mul, raw = B.mono_mul, B.field.raw
-    p = B.field.char
-    products = {}  # m2 . b . rm by (m2, rm), over the block
+def diagonal_key_right(B, keys, b, negate=False):
+    """j . b for each key j, negated with ``negate``: the right action
+    keeps sigma coordinates, the second slot multiplies."""
+    R, mul, raw, p = B.ring, B.mono_mul, B.field.raw, B.field.char
+    products = {}  # (m2 b) . rm by (m2, rm), over the block
     images = []
     for m1, m2, rm in keys:
         right = products.get((m2, rm))
         if right is None:
             right = products[m2, rm] = [
                 (hit[1], e, s) for m, c in b.coeffs.items() if (hit := mul(m2, m))
-                for _, e, s in _times(B.ring, {m: c}, rm, p, raw(hit[0]))]
+                for e, s in _ring_times(R, c, rm, raw(-hit[0] if negate else hit[0]), p)]
         images.append([((m1, mono, e), s) for mono, e, s in right])
     return images
 

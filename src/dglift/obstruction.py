@@ -346,10 +346,9 @@ def _equation_block(N: SemifreeModule, layout, lam, obstruction):
     first = equations.bounds[lam]
     entries = [{} for _ in range(equations.bounds[lam + 1] - first)]
     for mu, entry in N.columns[lam]:
-        minus = -entry
         for column, nu, keys in unknowns.label_blocks[mu]:
             positions, start = equations.offsets(lam, nu)
-            linalg.write_images(entries, diagonal_key_right(B, keys, minus),
+            linalg.write_images(entries, diagonal_key_right(B, keys, entry, True),
                                 positions, start - first, column)
     for column, nu, keys in unknowns.label_blocks[lam]:
         for i, entry in N.columns[nu]:
@@ -374,8 +373,8 @@ def _read_witness(N: SemifreeModule, layout, solution):
     for lab, blocks in zip(labels, layout[0].label_blocks):
         for column, nu, keys in blocks:
             head = (labels[nu],)
-            terms[lab].extend(
-                zip([head + key for key in keys], solution[column:column + len(keys)]))
+            terms[lab] += [(head + key, s) for key, s in
+                           zip(keys, solution[column:column + len(keys)]) if s]
     return {lab: TensorJElement.from_terms(N, t) for lab, t in terms.items()}
 
 

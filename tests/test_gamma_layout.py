@@ -54,7 +54,7 @@ def keyed_gamma_system(N, obstruction):
         for k, s in diagonal_key_diff(B, [jkey], odd)[0]:
             yield ("eq", mu, (nu,) + k), s
         for lam, entry in later[mu]:
-            for k, s in diagonal_key_right(B, [jkey], -entry)[0]:
+            for k, s in diagonal_key_right(B, [jkey], entry, True)[0]:
                 yield ("eq", lam, (nu,) + k), s
 
     def read_witness(solution):

@@ -51,7 +51,7 @@ def one_shot_gamma_system(N, obstruction):
             for j, s in targets.items():
                 row[column + j] = field.raw(-field.of(s)) if odd else s
         for lam, entry in later[mu]:
-            linalg.write_images(entries, diagonal_key_right(B, keys, -entry),
+            linalg.write_images(entries, diagonal_key_right(B, keys, entry, True),
                                 *equations.offsets(lam, nu), column)
 
     rhs = [field.raw(field.zero)] * nrows

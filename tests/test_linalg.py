@@ -570,6 +570,7 @@ def test_diagonal_arithmetic_matches_the_envelope():
                 for i, b in enumerate(entries):
                     images["left", i] = diagonal_key_left(B, b, keys)
                     images["right", i] = diagonal_key_right(B, keys, b)
+                    images["minus right", i] = diagonal_key_right(B, keys, b, True)
                 for k, key in enumerate(keys):
                     u = DiagonalElement.from_terms(B, [(key, one)]).to_envelope()
                     assert element(B, images["diff"][k]) == sigma(u.diff())
@@ -577,6 +578,7 @@ def test_diagonal_arithmetic_matches_the_envelope():
                     for i, b in enumerate(entries):
                         assert element(B, images["left", i][k]) == sigma(b * u)
                         assert element(B, images["right", i][k]) == sigma(u * b)
+                        assert element(B, images["minus right", i][k]) == -sigma(u * b)
                     checked += 1
     assert checked > 500
 
