@@ -228,7 +228,10 @@ def exponent_vectors(degrees, total, relations):
 
     def bound(prefix, e, rels):
         # the least of e and the exponents below those of the relations on prefix
-        return min([e] + [top - 1 for head, top in rels if mono_divides(head, prefix)])
+        for head, top in rels:
+            if top <= e and mono_divides(head, prefix):
+                e = top - 1
+        return e
 
     found = [((), total)]
     for d, rels in zip(degrees[:-1], placed):
