@@ -14,7 +14,8 @@ JSON output follows the fixed schema
 
 where each check-lift result is {module, decision, method, obstruction:
 [{basis, value}], witness?, certificate?}.  A report is the plain dict of
-these four keys, in this order, that ``json.dumps`` writes.  Output is
+these four keys, in this order, which ``emit_report`` writes byte for byte
+as ``json.dumps(doc, ensure_ascii=False, indent=2)`` does.  Output is
 byte-identical between runs apart from timing_ms.  Exit codes: 0 success,
 1 mathematical rejection (a construction check failed), 2 usage or parse
 error, 3 internal error (a program bug, reported in one line without a
@@ -44,6 +45,10 @@ def emit_report(doc, fmt="json") -> str:
     if fmt == "text":
         return _emit_text(doc)
     raise ValueError("unknown format %r" % fmt)
+
+
+_json_text = json.encoder.encode_basestring  # ensure_ascii=False's text encoder
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _write_json(value, newline, out):
@@ -83,10 +88,6 @@ def _write_json(value, newline, out):
         out[-1] = newline + "}"
     else:
         raise TypeError("%s is not a report value" % type(value).__name__)
-
-
-_json_text = json.encoder.encode_basestring  # ensure_ascii=False's text encoder
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _emit_text(doc):

@@ -393,11 +393,6 @@ class RingElement(LinComb):
         """Internal degree of a homogeneous element (0 for the zero element)."""
         return self.bidegree()[1]
 
-    def sorted_terms(self):
-        """The (monomial, scalar) terms in print order (``mono_print``)."""
-        key = self.parent.mono_print
-        return sorted(self.coeffs.items(), key=lambda item: key(item[0]))
-
     def text_terms(self):
         """(factor texts, scalar) pairs in print order."""
         printed = self.parent.mono_print

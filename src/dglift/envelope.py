@@ -23,7 +23,10 @@ as pairs (m, 1).
 
 Both are ``LinComb`` elements: ints, field scalars and ring elements act
 through its one scalar rule, and its one renderer prints each term as
-`m1^o⊗m2`, then ` · r` for a ring monomial r != 1; J prints in B^e.  B^e
+`m1^o⊗m2`, then ` · r` for a ring monomial r != 1, in the order and with
+the monomial texts of ``mono_print``.  J prints as the element of B^e
+that it is, read from its sigma keys: their pairs, and the m1 = 1 pairs
+of -pi of them, with no B^e element built.  B^e
 multiplies by its product rule over ``pair_mul``, which holds the twist,
 and differentiates by its linear rule over ``pair_diff``.  B acts on the
 left as op_inclusion(b) . u, since (b^o (x) 1)(b1^o (x) b2) = (b b1)^o (x) b2,
@@ -31,11 +34,13 @@ and on the right as u . rho(b); pi is the linear rule over ``mono_mul``.
 J is a DG sub-bimodule of B^e, so ``DiagonalElement`` computes in B^e:
 d(j), b . j, j . b and j . u are sigma of B^e's on ``to_envelope(j)``,
 exactly, since sigma keeps precisely the m1 != 1 coordinates of an element
-of J.  No element rule calls the maps on one J basis key below.  Only the
-builder of the gamma-system and ``diagonal_diff_block``, the matrix of d_J
-that ``homology`` reads, write from them, each on its own call, so no
-matrix is shared between the two; the witness and certificate checkers,
-computing by element rules, share only the bases with the builder.
+of J.  No element rule calls the J key maps below, which give d(j),
+b . j and j . b for a block of J basis keys at once, in the raw scalars
+the elimination works in.  Only the builder of the gamma-system and
+``diagonal_diff_block``, the matrix of d_J that ``homology`` reads, write
+from them, each on its own call, so no matrix is shared between the two;
+the witness and certificate checkers, computing by element rules, share
+only the bases with the builder.
 """
 
 from . import linalg
@@ -53,7 +58,7 @@ def pair_text(left, right):
     return "%s^o⊗%s" % (left, right)
 
 
-def pair_text_terms(B, terms):
+def _pair_text_terms(B, terms):
     """(factor texts, scalar) pairs of (m1, m2, ring monomial, scalar)
     terms of B^e, in print order: by m1, then m2, then the ring monomial,
     each in its ``mono_print`` order, and each `m1^o⊗m2`, then ` · r`
@@ -86,8 +91,8 @@ class _PairIndexed(LinComb):
     def text_terms(self):
         """(factor texts, scalar) pairs in print order, one factor each:
         `m1^o⊗m2`, then ` · r` when the ring monomial r is not 1."""
-        return pair_text_terms(self.parent, [(m1, m2, rm, s) for (m1, m2), c in self.coeffs.items()
-                                             for rm, s in c.coeffs.items()])
+        return _pair_text_terms(self.parent, [(m1, m2, rm, s) for (m1, m2), c in
+                                              self.coeffs.items() for rm, s in c.coeffs.items()])
 
 
 class EnvelopeElement(_PairIndexed):
@@ -190,7 +195,7 @@ class DiagonalElement(_PairIndexed):
                 if hit is not None:
                     merge(minus_pi, (hit[1], rm), -(s * hit[0]))
         terms += [(unit, m, rm, s) for (m, rm), s in minus_pi.items()]
-        return pair_text_terms(B, terms)
+        return _pair_text_terms(B, terms)
 
 
 # -- the canonical splitting ----------------------------------------------------
@@ -287,7 +292,8 @@ def _diff_times(B, m, rm, t):
     monomial m, the ring monomial rm and the raw sign t: the pieces that
     ``diagonal_key_diff`` assembles, shared by every block of one call."""
     R, p = B.ring, B.field.char
-    return [(mu, e, s) for mu, c in B.mono_diff(m).items() for e, s in _ring_times(R, c, rm, t, p)]
+    return [(mu, e, s) for mu, c in B.mono_diff(m).items()
+            for e, s in _ring_times(R, c, rm, t, p)]
 
 
 def diagonal_key_diff(B, keys, negate=False):

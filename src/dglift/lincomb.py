@@ -13,10 +13,11 @@ bare key with ``_key_bidegree``; everything linear lives here.
 (flat key tuple, scalar) whose keys match the bidegree block bases, so
 ``(label, m1, m2, ring monomial)`` for N (x) J.  ``from_terms()`` is its
 inverse.  With ``linalg.block_matrix`` and ``linalg.coordinates`` they
-bridge elements and coordinate vectors; ``diff_block``, the differential
-block of B, N and N (x) J, writes d of each unit basis element as a
-column, and the maps on one J basis key in ``envelope`` yield terms of
-the same shape without building an element.
+bridge elements and coordinate vectors, whose entries are the field's raw
+scalars (``field.raw``); ``diff_block``, the differential block of B, N
+and N (x) J, writes d of each unit basis element as a column, and the J
+key maps in ``envelope`` give terms of the same shape, in raw scalars,
+for a block of keys at once, without building an element.
 ``text_terms()``, where a subclass defines it, is the printed form of
 ``terms()``: (factor texts, scalar) pairs in print order, which the one
 renderer ``render_terms`` writes for R, B, N, B^e and J.  ``_scale_by``

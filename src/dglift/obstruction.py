@@ -327,16 +327,18 @@ def _equation_block(N: SemifreeModule, layout, lam, obstruction):
     gamma_lam and -(t b[mu][lam]) for those of each gamma_mu with
     b[mu][lam] != 0, mu < lam, and the matrix spans the unknowns of the
     labels up to lam.  Each piece is written by ``linalg.write_images``
-    from a J key map at the integer offsets of the blocks, the column of t
-    at block (mu, nu)'s offset plus j's index, and no tensor key is built:
-    b j, j b, and d(j) times (-1)^{|e_nu|}.  The pieces land on distinct
+    from a J key map applied to an unknown block's keys, at the integer
+    offsets of the blocks, the column of t at block (mu, nu)'s offset plus
+    j's index, and no tensor key is built: b j, -(j b), and d(j) times
+    (-1)^{|e_nu|}, the maps negating where asked, all in the raw scalars
+    that ``linalg.linear_solve`` eliminates.  The pieces land on distinct
     entries; the order of a row's entries reaches no output, since no
     result of the elimination depends on it.  The right-hand side is the
-    obstruction value of e_lam.  The rank-2 corollary is the system in its
-    smallest case: for a basis e, e' with d(e') = e b, J_0 = 0 empties
-    every block but e (x) J_(n+1, w) -> e (x) J_(n, w), (n, w) the
-    bidegree of b, where the matrix is (-1)^{|e|} d_J and the right-hand
-    side delta(b).
+    obstruction value of e_lam, in raw scalars too.  The rank-2 corollary
+    is the system in its smallest case: for a basis e, e' with d(e') = e b,
+    J_0 = 0 empties every block but e (x) J_(n+1, w) -> e (x) J_(n, w),
+    (n, w) the bidegree of b, where the matrix is (-1)^{|e|} d_J and the
+    right-hand side delta(b).
     """
     B = N.algebra
     raw = B.field.raw

@@ -257,8 +257,8 @@ def test_equal_algebras_do_not_share_caches():
     M, M2 = first.modules["M"], second.modules["M"]
     assert A == B and A is not B
     algebra_tables = ("mono_diff", "mono_mul", "monomial_basis", "bidegree_basis",
-                      "diagonal_block_keys")
-    ring_tables = ("mono_mul", "graded_basis")
+                      "diagonal_block_keys", "_diff_times", "mono_print")
+    ring_tables = ("mono_mul", "graded_basis", "mono_print")
     before = {name: dict(t or {}) for name, t in tables(B, algebra_tables).items()}
     check_lift(M)
     keys = diagonal_block_keys(A, 3, 4)

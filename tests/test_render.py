@@ -12,6 +12,7 @@ from pathlib import Path
 
 from dglift import (AlgebraElement, DGLiftError, DiagonalElement,
                     EnvelopeElement, check_lift, parse_problem)
+from dglift.coefficients import ring_mono_key
 from dglift.randomgen import (random_algebra, random_algebra_element,
                               random_diagonal_element, random_envelope_element,
                               random_module, random_module_element,
@@ -46,11 +47,19 @@ def join_signed(parts):
     return out
 
 
+def former_ring_terms(el):
+    """A ring element's (monomial, scalar) terms in the former print order:
+    by weight, then descending lexicographic."""
+    R = el.parent
+    return sorted(el.coeffs.items(),
+                  key=lambda item: (R.mono_weight(item[0]), ring_mono_key(item[0])))
+
+
 def former_ring_element(el):
     if not el.coeffs:
         return "0"
     parts = []
-    for exps, c in el.sorted_terms():
+    for exps, c in former_ring_terms(el):
         mono = el.parent.render_mono(exps)
         parts.append(render_scalar_mono(c, mono))
     return join_signed(parts)
@@ -60,7 +69,7 @@ def former_sorted_terms(el):
     out = []
     for mono, c in sorted(el.coeffs.items(),
                           key=lambda kv: el.algebra.mono_key(kv[0])):
-        for rm, s in c.sorted_terms():
+        for rm, s in former_ring_terms(c):
             out.append((mono, rm, s))
     return out
 
@@ -118,7 +127,7 @@ def former_render_pair_terms(algebra, coeffs):
     parts = []
     for (m1, m2), c in items:
         pair = former_pair_text(algebra, m1, m2)
-        for rm, s in c.sorted_terms():
+        for rm, s in former_ring_terms(c):
             r_txt = algebra.ring.render_mono(rm)
             txt = str(s)
             body = pair if r_txt == "1" else "%s · %s" % (pair, r_txt)
