@@ -128,8 +128,8 @@ def _emit_text(doc):
 
 
 def _tensor_entries(N, values):
-    return [{"basis": lab, "value": str(values.get(lab, N.tensor_zero()))}
-            for lab in N.labels]
+    """The {basis, value} items of a family with a value at every label."""
+    return [{"basis": lab, "value": str(values[lab])} for lab in N.labels]
 
 
 def _module_names(problem, module):
