@@ -6,29 +6,28 @@ raw scalar of the ambient field (``field.raw``: an int 0 < v < p over
 F_p, a Fraction over the rationals), with its shape and field, and
 nothing else: a caller that names rows holds the basis keys it built the
 block from.  ``write_images`` writes images, given as lists of terms,
-straight into rows, a ``block_matrix``'s or, at the offsets of a block, a
-larger system's.  The dense ``rows`` are derived on demand.  The one
-elimination routine, ``Elimination.add``, is a sparse forward elimination
-on copies of the rows, in those raw scalars: a column index names the
-rows that may hold each column, so a pivot step touches only the rows
-below it that hold the pivot column, and no row above a pivot is ever
-cleared.  It takes its rows in batches and can
-be resumed: a batch is appended below the rows already eliminated,
-cleared of the pivot columns found so far by their pivot rows, and then
-pivoted on its own remaining columns.  One index, {pivot column: pivot
-row} in the order found, serves the resumed batches, the back
-substitution and the solve's test of the target column.  ``rank`` and
-``kernel_basis`` feed one batch; ``linear_solve`` feeds one, or the next
-batch of an elimination its caller keeps, so that a system whose
-equations arrive in blocks is decided after each block and can stop at
-the first block that makes it inconsistent.  Solutions and kernel
-vectors are read off the echelon rows by back substitution, which gives
-the same unique vectors (free variables zero) that the fully reduced
-rows give, and are returned as field scalars.  A solve does not carry
-the transform T along: it logs its
-row operations, and only an inconsistent solve rebuilds the one row of T
-it returns, the pivot row of the target column, by replaying the log
-backwards; that row, and every row of T below it, is the one a full
+straight into rows, a ``block_matrix``'s or, at the offsets of a block,
+a larger system's.  The dense ``rows`` are derived on demand.  The one
+elimination routine, ``Elimination.add``, is a sparse forward
+elimination on copies of the rows, in those raw scalars: a column index
+names the rows that may hold each column, so a pivot step touches only
+the rows below it that hold the pivot column, and no row above a pivot
+is ever cleared.  It takes its rows in batches and can be resumed: a
+batch is appended below the rows already eliminated, cleared of the
+pivot columns found so far by their pivot rows, and then pivoted on its
+own remaining columns.  One index, {pivot column: pivot row} in the
+order found, serves the resumed batches, the back substitution and the
+solve's test of the target column.  ``rank`` and ``kernel_basis`` feed
+one batch; ``linear_solve`` feeds one, or the next batch of an
+elimination its caller keeps, so that a system whose equations arrive in
+blocks is decided after each block and can stop at the first block that
+makes it inconsistent.  Solutions and kernel vectors are read off the
+echelon rows by back substitution, which gives the same unique vectors
+(free variables zero) that the fully reduced rows give, and are returned
+as field scalars.  A solve does not carry the transform T along: it logs
+its row operations, and only an inconsistent solve rebuilds the one row
+of T it returns, the pivot row of the target column, by replaying the
+log backwards; that row, and every row of T below it, is the one a full
 Gauss-Jordan on the same pivot rows gives.  A solve returns the
 solution, or that row as a sparse null functional with its nonzero
 pairing against the target, and nothing else: a caller that wants the
