@@ -39,7 +39,10 @@ from .obstruction import check_lift, obstruction_values
 def emit_report(doc, fmt="json") -> str:
     if fmt == "json":
         out = []
-        _write_json(doc, "\n", out)
+        try:
+            _write_json(doc, "\n", out)
+        except TypeError:  # a value the direct writer does not know
+            return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
         out.append("\n")
         return "".join(out)
     if fmt == "text":
@@ -55,9 +58,10 @@ def _write_json(value, newline, out):
     """Append the JSON text of ``value`` to ``out``, exactly as
     ``json.dumps(value, ensure_ascii=False, indent=2)`` writes it, for a
     value built of dicts with text keys, lists, texts, ints, booleans and
-    None; ``newline`` is a line break and the indent of the value's line.
-    The pure-Python encoder that ``indent`` selects is several times
-    slower."""
+    None, the values of a report; ``newline`` is a line break and the
+    indent of the value's line.  Any other value is a TypeError, on which
+    ``emit_report`` writes the whole report with ``json.dumps``.  The
+    pure-Python encoder that ``indent`` selects is several times slower."""
     if type(value) is str:
         out.append(_json_text(value))
     elif value is None or value is True or value is False:

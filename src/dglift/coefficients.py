@@ -409,9 +409,9 @@ def _products_block(ring, factors, w):
     """The block [a_1 | a_2 | ...] of multiplication by the homogeneous
     factors, each from R_{w - |a_i|} into R_w: a column per factor and
     monomial of its source."""
-    one, raw = ring.field.one, ring.field.raw
+    one = ring.field.one
     return linalg.block_matrix(
-        [[((e,), raw(s)) for e, s in (ring.element({m: one}) * a).coeffs.items()]
+        [[((e,), s) for e, s in (ring.element({m: one}) * a).coeffs.items()]
          for a in factors for m in ring.graded_basis(w - a.weight())],
         [(m,) for m in ring.graded_basis(w)], ring.field)
 

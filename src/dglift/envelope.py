@@ -319,28 +319,16 @@ def diagonal_key_diff(B, keys, negate=False):
 def diagonal_key_left(B, b, keys):
     """b . j = sigma((b m1)^o (x) m2) . rm - sigma(b^o (x) m1 m2) . rm for
     each key j."""
-    R, unit, mul, raw = B.ring, B.unit_mono, B.mono_mul, B.field.raw
-    one, p = raw(B.field.one), B.field.char
-    rest = [(m, c) for m, c in b.coeffs.items() if m != unit]
-    # (b m1) . rm by (m1, rm), and b's terms off the unit times rm by rm,
-    # over the block
-    first, second = {}, {}
+    R, unit, mul, raw, p = B.ring, B.unit_mono, B.mono_mul, B.field.raw, B.field.char
     images = []
     for m1, m2, rm in keys:
-        left = first.get((m1, rm))
-        if left is None:
-            left = first[m1, rm] = [
-                (hit[1], e, s) for m, c in b.coeffs.items() if (hit := mul(m, m1))
-                for e, s in _ring_times(R, c, rm, raw(hit[0]), p)]
-        image = [((mono, m2, e), s) for mono, e, s in left]
-        inner = mul(m1, m2) if rest else None
+        image = [((hit[1], m2, e), s) for m, c in b.coeffs.items() if (hit := mul(m, m1))
+                 for e, s in _ring_times(R, c, rm, raw(hit[0]), p)]
+        inner = mul(m1, m2)
         if inner is not None:
-            terms = second.get(rm)
-            if terms is None:
-                terms = second[rm] = [(m, e, s) for m, c in rest
-                                      for e, s in _ring_times(R, c, rm, one, p)]
             mono, t = inner[1], raw(-inner[0])
-            image += [((m, mono, e), s * t % p if p else s * t) for m, e, s in terms]
+            image += [((m, mono, e), s) for m, c in b.coeffs.items() if m != unit
+                      for e, s in _ring_times(R, c, rm, t, p)]
         images.append(image)
     return images
 
@@ -349,16 +337,9 @@ def diagonal_key_right(B, keys, b, negate=False):
     """j . b for each key j, negated with ``negate``: the right action
     keeps sigma coordinates, the second slot multiplies."""
     R, mul, raw, p = B.ring, B.mono_mul, B.field.raw, B.field.char
-    products = {}  # (m2 b) . rm by (m2, rm), over the block
-    images = []
-    for m1, m2, rm in keys:
-        right = products.get((m2, rm))
-        if right is None:
-            right = products[m2, rm] = [
-                (hit[1], e, s) for m, c in b.coeffs.items() if (hit := mul(m2, m))
-                for e, s in _ring_times(R, c, rm, raw(-hit[0] if negate else hit[0]), p)]
-        images.append([((m1, mono, e), s) for mono, e, s in right])
-    return images
+    return [[((m1, hit[1], e), s) for m, c in b.coeffs.items() if (hit := mul(m2, m))
+             for e, s in _ring_times(R, c, rm, raw(-hit[0] if negate else hit[0]), p)]
+            for m1, m2, rm in keys]
 
 
 def diagonal_basis(B, n, w):
@@ -378,8 +359,8 @@ def diagonal_diff_block(B, n, w) -> linalg.BlockMatrix:
     """The differential of J as a matrix from the (n, w) block to (n-1, w),
     written from ``diagonal_key_diff`` as the γ-system builder writes its
     d(j) piece."""
-    return linalg.block_matrix(diagonal_key_diff(B, diagonal_block_keys(B, n, w)),
-                               diagonal_block_keys(B, n - 1, w), B.field)
+    return linalg.raw_block(diagonal_key_diff(B, diagonal_block_keys(B, n, w)),
+                            diagonal_block_keys(B, n - 1, w), B.field)
 
 
 def diagonal_homology_dim(B, n, w) -> int:

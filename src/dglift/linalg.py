@@ -5,14 +5,22 @@ scalar} dict per row of its nonzero entries, each the elimination's own
 raw scalar of the ambient field (``field.raw``: an int 0 < v < p over
 F_p, a Fraction over the rationals), with its shape and field, and
 nothing else: a caller that names rows holds the basis keys it built the
-block from.  ``write_images`` writes images, given as lists of terms,
-straight into rows, a ``block_matrix``'s or, at the offsets of a block,
-a larger system's.  The dense ``rows`` are derived on demand.  The one
+block from.  Every other scalar this module takes or gives is a field
+scalar (ModP over F_p): ``block_matrix`` builds a block from images in
+field scalars, converting each once; the dense ``rows``, derived on
+demand, the target of ``linear_solve``, its solution and null row, and
+the vectors of ``coordinates`` and ``kernel_basis`` are field scalars
+too.  Only ``write_images``, which writes images into rows as given, a
+block's or, at the offsets of a block, a larger system's, and
+``raw_block`` take raw scalars: the J key maps give them, and the
+gamma-system builder writes them straight in.  A block built over F_p
+from field scalars is refused with a TypeError.  The one
+elimination routineThe one
 elimination routine, ``Elimination.add``, is a sparse forward
-elimination on copies of the rows, in those raw scalars: a column index
-names the rows that may hold each column, so a pivot step touches only
-the rows below it that hold the pivot column, and no row above a pivot
-is ever cleared.  It takes its rows in batches and can be resumed: a
+elimination on copies of the rows, in raw scalars: a column index names
+the rows that may hold each column, so a pivot step touches only the
+rows below it that hold the pivot column, and no row above a pivot is
+ever cleared.  It takes its rows in batches and can be resumed: a
 batch is appended below the rows already eliminated, cleared of the
 pivot columns found so far by their pivot rows, and then pivoted on its
 own remaining columns.  One index, {pivot column: pivot row} in the
@@ -23,8 +31,7 @@ elimination its caller keeps, so that a system whose equations arrive in
 blocks is decided after each block and can stop at the first block that
 makes it inconsistent.  Solutions and kernel vectors are read off the
 echelon rows by back substitution, which gives the same unique vectors
-(free variables zero) that the fully reduced rows give, and are returned
-as field scalars.  A solve does not carry the transform T along: it logs
+(free variables zero) that the fully reduced rows give.  A solve does not carry the transform T along: it logs
 its row operations, and only an inconsistent solve rebuilds the one row
 of T it returns, the pivot row of the target column, by replaying the
 log backwards; that row, and every row of T below it, is the one a full
@@ -59,25 +66,24 @@ class BlockMatrix:
     ``entries[i][j]`` is the coefficient of the i-th target basis vector in
     the image of the j-th source basis vector, a raw scalar of ``field``;
     a missing entry is zero.  ``shape`` is (targets, sources).
-    ``block_matrix`` builds a block from the images of a basis.
+    ``block_matrix`` builds a block from the images of a basis in field
+    scalars.
     """
 
     def __init__(self, entries, shape, field):
+        if field.char:  # a ModP entry would fail deep in the elimination
+            first = next((row for row in entries if row), {})
+            if any(type(x) is not int for x in first.values()):
+                raise TypeError("a block over %s holds raw int entries (field.raw); "
+                                "block_matrix converts field scalars" % field)
         self.entries = entries
         self.shape = shape
         self.field = field
 
     @property
     def rows(self):
-        """The dense rows of raw scalars, built from ``entries`` on each read."""
-        zero, ncols = self.field.raw(self.field.zero), self.shape[1]
-        dense = []
-        for entries in self.entries:
-            row = [zero] * ncols
-            for j, x in entries.items():
-                row[j] = x
-            dense.append(row)
-        return dense
+        """The dense rows of field scalars, built from ``entries`` on each read."""
+        return [_dense(row, self.shape[1], self.field) for row in self.entries]
 
 
 def write_images(entries, images, pos, row=0, column=0):
@@ -94,23 +100,28 @@ def write_images(entries, images, pos, row=0, column=0):
         raise ConstructionError("element does not lie in the chosen block")
 
 
-def block_matrix(images, dst_keys, field) -> BlockMatrix:
-    """The matrix of a linear map on a finite basis, given by the images
-    of its basis vectors in raw scalars, into the keyed basis
-    ``dst_keys``, written by ``write_images``."""
+def raw_block(images, dst_keys, field) -> BlockMatrix:
+    """The matrix of a linear map on a finite basis into the keyed basis
+    ``dst_keys``, given by the images of its basis vectors as lists of
+    (key, raw scalar) terms, written by ``write_images``."""
     entries = [{} for _ in dst_keys]
     write_images(entries, images, {k: i for i, k in enumerate(dst_keys)})
     return BlockMatrix(entries, (len(dst_keys), len(images)), field)
 
 
+def block_matrix(images, dst_keys, field) -> BlockMatrix:
+    """``raw_block`` of images whose scalars are field scalars."""
+    raw = field.raw
+    return raw_block([[(k, raw(s)) for k, s in terms] for terms in images],
+                     dst_keys, field)
+
+
 def coordinates(terms, keys, field) -> list:
     """Dense vector of (key, field scalar) terms against the ordered basis
-    ``keys``, in raw scalars: the one column of the block whose image is
-    ``terms``, a right-hand side for ``linear_solve``."""
-    raw = field.raw
-    column = block_matrix([[(k, raw(s)) for k, s in terms]], keys, field).entries
-    zero = raw(field.zero)
-    return [row.get(0, zero) for row in column]
+    ``keys``: the one column of the block whose image is ``terms``."""
+    column = [{} for _ in keys]
+    write_images(column, [terms], {k: i for i, k in enumerate(keys)})
+    return [row.get(0, field.zero) for row in column]
 
 
 class SolveResult:
@@ -328,7 +339,7 @@ def kernel_basis(matrix: BlockMatrix) -> list:
 
 def linear_solve(matrix: BlockMatrix, target: list, elimination=None) -> SolveResult:
     """Solve matrix . x = target by deterministic elimination, target a
-    list of raw scalars like the matrix's entries.
+    list of field scalars.
 
     Free variables are set to zero, so the returned solution is the unique
     one selected by the fixed basis order.  On failure the null row refers
@@ -341,7 +352,7 @@ def linear_solve(matrix: BlockMatrix, target: list, elimination=None) -> SolveRe
     and the solution has matrix.shape[1] entries.
     """
     field = matrix.field
-    p = field.char
+    p, raw = field.char, field.raw
     m, ncols = matrix.shape
     if len(target) != m:
         raise ValueError("target length %d does not match %d matrix rows"
@@ -352,7 +363,7 @@ def linear_solve(matrix: BlockMatrix, target: list, elimination=None) -> SolveRe
     augmented = [dict(row) for row in matrix.entries]
     for row, t in zip(augmented, target):
         if t:
-            row[TARGET] = t
+            row[TARGET] = raw(t)
     elimination.add(augmented)
     rows = elimination.rows
     q = elimination.pivots.get(TARGET)

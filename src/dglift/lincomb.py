@@ -13,11 +13,11 @@ bare key with ``_key_bidegree``; everything linear lives here.
 (flat key tuple, scalar) whose keys match the bidegree block bases, so
 ``(label, m1, m2, ring monomial)`` for N (x) J.  ``from_terms()`` is its
 inverse.  With ``linalg.block_matrix`` and ``linalg.coordinates`` they
-bridge elements and coordinate vectors, whose entries are the field's raw
-scalars (``field.raw``); ``diff_block``, the differential block of B, N
-and N (x) J, writes d of each unit basis element as a column, and the J
-key maps in ``envelope`` give terms of the same shape, in raw scalars,
-for a block of keys at once, without building an element.
+bridge elements and coordinate vectors; ``diff_block``, the differential
+block of B, N and N (x) J, writes d of each unit basis element as a
+column, and the J key maps in ``envelope`` give terms of the same shape,
+in the elimination's raw scalars, for a block of keys at once, without
+building an element.
 ``text_terms()``, where a subclass defines it, is the printed form of
 ``terms()``: (factor texts, scalar) pairs in print order, which the one
 renderer ``render_terms`` writes for R, B, N, B^e and J.  ``_scale_by``
@@ -239,7 +239,7 @@ class LinComb:
     def diff_block(cls, parent, basis, n, w, field):
         """d from the (n, w) block to (n-1, w), ``basis(n, w)`` the keys of a
         block: column j is d of the unit element at the j-th key."""
-        one, raw = field.one, field.raw
+        one = field.one
         return linalg.block_matrix(
-            [[(k, raw(s)) for k, s in cls.from_terms(parent, [(key, one)]).diff().terms()]
-             for key in basis(n, w)], basis(n - 1, w), field)
+            [cls.from_terms(parent, [(key, one)]).diff().terms() for key in basis(n, w)],
+            basis(n - 1, w), field)

@@ -334,14 +334,13 @@ def _equation_block(N: SemifreeModule, layout, lam, obstruction):
     that ``linalg.linear_solve`` eliminates.  The pieces land on distinct
     entries; the order of a row's entries reaches no output, since no
     result of the elimination depends on it.  The right-hand side is the
-    obstruction value of e_lam, in raw scalars too.  The rank-2 corollary
-    is the system in its smallest case: for a basis e, e' with d(e') = e b,
-    J_0 = 0 empties every block but e (x) J_(n+1, w) -> e (x) J_(n, w),
-    (n, w) the bidegree of b, where the matrix is (-1)^{|e|} d_J and the
-    right-hand side delta(b).
+    obstruction value of e_lam.  The rank-2 corollary is the system in its
+    smallest case: for a basis e, e' with d(e') = e b, J_0 = 0 empties
+    every block but e (x) J_(n+1, w) -> e (x) J_(n, w), (n, w) the
+    bidegree of b, where the matrix is (-1)^{|e|} d_J and the right-hand
+    side delta(b).
     """
     B = N.algebra
-    raw = B.field.raw
     unknowns, equations = layout
     ncols = unknowns.through(lam)
     equations.through(lam)
@@ -360,9 +359,9 @@ def _equation_block(N: SemifreeModule, layout, lam, obstruction):
         positions, start = equations.offsets(lam, nu)
         linalg.write_images(entries, diagonal_key_diff(B, keys, N.degrees[nu] % 2),
                             positions, start - first, column)
-    rhs = [raw(B.field.zero)] * len(entries)
+    rhs = [B.field.zero] * len(entries)
     for key, s in obstruction[N.labels[lam]].terms():
-        rhs[equations.position(lam, key) - first] = raw(s)
+        rhs[equations.position(lam, key) - first] = s
     return linalg.BlockMatrix(entries, (len(entries), ncols), B.field), rhs
 
 

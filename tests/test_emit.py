@@ -1,10 +1,13 @@
 """``emit_report`` writes JSON itself, by append and join; its text must be
 ``json.dumps(doc, ensure_ascii=False, indent=2)`` plus a newline, byte
-for byte, on a table of awkward values and on every report the CLI makes
-of the golden files and the benchmark corpora."""
+for byte, on a table of awkward values, on values it leaves to
+``json.dumps``, and on every report the CLI makes of the golden files and
+the benchmark corpora."""
 
 import json
 from pathlib import Path
+
+import pytest
 
 from dglift import DGLiftError, parse_problem
 from dglift.cli import emit_report, run_command
@@ -47,6 +50,24 @@ TABLE = [
 def test_the_emitter_matches_json_dumps_on_a_table_of_awkward_values():
     for doc in TABLE:
         assert emit_report(doc) == reference(doc), doc
+
+
+def test_values_the_direct_writer_does_not_know_are_written_by_json_dumps():
+    """Tuples, floats, subclasses of int and str, and keys that are not
+    text make the whole report fall back to ``json.dumps``; a value
+    ``json.dumps`` refuses is its TypeError."""
+    class Count(int):
+        pass
+
+    class Name(str):
+        pass
+
+    for doc in ({"pair": (1, "⊗")}, [1.5, -0.0, 1e300], {"n": Count(3)}, [Name("σ")],
+                {1: "one", None: [], True: {}}, {"deep": [{"t": ({"x": (2,)},)}]}):
+        assert emit_report(doc) == reference(doc), doc
+    for doc in ({"set": {1}}, [object()]):
+        with pytest.raises(TypeError):
+            emit_report(doc)
 
 
 def test_the_emitter_matches_json_dumps_on_every_report():

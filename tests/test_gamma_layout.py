@@ -2,7 +2,7 @@
 
 ``keyed_gamma_system`` is the keyed form of the builder: every unknown
 and equation has a tensor key ("γ" or "eq", label, (label, m1, m2, ring
-monomial)), and ``linalg.block_matrix`` places each image by hashing
+monomial)), and ``linalg.raw_block`` places each image by hashing
 those keys.  The builder writes by integer block offsets, the equations
 of one label at a time; stacked in label order, its blocks must give the
 same matrix (the same entries in each row, in whatever order, since the
@@ -63,7 +63,7 @@ def keyed_gamma_system(N, obstruction):
             terms[lab].append((key, s))
         return {lab: TensorJElement.from_terms(N, t) for lab, t in terms.items()}
 
-    matrix = linalg.block_matrix([list(image(key)) for key in unknowns], equations, field)
+    matrix = linalg.raw_block([list(image(key)) for key in unknowns], equations, field)
     rhs = linalg.coordinates([(("eq", lam, k), s) for lam in N.labels
                               for k, s in obstruction[lam].terms()],
                              equations, field)

@@ -54,10 +54,10 @@ def one_shot_gamma_system(N, obstruction):
             linalg.write_images(entries, diagonal_key_right(B, keys, entry, True),
                                 *equations.offsets(lam, nu), column)
 
-    rhs = [field.raw(field.zero)] * nrows
+    rhs = [field.zero] * nrows
     for lam, lab in enumerate(labels):
         for key, s in obstruction[lab].terms():
-            rhs[equations.position(lam, key)] = field.raw(s)
+            rhs[equations.position(lam, key)] = s
 
     def read_witness(solution):
         terms = {lab: [] for lab in labels}

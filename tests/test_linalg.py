@@ -27,11 +27,6 @@ def dense_block(rows, ncols, field):
                        (len(rows), ncols), field)
 
 
-def solve(m, target):
-    """``linear_solve`` with a right-hand side of field scalars."""
-    return linear_solve(m, [m.field.raw(t) for t in target])
-
-
 def matrix(rows, field=QQ):
     rows = [[field.of(x) for x in row] for row in rows]
     nc = len(rows[0]) if rows else 0
@@ -61,7 +56,7 @@ def oracle_rank(rows, field):
 def test_identity_solve():
     m = matrix([[1, 0], [0, 1]])
     v = [QQ.of(3), QQ.of(-2)]
-    result = solve(m, v)
+    result = linear_solve(m, v)
     assert result.solution == v
 
 
@@ -73,7 +68,7 @@ def test_solution_verifies_by_multiplication():
         m = matrix(rows)
         x = [QQ.of(rng.randint(-3, 3)) for _ in range(ncols)]
         v = apply_matrix(m, x)
-        result = solve(m, v)
+        result = linear_solve(m, v)
         assert result.consistent
         assert apply_matrix(m, result.solution) == v
 
@@ -86,7 +81,7 @@ def test_certificate_verifies_by_pairing():
         rows = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)]
         m = matrix(rows)
         v = [QQ.of(rng.randint(-3, 3)) for _ in range(nrows)]
-        result = solve(m, v)
+        result = linear_solve(m, v)
         if result.consistent:
             continue
         u = result.null_row
@@ -112,12 +107,12 @@ def test_a_sparser_row_below_is_swapped_up_and_the_former_row_cleared(field):
     assert [linalg._dense(row, 3, field) for row in elimination.rows] == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     x = [field.of(1), field.of(2), field.of(3)]
-    result = solve(m, apply_matrix(m, x))
+    result = linear_solve(m, apply_matrix(m, x))
     assert result.solution == x
     # rank 2 with the same swap: row 2 = row 0 + row 1
     deficient = matrix([[1, 1, 1], [2, 0, 0], [3, 1, 1]], field)
     target = [field.zero, field.zero, field.one]
-    result = solve(deficient, target)
+    result = linear_solve(deficient, target)
     assert rank(deficient) == 2
     assert kernel_basis(deficient) == [[field.zero, -field.one, field.one]]
     u = result.null_row
@@ -204,13 +199,30 @@ def test_homology_agrees_with_independent_elimination(example_algebra,
                 assert dim >= 0
 
 
+def test_a_prime_field_block_holds_raw_entries_behind_field_scalars():
+    """Over F_p a block's entries are raw ints, and a block of ModP entries
+    is refused when it is built; ``block_matrix`` converts images of field
+    scalars, and ``rows``, the target and the solution are field scalars."""
+    F = PrimeField(5)
+    with pytest.raises(TypeError, match="raw int"):
+        BlockMatrix([{}, {0: F.of(2)}], (2, 1), F)
+    m = linalg.block_matrix([[("a", F.of(2))], [("a", F.of(1)), ("b", F.of(3))]],
+                            ["a", "b"], F)
+    assert m.entries == [{0: 2, 1: 1}, {1: 3}]
+    assert m.rows == [[F.of(2), F.of(1)], [F.zero, F.of(3)]]
+    v = [F.of(1), F.of(4)]
+    result = linear_solve(m, v)
+    assert all(type(x) is ModP for x in result.solution)
+    assert apply_matrix(m, result.solution) == v
+
+
 def test_prime_field_solves():
     from dglift import PrimeField
     F = PrimeField(5)
     rows = [[F.of(2), F.of(1)], [F.of(1), F.of(2)]]  # det = 3, invertible mod 5
     m = dense_block(rows, 2, F)
     v = [F.of(1), F.of(2)]
-    result = solve(m, v)
+    result = linear_solve(m, v)
     assert result.consistent
     assert apply_matrix(m, result.solution) == v
 
@@ -359,7 +371,7 @@ def test_sparse_solver_matches_dense_oracle(field):
         for target in (hit, noise):
             ref_rank, ref_solution, ref_null, ref_pairing = dense_solve(
                 rows, ncols, target, field)
-            result = solve(m, target)
+            result = linear_solve(m, target)
             assert ref_rank == len(pivots)
             assert result.solution == ref_solution
             assert (result.null_row is None) == (ref_null is None)
@@ -372,7 +384,7 @@ def test_sparse_solver_matches_dense_oracle(field):
                 assert result.pairing == ref_pairing != 0
                 scalars += list(result.null_row.values()) + [result.pairing]
             assert all(type(x) is scalar for x in scalars)
-        assert solve(m, hit).consistent
+        assert linear_solve(m, hit).consistent
 
 
 # -- oracle: the dense block builder and the element-level images it replaced
