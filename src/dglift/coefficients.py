@@ -94,31 +94,33 @@ class ModP:
         return str(self.v)
 
 
-class RationalField:
-    """The field of rationals; scalars are Fractions."""
+class Field:
+    """The ground field of characteristic ``char``: the rationals, whose
+    scalars are Fractions, for 0, else the prime field F_p, whose scalars
+    are ModP values.  ``PrimeField`` checks p; ``QQ`` is Field(0)."""
 
-    char = 0
-    name = "QQ"
-
-    zero = Fraction(0)
-    one = Fraction(1)
+    def __init__(self, char):
+        self.char = char
+        self.name = "FF(%d)" % char if char else "QQ"
+        self.zero = self.of(0)
+        self.one = self.of(1)
 
     def of(self, n):
-        return Fraction(n)
+        return ModP(n, self.char) if self.char else Fraction(n)
 
-    @staticmethod
-    def raw(s):
-        """The elimination's own scalar of the field scalar s: s itself."""
-        return s
+    def raw(self, s):
+        """The elimination's own scalar of the field scalar s: over F_p its
+        residue, the int 0 <= s.v < p, over the rationals s itself."""
+        return s.v if self.char else s
 
     def __eq__(self, other):
-        return isinstance(other, RationalField)
+        return isinstance(other, Field) and other.char == self.char
 
     def __hash__(self):
-        return hash("QQ")
+        return hash(self.char)
 
     def __repr__(self):
-        return "QQ"
+        return self.name
 
 
 # Miller-Rabin to the first 13 prime bases is exact below PRIME_LIMIT, the
@@ -150,40 +152,17 @@ def is_prime(n):
     return True
 
 
-class PrimeField:
-    """The prime field F_p; scalars are ModP values."""
-
-    def __init__(self, p):
-        if p >= PRIME_LIMIT:
-            raise ConstructionError("characteristic must be below %d, the limit "
-                                    "of the exact primality test" % PRIME_LIMIT)
-        if not is_prime(p):
-            raise ConstructionError("characteristic %r is not prime" % (p,))
-        self.char = p
-        self.name = "FF(%d)" % p
-        self.zero = ModP(0, p)
-        self.one = ModP(1, p)
-
-    def of(self, n):
-        return ModP(n, self.char)
-
-    @staticmethod
-    def raw(s):
-        """The elimination's own scalar of the field scalar s: its residue,
-        the int 0 <= s.v < p."""
-        return s.v
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.char == self.char
-
-    def __hash__(self):
-        return hash(("FF", self.char))
-
-    def __repr__(self):
-        return self.name
+def PrimeField(p):
+    """The prime field F_p, for a prime p below PRIME_LIMIT."""
+    if p >= PRIME_LIMIT:
+        raise ConstructionError("characteristic must be below %d, the limit "
+                                "of the exact primality test" % PRIME_LIMIT)
+    if not is_prime(p):
+        raise ConstructionError("characteristic %r is not prime" % (p,))
+    return Field(p)
 
 
-QQ = RationalField()
+QQ = Field(0)
 
 TOO_LONG = "coefficient exceeds the %d-digit limit for integers"
 
@@ -342,9 +321,6 @@ class BaseRing:
 
     def one(self):
         return RingElement(self, {self.unit_mono: self.field.one})
-
-    def scalar(self, n):
-        return RingElement(self, {self.unit_mono: self.field.of(n)})
 
     def gen(self, name):
         if name not in self.gens:

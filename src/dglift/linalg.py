@@ -15,7 +15,6 @@ block's or, at the offsets of a block, a larger system's, and
 ``raw_block`` take raw scalars: the J key maps give them, and the
 gamma-system builder writes them straight in.  A block built over F_p
 from field scalars is refused with a TypeError.  The one
-elimination routineThe one
 elimination routine, ``Elimination.add``, is a sparse forward
 elimination on copies of the rows, in raw scalars: a column index names
 the rows that may hold each column, so a pivot step touches only the
@@ -30,11 +29,12 @@ one batch; ``linear_solve`` feeds one, or the next batch of an
 elimination its caller keeps, so that a system whose equations arrive in
 blocks is decided after each block and can stop at the first block that
 makes it inconsistent.  Solutions and kernel vectors are read off the
-echelon rows by back substitution, which gives the same unique vectors
-(free variables zero) that the fully reduced rows give.  A solve does not carry the transform T along: it logs
-its row operations, and only an inconsistent solve rebuilds the one row
-of T it returns, the pivot row of the target column, by replaying the
-log backwards; that row, and every row of T below it, is the one a full
+echelon rows by the elimination's back substitution, which gives the
+same unique vectors (free variables zero) that the fully reduced rows
+give.  An elimination does not carry the transform T along: it logs its
+row operations, and only an inconsistent solve rebuilds the one row of T
+it returns, the pivot row of the target column, by replaying the log
+backwards; that row, and every row of T below it, is the one a full
 Gauss-Jordan on the same pivot rows gives.  A solve returns the
 solution, or that row as a sparse null functional with its nonzero
 pairing against the target, and nothing else: a caller that wants the
@@ -168,16 +168,17 @@ class Elimination:
     pivot row, which has a unit entry at c and nothing before it in the
     column order; it lists them in the order found, the k-th column's
     pivot row being row k.  A pivot row is never changed again, and a
-    later batch only appends rows and pivots.  With
-    ``track`` the row operations are logged in ``log`` (see ``add``),
-    else ``log`` is None.  Over F_p the scalars are raw ints mod p
+    later batch only appends rows and pivots.  ``log`` holds the row
+    operations in order (see ``add``); ``back_substitute`` and
+    ``transform_row`` read solutions and rows of the transform off the
+    rows, pivots and log.  Over F_p the scalars are raw ints mod p
     throughout.
     """
 
-    def __init__(self, field, track=False):
+    def __init__(self, field):
         self.field = field
         self.rows, self.pivots = [], {}
-        self.log = [] if track else None
+        self.log = []
         self._holders = {}
 
     def add(self, rows):
@@ -198,10 +199,10 @@ class Elimination:
         adds.  One batch fed to a fresh elimination is the whole of a
         one-shot elimination.
 
-        With ``track`` the row operations are logged in order, as ("swap",
-        r, s), ("scale", r, inv) and ("sub", i, f, r) for row i -= f * row
-        r; the transform T with T . original = echelon is their product,
-        and ``_transform_row`` rebuilds any one row of it.  The last pivot
+        The row operations are logged in order, as ("swap", r, s),
+        ("scale", r, inv) and ("sub", i, f, r) for row i -= f * row r; the
+        transform T with T . original = echelon is their product, and
+        ``transform_row`` rebuilds any one row of it.  The last pivot
         row of T and every row below it are those a full Gauss-Jordan on
         the same pivot rows gives, which only adds operations on earlier
         pivot rows.
@@ -236,13 +237,11 @@ class Elimination:
                     for j in work[src]:
                         if j != c:
                             holders[j].add(src)
-                    if log is not None:
-                        log.append(("swap", r, src))
+                    log.append(("swap", r, src))
                 inv = pow(work[r][c], -1, p) if p else self.field.one / work[r][c]
                 if inv != 1:
                     work[r] = _scaled(work[r], inv, p)
-                    if log is not None:
-                        log.append(("scale", r, inv))
+                    log.append(("scale", r, inv))
                 pivots[c] = r
                 r += 1
             else:
@@ -269,53 +268,51 @@ class Elimination:
                         except KeyError:  # a column only an earlier pivot row held
                             holders[j] = {i}
                             insort(columns, -j)
-                if log is not None:
-                    log.append(("sub", i, f, k))
+                log.append(("sub", i, f, k))
 
+    def back_substitute(self, x):
+        """Extend ``x``, raw scalars on non-pivot columns, to the pivot
+        columns so that each pivot row pairs with it to zero: the greatest
+        pivot column first, each from the values already set."""
+        p, rows = self.field.char, self.rows
+        for c, k in sorted(self.pivots.items(), reverse=True):
+            s = sum(a * x[j] for j, a in rows[k].items() if j in x)
+            if p:
+                s %= p
+            if s:
+                x[c] = -s % p if p else -s
+        return x
 
-def _back_substitute(rows, pivots, x, p):
-    """Extend ``x``, raw scalars on non-pivot columns, to the pivot
-    columns so that each pivot row of an ``Elimination`` pairs with it to
-    zero: the greatest pivot column first, each from the values already
-    set."""
-    for c, k in sorted(pivots.items(), reverse=True):
-        s = sum(a * x[j] for j, a in rows[k].items() if j in x)
-        if p:
-            s %= p
-        if s:
-            x[c] = -s % p if p else -s
-    return x
+    def transform_row(self, q):
+        """Row q of the transform T over the rows fed so far, as a sparse
+        row of raw scalars.
 
-
-def _transform_row(log, q, m, field):
-    """Row q of the transform T of an ``Elimination`` log over m rows, as
-    a sparse row.
-
-    e_q . T is e_q times the logged operations' matrices, last operation
-    first, so the log is replayed backwards on a row vector v: a swap
-    exchanges v_r and v_s, a scaling sets v_r = v_r * inv, and row i -=
-    f * row r sets v_r = v_r - f * v_i.  Exact arithmetic makes this the
-    very row that tracking T through the elimination gives.
-    """
-    p = field.char
-    v = [0] * m
-    v[q] = 1 if p else field.one
-    for op in reversed(log):
-        if op[0] == "sub":
-            _, i, f, r = op
-            if v[i]:
-                v[r] = (v[r] - f * v[i]) % p if p else v[r] - f * v[i]
-        elif op[0] == "scale":
-            _, r, inv = op
-            v[r] = v[r] * inv % p if p else v[r] * inv
-        else:
-            _, r, s = op
-            v[r], v[s] = v[s], v[r]
-    return {j: x for j, x in enumerate(v) if x}
+        e_q . T is e_q times the logged operations' matrices, last
+        operation first, so the log is replayed backwards on a row vector
+        v: a swap exchanges v_r and v_s, a scaling sets v_r = v_r * inv,
+        and row i -= f * row r sets v_r = v_r - f * v_i.  Exact arithmetic
+        makes this the very row that tracking T through the elimination
+        gives.
+        """
+        p = self.field.char
+        v = [0] * len(self.rows)
+        v[q] = 1 if p else self.field.one
+        for op in reversed(self.log):
+            if op[0] == "sub":
+                _, i, f, r = op
+                if v[i]:
+                    v[r] = (v[r] - f * v[i]) % p if p else v[r] - f * v[i]
+            elif op[0] == "scale":
+                _, r, inv = op
+                v[r] = v[r] * inv % p if p else v[r] * inv
+            else:
+                _, r, s = op
+                v[r], v[s] = v[s], v[r]
+        return {j: x for j, x in enumerate(v) if x}
 
 
 def _echelon(matrix: BlockMatrix) -> Elimination:
-    """The matrix's rows eliminated in one batch, without a log."""
+    """The matrix's rows eliminated in one batch."""
     elimination = Elimination(matrix.field)
     elimination.add([dict(row) for row in matrix.entries])
     return elimination
@@ -329,11 +326,9 @@ def kernel_basis(matrix: BlockMatrix) -> list:
     """Basis of ker(matrix) as source-coordinate vectors, echelon order:
     one per free column, which it sets to 1 and every other free column
     to 0."""
-    field = matrix.field
     ncols = matrix.shape[1]
     echelon = _echelon(matrix)
-    return [_dense(_back_substitute(echelon.rows, echelon.pivots, {free: 1}, field.char),
-                   ncols, field)
+    return [_dense(echelon.back_substitute({free: 1}), ncols, matrix.field)
             for free in range(ncols) if free not in echelon.pivots]
 
 
@@ -345,7 +340,7 @@ def linear_solve(matrix: BlockMatrix, target: list, elimination=None) -> SolveRe
     one selected by the fixed basis order.  On failure the null row refers
     to the original (unreduced) rows.
 
-    ``elimination``, a tracking ``Elimination`` that earlier calls fed,
+    ``elimination``, an ``Elimination`` that earlier calls fed,
     makes the rows of matrix and target its next batch: the result is that
     of every row fed so far, the null row numbering them in the order they
     came.  Each batch's matrix spans every column an earlier batch holds,
@@ -358,31 +353,23 @@ def linear_solve(matrix: BlockMatrix, target: list, elimination=None) -> SolveRe
         raise ValueError("target length %d does not match %d matrix rows"
                          % (len(target), m))
     if elimination is None:
-        elimination = Elimination(field, track=True)
+        elimination = Elimination(field)
     # copies: the elimination works in place, and the matrix keeps its rows
     augmented = [dict(row) for row in matrix.entries]
     for row, t in zip(augmented, target):
         if t:
             row[TARGET] = raw(t)
     elimination.add(augmented)
-    rows = elimination.rows
     q = elimination.pivots.get(TARGET)
     if q is not None:
         # a pivot in the target column exhibits the inconsistency; T takes
         # the targets to that row's one entry, so it is u . target
-        row = _transform_row(elimination.log, q, len(rows), field)
-        u = {i: field.of(x) for i, x in row.items()}
-        return SolveResult(None, u, field.of(rows[q][TARGET]))
+        u = {i: field.of(x) for i, x in elimination.transform_row(q).items()}
+        return SolveResult(None, u, field.of(elimination.rows[q][TARGET]))
     # x[TARGET] = -1 puts the target on the right: A x = target
-    x = _back_substitute(rows, elimination.pivots, {TARGET: p - 1 if p else -1}, p)
+    x = elimination.back_substitute({TARGET: p - 1 if p else -1})
     del x[TARGET]
     return SolveResult(_dense(x, ncols, field), None, None)
-
-
-def apply_matrix(matrix: BlockMatrix, vec: list) -> list:
-    zero = matrix.field.zero
-    return [sum((a * vec[j] for j, a in row.items()), zero)
-            for row in matrix.entries]
 
 
 def homology_dim(d_in: BlockMatrix, d_out: BlockMatrix) -> int:

@@ -76,7 +76,7 @@ from bisect import bisect_right
 
 from . import linalg
 from .envelope import (delta, diagonal_block_keys, diagonal_key_diff,
-                       diagonal_key_left, diagonal_key_right, diagonal_label)
+                       diagonal_key_left, diagonal_key_right)
 from .errors import ConstructionError
 from .lincomb import merge
 from .semifree import SemifreeModule, TensorJElement
@@ -293,7 +293,7 @@ class GammaBlocks:
         """The name of equation row i."""
         l, k, key = self.block_of(i)
         N = self.module
-        return "eq_%s[%s⊗%s]" % (N.labels[l], N.labels[k], diagonal_label(N.algebra, key))
+        return "eq_%s[%s]" % (N.labels[l], N.tensor_key_label((N.labels[k],) + key))
 
 
 def gamma_layout(N: SemifreeModule):
@@ -390,7 +390,7 @@ def check_lift(N: SemifreeModule) -> ObstructionReport:
     tag = METHOD_RANK2 if N.rank == 2 else METHOD_GLOBAL
     layout = gamma_layout(N)
     equations = layout[1]
-    elimination = linalg.Elimination(N.algebra.field, track=True)
+    elimination = linalg.Elimination(N.algebra.field)
     solution = []
     for lam, label in enumerate(N.labels):
         if equations.through(lam) == equations.bounds[lam]:

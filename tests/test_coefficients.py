@@ -80,6 +80,19 @@ def test_graded_basis_examples(qxy_mod_xy):
     assert [qxy_mod_xy.render_mono(m) for m in qxy_mod_xy.graded_basis(0)] == ["1"]
 
 
+def test_fields_are_equal_exactly_when_their_characteristics_are():
+    """QQ and each PrimeField(p) are one field class: equal and hashed
+    alike by characteristic, named as the problem language writes them,
+    with Fraction or ModP scalars and the elimination's raw scalars."""
+    F7 = PrimeField(7)
+    assert F7 == PrimeField(7) and hash(F7) == hash(PrimeField(7))
+    assert len({QQ, PrimeField(2), F7, PrimeField(7)}) == 3
+    assert QQ != PrimeField(2) != F7 != QQ
+    assert (repr(QQ), repr(F7)) == ("QQ", "FF(7)")
+    assert type(QQ.one) is Fraction and type(F7.one) is ModP
+    assert QQ.raw(QQ.of(3)) == 3 and F7.raw(F7.of(-1)) == 6
+
+
 def test_construction_errors():
     with pytest.raises(ConstructionError):
         BaseRing(QQ, ("x", "x"), (1, 1), [])

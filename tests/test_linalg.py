@@ -4,16 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from dglift import (BlockMatrix, CompositionNonzero, DGLiftError, PrimeField, QQ,
-                    delta, homology_dim, kernel_basis, linear_solve, parse_problem,
-                    rank)
+from dglift import (BlockMatrix, CompositionNonzero, ConstructionError, DGLiftError,
+                    PrimeField, QQ, delta, homology_dim, kernel_basis, linear_solve,
+                    parse_problem, rank)
 from dglift import linalg
 from dglift.coefficients import ModP, RingElement, multiplication_block
 from dglift.envelope import (DiagonalElement, EnvelopeElement, diagonal_block_keys,
                              diagonal_diff_block, diagonal_homology_dim, diagonal_key_diff,
                              diagonal_key_left, diagonal_key_right, sigma)
 from dglift.free_dga import AlgebraElement
-from dglift.linalg import apply_matrix
 from dglift.obstruction import _certificate_head, criterion_rhs, gamma_layout
 from dglift.semifree import ModuleElement, TensorJElement
 
@@ -31,6 +30,12 @@ def matrix(rows, field=QQ):
     rows = [[field.of(x) for x in row] for row in rows]
     nc = len(rows[0]) if rows else 0
     return dense_block(rows, nc, field)
+
+
+def apply_matrix(matrix, vec):
+    """matrix . vec, for a vector of field scalars."""
+    zero = matrix.field.zero
+    return [sum((a * vec[j] for j, a in row.items()), zero) for row in matrix.entries]
 
 
 def oracle_rank(rows, field):
@@ -99,7 +104,7 @@ def test_a_sparser_row_below_is_swapped_up_and_the_former_row_cleared(field):
     The same happens at column 1 with rows 1 and 2."""
     rows = [[1, 1, 1], [2, 0, 0], [0, 1, 0]]
     m = matrix(rows, field)
-    elimination = linalg.Elimination(field, track=True)
+    elimination = linalg.Elimination(field)
     elimination.add([dict(row) for row in m.entries])
     assert list(elimination.pivots) == [0, 1, 2]
     assert [op for op in elimination.log if op[0] == "swap"] == [
@@ -120,6 +125,37 @@ def test_a_sparser_row_below_is_swapped_up_and_the_former_row_cleared(field):
     assert not any(sum((a * col[i] for i, a in u.items()), field.zero)
                    for col in zip(*deficient.rows))
     assert result.pairing == u[2] != 0
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "FF7"])
+def test_a_resumed_batch_fills_in_a_column_an_earlier_batch_retired(field):
+    """The batch [x0 + x1 = 1, x0 + x1 = 1] pivots column 0 and leaves a
+    zero row, so column 1 finds no pivot and is retired; clearing x0 = 0
+    of column 0 in the next batch fills column 1 back in, which must then
+    be taken.  The resumed solve is the one-shot solve and the dense
+    oracle's."""
+    first, second = matrix([[1, 1], [1, 1]], field), matrix([[1, 0]], field)
+    elimination = linalg.Elimination(field)
+    assert linear_solve(first, [field.one, field.one], elimination).consistent
+    assert list(elimination.pivots) == [0]
+    result = linear_solve(second, [field.zero], elimination)
+    assert list(elimination.pivots) == [0, 1]
+    assert ("swap", 1, 2) in elimination.log  # the filled-in row 2 is column 1's pivot
+    both = matrix([[1, 1], [1, 1], [1, 0]], field)
+    target = [field.one, field.one, field.zero]
+    assert result.solution == linear_solve(both, target).solution == [field.zero, field.one]
+    assert result.solution == dense_solve(both.rows, 2, target, field)[1]
+
+
+def test_malformed_inputs_are_refused():
+    """An image key outside the target basis, a target of the wrong
+    length, and blocks that do not share a middle basis."""
+    with pytest.raises(ConstructionError, match="does not lie in the chosen block"):
+        linalg.write_images([{}], [[("b", 1)]], {"a": 0})
+    with pytest.raises(ValueError, match="target length 1 does not match 2"):
+        linear_solve(matrix([[1], [0]]), [QQ.one])
+    with pytest.raises(ValueError, match="do not share the middle basis"):
+        homology_dim(matrix([[1, 0]]), matrix([[1, 0]]))
 
 
 def test_solve_result_without_a_solution_is_inconsistent():
@@ -344,9 +380,9 @@ def test_sparse_solver_matches_dense_oracle(field):
         _, ref_pivots, ref_transform = dense_eliminate(
             rows, ncols, field, True)
         assert m.rows == rows
-        elimination = linalg.Elimination(field, track=True)
+        elimination = linalg.Elimination(field)
         elimination.add([dict(row) for row in m.entries])
-        pivots, log = list(elimination.pivots), elimination.log
+        pivots = list(elimination.pivots)
         assert pivots == ref_pivots
         assert list(elimination.pivots.values()) == list(range(len(pivots)))
         echelon = [linalg._dense(row, ncols, field) for row in elimination.rows]
@@ -355,8 +391,8 @@ def test_sparse_solver_matches_dense_oracle(field):
             assert row[pc] == 1 and not any(row[:pc])
         assert not any(x for row in echelon[len(pivots):] for x in row)
         # T, rebuilt from the operation log, takes the original rows to these
-        transform = [linalg._dense(linalg._transform_row(log, q, nrows, field),
-                                   nrows, field) for q in range(nrows)]
+        transform = [linalg._dense(elimination.transform_row(q), nrows, field)
+                     for q in range(nrows)]
         for t_row, row in zip(transform, echelon):
             assert [sum((t * orig[j] for t, orig in zip(t_row, rows)), field.zero)
                     for j in range(ncols)] == row
