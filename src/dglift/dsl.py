@@ -34,8 +34,14 @@ already settled would fix it.
 One walk, `_read_diffs`, reads the `| d<name> = ...` part of algebra and
 module declarations alike and yields each differential as it is read, so
 a line's defects are reported in reading order; a repeated d<name> is a
-parse error.  Every construction error raised by the algebra layers is
-re-raised with the source line of the declaration that caused it.
+parse error.
+
+Each line is read as tokens that are their own values: a name or a symbol
+is its text, an integer its int, and the end of the line None; a name is a
+text outside the symbol set.  A ring line's construction errors (its
+field, its generators, its relations) are parse errors of the line, exit 2
+on the command line.  An algebra's or a module's are construction errors,
+exit 1, that carry the line of their declaration.
 """
 
 import re
@@ -49,45 +55,32 @@ from .free_dga import AlgebraElement, FreeDGAlgebra, Variable
 from .lincomb import merge
 from .semifree import ModuleElement, SemifreeModule
 
+_SYMBOLS = frozenset("<>|,:/()*+-^=[]")
 # one alternative per token kind; the last catches any other character
-_TOKEN = re.compile(
-    r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)"
-    r"|(\d+)"
-    r"|(<|>|\||,|:|/|\(|\)|\*|\+|-|\^|=|\[|\])"
-    r"|(\S))")
-
-
-def _tokenize(text, line_no):
-    tokens = []
-    for name, digits, sym, bad in _TOKEN.findall(text):
-        if name:
-            tokens.append(("name", name))
-        elif sym:
-            tokens.append(("sym", sym))
-        elif digits:
-            try:
-                tokens.append(("int", int(digits)))
-            except ValueError:  # beyond the interpreter's digit limit
-                raise ParseError("integer literal of %d digits is too long"
-                                 % len(digits), line_no)
-        else:
-            raise ParseError("unexpected character %r" % bad, line_no)
-    return tokens
-
-
-_END = (None, None)
+_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(\d+)|([%s])|(\S))"
+                    % re.escape("".join(_SYMBOLS)))
 
 
 class _Tokens:
-    """A cursor over one line's tokens, which end in the sentinel _END."""
+    """A cursor over the tokens of one line, each its own value: a name or
+    a symbol is its text, an integer its int, and the end of the line None."""
 
-    def __init__(self, tokens, line_no):
-        self.tokens = tokens + [_END]
+    def __init__(self, text, line_no):
+        self.tokens = []
+        for name, digits, sym, bad in _TOKEN.findall(text):
+            if digits:
+                try:
+                    self.tokens.append(int(digits))
+                except ValueError:  # beyond the interpreter's digit limit
+                    raise ParseError("integer literal of %d digits is too long"
+                                     % len(digits), line_no)
+            elif bad:
+                raise ParseError("unexpected character %r" % bad, line_no)
+            else:
+                self.tokens.append(name or sym)
+        self.tokens.append(None)
         self.line = line_no
         self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -95,46 +88,44 @@ class _Tokens:
         return tok
 
     def at_sym(self, *symbols):
-        kind, value = self.tokens[self.pos]
-        return kind == "sym" and value in symbols
+        return self.tokens[self.pos] in symbols
 
     def eat_sym(self, symbol):
-        kind, value = self.tokens[self.pos]
-        if kind == "sym" and value == symbol:
+        if self.tokens[self.pos] == symbol:
             self.pos += 1
             return True
         return False
 
-    def error(self, expected, value):
-        """The ParseError "expected <expected>, found <value>" on this line,
-        where the value None of the sentinel reads "end of line"."""
-        found = "end of line" if value is None else repr(value)
+    def error(self, expected, tok):
+        """The ParseError "expected <expected>, found <tok>" on this line,
+        where the end of the line, None, reads "end of line"."""
+        found = "end of line" if tok is None else repr(tok)
         return ParseError("expected %s, found %s" % (expected, found), self.line)
 
     def expect_sym(self, symbol):
-        kind, value = self.next()
-        if kind != "sym" or value != symbol:
-            raise self.error(repr(symbol), value)
+        tok = self.next()
+        if tok != symbol:
+            raise self.error(repr(symbol), tok)
 
     def expect_name(self):
-        kind, value = self.next()
-        if kind != "name":
-            raise self.error("a name", value)
-        return value
+        tok = self.next()
+        if tok.__class__ is not str or tok in _SYMBOLS:
+            raise self.error("a name", tok)
+        return tok
 
     def expect_int(self):
         sign = -1 if self.eat_sym("-") else 1
-        kind, value = self.next()
-        if kind != "int":
-            raise self.error("an integer", value)
-        return sign * value
+        tok = self.next()
+        if tok.__class__ is not int:
+            raise self.error("an integer", tok)
+        return sign * tok
 
     def done(self):
-        return self.tokens[self.pos] is _END
+        return self.tokens[self.pos] is None
 
     def expect_done(self):
         if not self.done():
-            raise ParseError("trailing input %r" % (self.peek()[1],), self.line)
+            raise ParseError("trailing input %r" % (self.tokens[self.pos],), self.line)
 
 
 class ProblemDescription:
@@ -190,57 +181,48 @@ def _factorial(n, field, line):
     return field.of(factorial(n))
 
 
-def _power(base_kind, base, n, divided, ts, field):
-    """A power factor: ("alg", (scalar, monomial)) or ("ring", monomial)."""
-    if base_kind == "var":
-        var, mono = base
-        mono = tuple(n * e for e in mono)
-        if divided:
-            if var.is_odd:
-                raise ParseError("divided power of the odd variable %s" % var.name,
-                                 ts.line)
-            return "alg", (field.one, mono)
-        if var.is_odd:  # X^0 = 1, X^1 = X, X^n = 0 beyond
-            return "alg", (field.zero if n > 1 else field.one, mono)
-        return "alg", (_factorial(n, field, ts.line), mono)
-    if base_kind == "ring":
+def _parse_factor(ts, env, field):
+    """One factor, a power read in place: ("scalar", int or Fraction),
+    ("label", label), ("ring", monomial) or ("alg", (scalar, monomial))."""
+    tok = ts.next()
+    if tok.__class__ is int:
+        if ts.eat_sym("/"):
+            den = ts.expect_int()
+            if den == 0:
+                raise ParseError("zero denominator", ts.line)
+            return "scalar", Fraction(tok, den)
+        return "scalar", tok
+    if tok is None or tok in _SYMBOLS:
+        raise ts.error("a factor", tok)
+    if tok not in env:
+        raise UndeclaredName("undeclared name %r" % tok, ts.line)
+    kind, base = env[tok]
+    if not ts.eat_sym("^"):
+        return ("alg", (field.one, base[1])) if kind == "var" else (kind, base)
+    divided = ts.eat_sym("(")
+    n = ts.expect_int()
+    if divided:
+        ts.expect_sym(")")
+    if n < 0:
+        raise ParseError("negative divided power" if divided
+                         else "negative exponent", ts.line)
+    if kind == "ring":
         if divided:
             raise ParseError("divided powers only apply to even algebra variables",
                              ts.line)
         if not n:
             raise ParseError("zero exponent is not part of the grammar", ts.line)
         return "ring", tuple(n * e for e in base)
-    raise ParseError("cannot raise %r to a power" % (base_kind,), ts.line)
-
-
-def _parse_factor(ts, env, field):
-    kind, value = ts.peek()
-    if kind == "int":
-        ts.next()
-        if ts.eat_sym("/"):
-            den = ts.expect_int()
-            if den == 0:
-                raise ParseError("zero denominator", ts.line)
-            return ("scalar", Fraction(value, den))
-        return ("scalar", value)
-    if kind != "name":
-        raise ts.error("a factor", value)
-    ts.next()
-    if value not in env:
-        raise UndeclaredName("undeclared name %r" % value, ts.line)
-    base_kind, base = env[value]
-    if ts.eat_sym("^"):
-        divided = ts.eat_sym("(")
-        n = ts.expect_int()
+    if kind != "var":
+        raise ParseError("cannot raise %r to a power" % (kind,), ts.line)
+    var, mono = base
+    mono = tuple(n * e for e in mono)
+    if var.is_odd:  # X^0 = 1, X^1 = X, X^n = 0 beyond
         if divided:
-            ts.expect_sym(")")
-        if n < 0:
-            raise ParseError("negative divided power" if divided
-                             else "negative exponent", ts.line)
-        return _power(base_kind, base, n, divided, ts, field)
-    if base_kind == "var":
-        return "alg", (field.one, base[1])
-    return base_kind, base
+            raise ParseError("divided power of the odd variable %s" % var.name,
+                             ts.line)
+        return "alg", (field.zero if n > 1 else field.one, mono)
+    return "alg", (field.one if divided else _factorial(n, field, ts.line), mono)
 
 
 def _scalar(literal, field, line):
@@ -341,7 +323,7 @@ def _parse_expression(ts, env, algebra):
 def parse_algebra_element(problem, text):
     """Evaluate an expression (no module labels) in the problem's algebra."""
     B = problem.algebra
-    ts = _Tokens(_tokenize(text, None), None)
+    ts = _Tokens(text, None)
     if ts.done():
         raise ParseError("empty expression")
     parts = _parse_expression(ts, _env(B.ring, B.vars), B)
@@ -353,41 +335,41 @@ def parse_algebra_element(problem, text):
 
 
 def _parse_ring_tokens(ts):
-    field_name = ts.expect_name()
-    if field_name == "QQ":
-        ground = QQ
-    elif field_name == "FF":
-        ts.expect_sym("(")
-        p = ts.expect_int()
-        ts.expect_sym(")")
-        try:
-            ground = PrimeField(p)
-        except ConstructionError as exc:
-            raise ParseError(str(exc), ts.line)
-    else:
-        raise ParseError("unknown ground field %r (use QQ or FF(p))" % field_name,
-                         ts.line)
-    gens, degrees = [], []
-    if ts.eat_sym("["):
-        while True:
-            gens.append(ts.expect_name())
-            ts.expect_sym(":")
-            degrees.append(ts.expect_int())
-            if ts.eat_sym("]"):
-                break
-            ts.expect_sym(",")
-    relations = []
-    if ts.eat_sym("/"):
-        ts.expect_sym("(")
-        probe = BaseRing(ground, tuple(gens), tuple(degrees), [])
-        env = _env(probe)
-        while True:
-            relations.append(_relation_monomial(_parse_sum(ts, env, probe, None),
-                                                ground, ts))
-            if ts.eat_sym(")"):
-                break
-            ts.expect_sym(",")
+    """The ring of a declaration; a ConstructionError of the field, of the
+    probe ring the relations are read in, or of the ring itself is a
+    ParseError of the line."""
     try:
+        field_name = ts.expect_name()
+        if field_name == "QQ":
+            ground = QQ
+        elif field_name == "FF":
+            ts.expect_sym("(")
+            p = ts.expect_int()
+            ts.expect_sym(")")
+            ground = PrimeField(p)
+        else:
+            raise ParseError("unknown ground field %r (use QQ or FF(p))"
+                             % field_name, ts.line)
+        gens, degrees = [], []
+        if ts.eat_sym("["):
+            while True:
+                gens.append(ts.expect_name())
+                ts.expect_sym(":")
+                degrees.append(ts.expect_int())
+                if ts.eat_sym("]"):
+                    break
+                ts.expect_sym(",")
+        relations = []
+        if ts.eat_sym("/"):
+            ts.expect_sym("(")
+            probe = BaseRing(ground, tuple(gens), tuple(degrees), [])
+            env = _env(probe)
+            while True:
+                relations.append(_relation_monomial(
+                    _parse_sum(ts, env, probe, None), ground, ts))
+                if ts.eat_sym(")"):
+                    break
+                ts.expect_sym(",")
         return BaseRing(ground, tuple(gens), tuple(degrees), relations)
     except ConstructionError as exc:
         raise ParseError(str(exc), ts.line)
@@ -404,7 +386,7 @@ def _relation_monomial(parts, field, ts):
 
 def parse_ring(text):
     """The ring sub-grammar: `QQ`, `FF(p)`, `QQ[x:1,y:1]/(x*y, ...)`."""
-    ts = _Tokens(_tokenize(text.strip(), None), None)
+    ts = _Tokens(text, None)
     ring = _parse_ring_tokens(ts)
     ts.expect_done()
     return ring
@@ -483,13 +465,8 @@ def _parse_algebra_decl(ts, ring_name, ring):
                 raise ParseError("d%s is not internally homogeneous" % vname, ts.line)
         variables.append((vname, degree,
                           _settle_weight(vname, weight, forced, degree, ts.line)))
-    try:
-        algebra = FreeDGAlgebra(ring, [Variable(*v) for v in variables],
-                                {v: dx.coeffs for v, dx in diffs.items() if dx})
-    except ConstructionError as exc:
-        exc.line = ts.line
-        raise
-    return name, algebra
+    return name, FreeDGAlgebra(ring, [Variable(*v) for v in variables],
+                               {v: dx.coeffs for v, dx in diffs.items() if dx})
 
 
 def _parse_module_decl(ts, algebra_name, B):
@@ -537,12 +514,8 @@ def _parse_module_decl(ts, algebra_name, B):
         weights.append(_settle_weight(lab, declared, forced, 0, ts.line))
     structure = {(mu, lam): value for lam, entries in diffs.items()
                  for mu, value in entries.items()}
-    try:
-        module = SemifreeModule(B, labels, [s[1] for s in specs], weights, structure)
-    except ConstructionError as exc:
-        exc.line = ts.line
-        raise
-    return name, module
+    return name, SemifreeModule(B, labels, [s[1] for s in specs], weights,
+                                structure)
 
 
 def default_module_weights(module):
@@ -568,34 +541,41 @@ def parse_problem(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        ts = _Tokens(_tokenize(line, line_no), line_no)
+        ts = _Tokens(line, line_no)
         head = ts.expect_name()
-        if head == "ring":
-            if ring is not None:
-                raise ParseError("a problem declares exactly one ring", line_no)
-            ring_name = ts.expect_name()
-            ts.expect_sym("=")
-            ring = _parse_ring_tokens(ts)
-            ts.expect_done()
-        elif head == "algebra":
-            if algebra is not None:
-                raise ParseError("a problem declares exactly one algebra", line_no)
-            if ring is None:
-                raise ParseError("declare the ring before the algebra", line_no)
-            algebra_name, algebra = _parse_algebra_decl(ts, ring_name, ring)
-            ts.expect_done()
-            if algebra_name == ring_name:
-                raise ParseError("name %r is already in use" % algebra_name, line_no)
-        elif head == "module":
-            if algebra is None:
-                raise ParseError("declare the algebra before any module", line_no)
-            mname, module = _parse_module_decl(ts, algebra_name, algebra)
-            ts.expect_done()
-            if mname in (ring_name, algebra_name) or mname in modules:
-                raise ParseError("name %r is already in use" % mname, line_no)
-            modules[mname] = module
-        else:
-            raise ParseError("unknown declaration %r" % head, line_no)
+        try:
+            if head == "ring":
+                if ring is not None:
+                    raise ParseError("a problem declares exactly one ring", line_no)
+                ring_name = ts.expect_name()
+                ts.expect_sym("=")
+                ring = _parse_ring_tokens(ts)
+                ts.expect_done()
+            elif head == "algebra":
+                if algebra is not None:
+                    raise ParseError("a problem declares exactly one algebra",
+                                     line_no)
+                if ring is None:
+                    raise ParseError("declare the ring before the algebra", line_no)
+                algebra_name, algebra = _parse_algebra_decl(ts, ring_name, ring)
+                ts.expect_done()
+                if algebra_name == ring_name:
+                    raise ParseError("name %r is already in use" % algebra_name,
+                                     line_no)
+            elif head == "module":
+                if algebra is None:
+                    raise ParseError("declare the algebra before any module",
+                                     line_no)
+                mname, module = _parse_module_decl(ts, algebra_name, algebra)
+                ts.expect_done()
+                if mname in (ring_name, algebra_name) or mname in modules:
+                    raise ParseError("name %r is already in use" % mname, line_no)
+                modules[mname] = module
+            else:
+                raise ParseError("unknown declaration %r" % head, line_no)
+        except ConstructionError as exc:  # an algebra's or a module's check
+            exc.line = line_no
+            raise
     if algebra is None:
         raise ParseError("a problem needs a ring and an algebra", None)
     return ProblemDescription(ring_name, ring, algebra_name, algebra, modules)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from dglift import parse_problem
+from dglift import ParseError, parse_problem
 from dglift.cli import emit_report, main, run_command
 
 from conftest import GOLDEN, golden_text
@@ -192,6 +192,20 @@ def test_run_command_programmatic_obstruction():
     values = {item["basis"]: item["value"] for item in entry["obstruction"]}
     assert values["e"] == "0"
     assert values["ep"] == "e ⊗ (-1^o⊗X*Y · y + (X*Y)^o⊗1 · y)"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda p: emit_report(run_command("validate", p), "xml"), ValueError,
+     "unknown format 'xml'"),
+    (lambda p: run_command("delta", p), ParseError,
+     "delta needs --element <expression>"),
+    (lambda p: run_command("homology", p), ParseError, "homology needs --bidegree n,w"),
+    (lambda p: run_command("selftest", p), ParseError, "unknown command 'selftest'"),
+], ids=["format", "delta", "homology", "command"])
+def test_run_command_refuses_what_the_command_line_cannot_send(call, error, message):
+    with pytest.raises(error) as info:
+        call(parse_problem(golden_text("liftable.dgp")))
+    assert str(info.value) == message
 
 
 def test_usage_error_exit_code(capsys):
@@ -468,6 +482,16 @@ DIGITS = "1" * 4000  # under the digit limit; a product of two is over it
          "line 2: negative divided power"),
         (ALGEBRA, ("delta", "--element", ""), 2, "empty expression"),
         ("ring R = QQ[x:1,x:1]\n", VALIDATE, 2, "line 1: duplicate ring generator"),
+        # a ring with relations checks its generators before the relations
+        # are read, and reports them the same way
+        ("ring R = QQ[x:1,x:1]/(x)\n", VALIDATE, 2,
+         "line 1: duplicate ring generator", "duplicate-generator-before-relations"),
+        ("ring R = QQ[x:0]/(x)\n", VALIDATE, 2,
+         "line 1: generator x has non-positive internal degree 0"),
+        (RING + "algebra R = R<X:1 | dX = x>\n", VALIDATE, 2,
+         "line 2: name 'R' is already in use", "algebra-named-like-the-ring"),
+        (ALGEBRA, ("homology", "--bidegree", "3"), 2, "--bidegree expects n,w"),
+        (ALGEBRA, ("homology", "--bidegree", "a,b"), 2, "--bidegree expects integers"),
         ("ring R = QQ[x:1]/(x - x)\n", VALIDATE, 2,
          "line 1: a relation must be a single monomial"),
         ("ring R = QQ[x:1,y:1]/(x+y)\n", VALIDATE, 2,

@@ -104,6 +104,18 @@ def test_construction_errors():
         PrimeField(6)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: BaseRing(QQ, ("x", "y"), (1,), []), ConstructionError,
+     "need one internal degree per generator"),
+    (lambda: BaseRing(QQ, ("x",), (1,), []).gen("y"), KeyError,
+     "no ring generator named 'y'"),
+], ids=["degrees", "gen"])
+def test_malformed_ring_calls_are_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.args[0] == message
+
+
 def test_relation_minimalisation():
     # x^2*y is divisible by x*y and gets dropped from the generating set
     R = BaseRing(QQ, ("x", "y"), (1, 1), [(1, 1), (2, 1)])

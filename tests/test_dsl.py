@@ -379,7 +379,7 @@ def test_terms_fold_like_element_products(field):
     elements: Koszul signs, binomials, factorials, relations and scalars."""
     import random
 
-    from dglift.dsl import _env, _parse_expression, _tokenize, _Tokens
+    from dglift.dsl import _env, _parse_expression, _Tokens
 
     problem = parse_problem("ring R = %s[x:1,y:2]/(x^3, x*y^2)\n"
                             "algebra B = R<X:1, Y:2, Z:3, W:4>\n" % field)
@@ -397,7 +397,7 @@ def test_terms_fold_like_element_products(field):
         for _, label, el in terms:
             total[label] = total[label] + el if label in total else el
         text = " + ".join(t for t, _, _ in terms).replace("+ -", "- ")
-        ts = _Tokens(_tokenize(text, 1), 1)
+        ts = _Tokens(text, 1)
         parts = _parse_expression(ts, env, B)
         assert ts.done()
         assert parts == {lab: el for lab, el in total.items() if el}, text

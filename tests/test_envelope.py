@@ -1,11 +1,13 @@
 import random
 from pathlib import Path
 
-from dglift import (DGLiftError, EnvelopeElement, delta, diagonal_basis,
-                    op_inclusion, parse_problem, pi, rho, sigma)
+import pytest
+
+from dglift import (ConstructionError, DGLiftError, EnvelopeElement, delta,
+                    diagonal_basis, op_inclusion, parse_problem, pi, rho, sigma)
 from dglift.coefficients import ring_mono_key
-from dglift.envelope import (diagonal_block_keys, diagonal_diff_block,
-                             diagonal_label, envelope_basis)
+from dglift.envelope import (DiagonalElement, diagonal_block_keys,
+                             diagonal_diff_block, diagonal_label, envelope_basis)
 from dglift.randomgen import (random_algebra, random_algebra_element,
                               random_diagonal_element, random_envelope_element,
                               standard_rings)
@@ -114,6 +116,13 @@ def test_diagonal_basis_lies_in_the_kernel_of_pi(example_algebra):
         for w in range(0, 6):
             for el in diagonal_basis(B, n, w):
                 assert not pi(el.to_envelope())
+
+
+def test_sigma_coordinates_refuse_a_unit_left_factor(example_algebra):
+    B = example_algebra
+    with pytest.raises(ConstructionError) as info:
+        DiagonalElement(B, {(B.unit_mono, next(iter(B.gen("X").coeffs))): B.ring.one()})
+    assert str(info.value) == "sigma coordinates require m1 != 1"
 
 
 def test_differential_block_of_the_example(example_algebra):

@@ -59,6 +59,17 @@ def test_grading_violation_rejected(ring):
         FreeDGAlgebra(ring, [Variable("X", 1, 2)], {"X": {(0,): x}})
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda B: B.divided_power("X", 2), "divided powers only exist for even variables"),
+    (lambda B: B.from_ring(parse_ring("QQ[x:1]").gen("x")),
+     "coefficient from a different base ring"),
+], ids=["divided-power", "from-ring"])
+def test_misused_algebra_calls_are_refused(B, call, message):
+    with pytest.raises(ConstructionError) as info:
+        call(B)
+    assert str(info.value) == message
+
+
 def test_product_examples(B):
     X, Y = B.gen("X"), B.gen("Y")
     assert not X * X

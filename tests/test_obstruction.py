@@ -37,6 +37,8 @@ def test_obstruction_vanishes_for_zero_differential(example_algebra):
 def test_obstruction_modes_agree_on_examples(module_n, module_m):
     for N in (module_n, module_m):
         assert obstruction_values(N, "formula") == obstruction_values(N, "splitting")
+    with pytest.raises(ValueError, match="^unknown mode 'matrix'$"):
+        obstruction_values(module_n, "matrix")
 
 
 def test_connection_examples(module_n):

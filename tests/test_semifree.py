@@ -44,6 +44,21 @@ def test_degree_mismatch(example_algebra):
         SemifreeModule(B, ("e", "f"), (0, 4), (0, 1), {("e", "f"): B.gen("X")})
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda B: SemifreeModule(B, ("e", "f"), (0,), (0, 0), {}), ConstructionError,
+     "need one bidegree per basis label"),
+    # X has bidegree (1, 1): the homological gap fits, the internal one does not
+    (lambda B: SemifreeModule(B, ("e", "f"), (0, 2), (0, 2), {("e", "f"): B.gen("X")}),
+     DegreeMismatch, "entry for (e, f) has internal degree 1, expected 2"),
+    (lambda B: SemifreeModule(B, ("e",), (0,), (0,), {}).gen("f"), KeyError,
+     "no basis label 'f'"),
+], ids=["bidegrees", "internal-degree", "gen"])
+def test_malformed_module_calls_are_refused(example_algebra, call, error, message):
+    with pytest.raises(error) as info:
+        call(example_algebra)
+    assert info.value.args[0] == message
+
+
 def test_module_differential_examples(module_n):
     N = module_n
     B = N.algebra
