@@ -19,17 +19,11 @@ interpreter's integer-string limit is a parse error, even in a term that
 would cancel.  Odd squares vanish.  Whitespace is insignificant and `#`
 starts a comment.
 
-Internal degrees are inferred: a variable takes the internal degree of its
-differential image (its homological degree when dX = 0), a module basis
-element takes the degree forced by its differential (0 when absent).  A
-third field overrides the default (`X:1:2`, `e:0:3`) and is checked for
-consistency when the differential already forces a value; `_settle_weight`
-decides both.  Each dX is parsed in place into a parse algebra and measured
-there, with the declared weights, else the homological degrees: one
-expression in `_parse_algebra_decl`.  The weights forced by the other
-differentials are not used, so a dX homogeneous only under them is
-rejected (corpus file f006, a known defect); measuring with the weights
-already settled would fix it.
+Internal degrees are optional: a third field declares one (`X:1:2`,
+`e:0:3`), and the constructors settle the rest in declaration order, each
+the one its differential forces, else the homological degree of a variable
+and 0 for a basis element.  The reader computes no bidegree: an algebra's
+or a module's weight errors are the constructors'.
 
 One walk, `_read_diffs`, reads the `| d<name> = ...` part of algebra and
 module declarations alike and yields each differential as it is read, so
@@ -404,18 +398,6 @@ def _parse_specs(ts):
             return specs
 
 
-def _settle_weight(name, declared, forced, default, line):
-    """The internal degree of a variable or basis element: the one its
-    differential forces, which a declared one must equal, else the declared
-    one, else the default."""
-    if forced is None:
-        return default if declared is None else declared
-    if declared is not None and declared != forced:
-        raise ParseError("declared internal degree %d for %s, but d%s forces %d"
-                         % (declared, name, name, forced), line)
-    return forced
-
-
 def _read_diffs(ts, names, kind, env, algebra):
     """The `| d<name> = expression, ...` part of a declaration: yields each
     (name, {label or None: AlgebraElement}) as soon as it is read, a name
@@ -444,29 +426,17 @@ def _parse_algebra_decl(ts, ring_name, ring):
         raise UndeclaredName("undeclared ring %r" % used, ts.line)
     ts.expect_sym("<")
     specs = [] if ts.at_sym("|", ">") else _parse_specs(ts)
-    # the parse algebra: products ignore weights, but every dX is measured
-    # with these, the declared weight else the homological degree (f006)
     try:
-        parsing = FreeDGAlgebra(ring, [Variable(v, d, d if w is None else w)
-                                       for v, d, w in specs])
+        variables = [Variable(*spec) for spec in specs]
+        parsing = FreeDGAlgebra(ring, variables)  # to multiply dX's terms in
     except ConstructionError as exc:
         raise ParseError(str(exc), ts.line)
     # only ring generators and variables are in scope: no label
-    diffs = {v: parts.get(None) for v, parts in _read_diffs(
-        ts, {s[0] for s in specs}, "variable", _env(ring, parsing.vars), parsing)}
+    env = _env(ring, parsing.vars)
+    diffs = {v: parts[None].coeffs for v, parts in _read_diffs(
+        ts, {s[0] for s in specs}, "variable", env, parsing) if None in parts}
     ts.expect_sym(">")
-    variables = []
-    for vname, degree, weight in specs:
-        dx, forced = diffs.get(vname), None
-        if dx:
-            try:
-                forced = dx.bidegree()[1]
-            except ConstructionError:
-                raise ParseError("d%s is not internally homogeneous" % vname, ts.line)
-        variables.append((vname, degree,
-                          _settle_weight(vname, weight, forced, degree, ts.line)))
-    return name, FreeDGAlgebra(ring, [Variable(*v) for v in variables],
-                               {v: dx.coeffs for v, dx in diffs.items() if dx})
+    return name, FreeDGAlgebra(ring, variables, diffs)
 
 
 def _parse_module_decl(ts, algebra_name, B):
@@ -479,47 +449,20 @@ def _parse_module_decl(ts, algebra_name, B):
         raise UndeclaredName("undeclared algebra %r" % used, ts.line)
     ts.expect_sym("=")
     ts.expect_sym("<")
-    specs = _parse_specs(ts)
-    labels = [s[0] for s in specs]
-    index = {lab: i for i, lab in enumerate(labels)}
+    labels, degrees, weights = zip(*_parse_specs(ts))
     env = _env(B.ring, B.vars)
     env.update((lab, ("label", lab)) for lab in labels)
-    diffs = {}
-    for lab, parts in _read_diffs(ts, index, "basis label", env, B):
+    structure = {}
+    for lam, parts in _read_diffs(ts, labels, "basis label", env, B):
         if None in parts:
-            raise ParseError("d%s has a component without a basis label" % lab, ts.line)
-        diffs[lab] = parts
+            raise ParseError("d%s has a component without a basis label" % lam, ts.line)
+        structure.update(((mu, lam), value) for mu, value in parts.items())
     ts.expect_sym(">")
-    # weights in basis order: each component of d(lab) forces w(mu) + its own
-    weights = []
-    for lab, _, declared in specs:
-        forced = None
-        for mu, value in diffs.get(lab, {}).items():
-            try:
-                _, w_val = value.bidegree()
-            except ConstructionError:
-                raise ParseError(
-                    "the %s-component of d%s is not internally homogeneous"
-                    % (mu, lab), ts.line)
-            if index[mu] >= len(weights):
-                raise ParseError(
-                    "d%s refers to %s, which is not declared earlier" % (lab, mu),
-                    ts.line)
-            candidate = weights[index[mu]] + w_val
-            if forced is not None and candidate != forced:
-                raise ParseError(
-                    "components of d%s force inconsistent internal degrees" % lab,
-                    ts.line)
-            forced = candidate
-        weights.append(_settle_weight(lab, declared, forced, 0, ts.line))
-    structure = {(mu, lam): value for lam, entries in diffs.items()
-                 for mu, value in entries.items()}
-    return name, SemifreeModule(B, labels, [s[1] for s in specs], weights,
-                                structure)
+    return name, SemifreeModule(B, labels, degrees, weights, structure)
 
 
 def default_module_weights(module):
-    """The weights inference would produce with no annotations: the last
+    """The weights the module would settle with none declared: the last
     entry b[mu][lam] of a column forces lam's weight from mu's.  The module
     has checked that b[mu][lam] has weight w_lam - w_mu, so no entry's
     bidegree is recomputed."""

@@ -2,7 +2,8 @@
 
 Each adjoined variable X carries a homological degree |X| >= 1, an internal
 degree w(X) >= 1, and a differential image dX which must be a cycle built
-from variables declared before X.  Variables of odd homological degree are
+from variables declared before X.  An internal degree left undeclared is
+the one dX forces, else |X|.  Variables of odd homological degree are
 exterior (X^2 = 0); variables of even degree come with the full divided
 power family Y^(n), multiplying by
 
@@ -31,8 +32,9 @@ from .errors import (ConstructionError, CycleViolation, ForwardReference,
 class Variable:
     """A declared generator: name, homological degree, internal degree.
 
-    The differential image is held by the algebra, not the variable, since
-    it is an element of the algebra being built.
+    An internal degree of None is undeclared: the algebra settles it from
+    dX.  The differential image is held by the algebra, not the variable,
+    since it is an element of the algebra being built.
     """
 
     __slots__ = ("name", "degree", "weight")
@@ -40,7 +42,7 @@ class Variable:
     def __init__(self, name, degree, weight):
         if not isinstance(degree, int) or degree < 1:
             raise GradingViolation("variable %s needs homological degree >= 1" % name)
-        if not isinstance(weight, int) or weight < 1:
+        if weight is not None and (not isinstance(weight, int) or weight < 1):
             raise GradingViolation("variable %s needs internal degree >= 1" % name)
         self.name = name
         self.degree = degree
@@ -88,49 +90,63 @@ class FreeDGAlgebra:
 
     ``diff_data`` maps variable names to elements given as raw coefficient
     dictionaries {monomial exponents: RingElement} (or None for zero).
-    Construction validates, for every variable, that dX only involves
-    earlier variables, that dX is homogeneous of bidegree
-    (|X| - 1, w(X)), and that d(dX) = 0.  ``diffs`` and ``mono_diff``'s
-    table hold coefficient dicts, not elements whose parent is the
-    algebra, so the algebra is freed by reference counting alone.
+    Construction walks the variables in order and validates that dX only
+    involves earlier variables, that dX is homogeneous of homological
+    degree |X| - 1, and that d(dX) = 0.  It measures dX with the earlier
+    variables' settled internal degrees: a declared w(X) must equal dX's,
+    an undeclared one (None) becomes dX's, or |X| when dX = 0.  ``vars``
+    hold the settled degrees.  ``diffs`` and ``mono_diff``'s table hold
+    coefficient dicts, not elements whose parent is the algebra, so the
+    algebra is freed by reference counting alone.
     """
 
     def __init__(self, ring, variables, diff_data=None):
         self.ring = ring
         self.field = ring.field
-        self.vars = tuple(variables)
-        names = [v.name for v in self.vars]
+        names = [v.name for v in variables]
         if len(names) != len(set(names)):
             raise ConstructionError("duplicate variable name")
         clash = set(names) & set(ring.gens)
         if clash:
             raise ConstructionError("variable name %s clashes with a ring generator"
                                     % sorted(clash)[0])
-        self._index = {v.name: i for i, v in enumerate(self.vars)}
-        self.unit_mono = (0,) * len(self.vars)
-        # per-variable gradings, aligned with a monomial's exponents
-        self.degrees = tuple(v.degree for v in self.vars)
-        self.weights = tuple(v.weight for v in self.vars)
-        self.odd = tuple(v.is_odd for v in self.vars)
+        self._index = {name: i for i, name in enumerate(names)}
+        self.unit_mono = (0,) * len(names)
+        # per-variable gradings, aligned with a monomial's exponents; the
+        # weights grow as they settle, and dX has no exponent past X's
+        self.degrees = tuple(v.degree for v in variables)
+        self.weights = []
+        self.odd = tuple(v.is_odd for v in variables)
         diff_data = diff_data or {}
-        diffs = []
-        for i, v in enumerate(self.vars):
-            raw = diff_data.get(v.name)
-            el = AlgebraElement(self, raw or {})
+        settled, diffs = [], []
+        for i, v in enumerate(variables):
+            el = AlgebraElement(self, diff_data.get(v.name) or {})
             for mono in el.coeffs:
-                if any(mono[j] for j in range(i, len(self.vars))):
+                if any(mono[i:]):
                     raise ForwardReference(
                         "d%s uses a variable not declared before %s" % (v.name, v.name))
+            weight = v.weight
             if el.coeffs:
-                n, w = el.bidegree()
+                found = el.bidegrees()
+                if len(found) > 1:
+                    raise GradingViolation("d%s is not homogeneous" % v.name)
+                ((n, w),) = found
                 if n != v.degree - 1:
                     raise GradingViolation(
                         "d%s has homological degree %d, expected %d"
                         % (v.name, n, v.degree - 1))
-                if w != v.weight:
+                if weight is None:
+                    weight = w
+                elif w != weight:
                     raise GradingViolation(
-                        "d%s has internal degree %d, expected %d" % (v.name, w, v.weight))
+                        "d%s has internal degree %d, expected %d" % (v.name, w, weight))
+            elif weight is None:
+                weight = v.degree
+            settled.append(Variable(v.name, v.degree, weight))
+            self.weights.append(weight)
             diffs.append(el)
+        self.vars = tuple(settled)
+        self.weights = tuple(self.weights)
         self.diffs = tuple(d.coeffs for d in diffs)
         for v, d in zip(self.vars, diffs):
             dd = d.diff()

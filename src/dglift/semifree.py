@@ -5,8 +5,10 @@ bidegrees and a strictly upper triangular structure matrix over B:
 
     d(e_lam) = sum_{mu < lam} e_mu . b[mu][lam].
 
-Validation checks the bidegree of every entry and the componentwise form
-of d^2 = 0,
+A basis element's internal degree may be left undeclared (None): it is
+the one its column forces, w(e_lam) = w(e_mu) + w(b[mu][lam]), settled in
+basis order, else 0.  Validation checks the bidegree of every entry
+against the settled degrees and the componentwise form of d^2 = 0,
 
     sum_{nu < mu < lam} b[nu][mu] b[mu][lam] + (-1)^{|e_nu|} d(b[nu][lam]) = 0,
 
@@ -39,15 +41,15 @@ from .lincomb import LinComb, merge
 class SemifreeModule:
 
     def __init__(self, algebra, labels, degrees, weights, structure):
-        """structure maps (mu_label, lam_label) -> AlgebraElement, mu before lam."""
+        """structure maps (mu_label, lam_label) -> AlgebraElement, mu before
+        lam; a weight of None is settled from lam's column."""
         self.algebra = algebra
         self.labels = tuple(labels)
         if len(self.labels) != len(set(self.labels)):
             raise ConstructionError("duplicate basis label")
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.degrees = tuple(degrees)
-        self.weights = tuple(weights)
-        if len(self.degrees) != len(self.labels) or len(self.weights) != len(self.labels):
+        if len(self.degrees) != len(self.labels) or len(weights) != len(self.labels):
             raise ConstructionError("need one bidegree per basis label")
         # columns[j]: the (i, b[i][j]) entries of d(e_j), in structure order,
         # the one copy of d on the basis
@@ -59,16 +61,30 @@ class SemifreeModule:
             if i >= j:
                 raise TriangularityViolation(
                     "entry d(%s) -> %s is not strictly triangular" % (lam, mu))
-            n, w = b.bidegree()
-            if n != self.degrees[j] - self.degrees[i] - 1:
-                raise DegreeMismatch(
-                    "entry for (%s, %s) has homological degree %d, expected %d"
-                    % (mu, lam, n, self.degrees[j] - self.degrees[i] - 1))
-            if w != self.weights[j] - self.weights[i]:
-                raise DegreeMismatch(
-                    "entry for (%s, %s) has internal degree %d, expected %d"
-                    % (mu, lam, w, self.weights[j] - self.weights[i]))
             self.columns[j].append((i, b))
+        # bidegrees in basis order, so that w(e_mu) is settled before its
+        # entry b[mu][lam] settles or checks w(e_lam)
+        settled = []
+        for j, (lam, column) in enumerate(zip(self.labels, self.columns)):
+            weight = weights[j]
+            for i, b in column:
+                found = b.bidegrees()
+                if len(found) > 1:
+                    raise DegreeMismatch("entry for (%s, %s) is not homogeneous"
+                                         % (self.labels[i], lam))
+                ((n, w),) = found
+                if n != self.degrees[j] - self.degrees[i] - 1:
+                    raise DegreeMismatch(
+                        "entry for (%s, %s) has homological degree %d, expected %d"
+                        % (self.labels[i], lam, n, self.degrees[j] - self.degrees[i] - 1))
+                if weight is None:
+                    weight = settled[i] + w
+                elif w != weight - settled[i]:
+                    raise DegreeMismatch(
+                        "entry for (%s, %s) has internal degree %d, expected %d"
+                        % (self.labels[i], lam, w, weight - settled[i]))
+            settled.append(0 if weight is None else weight)
+        self.weights = tuple(settled)
         # componentwise d^2 = 0: square[nu] is the e_nu component of d(d(e_lam))
         for lam, column in zip(self.labels, self.columns):
             square = self.diff_by_index(column)

@@ -466,7 +466,8 @@ DIGITS = "1" * 4000  # under the digit limit; a product of two is over it
 
 
 # each case is named by the first words of its message, or by a fifth field
-# where a line with two defects repeats the message of a single-defect case
+# where a line with two defects repeats the message of a single-defect case,
+# or where a construction error's message names the entry, not the defect
 @pytest.mark.parametrize("text, command, code, message", [
     pytest.param(*case[:4], id=case[4] if case[4:] else
                  "-".join(re.findall("[a-z]+", case[3].split(": ")[-1])[:6]))
@@ -508,12 +509,18 @@ DIGITS = "1" * 4000  # under the digit limit; a product of two is over it
          "line 3: df has a component without a basis label"),
         (ALGEBRA + "module N over B = <e:0, f:1 | df = x, de = *>\n", VALIDATE, 2,
          "line 3: df has a component without a basis label", "df-before-a-later-defect"),
-        (ALGEBRA + "module N over B = <e:0, f:1 | df = e*x + e*x^2>\n", VALIDATE, 2,
-         "line 3: the e-component of df is not internally homogeneous"),
-        (ALGEBRA + "module N over B = <e:0, f:1 | de = f*x>\n", VALIDATE, 2,
-         "line 3: de refers to f, which is not declared earlier"),
+        # the module's weight errors are the constructor's, named by the defect
+        (ALGEBRA + "module N over B = <e:0, f:1 | df = e*x + e*x^2>\n", VALIDATE, 1,
+         "line 3: entry for (e, f) is not homogeneous", "the-e-component-of-df-is"),
+        (ALGEBRA + "module N over B = <e:0, f:1 | de = f*x>\n", VALIDATE, 1,
+         "line 3: entry d(e) -> f is not strictly triangular", "de-refers-to-f-which-is"),
         (ALGEBRA + "module N over B = <e:0, e2:0, g:1 | dg = e*x + e2*x^2>\n",
-         VALIDATE, 2, "line 3: components of dg force inconsistent internal degrees"),
+         VALIDATE, 1, "line 3: entry for (e2, g) has internal degree 2, expected 1",
+         "components-of-dg-force-inconsistent-internal"),
+        (RING + "algebra B = R<X:1:2 | dX = x>\n", VALIDATE, 1,
+         "line 2: dX has internal degree 1, expected 2"),
+        (RING + "algebra B = R<X:1, Y:2 | dX = x, dY = X*y + X*y^2>\n", VALIDATE, 1,
+         "line 2: dY is not homogeneous"),
         (ALGEBRA + "module R over B = <e:0>\n", VALIDATE, 2,
          "line 3: name 'R' is already in use"),
         (RING + "module N over B = <e:0>\n", VALIDATE, 2,
@@ -535,6 +542,20 @@ def test_declaration_errors_exit_with_one_line(tmp_path, capsys, text, command,
     path.write_text(text)
     assert run_main(capsys, command[0], str(path), *command[1:]) \
         == (code, "", "dglift: %s\n" % message)
+
+
+def test_an_algebra_weighted_in_declaration_order_validates(tmp_path, capsys):
+    """dZ is homogeneous under the internal degrees dX and dY force (3 and
+    1), not under the homological degrees (1 and 1); the reader used to
+    measure it under those and reject the line."""
+    path = tmp_path / "f006.dgp"
+    path.write_text("ring R = QQ[x:1,y:1]/(x^2, x*y)\n"
+                    "algebra B = R<X:1, Y:1, Z:2 | dX = -2*y^3, dY = -2*y, "
+                    "dZ = -2*Y*y^2 + 2*X>\n")
+    code, out, err = run_main(capsys, "validate", str(path))
+    assert (code, err) == (0, "")
+    assert [entry["status"] for entry in json.loads(out)["results"]] == ["valid"] * 2
+    assert [v.weight for v in parse_problem(path.read_text()).algebra.vars] == [3, 1, 3]
 
 
 def test_a_repeated_algebra_differential_is_a_parse_error(tmp_path, capsys):

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from dglift import (CycleViolation, DGLiftError, DifferentialSquareNonzero,
-                    ParseError, UndeclaredName, parse_algebra_element,
-                    parse_problem, parse_ring, print_problem)
+from dglift import (CycleViolation, DegreeMismatch, DGLiftError,
+                    DifferentialSquareNonzero, GradingViolation, ParseError,
+                    UndeclaredName, parse_algebra_element, parse_problem,
+                    parse_ring, print_problem)
 from dglift.dsl import ProblemDescription, default_module_weights
 
 from conftest import entry
@@ -106,11 +107,16 @@ def test_rational_scalars_round_trip():
 
 
 def test_weight_annotation_conflict_rejected():
-    with pytest.raises(ParseError):
+    """A declared weight that the differential contradicts is the
+    constructor's error, with the line of its declaration."""
+    with pytest.raises(GradingViolation) as caught:
         parse_problem("ring R = QQ[x:1,y:1]/(x*y)\n"
                       "algebra B = R<X:1:2 | dX = x>\n")
-    with pytest.raises(ParseError):
+    assert str(caught.value) == "line 2: dX has internal degree 1, expected 2"
+    with pytest.raises(DegreeMismatch) as caught:
         parse_problem(LIFTABLE.replace("ep:4", "ep:4:7"))
+    assert str(caught.value) \
+        == "line 3: entry for (e, ep) has internal degree 4, expected 7"
 
 
 def test_default_weights_inference(module_n):
@@ -132,10 +138,7 @@ def test_default_weights_match_the_bidegree_inference_on_the_corpus():
     corpus = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
     modules = 0
     for path in sorted(corpus.glob("*/*.dgp")):
-        try:
-            problem = parse_problem(path.read_text(encoding="utf-8"))
-        except DGLiftError:  # the parser's known rejections
-            continue
+        problem = parse_problem(path.read_text(encoding="utf-8"))
         for module in problem.modules.values():
             assert default_module_weights(module) \
                 == _default_weights_from_bidegrees(module)

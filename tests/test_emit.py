@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dglift import DGLiftError, parse_problem
+from dglift import parse_problem
 from dglift.cli import emit_report, run_command
 
 from conftest import GOLDEN
@@ -71,19 +71,16 @@ def test_values_the_direct_writer_does_not_know_are_written_by_json_dumps():
 
 
 def test_the_emitter_matches_json_dumps_on_every_report():
-    """Every file of golden/ and perfbench/corpus/ that parses, under
+    """Every file of golden/ and perfbench/corpus/, under
     validate, obstruction, check-lift --witness and homology --bidegree 3,4."""
     paths = sorted(GOLDEN.glob("*.dgp")) + sorted(CORPUS.glob("*/*.dgp"))
     reports = 0
     for path in paths:
-        try:
-            problem = parse_problem(path.read_text(encoding="utf-8"))
-        except DGLiftError:  # the frontend pool's known parser rejections
-            continue
+        problem = parse_problem(path.read_text(encoding="utf-8"))
         for command, options in (("validate", {}), ("obstruction", {}),
                                  ("check-lift", {"witness": True}),
                                  ("homology", {"bidegree": (3, 4)})):
             doc = run_command(command, problem, **options)
             assert emit_report(doc) == reference(doc), (path.name, command)
             reports += 1
-    assert reports == 4 * 473  # 486 files, 13 of them rejected by the parser
+    assert reports == 4 * 486  # every file of golden/ and the corpora

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dglift import (BlockMatrix, CompositionNonzero, ConstructionError, DGLiftError,
+from dglift import (BlockMatrix, CompositionNonzero, ConstructionError,
                     PrimeField, QQ, delta, homology_dim, kernel_basis, linear_solve,
                     parse_problem, rank)
 from dglift import linalg
@@ -437,10 +437,7 @@ ORACLE_FILES = ([GOLDEN / name for name in ("liftable.dgp", "nonliftable.dgp",
 
 def oracle_problems():
     for path in ORACLE_FILES:
-        try:
-            yield path.name, parse_problem(path.read_text(encoding="utf-8"))
-        except DGLiftError:  # the parser's known rejections
-            continue
+        yield path.name, parse_problem(path.read_text(encoding="utf-8"))
 
 
 def dense_block_matrix(src_keys, dst_keys, image, field):
@@ -547,10 +544,7 @@ def test_the_rank2_system_is_the_gamma_system_in_its_smallest_case():
     paths = sorted(GOLDEN.glob("*.dgp")) + sorted(CORPUS.glob("*/*.dgp"))
     modules = []
     for path in paths:
-        try:
-            problem = parse_problem(path.read_text(encoding="utf-8"))
-        except DGLiftError:  # the parser's known rejections
-            continue
+        problem = parse_problem(path.read_text(encoding="utf-8"))
         modules += [N for N in problem.modules.values() if N.rank == 2 and any(N.columns)]
     for N in modules:
         B = N.algebra
@@ -568,7 +562,7 @@ def test_the_rank2_system_is_the_gamma_system_in_its_smallest_case():
         assert _certificate_head(gamma_layout(N), N.labels[1]) == {
             "kind": "gamma-system", "obstructed_at": N.labels[1], "equations": len(keys),
             "unknowns": len(diagonal_block_keys(B, n + 1, w))}
-    assert len(modules) == 158
+    assert len(modules) == 162
     assert sum(N.degrees[0] % 2 for N in modules) == 45
 
 
